@@ -24,7 +24,7 @@ from .laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                       divide_exact, limit_at_one)
 from .matrices import RingMatrix, det_exact
 from .sixvertex import SpectralParams, dwbc_states, vertex_weights, z_brute
-from .transfer import INT64_SAFE_N, available_backends, transfer_count
+from .transfer import transfer_count
 from .verify import CheckResult, run_suite
 from .ybe import ybe_check
 
@@ -33,10 +33,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Asm", "AsmInvalid", "BChain", "BracketProduct", "CheckResult",
     "Cyclotomic", "EpsilonGrid", "GridViolation", "IceInvalid", "IceState",
-    "IkInstance", "INT64_SAFE_N", "IntPoly", "LaurentPoly", "NonDivisible",
+    "IkInstance", "IntPoly", "LaurentPoly", "NonDivisible",
     "RatFunc", "RingMatrix", "SpectralParams",
     "a2_formula", "a3_formula", "a_formula", "a_via_chain",
-    "antidiagonal_block_det", "available_backends", "b_chain", "bracket",
+    "antidiagonal_block_det", "b_chain", "bracket",
     "bracket_ratio", "cauchy_det_closed", "cauchy_matrix",
     "count_asms_brute", "cyclotomic_embed", "det_exact", "divide_exact",
     "dwbc_states", "ean_normalize", "enumerate_asms", "format_asm",

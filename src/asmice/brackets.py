@@ -233,8 +233,3 @@ def _scalar_inv(c):
     if isinstance(c, Fraction):
         return 1 / c
     return c ** -1
-
-
-def bracket_limit_at_one(product):
-    """Module-level alias for BracketProduct.limit_at_one."""
-    return product.limit_at_one()

@@ -2,7 +2,8 @@
 
 Subcommands: count, xenum, bseq, verify, table.  All output is exact:
 big integers, rationals as p/q, and polynomial coefficient lists.  Exit
-status is 0 iff every requested check passed.
+status is 0 iff every requested check passed; invalid input exits 2 with
+a one-line message.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ def _print_report(report, stream):
 
 # ---------- subcommands ----------
 
-COUNT_METHODS = ("brute", "transfer", "formula")
+#: largest n each counting method accepts (None: no bound)
+COUNT_BOUNDS = {"brute": ENUM_BOUND, "transfer": DEFAULT_BOUND,
+                "formula": None}
 
 
 def cmd_count(n, methods=("formula",)):
@@ -71,16 +74,13 @@ def cmd_count(n, methods=("formula",)):
     values = {}
     for m in methods:
         if m == "brute":
-            if n > ENUM_BOUND:
-                raise SystemExit(f"count: n={n} exceeds brute bound "
-                                 f"{ENUM_BOUND}")
             values[m] = count_asms_brute(n)
         elif m == "transfer":
             values[m] = transfer_count(n)(1)
         elif m == "formula":
             values[m] = a_formula(n)
         else:
-            raise SystemExit(f"count: unknown method {m!r}")
+            raise ValueError(f"unknown counting method {m!r}")
     first = values[methods[0]]
     report.emit(first)
     if len(methods) > 1:
@@ -92,9 +92,6 @@ def cmd_count(n, methods=("formula",)):
 
 def cmd_xenum(n, at=None):
     report = RunReport("xenum", {"n": n, "at": at})
-    if n > DEFAULT_BOUND:
-        raise SystemExit(f"xenum: n={n} exceeds transfer bound "
-                         f"{DEFAULT_BOUND}")
     poly = transfer_count(n)
     if at is None:
         report.emit(poly)
@@ -129,9 +126,6 @@ def cmd_verify(suite, max_n=None, workers=1):
 
 def cmd_table(max_n, fmt="text"):
     report = RunReport("table", {"max_n": max_n, "format": fmt})
-    if max_n > DEFAULT_BOUND:
-        raise SystemExit(f"table: max-n {max_n} exceeds transfer bound "
-                         f"{DEFAULT_BOUND}")
     rows = []
     for n in range(1, max_n + 1):
         poly = transfer_count(n)
@@ -176,6 +170,32 @@ def _parse_rational(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+def _size(limit=None):
+    """argparse type: an integer n with 1 <= n <= limit."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        if limit is not None and n > limit:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {limit}, got {n}")
+        return n
+    return parse
+
+
+def _parse_methods(text):
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    unknown = [m for m in methods if m not in COUNT_BOUNDS]
+    if unknown or not methods:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated subset of "
+            f"{','.join(COUNT_BOUNDS)}, got {text!r}")
+    return methods
+
+
 def _resolve_workers(args):
     if getattr(args, "workers", None):
         return args.workers
@@ -188,35 +208,45 @@ def _resolve_workers(args):
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports bad input in one line, exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asmice",
         description="Exact alternating-sign-matrix counting and the "
                     "six-vertex identities behind it.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="A(n;1) by one or more methods")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", default="formula",
+    p.add_argument("--n", type=_size(), required=True)
+    p.add_argument("--method", type=_parse_methods, default=("formula",),
                    help="comma-separated subset of brute,transfer,formula")
 
     p = sub.add_parser("xenum", help="the x-enumeration polynomial A(n;x)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size(DEFAULT_BOUND), required=True)
     p.add_argument("--at", type=_parse_rational, default=None,
                    help="evaluate at a rational x given as p/q")
 
+    # B(n+1;x) needs A(n;x) only, so the chain reaches one past the bound
     p = sub.add_parser("bseq", help="the B(n;x) factorization chain")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_size(DEFAULT_BOUND + 1), required=True,
+                   dest="max_n")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_size(), default=None,
                    help="size bound override for the suite")
     p.add_argument("--workers", type=int, default=None,
                    help=f"process count (or set {WORKERS_ENV})")
 
     p = sub.add_parser("table", help="n, A(n;1), A(n;2), A(n;3), A(n;x)")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_size(DEFAULT_BOUND), required=True,
+                   dest="max_n")
     p.add_argument("--format", choices=("text", "csv", "json"),
                    default="text", dest="fmt")
     return parser
@@ -224,11 +254,17 @@ def build_parser():
 
 def run(argv=None):
     """Parse argv and execute; returns the RunReport."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     t0 = time.monotonic()
     if args.command == "count":
-        methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
-        report = cmd_count(args.n, methods)
+        # the only bound that depends on two arguments
+        for m in args.method:
+            limit = COUNT_BOUNDS[m]
+            if limit is not None and args.n > limit:
+                parser.error(f"count: --n {args.n} exceeds the {m} bound "
+                             f"{limit}")
+        report = cmd_count(args.n, args.method)
     elif args.command == "xenum":
         report = cmd_xenum(args.n, args.at)
     elif args.command == "bseq":

@@ -38,12 +38,14 @@ def _zpoly_divide(a, b):
     for i in range(len(a) - 1, len(b) - 2, -1):
         c = a[i]
         if c:
-            assert c % b[-1] == 0
-            q = c // b[-1]
+            q, r = divmod(c, b[-1])
+            if r:
+                raise ArithmeticError("inexact cyclotomic division")
             out[i - len(b) + 1] = q
             for j, bc in enumerate(b):
                 a[i - len(b) + 1 + j] -= q * bc
-    assert not any(a), "inexact cyclotomic division"
+    if any(a):
+        raise ArithmeticError("inexact cyclotomic division")
     return out
 
 
@@ -197,7 +199,9 @@ class Cyclotomic:
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         g, s = _xgcd_poly(list(self.coeffs), phi)
         # g is a nonzero constant since Phi is irreducible over Q
-        assert len(g) == 1 and g[0]
+        if len(g) != 1 or not g[0]:
+            raise ArithmeticError("cyclotomic polynomial is not coprime "
+                                  "to the element")
         inv = _poly_mod([c / g[0] for c in s], phi)
         return Cyclotomic(self.order, inv)
 

@@ -188,16 +188,15 @@ class EpsilonGrid:
     """Multipliers f (rows) and f' (columns): x_i = 1/2 + f_i*eps,
     y_j = f'_j*eps; the matrix exponent is g_{i,j} = f_i - f'_j."""
 
-    __slots__ = ("row_f", "col_f", "half_shift")
+    __slots__ = ("row_f", "col_f")
 
-    def __init__(self, row_f, col_f, half_shift=True):
+    def __init__(self, row_f, col_f):
         self.row_f = tuple(Fraction(v) for v in row_f)
         self.col_f = tuple(Fraction(v) for v in col_f)
         if len(self.row_f) != len(self.col_f):
             raise ValueError("row and column grids must have equal length")
         _require_distinct(self.row_f, "row multiplier")
         _require_distinct(self.col_f, "column multiplier")
-        self.half_shift = half_shift
 
     @classmethod
     def standard(cls, n):

@@ -150,8 +150,3 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
-
-
-def poly_divide_x(a, b):
-    """Module-level exact division of integer polynomials in x."""
-    return a.divide_exact(b)

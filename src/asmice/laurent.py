@@ -443,10 +443,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     @property
     def is_zero(self):
         return self.num.is_zero

@@ -5,169 +5,67 @@ without enumerating matrices: a DP key holds the partial column sums (each 0
 or 1, so an n-bit mask) plus the running row prefix (one bit) while a row is
 swept left to right.  At column j with column bit ct and row prefix r, entry
 0 is always allowed, entry +1 needs (ct, r) = (0, 0), and entry -1 needs
-(ct, r) = (1, 1) and shifts the coefficient vector by one degree.  A row must
-end with prefix 1 and the final mask must be all ones.
+(ct, r) = (1, 1) and raises the degree by one.  A row must end with prefix 1
+and the final mask must be all ones.
 
-The coefficient vector has length (n-1)^2 // 4 + 1 (the maximal number of -1
-entries is floor((n-1)^2/4)).  Three interchangeable backends:
+Each key's coefficient vector is packed into one Python int (Kronecker
+packing): coefficient d sits in bits [d*B, (d+1)*B), so raising the degree
+is ``v << B`` and adding two vectors is one integer addition.  Packing is
+exact as long as no coefficient reaches 2^B.
 
-    python: dict-based with arbitrary-precision integers (any n)
-    numpy:  dense int64 arrays, vectorized over masks
-    numba:  the same dense sweep compiled with numba.njit
-
-Intermediate DP values stay below 2^63 exactly for n <= 13 (the measured
-n=13 maximum is 1409560209121797200, margin 6.5x; n=14 overflows), so the
-int64 backends refuse larger n and the automatic choice falls back to the
-python backend there.  Select explicitly with the ASMICE_TRANSFER_BACKEND
-environment variable or the backend argument.
+Slot width B = n*n + 1.  A cell offers at most two entries: 0 and +1 when
+(ct, r) = (0, 0), 0 and -1 when (ct, r) = (1, 1), and only 0 otherwise.  So
+after c cells at most 2^c partial fillings exist, and every coefficient of
+every key counts a subset of them: it is at most 2^c <= 2^(n*n) < 2^B,
+so no slot carries into the next.  Every filling that reaches the final key
+is a whole matrix, with at most floor((n-1)^2/4) entries -1, so a nonzero
+bit above the top slot can only come from a broken bound, and unpacking
+raises on it.  The bound does not use the product formula, which the sweep
+is checked against.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 from .intpoly import IntPoly
 
-try:
-    import numba
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-INT64_SAFE_N = 13
-DEFAULT_BOUND = 14
-ENV_BACKEND = "ASMICE_TRANSFER_BACKEND"
+DEFAULT_BOUND = 16
 
 
 def coeff_count(n):
-    """Length of the coefficient vector of the count polynomial."""
+    """Length of the coefficient vector of the count polynomial.
+
+    The maximal number of -1 entries is floor((n-1)^2/4).
+    """
     return (n - 1) ** 2 // 4 + 1
 
 
-def available_backends():
-    names = ["python", "numpy"]
-    if _HAVE_NUMBA:
-        names.append("numba")
-    return tuple(names)
-
-
-def transfer_count(n, bound=DEFAULT_BOUND, backend=None):
+def transfer_count(n):
     """The weighted count A(n;x) as an IntPoly, by the row-sweep DP."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the transfer bound {bound}")
-    name = backend or os.environ.get(ENV_BACKEND) or _default_backend(n)
-    if name not in available_backends():
-        raise ValueError(f"unknown or unavailable backend {name!r}")
-    if name != "python" and n > INT64_SAFE_N:
-        if backend is None and not os.environ.get(ENV_BACKEND):
-            name = "python"
-        else:
-            raise ValueError(
-                f"backend {name!r} uses int64 and overflows beyond "
-                f"n={INT64_SAFE_N}; use the python backend")
-    if name == "python":
-        coeffs = _sweep_python(n)
-    elif name == "numpy":
-        coeffs = _sweep_numpy(n).tolist()
-    else:
-        coeffs = _sweep_numba(n).tolist()
-    return IntPoly(coeffs)
-
-
-def _default_backend(n):
-    if n > INT64_SAFE_N:
-        return "python"
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def _sweep_python(n):
-    dp = {0: (1,)}
+    if n > DEFAULT_BOUND:
+        raise ValueError(f"n={n} exceeds the transfer bound {DEFAULT_BOUND}")
+    width = n * n + 1
+    # one frontier per row prefix r; entry 0 keeps a key where it is
+    r1 = {0: 1}
     for _ in range(n):
-        frontier = {(mask, 0): list(p) for mask, p in dp.items()}
+        r0, r1 = r1, {}                  # a finished row ends with r = 1
         for j in range(n):
             bit = 1 << j
-            nxt = {}
-            for (mask, r), p in frontier.items():
-                _acc(nxt, (mask, r), p, 0)
-                ct = (mask >> j) & 1
-                if ct == 0 and r == 0:
-                    _acc(nxt, (mask | bit, 1), p, 0)
-                elif ct == 1 and r == 1:
-                    _acc(nxt, (mask ^ bit, 0), p, 1)
-            frontier = nxt
-        dp = {mask: tuple(p) for (mask, r), p in frontier.items() if r == 1}
-    return list(dp.get((1 << n) - 1, (0,)))
+            plus = [(mask | bit, v) for mask, v in r0.items()
+                    if not mask & bit]
+            minus = [(mask ^ bit, v << width) for mask, v in r1.items()
+                     if mask & bit]
+            for mask, v in plus:
+                r1[mask] = r1.get(mask, 0) + v
+            for mask, v in minus:
+                r0[mask] = r0.get(mask, 0) + v
+    return IntPoly(_unpack(r1.get((1 << n) - 1, 0), coeff_count(n), width))
 
 
-def _acc(table, key, coeffs, shift):
-    tgt = table.get(key)
-    if tgt is None:
-        tgt = table[key] = []
-    need = len(coeffs) + shift
-    if len(tgt) < need:
-        tgt.extend([0] * (need - len(tgt)))
-    for i, c in enumerate(coeffs):
-        tgt[i + shift] += c
-
-
-def _sweep_numpy(n):
-    k = coeff_count(n)
-    size = 1 << n
-    masks = np.arange(size)
-    dp = np.zeros((size, k), dtype=np.int64)
-    dp[0, 0] = 1
-    for _ in range(n):
-        cur = np.zeros((2, size, k), dtype=np.int64)
-        cur[0] = dp
-        for j in range(n):
-            bit = 1 << j
-            ct = (masks >> j) & 1
-            nxt = cur.copy()
-            up = masks[ct == 0]
-            nxt[1, up | bit] += cur[0, up]
-            down = masks[ct == 1]
-            if k > 1:
-                nxt[0, down ^ bit, 1:] += cur[1, down, : k - 1]
-            cur = nxt
-        dp = cur[1]
-    return dp[size - 1]
-
-
-_numba_kernel = None
-
-
-def _sweep_numba(n):
-    global _numba_kernel
-    if _numba_kernel is None:
-        _numba_kernel = numba.njit(cache=True)(_dense_sweep)
-    return _numba_kernel(n, coeff_count(n))
-
-
-def _dense_sweep(n, k):
-    # also the reference implementation the numba kernel is compiled from
-    size = 1 << n
-    dp = np.zeros((size, k), dtype=np.int64)
-    dp[0, 0] = 1
-    for _row in range(n):
-        cur = np.zeros((2, size, k), dtype=np.int64)
-        cur[0] = dp
-        for j in range(n):
-            bit = 1 << j
-            nxt = cur.copy()
-            for mask in range(size):
-                ct = (mask >> j) & 1
-                if ct == 0:
-                    tgt = mask | bit
-                    for c in range(k):
-                        nxt[1, tgt, c] += cur[0, mask, c]
-                else:
-                    tgt = mask ^ bit
-                    for c in range(k - 1):
-                        nxt[0, tgt, c + 1] += cur[1, mask, c]
-            cur = nxt
-        dp = cur[1]
-    return dp[size - 1]
+def _unpack(v, slots, width):
+    """Split a packed vector into `slots` coefficients of `width` bits."""
+    if v >> (slots * width):
+        raise ArithmeticError("packed count overflows its top slot")
+    low = (1 << width) - 1
+    return [(v >> (d * width)) & low for d in range(slots)]

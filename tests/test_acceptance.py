@@ -18,7 +18,7 @@ from asmice.dets import EpsilonGrid, antidiagonal_block_det, general_x_matrix
 from asmice.formulas import a2_formula, a3_formula, a_formula, b_chain
 from asmice.intpoly import IntPoly
 from asmice.matrices import det_exact
-from asmice.transfer import transfer_count
+from asmice.transfer import DEFAULT_BOUND, transfer_count
 from asmice.verify import build_suite, run_suite
 from asmice.ybe import ybe_check
 
@@ -73,12 +73,12 @@ def test_criterion_3_three_enumeration(capsys):
 
 def test_criterion_4_factor_chain(capsys):
     with criterion(4, "factor chain", capsys, budget=30):
-        chain = b_chain(13)
+        chain = b_chain(DEFAULT_BOUND + 1)
         x = IntPoly.x()
         assert chain[4] == x + IntPoly.const(6)
         assert chain[5] == x + IntPoly.const(2)
         assert chain[6] == IntPoly([60, 70, 12, 1])
-        for n in range(1, 13):
+        for n in range(1, DEFAULT_BOUND + 1):
             c = 1 if n % 2 else 2
             assert _xpoly(n) == chain[n] * chain[n + 1] * c
 

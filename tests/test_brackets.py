@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from asmice.brackets import (BracketProduct, beta, bracket, bracket_limit_at_one,
-                             bracket_ratio, qdiff)
+from asmice.brackets import (BracketProduct, beta, bracket, bracket_ratio,
+                             qdiff)
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc)
 
 
@@ -114,7 +114,7 @@ def test_limit_unbalanced_cases():
 
 
 def test_limit_alias():
-    assert bracket_limit_at_one(BracketProduct.bracket_factor(4)) == 4
+    assert BracketProduct.bracket_factor(4).limit_at_one() == 4
 
 
 def test_expand_ratfunc_matches_direct_polynomials():

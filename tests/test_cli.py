@@ -149,6 +149,26 @@ def test_table_unknown_format():
         cli.main(["table", "--max-n", "2", "--format", "xml"])
 
 
+# ---------- input validation ----------
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "0"],
+    ["xenum", "--n", "0"],
+    ["bseq", "--max-n", "0"],
+    ["table", "--max-n", "0"],
+    ["count", "--n", "20", "--method", "transfer"],
+    ["bseq", "--max-n", "18"],
+])
+def test_bad_size_exits_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("asmice") and "error: " in err and argv[0] in err
+
+
 # ---------- report plumbing ----------
 
 def test_run_returns_report():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from asmice.cyclotomic import Cyclotomic, cyclotomic_embed, cyclotomic_polynomial
+from asmice.cyclotomic import (Cyclotomic, _zpoly_divide, cyclotomic_embed,
+                               cyclotomic_polynomial)
 
 
 def test_cyclotomic_polynomials():
@@ -18,6 +19,14 @@ def test_cyclotomic_polynomials():
     assert len(cyclotomic_polynomial(24)) == 9     # degree 8
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+
+
+def test_inexact_integer_division_raises():
+    assert _zpoly_divide([2, 3, 1], [1, 1]) == [2, 1]
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _zpoly_divide([1, 1], [2, 1])          # nonzero remainder
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _zpoly_divide([0, 1], [0, 2])          # leading term not divisible
 
 
 def test_trivial_roots():

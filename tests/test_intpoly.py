@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from asmice.intpoly import IntPoly, poly_divide_x
+from asmice.intpoly import IntPoly
 
 
 def test_construction_and_degree():
@@ -57,4 +57,4 @@ def test_divide_exact():
 
 
 def test_divide_alias():
-    assert poly_divide_x(IntPoly([12, 8, 1]), IntPoly([2, 1])) == IntPoly([6, 1])
+    assert IntPoly([12, 8, 1]).divide_exact(IntPoly([2, 1])) == IntPoly([6, 1])

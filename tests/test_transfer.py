@@ -5,9 +5,9 @@ import math
 import pytest
 
 from asmice.asm import x_enumerate_brute
+from asmice.formulas import a2_formula, a3_formula, a_formula
 from asmice.intpoly import IntPoly
-from asmice.transfer import (DEFAULT_BOUND, ENV_BACKEND, INT64_SAFE_N,
-                             available_backends, coeff_count, transfer_count)
+from asmice.transfer import DEFAULT_BOUND, _unpack, coeff_count, transfer_count
 
 
 def formula_count(n):
@@ -16,22 +16,19 @@ def formula_count(n):
     return num // den
 
 
-def test_backends_present():
-    names = available_backends()
-    assert "python" in names and "numpy" in names
-
-
 def test_matches_brute_enumeration():
-    for n in (1, 2, 3, 4, 5):
-        assert transfer_count(n, backend="python") == x_enumerate_brute(n)
+    for n in range(1, 7):
+        assert transfer_count(n) == x_enumerate_brute(n)
 
 
 def test_backends_agree():
-    for backend in available_backends():
-        for n in (1, 3, 6, 8):
-            p = transfer_count(n, backend=backend)
-            assert p(1) == formula_count(n), (backend, n)
-            assert len(p.ascending()) <= coeff_count(n)
+    """The sweep matches all three closed forms at every n up to the bound."""
+    for n in range(1, DEFAULT_BOUND + 1):
+        p = transfer_count(n)
+        assert p(1) == a_formula(n) == formula_count(n), n
+        assert p(2) == a2_formula(n), n
+        assert p(3) == a3_formula(n), n
+        assert len(p.ascending()) == coeff_count(n)
 
 
 def test_pinned_values():
@@ -51,25 +48,6 @@ def test_bound_checks():
         transfer_count(DEFAULT_BOUND + 1)
 
 
-def test_int64_guard_on_explicit_narrow_backend():
-    with pytest.raises(ValueError, match="int64"):
-        transfer_count(INT64_SAFE_N + 1, backend="numpy")
-
-
-def test_default_backend_falls_back_to_python_beyond_int64(monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    p = transfer_count(INT64_SAFE_N + 1)
-    assert p(1) == formula_count(INT64_SAFE_N + 1)
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "python")
-    assert transfer_count(4)(1) == 42
-    monkeypatch.setenv(ENV_BACKEND, "abacus")
-    with pytest.raises(ValueError, match="backend"):
-        transfer_count(4)
-
-
-def test_unknown_backend_argument():
-    with pytest.raises(ValueError, match="backend"):
-        transfer_count(3, backend="gpu")
+def test_unpack_rejects_bits_above_the_top_slot():
+    with pytest.raises(ArithmeticError, match="top slot"):
+        _unpack(1 << 12, 3, 4)
