@@ -15,7 +15,7 @@ from .chain import (a_via_chain, ean_normalize, half_spec_value,
 from .cyclotomic import Cyclotomic, cyclotomic_embed
 from .dets import (EpsilonGrid, antidiagonal_block_det, cauchy_det_closed,
                    cauchy_matrix, general_x_matrix, s_det_closed,
-                   s_det_product, s_matrix, sprime_det, sprime_matrix)
+                   s_det_product, s_matrix)
 from .formulas import BChain, a2_formula, a3_formula, a_formula, b_chain
 from .ice import IceInvalid, IceState, from_ice, to_ice
 from .intpoly import IntPoly
@@ -43,7 +43,7 @@ __all__ = [
     "from_ice", "general_x_matrix", "half_spec_value", "ik_eps_product",
     "ik_eps_ratfunc", "ik_matrix", "ik_z", "limit_at_one", "parse_asm",
     "qdiff", "run_suite", "s_det_closed", "s_det_product", "s_matrix",
-    "sprime_det", "sprime_matrix", "to_ice", "transfer_count",
+    "to_ice", "transfer_count",
     "vertex_weights", "x_enumerate_brute", "z_brute", "z_half_eps_brute",
     "z_half_eps_product", "ybe_check",
 ]

@@ -143,13 +143,3 @@ def parse_asm(text):
         if isinstance(exc, AsmInvalid):
             raise
         raise AsmInvalid(f"unparseable matrix entry: {exc}") from exc
-
-
-def format_asm_blocks(asms):
-    """Several matrices separated by blank lines."""
-    return "\n\n".join(format_asm(a) for a in asms) + "\n"
-
-
-def parse_asm_blocks(text):
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    return [parse_asm(b) for b in blocks]

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import GridViolation, LaurentPoly, NonDivisible, RatFunc
+from .laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
+                      _inv_scalar)
 
 
 def qdiff(a, scale=1, nvars=1, var=0):
@@ -152,10 +153,10 @@ class BracketProduct:
         if isinstance(other, BracketProduct):
             if other.zero:
                 raise ZeroDivisionError("division by a zero bracket product")
-            inv = BracketProduct(_scalar_inv(other.coeff), -other.unit_expo,
+            inv = BracketProduct(_inv_scalar(other.coeff), -other.unit_expo,
                                  {a: -e for a, e in other.diffs.items()})
             return self * inv
-        return self * _scalar_inv(other)
+        return self * _inv_scalar(other)
 
     def __pow__(self, n):
         if self.zero:
@@ -164,7 +165,7 @@ class BracketProduct:
             if n == 0:
                 return BracketProduct.one()
             raise ZeroDivisionError("negative power of zero")
-        c = self.coeff ** n if n >= 0 else _scalar_inv(self.coeff) ** (-n)
+        c = self.coeff ** n if n >= 0 else _inv_scalar(self.coeff) ** (-n)
         return BracketProduct(c, self.unit_expo * n,
                               {a: e * n for a, e in self.diffs.items()})
 
@@ -202,14 +203,6 @@ class BracketProduct:
                 den = den * f ** (-e)
         return RatFunc(num, den)
 
-    def float_eval(self, t_value):
-        """Numeric evaluation at a float t (sanity checks only)."""
-        v = float(t_value) ** 0.5
-        out = float(self.coeff) * v ** self.unit_expo
-        for a, e in self.diffs.items():
-            out *= (v ** a - v ** (-a)) ** e
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, BracketProduct):
             return NotImplemented
@@ -226,10 +219,3 @@ def _diff_units(a, scale):
     """d(a) with the argument in half-power units: s^(a/2) - s^(-a/2)."""
     return LaurentPoly(1, scale, {(a * scale,): 1, (-a * scale,): -1})
 
-
-def _scalar_inv(c):
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c ** -1

@@ -23,8 +23,6 @@ from .sixvertex import ENUM_BOUND
 from .transfer import DEFAULT_BOUND, transfer_count
 from .verify import SUITE_NAMES, run_suite
 
-WORKERS_ENV = "ASMICE_WORKERS"
-
 
 class RunReport:
     """Everything one invocation computed, for tests and programmatic use."""
@@ -196,18 +194,6 @@ def _parse_methods(text):
     return methods
 
 
-def _resolve_workers(args):
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reports bad input in one line, exit status 2."""
 
@@ -241,8 +227,8 @@ def build_parser():
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p.add_argument("--n", type=_size(), default=None,
                    help="size bound override for the suite")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"process count (or set {WORKERS_ENV})")
+    p.add_argument("--workers", type=_size(os.cpu_count() or 1), default=1,
+                   help="process count, at most the CPU count")
 
     p = sub.add_parser("table", help="n, A(n;1), A(n;2), A(n;3), A(n;x)")
     p.add_argument("--max-n", type=_size(DEFAULT_BOUND), required=True,
@@ -270,7 +256,7 @@ def run(argv=None):
     elif args.command == "bseq":
         report = cmd_bseq(args.max_n)
     elif args.command == "verify":
-        report = cmd_verify(args.suite, args.n, _resolve_workers(args))
+        report = cmd_verify(args.suite, args.n, args.workers)
     else:
         report = cmd_table(args.max_n, args.fmt)
     report.wall_time = time.monotonic() - t0

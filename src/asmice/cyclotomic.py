@@ -1,111 +1,63 @@
-"""Exact cyclotomic field arithmetic: Q(zeta_m) as Q[x]/Phi_m(x).
+"""Exact arithmetic in the cyclotomic field Q(zeta_24) = Q[z]/(z^8 - z^4 + 1).
 
-Elements are coefficient vectors over Q in the power basis 1, z, ..., z^(d-1)
-with d = deg Phi_m, reduced modulo the m-th cyclotomic polynomial.  Equality
-is canonical-form equality of the vectors.  The package's root-of-unity work
-all happens in Q(zeta_24) (degree 8, Phi_24 = x^8 - x^4 + 1), which contains
-zeta_k for every k dividing 24 and in particular the square and fourth roots
-of the unit-circle q values used by the enumeration chain.
+Elements are 8 rational coefficients (int or Fraction) in the power basis
+1, z, ..., z^7, where z = zeta_24 and Phi_24 = z^8 - z^4 + 1.  Equality is
+equality of the vectors.  Q(zeta_24) contains zeta_k for every k dividing 24,
+in particular the fourth roots of the unit-circle q values that the
+enumeration chain pins for x = 1, 2, 3 (orders 6, 8 and 12), so it is the
+only cyclotomic field the package needs.
+
+Products are reduced with the fold z^k = z^(k-4) - z^(k-8) (k >= 8), which
+is Phi_24 = 0 rearranged.  Inverses come from the norm: the Galois
+automorphisms sigma_k (z -> z^k, k a unit mod 24) only permute and fold the
+coefficients, and 1/a = prod_{k != 1} sigma_k(a) / N(a) with N(a) rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+
+#: degree of Phi_24, the length of every coefficient vector
+DEGREE = 8
+#: units k mod 24 other than 1: the nontrivial automorphisms z -> z^k
+_GALOIS = (5, 7, 11, 13, 17, 19, 23)
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(m):
-    """Ascending integer coefficients of Phi_m(x)."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    # x^m - 1 divided by the product of Phi_d over proper divisors d of m
-    poly = [0] * (m + 1)
-    poly[0] = -1
-    poly[m] = 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _zpoly_divide(poly, list(cyclotomic_polynomial(d)))
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
-
-
-def _zpoly_divide(a, b):
-    """Exact division of integer polynomials (ascending coefficients)."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
+def _fold(conv):
+    """Coefficients of z^0..z^(len-1), reduced modulo z^8 - z^4 + 1."""
+    for k in range(len(conv) - 1, DEGREE - 1, -1):
+        c = conv[k]
         if c:
-            q, r = divmod(c, b[-1])
-            if r:
-                raise ArithmeticError("inexact cyclotomic division")
-            out[i - len(b) + 1] = q
-            for j, bc in enumerate(b):
-                a[i - len(b) + 1 + j] -= q * bc
-    if any(a):
-        raise ArithmeticError("inexact cyclotomic division")
+            conv[k - 4] += c
+            conv[k - 8] -= c
+    return conv[:DEGREE] + [0] * (DEGREE - len(conv))
+
+
+def _make(coeffs):
+    """An element from a trusted length-8 sequence of int/Fraction."""
+    out = object.__new__(Cyclotomic)
+    out.coeffs = tuple(coeffs)
     return out
 
 
-@lru_cache(maxsize=None)
-def _power_table(m):
-    """Vectors of zeta_m^k in the power basis, for k = 0..m-1."""
-    phi = cyclotomic_polynomial(m)
-    d = len(phi) - 1
-    # zeta^d = -(phi[0] + phi[1] z + ... + phi[d-1] z^(d-1)), phi monic
-    top = tuple(-c for c in phi[:d])
-    table = []
-    cur = (1,) + (0,) * (d - 1)
-    for _ in range(m):
-        table.append(cur)
-        nxt = [0] * d
-        for i, c in enumerate(cur):
-            if not c:
-                continue
-            if i + 1 < d:
-                nxt[i + 1] += c
-            else:
-                for j, tc in enumerate(top):
-                    nxt[j] += c * tc
-        cur = tuple(nxt)
-    return tuple(table)
-
-
 class Cyclotomic:
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
     scalar_ring = True
 
-    def __init__(self, order, coeffs):
-        d = len(cyclotomic_polynomial(order)) - 1
-        cs = list(coeffs) + [0] * (d - len(coeffs))
-        if len(cs) != d:
+    def __init__(self, coeffs):
+        cs = list(coeffs)
+        if len(cs) > DEGREE:
             raise ValueError("coefficient vector too long")
-        self.order = order
-        self.coeffs = tuple(Fraction(c) for c in cs)
-
-    # ---------- constructors ----------
-
-    @classmethod
-    def from_rational(cls, r, order=24):
-        return cls(order, [Fraction(r)])
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or Fraction")
+        self.coeffs = tuple(cs + [0] * (DEGREE - len(cs)))
 
     @classmethod
-    def root_power(cls, order, k):
-        """zeta_order^k (k any integer)."""
-        table = _power_table(order)
-        return cls(order, table[k % order])
-
-    @classmethod
-    def zeta(cls, order):
-        return cls.root_power(order, 1)
+    def from_rational(cls, r):
+        return cls([r])
 
     # ---------- structure ----------
-
-    @property
-    def degree(self):
-        return len(self.coeffs)
 
     def is_rational(self):
         return not any(self.coeffs[1:])
@@ -119,107 +71,84 @@ class Cyclotomic:
         r = self.as_rational()
         if r.denominator != 1:
             raise ValueError(f"{self!r} is not an integer")
-        return r.numerator
+        return int(r)
 
-    def promote(self, order):
-        """Reembed into Q(zeta_order); the current order must divide it."""
-        if order == self.order:
-            return self
-        if order % self.order:
-            raise ValueError(f"cannot embed Q(zeta_{self.order}) in Q(zeta_{order})")
-        step = order // self.order
-        out = Cyclotomic(order, [0])
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyclotomic.root_power(order, k * step) * c
-        return out
+    def _scale(self, r):
+        return _make([c * r if c else 0 for c in self.coeffs])
 
-    def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self, Cyclotomic.from_rational(other, self.order)
-        if isinstance(other, Cyclotomic):
-            if other.order == self.order:
-                return self, other
-            if other.order % self.order == 0:
-                return self.promote(other.order), other
-            if self.order % other.order == 0:
-                return self, other.promote(self.order)
-            raise ValueError("incompatible cyclotomic orders")
-        return None, None
+    def _sigma(self, k):
+        """The automorphism z -> z^k applied to self."""
+        out = [0] * 24
+        for i, c in enumerate(self.coeffs):
+            out[i * k % 24] = c
+        return _make(_fold(out))
 
     # ---------- ring operations ----------
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if isinstance(other, Cyclotomic):
+            return _make([x + y for x, y in zip(self.coeffs, other.coeffs)])
+        if isinstance(other, (int, Fraction)):
+            return _make((self.coeffs[0] + other,) + self.coeffs[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return _make([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        if isinstance(other, Cyclotomic):
+            return _make([x - y for x, y in zip(self.coeffs, other.coeffs)])
+        if isinstance(other, (int, Fraction)):
+            return _make((self.coeffs[0] - other,) + self.coeffs[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        d = a.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        conv = [0] * (2 * DEGREE - 1)
+        ys = [(j, y) for j, y in enumerate(other.coeffs) if y]
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in ys:
                     conv[i + j] += x * y
-        table = _power_table(a.order)
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                vec = table[k % a.order]
-                for j, tc in enumerate(vec):
-                    out[j] += c * tc
-        return Cyclotomic(a.order, out)
+        return _make(_fold(conv))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s = _xgcd_poly(list(self.coeffs), phi)
-        # g is a nonzero constant since Phi is irreducible over Q
-        if len(g) != 1 or not g[0]:
-            raise ArithmeticError("cyclotomic polynomial is not coprime "
-                                  "to the element")
-        inv = _poly_mod([c / g[0] for c in s], phi)
-        return Cyclotomic(self.order, inv)
+        conj = self._sigma(_GALOIS[0])
+        for k in _GALOIS[1:]:
+            conj = conj * self._sigma(k)
+        norm = self * conj
+        if not norm.is_rational():
+            raise ArithmeticError("norm of a cyclotomic number is not rational")
+        return conj / norm.coeffs[0]
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a * b.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self._scale(Fraction(1, other))
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(other, self.order) * self.inverse()
+            return self.inverse() * other
         return NotImplemented
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
         n = abs(n)
-        result = Cyclotomic.from_rational(1, self.order)
+        result = _make((1,) + (0,) * (DEGREE - 1))
         while n:
             if n & 1:
                 result = result * base
@@ -231,8 +160,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
         if isinstance(other, Cyclotomic):
-            a, b = self._pair(other)
-            return a.coeffs == b.coeffs
+            return self.coeffs == other.coeffs
         return NotImplemented
 
     def __bool__(self):
@@ -241,11 +169,11 @@ class Cyclotomic:
     def __hash__(self):
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyclotomic({self.order}, {self.coeffs[0]})"
+            return f"Cyclotomic({self.coeffs[0]})"
         parts = []
         for k, c in enumerate(self.coeffs):
             if not c:
@@ -256,80 +184,12 @@ class Cyclotomic:
                 parts.append(f"{c}*z")
             else:
                 parts.append(f"{c}*z^{k}")
-        return f"Cyclotomic({self.order}, {' + '.join(parts)})"
+        return f"Cyclotomic({' + '.join(parts)})"
 
 
-def _poly_mod(a, phi):
-    a = list(a)
-    d = len(phi) - 1
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i]
-        if c:
-            q = c / phi[-1]
-            for j, pc in enumerate(phi):
-                a[i - d + j] -= q * pc
-    return a[:d]
-
-
-def _xgcd_poly(a, phi):
-    """Extended gcd in Q[x]: returns (g, s) with s*a = g (mod phi)."""
-    r0, r1 = list(phi), _trim(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while _deg(r1) >= 0:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    return _trim(r0), s0
-
-
-def _deg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _trim(p):
-    d = _deg(p)
-    return [Fraction(c) for c in p[:d + 1]] if d >= 0 else []
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, c in enumerate(b):
-        a[i] -= c
-    return _trim(a)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    a = _trim(a)
-    b = _trim(b)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    lead = b[-1]
-    while _deg(a) >= _deg(b):
-        sh = _deg(a) - _deg(b)
-        c = a[-1] / lead
-        q[sh] += c
-        for j, bc in enumerate(b):
-            a[sh + j] -= c * bc
-        a = _trim(a)
-    return _trim(q), a
-
-
-def cyclotomic_embed(k, m=24):
-    """zeta_k as an element of Q(zeta_m); requires k | m."""
-    if k < 1 or m % k:
-        raise ValueError(f"zeta_{k} does not lie in Q(zeta_{m})")
-    return Cyclotomic.root_power(m, m // k)
+def cyclotomic_embed(k):
+    """zeta_k = z^(24/k) in Q(zeta_24); requires k | 24."""
+    if k < 1 or 24 % k:
+        raise ValueError(f"zeta_{k} does not lie in Q(zeta_24)")
+    e = 24 // k
+    return _make(_fold([0] * e + [1]))

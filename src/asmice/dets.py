@@ -162,26 +162,6 @@ def s_det_closed_bivariate(n):
     return RatFunc(num, den)
 
 
-# ---------- the plus-form variant S' ----------
-
-def sprime_matrix(n, a, b):
-    """S'_{i,j} = (s^(i+j+1)+1)/(t^(i+j+1)+1) at s = u^a, t = u^b."""
-    def entry(i, j):
-        m = i + j + 1
-        num = LaurentPoly.var_power(a * m) + 1
-        den = LaurentPoly.var_power(b * m) + 1
-        if den.is_zero:
-            raise ValueError(f"degenerate denominator at entry ({i},{j})")
-        return RatFunc(num, den)
-
-    return RingMatrix.from_fn(n, n, entry)
-
-
-def sprime_det(n, a, b):
-    """Direct exact determinant of S'; no closed form is asserted."""
-    return det_exact(sprime_matrix(n, a, b))
-
-
 # ---------- epsilon grids and the general-x matrix ----------
 
 class EpsilonGrid:

@@ -75,14 +75,6 @@ class IceState:
     def __hash__(self):
         return hash(self.grid)
 
-    def state_counts(self):
-        """Histogram {state: multiplicity} over the grid."""
-        out = {s: 0 for s in range(1, 7)}
-        for row in self.grid:
-            for s in row:
-                out[s] += 1
-        return out
-
     def __repr__(self):
         return f"IceState({[list(r) for r in self.grid]})"
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 
 class IntPoly:
-    """Polynomial in one variable over the integers (Fractions transiently)."""
+    """Polynomial in one variable over the integers."""
 
     __slots__ = ("coeffs",)
 
@@ -49,6 +49,8 @@ class IntPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = IntPoly.const(other)
+        elif not isinstance(other, IntPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -65,6 +67,8 @@ class IntPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = IntPoly.const(other)
+        elif not isinstance(other, IntPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -73,6 +77,8 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self and other else []
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -99,28 +105,31 @@ class IntPoly:
         return acc
 
     def divide_exact(self, other):
-        """Quotient self/other; raises ArithmeticError unless it divides
-        with integer coefficients."""
+        """Quotient self/other over Z; raises ArithmeticError unless other
+        divides self with integer coefficients."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return IntPoly([])
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in other.coeffs]
+        rem = list(self.coeffs)
+        div = other.coeffs
         dq = len(rem) - len(div)
         if dq < 0:
-            raise ArithmeticError("inexact polynomial division (degree)")
-        q = [Fraction(0)] * (dq + 1)
+            if rem:
+                raise ArithmeticError("inexact polynomial division (degree)")
+            return IntPoly([])
+        q = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] / div[-1]
-            q[k] = c
-            for i, d in enumerate(div):
-                rem[k + i] -= c * d
+            c = rem[k + len(div) - 1]
+            if c:
+                c, r = divmod(c, div[-1])
+                if r:
+                    raise ArithmeticError(
+                        "inexact polynomial division (leading term)")
+                q[k] = c
+                for i, d in enumerate(div):
+                    rem[k + i] -= c * d
         if any(rem):
             raise ArithmeticError("inexact polynomial division (remainder)")
-        if any(c.denominator != 1 for c in q):
-            raise ArithmeticError("quotient has non-integer coefficients")
-        return IntPoly([int(c) for c in q])
+        return IntPoly(q)
 
     def ascending(self):
         return list(self.coeffs)

@@ -44,8 +44,11 @@ class LaurentPoly:
         for exps, c in terms.items():
             if len(exps) != nvars:
                 raise ValueError("exponent tuple length != nvars")
+            key = tuple(int(e) for e in exps)
+            if key != exps:
+                raise GridViolation(f"exponent {exps} is not integral")
             if c:
-                clean[tuple(int(e) for e in exps)] = c
+                clean[key] = c
         self.nvars = nvars
         self.scale = scale
         self.terms = clean

@@ -58,14 +58,10 @@ class RingMatrix:
         return f"RingMatrix({self.nrows}x{self.ncols})"
 
 
-def det_exact(matrix, method="auto"):
-    """Exact determinant; method is 'auto', 'bareiss' or 'cofactor'."""
+def det_exact(matrix):
+    """Exact determinant by fraction-free Bareiss elimination."""
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if method == "cofactor":
-        return _det_cofactor(matrix)
-    if method not in ("auto", "bareiss"):
-        raise ValueError(f"unknown determinant method {method!r}")
     if any(isinstance(x, RatFunc) for row in matrix.rows for x in row):
         return _det_cleared(matrix)
     return _det_bareiss(matrix.rows)

@@ -303,8 +303,10 @@ def _call_item(item):
 
 def run_suite(name, seed=0, max_n=None, workers=1):
     """Run one suite (or "all"); returns CheckResults in build order."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     items = build_suite(name, seed, max_n)
-    if workers and workers > 1:
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_call_item, items))
     return [_call_item(it) for it in items]

@@ -3,8 +3,7 @@
 import pytest
 
 from asmice.asm import (Asm, AsmInvalid, count_asms_brute, enumerate_asms,
-                        format_asm, format_asm_blocks, parse_asm,
-                        parse_asm_blocks, x_enumerate_brute)
+                        format_asm, parse_asm, x_enumerate_brute)
 from asmice.intpoly import IntPoly
 
 
@@ -68,13 +67,6 @@ def test_weighted_count_specializations():
 def test_text_round_trip():
     for m in enumerate_asms(3):
         assert parse_asm(format_asm(m)) == m
-
-
-def test_block_round_trip():
-    ms = list(enumerate_asms(3))
-    text = format_asm_blocks(ms)
-    assert parse_asm_blocks(text) == ms
-    assert text.count("\n\n") >= len(ms) - 1
 
 
 def test_parse_rejects_bad_tokens():

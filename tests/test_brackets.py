@@ -131,13 +131,6 @@ def test_equality_is_extensional():
     assert a == b
 
 
-def test_float_eval_approaches_the_exact_limit():
-    p = BracketProduct.bracket_factor(3)
-    for k in (4, 6, 8):
-        approx = p.float_eval(1 + 10 ** -k)
-        assert abs(approx - 3) < 10 ** -(k - 2)
-
-
 def test_power_of_zero():
     z = BracketProduct.diff(0)
     assert (z ** 3).zero

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -92,26 +93,14 @@ def test_verify_star_triangle(capsys):
 
 
 def test_verify_with_workers(capsys):
-    assert cli.main(["verify", "cauchy", "--n", "3", "--workers", "2"]) == 0
+    workers = str(min(2, os.cpu_count() or 1))      # --workers is capped
+    assert cli.main(["verify", "cauchy", "--n", "3", "--workers", workers]) == 0
     assert lines_of(capsys)[0] == "cauchy: 3/3 checks passed"
 
 
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         cli.main(["verify", "everything"])
-
-
-def test_workers_resolution(monkeypatch):
-    parser = cli.build_parser()
-    args = parser.parse_args(["verify", "ybe", "--workers", "3"])
-    monkeypatch.setenv(cli.WORKERS_ENV, "5")
-    assert cli._resolve_workers(args) == 3          # flag beats env
-    args = parser.parse_args(["verify", "ybe"])
-    assert cli._resolve_workers(args) == 5          # env beats default
-    monkeypatch.setenv(cli.WORKERS_ENV, "junk")
-    assert cli._resolve_workers(args) == 1          # unparsable env ignored
-    monkeypatch.delenv(cli.WORKERS_ENV)
-    assert cli._resolve_workers(args) == 1
 
 
 # ---------- table ----------
@@ -158,6 +147,9 @@ def test_table_unknown_format():
     ["table", "--max-n", "0"],
     ["count", "--n", "20", "--method", "transfer"],
     ["bseq", "--max-n", "18"],
+    ["verify", "ybe", "--workers", "0"],
+    ["verify", "ybe", "--workers", "-1"],
+    ["verify", "ybe", "--workers", str((os.cpu_count() or 1) + 1)],
 ])
 def test_bad_size_exits_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ import pytest
 from asmice.dets import (EpsilonGrid, antidiagonal_block_det, cauchy_det_closed,
                          cauchy_matrix, general_x_matrix, s_det_closed,
                          s_det_closed_bivariate, s_det_product, s_matrix,
-                         s_matrix_bivariate, sprime_det, sprime_matrix)
+                         s_matrix_bivariate)
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
 from asmice.matrices import RingMatrix, det_exact
 
@@ -94,24 +94,22 @@ def test_bivariate_vanishing_orders():
             q = divide_exact(q, factor)       # raises if the order is short
 
 
-def test_variation_with_plus_one_entries():
-    assert sprime_det(1, 1, 1) == RatFunc(LaurentPoly.one())
-    for n in (1, 2, 3):
-        direct = det_exact(sprime_matrix(n, 1, 3))
-        assert direct == sprime_det(n, 1, 3)
-
-
 def test_variation_relates_to_general_x_matrix():
-    # (-1/3) M(x=3)_{ij} equals t^(i+j+1) times the plus-one ratio entry
+    # (-1/3) M(x=3)_{ij} equals t^(i+j+1) times the plus-one ratio
+    # (u^m + 1)/(u^(3m) + 1), m = i+j+1, built here independently
+    def plus_ratio(m):
+        return RatFunc(LaurentPoly.var_power(m) + 1,
+                       LaurentPoly.var_power(3 * m) + 1)
+
     for n in (2, 3):
         m = general_x_matrix(EpsilonGrid.standard(n), x=3)
-        sp = sprime_matrix(n, 1, 3)
+        sp = RingMatrix.from_fn(n, n, lambda i, j: plus_ratio(i + j + 1))
         for i in range(n):
             for j in range(n):
                 shift = RatFunc(LaurentPoly.var_power(i + j + 1))
                 assert m[i, j] * Fraction(-1, 3) == sp[i, j] * shift
         lhs = det_exact(m) * (Fraction(-1, 3) ** n)
-        rhs = sprime_det(n, 1, 3) * RatFunc(LaurentPoly.var_power(n * n))
+        rhs = det_exact(sp) * RatFunc(LaurentPoly.var_power(n * n))
         assert lhs == rhs
 
 

@@ -56,5 +56,24 @@ def test_divide_exact():
         num.divide_exact(IntPoly([0]))
 
 
+def test_inexact_integer_division_raises():
+    assert IntPoly([2, 3, 1]).divide_exact(IntPoly([1, 1])) == IntPoly([2, 1])
+    with pytest.raises(ArithmeticError, match="inexact"):
+        IntPoly([1, 1]).divide_exact(IntPoly([2, 1]))   # nonzero remainder
+    with pytest.raises(ArithmeticError, match="inexact"):
+        IntPoly([0, 1]).divide_exact(IntPoly([0, 2]))   # leading term not divisible
+    with pytest.raises(ArithmeticError, match="inexact"):
+        IntPoly([1, 1]).divide_exact(IntPoly([1, 0, 1]))  # degree too small
+    assert IntPoly([]).divide_exact(IntPoly([1, 1])) == IntPoly([])
+
+
+def test_fraction_operand_is_not_implemented():
+    x = IntPoly.x()
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: b + a, lambda a, b: b - a, lambda a, b: b * a):
+        with pytest.raises(TypeError):
+            op(x, Fraction(1, 2))
+
+
 def test_divide_alias():
     assert IntPoly([12, 8, 1]).divide_exact(IntPoly([2, 1])) == IntPoly([6, 1])

@@ -40,6 +40,17 @@ def test_var_power_rejects_off_grid_exponent():
         LaurentPoly.var_power(Fraction(1, 3))
 
 
+def test_constructor_rejects_non_integral_exponent_keys():
+    with pytest.raises(GridViolation):
+        LaurentPoly(1, 1, {(0.5,): 3})
+    with pytest.raises(GridViolation):
+        LaurentPoly(2, 1, {(1, Fraction(1, 2)): 1})
+    with pytest.raises(GridViolation):
+        LaurentPoly(1, 1, {(0.5,): 0})                 # even with zero coefficient
+    assert LaurentPoly(1, 1, {(2.0,): 3}).terms == {(2,): 3}
+    assert LaurentPoly(1, 1, {(Fraction(4, 2),): 3}) == lp({2: 3})
+
+
 def test_rescale_refines_but_never_coarsens():
     p = LaurentPoly.unit_power(1)                      # t^(1/2) at scale 1
     q = p.rescale(2)

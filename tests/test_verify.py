@@ -68,6 +68,12 @@ def test_process_pool_matches_serial():
             == [(r.name, r.passed, r.details) for r in parallel])
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_suite_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_suite("ybe", seed=0, workers=workers)
+
+
 def test_check_result_repr():
     assert repr(CheckResult("probe", True, "n=2")) == "[pass] probe: n=2"
     assert repr(CheckResult("probe", False)) == "[FAIL] probe"
