@@ -57,6 +57,8 @@ def q_fourth_root(x):
 def tau_poly(g, x, scale=1):
     """s^g + s^(-g) - (x - 2) as a polynomial in the deformation unit."""
     x = Fraction(x)
+    if x.denominator == 1:
+        x = x.numerator             # int coefficients keep Bareiss over Z
     k = Fraction(g) * 2 * scale
     if k.denominator != 1:
         raise ValueError(f"exponent {g} not on the 1/{2 * scale} grid")

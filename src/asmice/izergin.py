@@ -20,8 +20,6 @@ The result is reduced to a genuine Laurent polynomial whenever it is one.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .brackets import bracket_ratio, qdiff
 from .laurent import LaurentPoly, NonDivisible, RatFunc, divide_exact
 from .matrices import RingMatrix, det_exact

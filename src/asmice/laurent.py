@@ -12,12 +12,44 @@ in this package do).  Zero coefficients are never stored.
 Division follows the Laurent convention that monomials are units: t divides 1,
 with quotient t^(-1).  divide_exact raises NonDivisible when the quotient is
 not itself a Laurent polynomial on the grid.
+
+Packed-integer kernel.  A univariate multiply or exact divide whose operands
+have only int and Fraction coefficients, and more pairs of nonzero terms than
+a few per slot of their dense spans, runs as one bigint operation (Kronecker
+substitution).  Each coefficient list is split as content * v, the content a
+positive rational and v a primitive integer vector, and v is packed into the
+integer P_B(v) = sum v_i 2^(i*B).  P_B is evaluation at 2^B, a ring map
+Z[t] -> Z, so P_B(v) * P_B(w) = P_B(v*w) for every slot width B.
+
+Slot width of a product.  Let every |v_i| < 2^b and every |w_j| < 2^c, and
+let k be the smaller of the two nonzero-term counts.  Coefficient m of v*w
+is a sum of at most k products v_i w_(m-i), each of absolute value below
+2^(b+c), so it is below k * 2^(b+c) < 2^(b+c+L) with L the bit length of k.
+With B = b + c + L + 1, rounded up to whole bytes, every coefficient of v,
+w and v*w lies strictly inside (-2^(B-1), 2^(B-1)).  A list with entries in
+that range is the only one that packs to its value: adding 2^(B-1) to every
+slot makes each slot a plain B-bit digit (the borrows that negative slots
+took from the slots above are paid back), so unpacking reads bytes.  A value
+that needs bits above the top slot comes from no such list, and unpacking
+raises ArithmeticError on it.
+
+Exact divide.  The divisor d is made primitive.  If d divides a over Q, the
+quotient is in Z[t] by Gauss's lemma, so P_B(a) = P_B(d) * P_B(a/d) for
+every B, and a nonzero remainder of P_B(a) by P_B(d) (nonzero, since its
+slots are in range) proves NonDivisible.  A zero remainder is only evidence:
+the quotient is unpacked and multiplied back with a width proved as above,
+and must give a.  B starts at the dividend's and divisor's bit lengths, not
+at any bound from the quotient's length; when the multiply-back fails, B is
+doubled at most _WIDENINGS times, and then the schoolbook long division
+decides.  The schoolbook multiply and divide also serve sparse operands,
+Cyclotomic coefficients and the tests, as the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class GridViolation(ValueError):
@@ -52,6 +84,16 @@ class LaurentPoly:
         self.nvars = nvars
         self.scale = scale
         self.terms = clean
+
+    @classmethod
+    def _clean(cls, nvars, scale, terms):
+        """A polynomial from terms that need none of __init__'s checks:
+        integral keys of length nvars and no zero coefficient."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.scale = scale
+        p.terms = terms
+        return p
 
     # ---------- constructors ----------
 
@@ -145,13 +187,13 @@ class LaurentPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return LaurentPoly(a.nvars, a.scale, out)
+        return LaurentPoly._clean(a.nvars, a.scale, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, self.scale,
-                           {k: -c for k, c in self.terms.items()})
+        return LaurentPoly._clean(self.nvars, self.scale,
+                                  {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if _is_scalar(other):
@@ -167,56 +209,43 @@ class LaurentPoly:
         if _is_scalar(other):
             if not other:
                 return LaurentPoly.zero(self.nvars, self.scale)
-            return LaurentPoly(self.nvars, self.scale,
-                               {k: c * other for k, c in self.terms.items()})
+            return LaurentPoly._clean(
+                self.nvars, self.scale,
+                {k: c * other for k, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._matched(other)
         if a.is_zero or b.is_zero:
             return LaurentPoly.zero(a.nvars, a.scale)
-        if a.nvars == 1:
-            return a._mul_dense1(b)
-        out = {}
-        for ka, ca in a.terms.items():
-            for kb, cb in b.terms.items():
-                k = (ka[0] + kb[0], ka[1] + kb[1])
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return LaurentPoly(a.nvars, a.scale, out)
+        if a.nvars == 1 and _worth_packing(len(a.terms) * len(b.terms),
+                                           a._span1() + b._span1()):
+            lo1, x = a._dense1()
+            lo2, y = b._dense1()
+            out = _mul_rational(x, y)
+            if out is not None:
+                return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale)
+        return LaurentPoly._clean(a.nvars, a.scale,
+                                  _mul_terms(a.terms, b.terms, a.nvars))
 
     __rmul__ = __mul__
+
+    def _span1(self):
+        """Length of the dense univariate coefficient list."""
+        return max(self.terms)[0] - min(self.terms)[0] + 1
 
     def _dense1(self):
         """Univariate terms as (offset, coefficient list); list[i] is the
         coefficient of unit^(offset+i)."""
-        lo = min(k[0] for k in self.terms)
-        hi = max(k[0] for k in self.terms)
-        cs = [0] * (hi - lo + 1)
+        lo = min(self.terms)[0]
+        cs = [0] * (max(self.terms)[0] - lo + 1)
         for k, c in self.terms.items():
             cs[k[0] - lo] = c
         return lo, cs
 
     @classmethod
     def _from_dense1(cls, lo, cs, scale):
-        return cls(1, scale, {(lo + i,): c for i, c in enumerate(cs) if c})
-
-    def _mul_dense1(self, other):
-        # dense convolution: much faster than dict accumulation for the
-        # wide univariate polynomials produced by determinant elimination
-        lo1, a = self._dense1()
-        lo2, b = other._dense1()
-        out = [0] * (len(a) + len(b) - 1)
-        if len(a) < len(b):
-            a, b = b, a
-        for j, cb in enumerate(b):
-            if cb:
-                for i, ca in enumerate(a):
-                    if ca:
-                        out[i + j] += ca * cb
-        return LaurentPoly._from_dense1(lo1 + lo2, out, self.scale)
+        return cls._clean(1, scale,
+                          {(lo + i,): c for i, c in enumerate(cs) if c})
 
     def __pow__(self, n):
         if n < 0:
@@ -324,10 +353,6 @@ def _int_pow(base, e):
     return base ** e
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
-
-
 def divide_exact(num, den):
     """Exact Laurent quotient num/den, or raise NonDivisible.
 
@@ -336,7 +361,7 @@ def divide_exact(num, den):
     exactly ordinary divisibility of the shifted polynomials, which is decided
     by single-divisor long division in graded-lex order.
     """
-    if isinstance(num, (int, Fraction)):
+    if _is_scalar(num):
         num = LaurentPoly.const(num, den.nvars, den.scale)
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -351,51 +376,230 @@ def divide_exact(num, den):
 def _divide_dense1(num, den):
     nlo, a = num._dense1()
     dlo, b = den._dense1()
-    dn = len(b) - 1
     if len(a) < len(b):
         raise NonDivisible("quotient support would be empty")
+    q = None
+    if _worth_packing((len(a) - len(b) + 1) * len(den.terms), len(a) + len(b)):
+        q = _divide_rational(a, b)
+    if q is None:
+        q = _long_divide(a, b)
+    return LaurentPoly._from_dense1(nlo - dlo, q, num.scale)
+
+
+def _divide_sparse(num, den):
+    """Two-variable long division; the remainder's terms wait in a heap
+    ordered by descending graded-lex key, and a popped key that is no longer
+    in the remainder is skipped."""
+    nmin = num.min_exponents()
+    dmin = den.min_exponents()
+    rem = {(k[0] - nmin[0], k[1] - nmin[1]): c
+           for k, c in num.terms.items()}
+    dterms = {(k[0] - dmin[0], k[1] - dmin[1]): c
+              for k, c in den.terms.items()}
+    dlead = min(dterms, key=_grlex_desc)
+    dlc = dterms[dlead]
+    heap = [(*_grlex_desc(k), k) for k in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        rlead = heappop(heap)[-1]
+        c = rem.get(rlead)
+        if c is None:
+            continue
+        mono = (rlead[0] - dlead[0], rlead[1] - dlead[1])
+        if mono[0] < 0 or mono[1] < 0:
+            raise NonDivisible("leading term not divisible")
+        qc = _coeff_div(c, dlc)
+        quot[mono] = qc
+        for k, dc in dterms.items():
+            key = (mono[0] + k[0], mono[1] + k[1])
+            s = rem.get(key, 0) - qc * dc
+            if s:
+                if key not in rem:
+                    heappush(heap, (*_grlex_desc(key), key))
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    shift = (nmin[0] - dmin[0], nmin[1] - dmin[1])
+    return LaurentPoly._clean(num.nvars, num.scale,
+                              {(k[0] + shift[0], k[1] + shift[1]): c
+                               for k, c in quot.items()})
+
+
+def _grlex_desc(k):
+    """Heap key of a two-variable exponent: smallest for the graded-lex
+    largest."""
+    return -k[0] - k[1], -k[0]
+
+
+def _long_divide(a, b):
+    """Schoolbook quotient of coefficient lists a / b with b[0] and b[-1]
+    nonzero; raise NonDivisible on a nonzero remainder."""
+    dn = len(b) - 1
+    lead = b[dn]
+    nonzero = [(j, c) for j, c in enumerate(b) if c]
     q = [0] * (len(a) - dn)
     r = list(a)
-    lead = b[dn]
     for i in range(len(a) - 1, dn - 1, -1):
         c = r[i]
         if not c:
             continue
         qc = _coeff_div(c, lead)
-        q[i - dn] = qc
-        for j in range(dn + 1):
-            r[i - dn + j] = r[i - dn + j] - qc * b[j]
+        base = i - dn
+        q[base] = qc
+        for j, cb in nonzero:
+            r[base + j] = r[base + j] - qc * cb
     if any(r):
         raise NonDivisible("nonzero remainder")
-    return LaurentPoly._from_dense1(nlo - dlo, q, num.scale)
+    return q
 
 
-def _divide_sparse(num, den):
-    nmin = num.min_exponents()
-    dmin = den.min_exponents()
-    rem = {tuple(e - m for e, m in zip(k, nmin)): c for k, c in num.terms.items()}
-    dterms = {tuple(e - m for e, m in zip(k, dmin)): c for k, c in den.terms.items()}
-    dlead = max(dterms, key=_grlex_key)
-    dlc = dterms[dlead]
-    quot = {}
-    while rem:
-        rlead = max(rem, key=_grlex_key)
-        mono = tuple(r - d for r, d in zip(rlead, dlead))
-        if any(m < 0 for m in mono):
-            raise NonDivisible("leading term not divisible")
-        qc = _coeff_div(rem[rlead], dlc)
-        quot[mono] = qc
-        for k, c in dterms.items():
-            key = tuple(m + e for m, e in zip(mono, k))
-            s = rem.get(key, 0) - qc * c
+def _mul_terms(a, b, nvars):
+    """Schoolbook product of two term dicts, over pairs of nonzero terms."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for kb, cb in b.items():
+        if nvars == 1:
+            e, = kb
+            shifted = [((k[0] + e,), c * cb) for k, c in a.items()]
+        else:
+            e, f = kb
+            shifted = [((k[0] + e, k[1] + f), c * cb) for k, c in a.items()]
+        for k, c in shifted:
+            s = get(k, 0) + c
             if s:
-                rem[key] = s
+                out[k] = s
             else:
-                rem.pop(key, None)
-    shift = tuple(n - d for n, d in zip(nmin, dmin))
-    return LaurentPoly(num.nvars, num.scale,
-                       {tuple(e + s for e, s in zip(k, shift)): c
-                        for k, c in quot.items()})
+                out.pop(k, None)
+    return out
+
+
+# ---------- packed-integer kernel ----------
+
+#: the kernel packs when the schoolbook would do more than this many
+#: term pairs per slot of the dense spans
+_PACK_RATIO = 4
+
+#: slot doublings an exact divide tries before the schoolbook decides
+_WIDENINGS = 2
+
+
+def _worth_packing(pairs, slots):
+    """The packed kernel touches every slot of the dense spans once; the
+    schoolbook touches every pair of nonzero terms."""
+    return pairs > _PACK_RATIO * slots
+
+
+def _split(cs):
+    """(content, ints) with cs[i] == content * ints[i], the content a
+    positive Fraction and ints primitive; None unless every coefficient is
+    an int or a Fraction."""
+    kinds = set(map(type, cs))
+    if not kinds <= {int, Fraction}:
+        return None
+    den = 1
+    if Fraction in kinds:
+        den = lcm(*[c.denominator for c in cs])
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*cs)
+    if g != 1:
+        cs = [c // g for c in cs]
+    return Fraction(g, den), cs
+
+
+def _scaled(content, ints):
+    """content * ints, with int coefficients when the content is integral."""
+    n, d = content.numerator, content.denominator
+    if d == 1:
+        return ints if n == 1 else [n * c for c in ints]
+    return [Fraction(n * c, d) for c in ints]
+
+
+def _mul_rational(a, b):
+    """a * b by one bigint multiply; None unless both are rational."""
+    sa, sb = _split(a), _split(b)
+    if sa is None or sb is None:
+        return None
+    return _scaled(sa[0] * sb[0], _mul_ints(sa[1], sb[1]))
+
+
+def _divide_rational(a, b):
+    """a / b by one bigint divmod, or raise NonDivisible; None unless both
+    are rational, or when the widened slots still leave it undecided."""
+    sa, sb = _split(a), _split(b)
+    if sa is None or sb is None:
+        return None
+    q = _divide_ints(sa[1], sb[1])
+    if q is None:
+        return None
+    return _scaled(sa[0] / sb[0], q)
+
+
+def _bits(ints):
+    return max(max(ints), -min(ints)).bit_length()
+
+
+def _width(bits):
+    """bits rounded up to whole bytes: a slot width that holds every
+    coefficient of absolute value below 2^(bits-1)."""
+    return (bits + 7) & ~7
+
+
+def _mul_ints(a, b):
+    """Product of integer coefficient lists by one bigint multiply."""
+    pairs = min(len(a) - a.count(0), len(b) - b.count(0))
+    width = _width(_bits(a) + _bits(b) + pairs.bit_length() + 1)
+    return _unpack(_pack(a, width) * _pack(b, width),
+                   len(a) + len(b) - 1, width)
+
+
+def _divide_ints(a, d):
+    """Quotient a / d of integer coefficient lists, d primitive; raise
+    NonDivisible on a nonzero packed remainder, None when no width tried
+    gives a quotient that multiplies back to a."""
+    slots = len(a) - len(d) + 1
+    width = _width(max(_bits(a), _bits(d)) + 1)
+    for _ in range(_WIDENINGS + 1):
+        q, r = divmod(_pack(a, width), _pack(d, width))
+        if r:
+            raise NonDivisible("nonzero remainder")
+        try:
+            q = _unpack(q, slots, width)
+        except ArithmeticError:
+            pass
+        else:
+            if _mul_ints(d, q) == a:
+                return q
+        width *= 2
+    return None
+
+
+def _pack(ints, width):
+    """sum(ints[i] * 2^(i*width)), for |ints[i]| < 2^(width-1)."""
+    size = width >> 3
+    half = 1 << (width - 1)
+    data = b"".join([(c + half).to_bytes(size, "little") for c in ints])
+    return int.from_bytes(data, "little") - _bias(len(ints), size)
+
+
+def _unpack(v, slots, width):
+    """The list that _pack turned into v: the balanced base-2^width digits
+    of v, each in [-2^(width-1), 2^(width-1))."""
+    size = width >> 3
+    try:
+        data = (v + _bias(slots, size)).to_bytes(slots * size, "little")
+    except OverflowError:
+        raise ArithmeticError("packed value overflows its top slot") from None
+    half = 1 << (width - 1)
+    return [int.from_bytes(data[i:i + size], "little") - half
+            for i in range(0, len(data), size)]
+
+
+def _bias(slots, size):
+    """2^(width-1) in each of `slots` slots of `size` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
 def _coeff_div(a, b):

@@ -28,6 +28,14 @@ def test_tau_at_zero_offset_is_constant():
         assert t.as_scalar() == 4 - x
 
 
+def test_tau_keeps_integral_coefficients_integers():
+    for x in (1, Fraction(2), Fraction(6, 2)):
+        for g in (0, Fraction(1, 2), 2):
+            assert all(type(c) is int for c in tau_poly(g, x).terms.values())
+    t = tau_poly(1, Fraction(5, 2))
+    assert t.terms[(0,)] == Fraction(-1, 2)
+
+
 def test_state_sum_equals_determinant_evaluation():
     for n in (1, 2):
         for x in (1, 2, 3):

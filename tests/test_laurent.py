@@ -1,12 +1,17 @@
 """Half-integral Laurent polynomial and rational-function kernel."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from asmice.cyclotomic import cyclotomic_embed
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
-                            divide_exact, limit_at_one, vanishing_order_at_one)
+                            _bits, _divide_ints, _divide_rational,
+                            _long_divide, _mul_rational, _mul_terms, _pack,
+                            _unpack, _width, divide_exact, limit_at_one,
+                            vanishing_order_at_one)
 
 
 def lp(terms, scale=1):
@@ -151,6 +156,176 @@ def test_divide_two_variable_product():
     assert divide_exact(p * q, q) == p
     with pytest.raises(NonDivisible):
         divide_exact(LaurentPoly(2, 1, {(1, 0): 1, (0, 0): 1}), p)
+
+
+def test_divide_scalar_numerator_of_any_ring():
+    z = cyclotomic_embed(3)
+    assert divide_exact(z, LaurentPoly.const(2)) == LaurentPoly.const(z / 2)
+    assert divide_exact(z, LaurentPoly.unit_power(2)) == \
+        LaurentPoly.monomial(z, (-2,))
+    assert divide_exact(Fraction(1, 2), lp({0: 3})) == lp({0: Fraction(1, 6)})
+
+
+bivariate = st.builds(
+    lambda terms: LaurentPoly(2, 1, terms),
+    st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    st.integers(-9, 9) | st.fractions(max_denominator=5),
+                    max_size=8),
+)
+
+
+@given(bivariate, bivariate.filter(lambda q: not q.is_zero))
+def test_bivariate_divide_recovers_factor(p, q):
+    quotient = divide_exact(p * q, q)
+    assert quotient == p
+    assert quotient * q == p * q
+
+
+@given(bivariate.filter(lambda p: not p.is_zero),
+       bivariate.filter(lambda q: len(q.terms) > 1),
+       st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+def test_bivariate_divide_rejects_product_plus_monomial(p, q, exps):
+    # q is not a unit, so it cannot divide p*q + t^a*u^b
+    with pytest.raises(NonDivisible):
+        divide_exact(p * q + LaurentPoly.monomial(1, exps), q)
+
+
+# ---------- the packed-integer kernel against the schoolbook oracle ----------
+
+def schoolbook(p, q):
+    return LaurentPoly._clean(1, p.scale, _mul_terms(p.terms, q.terms, 1))
+
+
+def packed(p, q):
+    lo1, a = p._dense1()
+    lo2, b = q._dense1()
+    return LaurentPoly._from_dense1(lo1 + lo2, _mul_rational(a, b), p.scale)
+
+
+def quotients(p, q):
+    """(packed, schoolbook) outcomes of p / q: a LaurentPoly, None when the
+    packed kernel leaves it undecided, or NonDivisible."""
+    lo1, a = p._dense1()
+    lo2, b = q._dense1()
+    out = []
+    for divide in (_divide_rational, _long_divide):
+        try:
+            cs = divide(a, b) if len(a) >= len(b) else None
+        except NonDivisible as exc:
+            out.append(type(exc))
+        else:
+            out.append(cs and LaurentPoly._from_dense1(lo1 - lo2, cs, p.scale))
+    return out
+
+
+def dense(coeffs, lo=0):
+    return lp({lo + i: c for i, c in enumerate(coeffs)})
+
+
+boundary = st.integers(0, 90).flatmap(
+    lambda k: st.sampled_from([2 ** k - 1, 1 - 2 ** k]))
+boundary_polys = st.lists(st.just(0) | boundary, min_size=1, max_size=40) \
+    .map(dense).filter(lambda p: not p.is_zero)
+
+
+@given(boundary_polys, boundary_polys)
+def test_packed_multiply_at_slot_boundaries(p, q):
+    assert packed(p, q) == schoolbook(p, q) == p * q
+
+
+@given(boundary_polys, boundary_polys)
+def test_packed_divide_at_slot_boundaries(p, q):
+    product = schoolbook(p, q)
+    assert quotients(product, q) == [p, p]
+    assert divide_exact(product, q) == p
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 3))
+def test_packed_multiply_huge_by_short(seed, short):
+    rng = random.Random(seed)
+    p = dense([rng.randint(-10 ** 30, 10 ** 30) for _ in range(1500)], -700)
+    q = dense([rng.randint(1, 10 ** 6) for _ in range(short)], 7)
+    assert packed(p, q) == schoolbook(p, q) == p * q
+    assert quotients(p * q, q) == [p, p]
+
+
+rational_polys = st.builds(
+    lambda num, den, content: dense([Fraction(c, den) * content for c in num]),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=30),
+    st.integers(1, 12),
+    st.sampled_from([Fraction(6, 35), Fraction(-9, 4), 12]),
+).filter(lambda p: not p.is_zero)
+
+
+@given(rational_polys, rational_polys)
+def test_packed_kernel_with_fraction_content(p, q):
+    assert packed(p, q) == schoolbook(p, q) == p * q
+    assert quotients(schoolbook(p, q), q) == [p, p]
+
+
+sparse_wide = st.dictionaries(st.integers(-3000, 3000),
+                              st.integers(-10 ** 9, 10 ** 9),
+                              min_size=1, max_size=6).map(lp) \
+    .filter(lambda p: not p.is_zero)
+
+
+@given(sparse_wide, sparse_wide)
+def test_packed_kernel_on_sparse_wide_operands(p, q):
+    assert packed(p, q) == schoolbook(p, q) == p * q
+    assert quotients(p * q, q) == [p, p]
+
+
+@given(rational_polys, rational_polys.filter(lambda q: len(q.terms) > 1),
+       st.integers(-40, 40))
+def test_packed_divide_rejects_product_plus_monomial(p, q, e):
+    # q is not a unit, so it cannot divide p*q + t^e
+    num = p * q + lp({e: 1})
+    by_packing, by_schoolbook = quotients(num, q)
+    assert by_packing in (NonDivisible, None)
+    assert by_schoolbook is NonDivisible
+    with pytest.raises(NonDivisible):
+        divide_exact(num, q)
+
+
+def q_factorial_pair(k):
+    """(prod_{i<=k} (1 - t^i), (1 - t)^k, [k]_t!) as coefficient lists.
+
+    The quotient's coefficients (up to about k!) are far wider than those of
+    the dividend and the divisor, which set the first slot width."""
+    a, d, q = lp({0: 1}), lp({0: 1}), lp({0: 1})
+    for i in range(1, k + 1):
+        a = schoolbook(a, lp({0: 1, 2 * i: -1}))
+        d = schoolbook(d, lp({0: 1, 2: -1}))
+        q = schoolbook(q, lp({2 * j: 1 for j in range(i)}))
+    return [a._dense1()[1][::2] for a in (a, d, q)]
+
+
+def test_packed_divide_widens_for_a_wide_quotient():
+    a, d, q = q_factorial_pair(20)
+    assert _bits(q) + 1 > _width(max(_bits(a), _bits(d)) + 1)
+    assert _divide_ints(a, d) == q
+
+
+def test_packed_divide_falls_back_to_the_schoolbook():
+    a, d, q = q_factorial_pair(50)
+    assert _bits(q) + 1 > 4 * _width(max(_bits(a), _bits(d)) + 1)
+    assert _divide_ints(a, d) is None
+    assert divide_exact(dense(a), dense(d)) == dense(q)
+
+
+def test_pack_round_trips_balanced_slots():
+    for width in (8, 16, 72):
+        top = 2 ** (width - 1) - 1
+        cs = [top, -top, 0, 1, -1, top]
+        assert _unpack(_pack(cs, width), len(cs), width) == cs
+
+
+def test_unpack_rejects_bits_above_the_top_slot():
+    assert _unpack(_pack([127, -127, 5], 8), 3, 8) == [127, -127, 5]
+    for v in (1 << 24, _pack([127, 127, 127], 8) + 1,
+              _pack([-128, -128, -128], 8) - 1):
+        with pytest.raises(ArithmeticError):
+            _unpack(v, 3, 8)
 
 
 # ---------- rational functions ----------
