@@ -95,18 +95,21 @@ def ik_eps_ratfunc(n, x, grid=None):
         n, n, lambda i, j: RatFunc(LaurentPoly.one(1, scale), taus[i][j])))
 
     half_sum = (sum(grid.col_f) - sum(grid.row_f))
-    w = det * LaurentPoly.var_power(Fraction(half_sum, 2), scale)
-    for i in range(n):
-        for j in range(n):
-            w = w * taus[i][j]
-    w = w / (beta_sq ** ((n * n - n) // 2))
+    num = LaurentPoly.var_power(Fraction(half_sum, 2), scale)
+    for row in taus:
+        for tau in row:
+            num = num * tau
+    beta_power = beta_sq ** ((n * n - n) // 2)
+    if beta_power.denominator == 1:
+        beta_power = beta_power.numerator   # int coefficients stay ints
+    den = LaurentPoly.const(beta_power, 1, scale)
     for i in range(n):
         for j in range(i):
-            w = w / qdiff(grid.row_f[i] - grid.row_f[j], scale)
+            den = den * qdiff(grid.row_f[i] - grid.row_f[j], scale)
     for i in range(n):
         for j in range(i + 1, n):
-            w = w / qdiff(grid.col_f[i] - grid.col_f[j], scale)
-    return w
+            den = den * qdiff(grid.col_f[i] - grid.col_f[j], scale)
+    return det * RatFunc(num, den)
 
 
 def ik_eps_product(n, x):

@@ -111,14 +111,15 @@ def cmd_bseq(max_n):
     return report
 
 
-def cmd_verify(suite, max_n=None, workers=1):
+def cmd_verify(suite, max_n=None, workers=1, seed=0):
     report = RunReport("verify", {"suite": suite, "n": max_n,
-                                  "workers": workers})
-    results = run_suite(suite, seed=0, max_n=max_n, workers=workers)
+                                  "workers": workers, "seed": seed})
+    results = run_suite(suite, seed=seed, max_n=max_n, workers=workers)
     for r in results:
         report.add_check(r.name, r.passed, r.details)
     counts = sum(1 for r in results if r.passed)
-    report.emit(f"{suite}: {counts}/{len(results)} checks passed")
+    report.emit(f"{suite}: {counts}/{len(results)} checks passed, "
+                f"seed {seed}")
     return report
 
 
@@ -152,7 +153,7 @@ def cmd_table(max_n, fmt="text"):
             report.emit(f"{r['n']:>3} {r['a1']:>16} {r['a2']:>16} "
                         f"{r['a3']:>20}  {r['poly']}")
     else:
-        raise SystemExit(f"table: unknown format {fmt!r}")
+        raise ValueError(f"unknown table format {fmt!r}")
     return report
 
 
@@ -168,15 +169,16 @@ def _parse_rational(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _size(limit=None):
-    """argparse type: an integer n with 1 <= n <= limit."""
+def _size(limit=None, low=1):
+    """argparse type: an integer n with low <= n <= limit."""
     def parse(text):
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {n}")
         if limit is not None and n > limit:
             raise argparse.ArgumentTypeError(
                 f"must be at most {limit}, got {n}")
@@ -229,6 +231,8 @@ def build_parser():
                    help="size bound override for the suite")
     p.add_argument("--workers", type=_size(os.cpu_count() or 1), default=1,
                    help="process count, at most the CPU count")
+    p.add_argument("--seed", type=_size(low=0), default=0,
+                   help="seed of the suite's drawn parameters")
 
     p = sub.add_parser("table", help="n, A(n;1), A(n;2), A(n;3), A(n;x)")
     p.add_argument("--max-n", type=_size(DEFAULT_BOUND), required=True,
@@ -256,7 +260,7 @@ def run(argv=None):
     elif args.command == "bseq":
         report = cmd_bseq(args.max_n)
     elif args.command == "verify":
-        report = cmd_verify(args.suite, args.n, args.workers)
+        report = cmd_verify(args.suite, args.n, args.workers, args.seed)
     else:
         report = cmd_table(args.max_n, args.fmt)
     report.wall_time = time.monotonic() - t0

@@ -41,8 +41,27 @@ the quotient is unpacked and multiplied back with a width proved as above,
 and must give a.  B starts at the dividend's and divisor's bit lengths, not
 at any bound from the quotient's length; when the multiply-back fails, B is
 doubled at most _WIDENINGS times, and then the schoolbook long division
-decides.  The schoolbook multiply and divide also serve sparse operands,
-Cyclotomic coefficients and the tests, as the oracle.
+decides.
+
+Cyclotomic coefficients.  A multiply with Cyclotomic coefficients (mixed
+freely with int and Fraction ones) writes each operand as
+sum_k z^k P_k(t), k = 0..7, with rational P_k; a rational coefficient lies
+in component 0.  Every pair of nonzero components P_k, Q_l is multiplied
+by the rational kernel above, and P_k Q_l is added into slot k + l.  Each
+of those is an ordinary product in Z[t] after its content split, so the
+slot-width proof applies to it unchanged; the slots add the products as
+integers over one common denominator, exactly.  The slots 0..14 are the coefficients of the product in
+Q[z][t]; reduction modulo Phi_24 = z^8 - z^4 + 1 is a ring map from Q[z]
+onto Q(zeta_24), applied coefficient by coefficient, so folding each output
+coefficient's 15-vector with the cyclotomic module's fold gives the
+product in Q(zeta_24)[t] exactly.  Coefficients that fold to zero are not
+stored.  An operand that is one scalar times rationals has only the
+scalar's nonzero components, so its product costs one bigint multiply per
+such component.  Exact divide with Cyclotomic coefficients stays on the
+schoolbook.
+
+The schoolbook multiply (_mul_terms) and long division (_long_divide) also
+serve sparse operands and the tests, as the oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +69,9 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import add
+
+from .cyclotomic import DEGREE, Cyclotomic, _fold, _make
 
 
 class GridViolation(ValueError):
@@ -222,6 +244,8 @@ class LaurentPoly:
             lo1, x = a._dense1()
             lo2, y = b._dense1()
             out = _mul_rational(x, y)
+            if out is None:
+                out = _mul_cyclotomic(x, y)
             if out is not None:
                 return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale)
         return LaurentPoly._clean(a.nvars, a.scale,
@@ -523,6 +547,61 @@ def _mul_rational(a, b):
     if sa is None or sb is None:
         return None
     return _scaled(sa[0] * sb[0], _mul_ints(sa[1], sb[1]))
+
+
+#: the z-components of a rational coefficient, after component 0
+_RATIONAL_TAIL = (0,) * (DEGREE - 1)
+
+
+def _components(cs):
+    """{k: split P_k} over the nonzero P_k with cs[i] == sum_k z^k P_k[i];
+    None unless every coefficient is an int, a Fraction or a Cyclotomic."""
+    rows = []
+    for c in cs:
+        kind = type(c)
+        if kind is Cyclotomic:
+            rows.append(c.coeffs)
+        elif kind is int or kind is Fraction:
+            rows.append((c,) + _RATIONAL_TAIL)
+        else:
+            return None
+    out = {}
+    for k, column in enumerate(zip(*rows)):
+        if any(column):
+            split = _split(column)
+            if split is None:
+                return None
+            out[k] = split
+    return out
+
+
+def _mul_cyclotomic(a, b):
+    """a * b over Q(zeta_24) by one bigint multiply per pair of nonzero
+    z-components; None unless both are cyclotomic or rational."""
+    ca, cb = _components(a), _components(b)
+    if ca is None or cb is None:
+        return None
+    products = [(k + l, ck * cl, _mul_ints(vk, vl))
+                for k, (ck, vk) in ca.items() for l, (cl, vl) in cb.items()]
+    # slots[s]: den times the coefficient list of z^s, as ints
+    den = lcm(*[c.denominator for _, c, _ in products])
+    zero = [0] * (len(a) + len(b) - 1)
+    slots = [zero] * (max(s for s, _, _ in products) + 1)
+    for s, c, ints in products:
+        m = c.numerator * (den // c.denominator)
+        if m != 1:
+            ints = [m * v for v in ints]
+        slots[s] = ints if slots[s] is zero else list(map(add, slots[s], ints))
+    out = []
+    for column in zip(*slots):
+        folded = _fold(list(column))
+        if not any(folded):
+            out.append(0)
+        elif den == 1:
+            out.append(_make(folded))
+        else:
+            out.append(_make([Fraction(v, den) if v else 0 for v in folded]))
+    return out
 
 
 def _divide_rational(a, b):

@@ -4,8 +4,9 @@ Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
 The default pipeline clears RatFunc denominators row by row, runs
 fraction-free Bareiss elimination over the polynomial ring (every division
 in Bareiss is exact there), and divides the cleared determinant back out.
-A cofactor (bitmask subset DP) expansion is kept as an independent method;
-it works over any commutative ring and serves as a cross-check oracle.
+The cofactor (bitmask subset DP) expansion _det_cofactor works over any
+commutative ring; det_exact never calls it, and the tests use it as the
+oracle.
 """
 
 from __future__ import annotations

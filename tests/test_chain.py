@@ -36,6 +36,14 @@ def test_tau_keeps_integral_coefficients_integers():
     assert t.terms[(0,)] == Fraction(-1, 2)
 
 
+def test_determinant_evaluation_stays_over_z_for_integral_x():
+    # the beta^2 power joins the denominator as an int, not a Fraction
+    for x in (1, 2, 3):
+        w = ik_eps_ratfunc(3, x)
+        for p in (w.num, w.den):
+            assert all(type(c) is int for c in p.terms.values())
+
+
 def test_state_sum_equals_determinant_evaluation():
     for n in (1, 2):
         for x in (1, 2, 3):

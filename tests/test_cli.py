@@ -88,14 +88,25 @@ def test_bseq(capsys):
 def test_verify_star_triangle(capsys):
     assert cli.main(["verify", "ybe"]) == 0
     out = lines_of(capsys)
-    assert out[0] == "ybe: 7/7 checks passed"
+    assert out[0] == "ybe: 7/7 checks passed, seed 0"
     assert sum(1 for l in out if l.startswith("[pass] ybe-pair")) == 7
 
 
 def test_verify_with_workers(capsys):
     workers = str(min(2, os.cpu_count() or 1))      # --workers is capped
     assert cli.main(["verify", "cauchy", "--n", "3", "--workers", workers]) == 0
-    assert lines_of(capsys)[0] == "cauchy: 3/3 checks passed"
+    assert lines_of(capsys)[0] == "cauchy: 3/3 checks passed, seed 0"
+
+
+def test_verify_seed_draws_other_parameters():
+    reports = {seed: cli.run(["verify", "ik", "--n", "2", "--seed", str(seed)])
+               for seed in (0, 1)}
+    for seed, report in reports.items():
+        assert report.exit_code == 0
+        assert report.inputs["seed"] == seed
+        assert report.outputs == [f"ik: 6/6 checks passed, seed {seed}"]
+    details = {seed: [d for _, _, d in r.checks] for seed, r in reports.items()}
+    assert details[0] != details[1]
 
 
 def test_verify_unknown_suite():
@@ -138,6 +149,11 @@ def test_table_unknown_format():
         cli.main(["table", "--max-n", "2", "--format", "xml"])
 
 
+def test_cmd_table_unknown_format_raises_value_error():
+    with pytest.raises(ValueError, match="xml"):
+        cli.cmd_table(2, "xml")
+
+
 # ---------- input validation ----------
 
 @pytest.mark.parametrize("argv", [
@@ -150,6 +166,8 @@ def test_table_unknown_format():
     ["verify", "ybe", "--workers", "0"],
     ["verify", "ybe", "--workers", "-1"],
     ["verify", "ybe", "--workers", str((os.cpu_count() or 1) + 1)],
+    ["verify", "ybe", "--seed", "-1"],
+    ["verify", "ybe", "--seed", "one"],
 ])
 def test_bad_size_exits_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

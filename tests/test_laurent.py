@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from asmice.cyclotomic import cyclotomic_embed
+from asmice import laurent
+from asmice.chain import q_fourth_root
+from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                             _bits, _divide_ints, _divide_rational,
-                            _long_divide, _mul_rational, _mul_terms, _pack,
-                            _unpack, _width, divide_exact, limit_at_one,
-                            vanishing_order_at_one)
+                            _long_divide, _mul_cyclotomic, _mul_rational,
+                            _mul_terms, _pack, _unpack, _width, divide_exact,
+                            limit_at_one, vanishing_order_at_one)
 
 
 def lp(terms, scale=1):
@@ -326,6 +328,76 @@ def test_unpack_rejects_bits_above_the_top_slot():
               _pack([-128, -128, -128], 8) - 1):
         with pytest.raises(ArithmeticError):
             _unpack(v, 3, 8)
+
+
+# ---------- Q(zeta_24) coefficients, one z-component at a time ----------
+
+def packed_cyclotomic(p, q):
+    lo1, a = p._dense1()
+    lo2, b = q._dense1()
+    return LaurentPoly._from_dense1(lo1 + lo2, _mul_cyclotomic(a, b), p.scale)
+
+
+def assert_cyclotomic_product(p, q):
+    product = packed_cyclotomic(p, q)
+    assert product == schoolbook(p, q) == p * q
+    assert all(product.terms.values())
+
+
+rationals = st.integers(-10 ** 6, 10 ** 6) | st.fractions(max_denominator=30)
+full_cyclotomic = st.builds(
+    lambda cs, den: Cyclotomic([Fraction(c, den) for c in cs]),
+    st.lists(st.integers(-99, 99), min_size=8, max_size=8), st.integers(1, 6))
+dense_cyclotomic = st.lists(full_cyclotomic, min_size=1, max_size=12) \
+    .map(dense).filter(lambda p: not p.is_zero)
+dense_rational = st.lists(rationals, min_size=1, max_size=40) \
+    .map(dense).filter(lambda p: not p.is_zero)
+z4 = cyclotomic_embed(6)
+scalars = st.sampled_from([z4, z4 - 1]) | st.builds(
+    lambda x, n: q_fourth_root(x).inverse() ** n,
+    st.sampled_from([1, 2, 3]), st.integers(1, 6))
+mixed = st.lists(st.just(0) | rationals | full_cyclotomic,
+                 min_size=1, max_size=30) \
+    .map(dense).filter(lambda p: not p.is_zero)
+
+
+@given(dense_cyclotomic, dense_cyclotomic)
+def test_cyclotomic_kernel_with_full_components(p, q):
+    assert_cyclotomic_product(p, q)
+
+
+@given(scalars, dense_rational, dense_rational)
+def test_cyclotomic_kernel_with_one_scalar_times_rationals(c, p, q):
+    assert_cyclotomic_product(p * c, q)
+    assert_cyclotomic_product(p * c, q * c)
+
+
+@given(mixed, mixed)
+def test_cyclotomic_kernel_with_mixed_coefficients(p, q):
+    assert_cyclotomic_product(p, q)
+
+
+def test_cyclotomic_kernel_drops_coefficients_that_fold_to_zero():
+    # (z^4 + t)(1 - z^4 + z^4 t) has t-coefficient z^8 - z^4 + 1 = Phi_24(z)
+    p = dense([z4, 1] * 20)
+    q = dense([1 - z4, z4])
+    product = packed_cyclotomic(p, q)
+    assert product == schoolbook(p, q)
+    assert sorted(product.terms) == [(k,) for k in range(0, 41, 2)]
+    assert all(product.terms.values())
+    assert product.terms[(2,)] == z4 + 1
+
+
+def test_dense_cyclotomic_operands_skip_the_schoolbook(monkeypatch):
+    p = dense([Cyclotomic(range(k, k + 8)) for k in range(30)])
+    q = dense([z4 * k for k in range(1, 30)])
+    expected = schoolbook(p, q)
+
+    def refuse(*args):
+        raise AssertionError("dense operands reached the schoolbook")
+
+    monkeypatch.setattr(laurent, "_mul_terms", refuse)
+    assert p * q == expected
 
 
 # ---------- rational functions ----------
