@@ -23,7 +23,7 @@ from .izergin import IkInstance, ik_matrix, ik_z
 from .laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                       divide_exact, limit_at_one)
 from .matrices import RingMatrix, det_exact
-from .sixvertex import SpectralParams, dwbc_states, vertex_weights, z_brute
+from .sixvertex import SpectralParams, vertex_weights, z_brute
 from .transfer import transfer_count
 from .verify import CheckResult, run_suite
 from .ybe import ybe_check
@@ -39,7 +39,7 @@ __all__ = [
     "antidiagonal_block_det", "b_chain", "bracket",
     "bracket_ratio", "cauchy_det_closed", "cauchy_matrix",
     "count_asms_brute", "cyclotomic_embed", "det_exact", "divide_exact",
-    "dwbc_states", "ean_normalize", "enumerate_asms", "format_asm",
+    "ean_normalize", "enumerate_asms", "format_asm",
     "from_ice", "general_x_matrix", "half_spec_value", "ik_eps_product",
     "ik_eps_ratfunc", "ik_matrix", "ik_z", "limit_at_one", "parse_asm",
     "qdiff", "run_suite", "s_det_closed", "s_det_product", "s_matrix",

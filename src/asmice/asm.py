@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from .intpoly import IntPoly
 
+#: largest n the command line offers brute enumeration for
+ENUM_BOUND = 7
+
 
 class AsmInvalid(ValueError):
     """Raised by validate() with the first violated constraint."""

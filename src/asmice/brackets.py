@@ -123,13 +123,6 @@ class BracketProduct:
         return cls(1, 0, {a: e})
 
     @classmethod
-    def bracket_factor(cls, a, e=1):
-        """[a]^e = d(a)^e * d(1)^(-e)."""
-        d = {a: e}
-        d[1] = d.get(1, 0) - e
-        return cls(1, 0, d)
-
-    @classmethod
     def monomial(cls, half_expo):
         return cls(1, half_expo)
 

@@ -15,6 +15,8 @@ coefficients times a fixed fourth-root prefactor:
                                 * prod_{i<j} d(f'_i-f'_j)),
 
 with tau(g) = s^g + s^(-g) - (x-2) and d(k) = s^(k/2) - s^(-k/2).  The
+factor prod tau * det[1/tau] is computed as one polynomial determinant,
+det[prod_{k != j} tau(g_ik)] (matrices.cleared_reciprocals).  The
 key collapse is [v][v-1] = tau(g)/beta^2 at v = 1/2 + g*eps, which leaves
 q only in the prefactor and in the rational constants x - 2 and
 beta^2 = x^2 - 4x.
@@ -38,8 +40,8 @@ from .brackets import BracketProduct, qdiff
 from .cyclotomic import Cyclotomic, cyclotomic_embed
 from .dets import EpsilonGrid, s_det_product
 from .laurent import LaurentPoly, RatFunc, limit_at_one
-from .matrices import RingMatrix, det_exact
-from .sixvertex import dwbc_states
+from .matrices import cleared_reciprocals, det_exact
+from .sixvertex import state_sweep
 
 #: difference-ratio exponents (a, b) with 1/tau(m) = d(a*m)/d(b*m)
 RATIO_EXPONENTS = {1: (1, 3), 2: (2, 4)}
@@ -91,14 +93,9 @@ def ik_eps_ratfunc(n, x, grid=None):
         for j in range(n):
             if taus[i][j].is_zero:
                 raise ValueError(f"tau vanishes at entry ({i},{j})")
-    det = det_exact(RingMatrix.from_fn(
-        n, n, lambda i, j: RatFunc(LaurentPoly.one(1, scale), taus[i][j])))
-
-    half_sum = (sum(grid.col_f) - sum(grid.row_f))
-    num = LaurentPoly.var_power(Fraction(half_sum, 2), scale)
-    for row in taus:
-        for tau in row:
-            num = num * tau
+    det = det_exact(cleared_reciprocals(taus))
+    num = LaurentPoly.var_power(
+        Fraction(sum(grid.col_f) - sum(grid.row_f), 2), scale) * det
     beta_power = beta_sq ** ((n * n - n) // 2)
     if beta_power.denominator == 1:
         beta_power = beta_power.numerator   # int coefficients stay ints
@@ -109,7 +106,7 @@ def ik_eps_ratfunc(n, x, grid=None):
     for i in range(n):
         for j in range(i + 1, n):
             den = den * qdiff(grid.col_f[i] - grid.col_f[j], scale)
-    return det * RatFunc(num, den)
+    return RatFunc(num, den)
 
 
 def ik_eps_product(n, x):
@@ -163,7 +160,7 @@ def z_half_eps_brute(n, x, grid=None):
     beta = q4 * q4 - q4i * q4i
     scale = _grid_scale(grid)
 
-    def site_weight(state, g):
+    def site_weights(g):
         k = Fraction(g) * scale
         if k.denominator != 1:
             raise ValueError("grid exponent off the lattice")
@@ -172,21 +169,12 @@ def z_half_eps_brute(n, x, grid=None):
         def mono(key, c):
             return LaurentPoly(1, scale, {(key,): c})
 
-        if state == 1:
-            return mono(-k, -beta * q4i)
-        if state == 2:
-            return mono(k, -beta * q4)
-        if state in (3, 4):
-            return mono(k, q4i) + mono(-k, -q4)
-        return mono(k, q4) + mono(-k, -q4i)
+        w34 = mono(k, q4i) + mono(-k, -q4)
+        w56 = mono(k, q4) + mono(-k, -q4i)
+        return (mono(-k, -beta * q4i), mono(k, -beta * q4), w34, w34, w56, w56)
 
-    total = LaurentPoly.zero(1, scale)
-    for ice in dwbc_states(n):
-        term = LaurentPoly.one(1, scale)
-        for i in range(n):
-            for j in range(n):
-                term = term * site_weight(ice.grid[i][j], grid.g(i, j))
-        total = total + term
+    site = [[site_weights(grid.g(i, j)) for j in range(n)] for i in range(n)]
+    total = state_sweep({0: LaurentPoly.one(1, scale)}, site)[(1 << n) - 1]
     return RatFunc(total * (beta.inverse() ** (n * n)))
 
 

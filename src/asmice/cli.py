@@ -17,9 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .asm import count_asms_brute
+from .asm import ENUM_BOUND, count_asms_brute
 from .formulas import a2_formula, a3_formula, a_formula, b_chain
-from .sixvertex import ENUM_BOUND
 from .transfer import DEFAULT_BOUND, transfer_count
 from .verify import SUITE_NAMES, run_suite
 

@@ -53,10 +53,6 @@ class Cyclotomic:
                 raise TypeError(f"coefficient {c!r} is not an int or Fraction")
         self.coeffs = tuple(cs + [0] * (DEGREE - len(cs)))
 
-    @classmethod
-    def from_rational(cls, r):
-        return cls([r])
-
     # ---------- structure ----------
 
     def is_rational(self):

@@ -38,14 +38,13 @@ FORMAL = None
 
 # ---------- reciprocal-difference (Cauchy-type) determinant ----------
 
-def cauchy_matrix(xs, ys, n=None):
+def cauchy_matrix(xs, ys):
     """T_{i,j} = 1/[x_i - y_j] over the formal q-variable."""
     xs = [Fraction(x) for x in xs]
     ys = [Fraction(y) for y in ys]
     scale = lcm(*(v.denominator for v in xs + ys))
-    if n is None:
-        n = len(xs)
-    if len(xs) != n or len(ys) != n:
+    n = len(xs)
+    if len(ys) != n:
         raise ValueError("parameter count mismatch")
     _require_distinct(xs, "x")
     _require_distinct(ys, "y")
@@ -59,15 +58,14 @@ def cauchy_matrix(xs, ys, n=None):
     return RingMatrix.from_fn(n, n, entry)
 
 
-def cauchy_det_closed(xs, ys, n=None):
+def cauchy_det_closed(xs, ys):
     """Closed form (prod [x_i-x_j])(prod [y_i-y_j]) / prod [x_i-y_j],
     assembled as b^n * prod d(x_i-x_j) prod d(y_i-y_j) / prod d(x_i-y_j)."""
     xs = [Fraction(x) for x in xs]
     ys = [Fraction(y) for y in ys]
     scale = lcm(*(v.denominator for v in xs + ys))
-    if n is None:
-        n = len(xs)
-    if len(xs) != n or len(ys) != n:
+    n = len(xs)
+    if len(ys) != n:
         raise ValueError("parameter count mismatch")
     num = qdiff(1, scale) ** n
     for i in range(n):

@@ -111,12 +111,6 @@ class BChain:
     def __iter__(self):
         return iter(self.polys)
 
-    @property
-    def all_coeffs_nonnegative(self):
-        """Observed property of every chain computed so far; reported for
-        inspection rather than enforced, since no proof of it is known."""
-        return all(c >= 0 for p in self.polys for c in p.ascending())
-
     def __repr__(self):
         return f"BChain(max_n={self.max_n})"
 

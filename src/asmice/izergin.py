@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .brackets import bracket_ratio, qdiff
 from .laurent import LaurentPoly, NonDivisible, RatFunc, divide_exact
-from .matrices import RingMatrix, det_exact
+from .matrices import RingMatrix, cleared_reciprocals, det_exact
 from .sixvertex import SpectralParams
 
 
@@ -74,17 +74,7 @@ def ik_z(inst):
     scale = inst.scale
     e = [[qdiff(p.label(i, j), scale) * qdiff(p.label(i, j) - 1, scale)
           for j in range(n)] for i in range(n)]
-    cleared = []
-    for i in range(n):
-        prefix = [None] * (n + 1)
-        suffix = [None] * (n + 1)
-        prefix[0] = LaurentPoly.one(1, scale)
-        suffix[n] = prefix[0]
-        for k in range(n):
-            prefix[k + 1] = prefix[k] * e[i][k]
-            suffix[n - 1 - k] = suffix[n - k] * e[i][n - 1 - k]
-        cleared.append([prefix[j] * suffix[j + 1] for j in range(n)])
-    det = det_exact(RingMatrix(cleared))
+    det = det_exact(cleared_reciprocals(e))
     shift = sum(y - x for x, y in zip(p.xs, p.ys))
     mono = LaurentPoly.var_power(shift / 2, scale)
     num = mono * det

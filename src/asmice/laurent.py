@@ -166,17 +166,6 @@ class LaurentPoly:
     def min_exponents(self):
         return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
 
-    def max_exponents(self):
-        return tuple(max(e[i] for e in self.terms) for i in range(self.nvars))
-
-    def as_scalar(self):
-        """The coefficient, when the polynomial is constant."""
-        if self.is_zero:
-            return 0
-        if self.terms.keys() == {(0,) * self.nvars}:
-            return self.terms[(0,) * self.nvars]
-        raise ValueError("not a constant polynomial")
-
     def rescale(self, new_scale):
         if new_scale == self.scale:
             return self

@@ -4,6 +4,8 @@ Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
 The default pipeline clears RatFunc denominators row by row, runs
 fraction-free Bareiss elimination over the polynomial ring (every division
 in Bareiss is exact there), and divides the cleared determinant back out.
+The determinant sides of the state-sum identity call the clearing step,
+cleared_reciprocals, directly on their polynomial denominators.
 The cofactor (bitmask subset DP) expansion _det_cofactor works over any
 commutative ring; det_exact never calls it, and the tests use it as the
 oracle.
@@ -12,6 +14,8 @@ oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .laurent import LaurentPoly, RatFunc, divide_exact
 
@@ -40,12 +44,6 @@ class RingMatrix:
         i, j = key
         return self.rows[i][j]
 
-    def map_entries(self, fn):
-        return RingMatrix([[fn(x) for x in row] for row in self.rows])
-
-    def transpose(self):
-        return RingMatrix(list(zip(*self.rows)))
-
     @property
     def is_square(self):
         return self.nrows == self.ncols
@@ -68,30 +66,41 @@ def det_exact(matrix):
     return _det_bareiss(matrix.rows)
 
 
+def cleared_reciprocals(e):
+    """The matrix [prod_{k != j} e_ik] of a square array of polynomials.
+
+    Row i is [1/e_ij] times R_i = prod_k e_ik, so its determinant is
+    det[1/e_ij] * prod_{i,j} e_ij.  A row is built from prefix and suffix
+    products in 3n - 4 multiplies.
+    """
+    rows = []
+    for row in e:
+        out = [LaurentPoly.one(row[0].nvars, row[0].scale)]
+        for x in row[:-1]:
+            out.append(out[-1] * x)         # prod_{k < j} e_ik
+        suffix = row[-1]
+        for j in range(len(row) - 2, -1, -1):
+            out[j] = out[j] * suffix        # times prod_{k > j} e_ik
+            if j:
+                suffix = suffix * row[j]
+        rows.append(out)
+    return RingMatrix(rows)
+
+
 def _det_cleared(matrix):
     """Clear RatFunc denominators by rows, then Bareiss over polynomials.
 
-    With row multipliers R_i = prod_j den_ij the cleared matrix
-    B_ij = num_ij * prod_{k != j} den_ik equals M_ij * R_i, so
-    det(M) = det(B) / prod_i R_i, returned unreduced as a RatFunc.
+    With C the cleared reciprocals of the denominators, B_ij = num_ij * C_ij
+    equals M_ij * R_i for R_i = prod_j den_ij, so det(M) = det(B) / prod_i
+    R_i, returned unreduced as a RatFunc.
     """
-    n = matrix.nrows
-    entries = [[_as_ratfunc(matrix[i, j]) for j in range(n)] for i in range(n)]
-    cleared = []
-    den_total = None
-    for i in range(n):
-        dens = [entries[i][j].den for j in range(n)]
-        prefix = [None] * (n + 1)
-        suffix = [None] * (n + 1)
-        prefix[0] = LaurentPoly.one(dens[0].nvars, dens[0].scale)
-        suffix[n] = prefix[0]
-        for k in range(n):
-            prefix[k + 1] = prefix[k] * dens[k]
-            suffix[n - 1 - k] = suffix[n - k] * dens[n - 1 - k]
-        cleared.append([entries[i][j].num * prefix[j] * suffix[j + 1]
-                        for j in range(n)])
-        den_total = prefix[n] if den_total is None else den_total * prefix[n]
-    return RatFunc(_det_bareiss(cleared), den_total)
+    entries = [[_as_ratfunc(x) for x in row] for row in matrix.rows]
+    dens = [[x.den for x in row] for row in entries]
+    cleared = cleared_reciprocals(dens).rows
+    rows = [[x.num * c for x, c in zip(er, cr)]
+            for er, cr in zip(entries, cleared)]
+    den_total = reduce(mul, (dr[0] * cr[0] for dr, cr in zip(dens, cleared)))
+    return RatFunc(_det_bareiss(rows), den_total)
 
 
 def _det_bareiss(rows):

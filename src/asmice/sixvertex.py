@@ -9,14 +9,18 @@ possible states are weighted
 in a formal variable q, with [a] = (q^(a/2)-q^(-a/2))/(q^(1/2)-q^(-1/2)).
 The state sum over all domain-wall configurations is assembled exactly: each
 weight is scaled by b = q^(1/2)-q^(-1/2) so that every site contributes a
-genuine Laurent polynomial, and the accumulated sum is divided back by
-b^(n^2).  For integral labels the quotient is itself a Laurent polynomial
-and is returned in reduced (denominator-one) form.
+genuine Laurent polynomial, the states are summed row by row by a sweep
+over column masks (the transfer sweep's rules, carrying weights instead of
+counts), and the sum is divided back by b^(n^2).  For integral labels the
+quotient is itself a Laurent polynomial and is returned in reduced
+(denominator-one) form.  The tests check the sweep against the sum over
+every enumerated state.
 
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
-q^(x_0).  Both run against the brute-force sum, so they are meaningful
-oracles for the determinant evaluation elsewhere in the package.
+q^(x_0).  Both run on the state sum itself, independent of the
+determinant, so they are meaningful oracles for the determinant evaluation
+elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -24,13 +28,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .asm import enumerate_asms
 from .brackets import bracket_ratio, qdiff
-from .ice import to_ice
+from .ice import ZERO_STATE
 from .laurent import LaurentPoly, NonDivisible, RatFunc, divide_exact
 
 Z_BRUTE_BOUND = 6
-ENUM_BOUND = 7
 
 
 class SpectralParams:
@@ -42,7 +44,8 @@ class SpectralParams:
         self.xs = tuple(Fraction(x) for x in xs)
         self.ys = tuple(Fraction(y) for y in ys)
         if len(self.xs) != len(self.ys) or not self.xs:
-            raise ValueError("need equally many nonzero row and column parameters")
+            raise ValueError(
+                "need equally many row and column parameters, at least one")
         self.scale = lcm(*(v.denominator for v in self.xs + self.ys))
 
     @property
@@ -112,50 +115,85 @@ def _scaled_weights_formal(y, scale):
     return (w1, w2, w34, w34, w56, w56)
 
 
-def dwbc_states(n):
-    """All domain-wall configurations, via the matrix bijection."""
-    if n > ENUM_BOUND:
-        raise ValueError(f"n={n} exceeds the enumeration bound {ENUM_BOUND}")
-    for a in enumerate_asms(n):
-        yield to_ice(a)
+def state_sweep(frontier, rows):
+    """Carry a domain-wall frontier through rows of site weights.
 
-
-def z_brute(p, formal_row=None):
-    """The state sum Z(n; X, Y) by direct enumeration, as a RatFunc in q
-    (and in w = q^(x_0/2) as a second variable when formal_row=0).
-
-    With formal_row=i the parameter x_i is ignored and that row's label
-    becomes formal.  Only row 0 is supported formally; the symmetry
-    property makes that sufficient.
+    A frontier maps a column mask, bit j set when the entries above in
+    column j sum to 1, to the summed weight of the partial states that
+    reach it; rows[i][j] is the site's six weights, indexed by state - 1.
+    Along a row a key also holds the row prefix r, with the rules of the
+    transfer sweep: at a column with bit ct, entry +1 (state 1) needs
+    (ct, r) = (0, 0), entry -1 (state 2) needs (1, 1), and entry 0 takes
+    state ZERO_STATE[(ct, r)].  A row ends with r = 1, so only those keys
+    are returned.  Start from {0: 1} for the top row; after all n rows the
+    state sum sits at the all-ones mask.
     """
-    n = p.n
-    if n > Z_BRUTE_BOUND:
-        raise ValueError(f"n={n} exceeds the brute-force bound {Z_BRUTE_BOUND}")
-    if formal_row not in (None, 0):
-        raise ValueError("only row 0 may be made formal")
-    scale = p.scale
-    nvars = 1 if formal_row is None else 2
-    site = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if formal_row is not None and i == formal_row:
-                row.append(_scaled_weights_formal(p.ys[j], scale))
-            else:
-                row.append(_scaled_weights(p.label(i, j), scale, nvars))
-        site.append(row)
-    total = LaurentPoly.zero(nvars, scale)
-    for state in dwbc_states(n):
-        term = LaurentPoly.one(nvars, scale)
-        for i in range(n):
-            for j in range(n):
-                term = term * site[i][j][state[i, j] - 1]
-        total = total + term
+    for row in rows:
+        r0, r1 = frontier, {}
+        for j, w in enumerate(row):
+            bit = 1 << j
+            n0, n1 = {}, {}
+            for r, cur, stay, turn in ((0, r0, n0, n1), (1, r1, n1, n0)):
+                for mask, v in cur.items():
+                    ct = (mask >> j) & 1
+                    u = v * w[ZERO_STATE[ct, r] - 1]
+                    stay[mask] = stay[mask] + u if mask in stay else u
+                    if ct == r:         # +1 (state 1) or -1 (state 2)
+                        key = mask ^ bit
+                        u = v * w[r]
+                        turn[key] = turn[key] + u if key in turn else u
+            r0, r1 = n0, n1
+        frontier = r1
+    return frontier
+
+
+def _site(p, rows, nvars=1):
+    """Scaled site weights of the given rows, within the size bound."""
+    if p.n > Z_BRUTE_BOUND:
+        raise ValueError(
+            f"n={p.n} exceeds the state-sum bound {Z_BRUTE_BOUND}")
+    return [[_scaled_weights(p.label(i, j), p.scale, nvars)
+             for j in range(p.n)] for i in rows]
+
+
+def _divided(total, n, scale, nvars=1):
+    """A scaled state sum divided back by b^(n^2), reduced when exact."""
     denom = qdiff(1, scale, nvars) ** (n * n)
     try:
         return RatFunc(divide_exact(total, denom))
     except NonDivisible:
         return RatFunc(total, denom)
+
+
+def z_brute(p):
+    """The state sum Z(n; X, Y) as a RatFunc in q, summed by the domain-wall
+    sweep over the scaled site weights."""
+    n = p.n
+    site = _site(p, range(n))
+    total = state_sweep({0: LaurentPoly.one(1, p.scale)}, site)[(1 << n) - 1]
+    return _divided(total, n, p.scale)
+
+
+def _z_formal(p):
+    """Z with row 0 formal, as a RatFunc in q and w = q^(x_0/2); x_0 is
+    ignored.
+
+    By linearity in the top row: that row alone ends at the n masks of
+    its +1, and each key's bivariate weight multiplies the sweep of the
+    other rows started from that key.  One sweep of all rows would carry
+    bivariate values through every frontier (tens of thousands of live
+    terms at n = 4).
+    """
+    n = p.n
+    scale = p.scale
+    rest = _site(p, range(1, n), 2)
+    one = LaurentPoly.one(2, scale)
+    top = state_sweep({0: one},
+                      [[_scaled_weights_formal(y, scale) for y in p.ys]])
+    total = LaurentPoly.zero(2, scale)
+    for mask, w in top.items():
+        total = total + w * state_sweep({mask: one}, rest)[(1 << n) - 1]
+    return _divided(total, n, scale, 2)
 
 
 def lemma_recursion_check(n, p, i, j):
@@ -193,7 +231,7 @@ def lemma_degree_check(n, p):
     """
     if n != p.n:
         raise ValueError("n does not match the parameter count")
-    z = z_brute(p, formal_row=0)
+    z = _z_formal(p)
     half = 2 * z.num.scale
     den_w = {k[1] for k in z.den.terms}
     if len(den_w) != 1:

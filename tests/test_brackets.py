@@ -14,6 +14,13 @@ def lp(terms, scale=1):
     return LaurentPoly(1, scale, {(k,): c for k, c in terms.items()})
 
 
+def bracket_factor(a):
+    """[a] = d(a) * d(1)^(-1) as a BracketProduct."""
+    diffs = {a: 1}
+    diffs[1] = diffs.get(1, 0) - 1
+    return BracketProduct(1, 0, diffs)
+
+
 # ---------- qdiff and bracket values ----------
 
 def test_qdiff_basic_values():
@@ -88,16 +95,16 @@ def test_diff_zero_argument_gives_zero_product():
 
 
 def test_bracket_factor_balances_unit_differences():
-    f = BracketProduct.bracket_factor(3)
+    f = bracket_factor(3)
     assert f.diffs == {3: 1, 1: -1}
     assert f.net_diff_power == 0
     assert f.limit_at_one() == 3
-    assert BracketProduct.bracket_factor(1) == BracketProduct.one()
+    assert bracket_factor(1) == BracketProduct.one()
 
 
 def test_product_algebra():
-    a = BracketProduct.bracket_factor(3)
-    b = BracketProduct.bracket_factor(2)
+    a = bracket_factor(3)
+    b = bracket_factor(2)
     prod = a * b
     assert prod.limit_at_one() == 6
     assert (prod / b).limit_at_one() == 3
@@ -114,7 +121,7 @@ def test_limit_unbalanced_cases():
 
 
 def test_limit_alias():
-    assert BracketProduct.bracket_factor(4).limit_at_one() == 4
+    assert bracket_factor(4).limit_at_one() == 4
 
 
 def test_expand_ratfunc_matches_direct_polynomials():
@@ -126,7 +133,7 @@ def test_expand_ratfunc_matches_direct_polynomials():
 
 def test_equality_is_extensional():
     # d(3)/d(1) == [3] == unit^2 + 1 + unit^-2 as expanded values
-    a = BracketProduct.bracket_factor(3)
+    a = bracket_factor(3)
     b = BracketProduct.diff(3) / BracketProduct.diff(1)
     assert a == b
 

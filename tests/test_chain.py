@@ -7,7 +7,10 @@ import pytest
 from asmice.chain import (a_via_chain, ean_normalize, half_spec_value,
                           ik_eps_product, ik_eps_ratfunc, q_fourth_root,
                           tau_poly, z_half_eps_brute, z_half_eps_product)
+from asmice.asm import enumerate_asms
 from asmice.dets import EpsilonGrid
+from asmice.ice import to_ice
+from asmice.laurent import LaurentPoly, RatFunc
 from asmice.transfer import transfer_count
 
 
@@ -25,7 +28,7 @@ def test_fourth_root_bookkeeping():
 def test_tau_at_zero_offset_is_constant():
     for x in (1, 2, 3):
         t = tau_poly(0, x)
-        assert t.as_scalar() == 4 - x
+        assert t.terms == {(0,): 4 - x}
 
 
 def test_tau_keeps_integral_coefficients_integers():
@@ -50,6 +53,31 @@ def test_state_sum_equals_determinant_evaluation():
             q4 = q_fourth_root(x)
             pref = (Fraction(-1) ** n) * q4.inverse() ** n
             assert z_half_eps_brute(n, x) == ik_eps_ratfunc(n, x) * pref
+
+
+def test_grid_state_sum_matches_enumeration():
+    # the sum over every state of the site products, u = s^(g/2) per site
+    for n in (1, 2, 3):
+        for x in (1, 2, 3):
+            q4 = q_fourth_root(x)
+            q4i = q4.inverse()
+            beta = q4 * q4 - q4i * q4i
+            grid = EpsilonGrid.standard(n)
+            total = LaurentPoly.zero()
+            for ice in (to_ice(a) for a in enumerate_asms(n)):
+                term = LaurentPoly.one()
+                for i in range(n):
+                    for j in range(n):
+                        u = LaurentPoly.var_power(Fraction(grid.g(i, j), 2))
+                        ui = u ** -1
+                        term = term * {1: -beta * q4i * ui, 2: -beta * q4 * u,
+                                       3: q4i * u - q4 * ui,
+                                       4: q4i * u - q4 * ui,
+                                       5: q4 * u - q4i * ui,
+                                       6: q4 * u - q4i * ui}[ice[i, j]]
+                total = total + term
+            want = RatFunc(total * beta.inverse() ** (n * n))
+            assert z_half_eps_brute(n, x) == want
 
 
 def test_state_sum_on_a_symmetric_grid():

@@ -43,8 +43,9 @@ def test_cauchy_validation():
     with pytest.raises(ValueError):
         cauchy_matrix([1, 2], [2, 0])           # entry pole x_i = y_j
     with pytest.raises(ValueError):
-        cauchy_matrix([1, 2], [0, -1], n=3)     # length mismatch
-    assert cauchy_det_closed([5], [1], n=1) == cauchy_det_closed([5], [1])
+        cauchy_matrix([1, 2], [0, -1, -2])      # length mismatch
+    with pytest.raises(ValueError):
+        cauchy_det_closed([5], [1, 2])          # length mismatch
 
 
 # ---------- ratio matrices ----------

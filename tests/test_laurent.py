@@ -76,10 +76,9 @@ def test_mixed_scale_arithmetic_promotes_to_common_grid():
 
 def test_constant_helpers():
     assert LaurentPoly.zero().is_zero
-    assert LaurentPoly.one().as_scalar() == 1
-    assert LaurentPoly.const(7).as_scalar() == 7
-    with pytest.raises(ValueError):
-        LaurentPoly.unit_power(1).as_scalar()
+    assert LaurentPoly.one().terms == {(0,): 1}
+    assert LaurentPoly.const(7).terms == {(0,): 7}
+    assert LaurentPoly.unit_power(1).terms.keys() != {(0,)}    # not constant
 
 
 # ---------- arithmetic ----------

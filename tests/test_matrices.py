@@ -7,7 +7,8 @@ import pytest
 
 from asmice.brackets import qdiff
 from asmice.laurent import LaurentPoly, RatFunc
-from asmice.matrices import RingMatrix, _det_cofactor, det_exact
+from asmice.matrices import (RingMatrix, _det_cofactor, cleared_reciprocals,
+                             det_exact)
 
 
 def test_pinned_small_determinants():
@@ -73,7 +74,32 @@ def test_shape_validation():
 def test_matrix_helpers():
     m = RingMatrix([[1, 2], [3, 4]])
     assert m[0, 1] == 2
-    assert m.transpose() == RingMatrix([[1, 3], [2, 4]])
-    assert m.map_entries(lambda x: 2 * x) == RingMatrix([[2, 4], [6, 8]])
+    assert RingMatrix.from_fn(2, 2, lambda i, j: m[j, i]) == \
+        RingMatrix([[1, 3], [2, 4]])
+    assert RingMatrix.from_fn(2, 2, lambda i, j: 2 * m[i, j]) == \
+        RingMatrix([[2, 4], [6, 8]])
     assert m.is_square
     assert not RingMatrix([[1, 2, 3], [4, 5, 6]]).is_square
+
+
+def test_cleared_reciprocals():
+    rng = random.Random(9)
+    for n in (1, 2, 3, 4):
+        e = [[qdiff(Fraction(rng.randrange(1, 20), rng.choice([1, 2])), 2)
+              * LaurentPoly.const(rng.choice([1, 2, -3]), 1, 2)
+              for _ in range(n)] for _ in range(n)]
+        c = cleared_reciprocals(e)
+        for i in range(n):
+            for j in range(n):
+                want = LaurentPoly.one(1, 2)
+                for k in range(n):
+                    if k != j:
+                        want = want * e[i][k]
+                assert c[i, j] == want
+        prod = LaurentPoly.one(1, 2)
+        for row in e:
+            for x in row:
+                prod = prod * x
+        recip = RingMatrix([[RatFunc(LaurentPoly.one(1, 2), x) for x in row]
+                            for row in e])
+        assert det_exact(c) == _det_cofactor(recip) * prod

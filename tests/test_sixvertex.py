@@ -5,17 +5,44 @@ from fractions import Fraction
 
 import pytest
 
-from asmice.asm import count_asms_brute
-from asmice.brackets import bracket, bracket_ratio
-from asmice.ice import from_ice
+from asmice.asm import count_asms_brute, enumerate_asms
+from asmice.brackets import bracket, bracket_ratio, qdiff
+from asmice.ice import from_ice, search_dwbc_states, to_ice
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
-from asmice.sixvertex import (ENUM_BOUND, SpectralParams, Z_BRUTE_BOUND,
-                              dwbc_states, lemma_degree_check,
-                              lemma_recursion_check, vertex_weights, z_brute)
+from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND,
+                              _scaled_weights, _scaled_weights_formal,
+                              _z_formal, lemma_degree_check,
+                              lemma_recursion_check, state_sweep,
+                              vertex_weights, z_brute)
 
 
 def lp(terms, scale=1):
     return LaurentPoly(1, scale, {(k,): c for k, c in terms.items()})
+
+
+def enumerated_states(n):
+    """Every domain-wall state, through the matrix bijection."""
+    return [to_ice(a) for a in enumerate_asms(n)]
+
+
+def enumerated_sum(site, states, one=1):
+    """The state sum as a plain sum over states of per-site products;
+    site[i][j] holds the six weights, indexed by state - 1."""
+    total = 0
+    for state in states:
+        term = one
+        for i, row in enumerate(site):
+            for j, w in enumerate(row):
+                term = term * w[state[i, j] - 1]
+        total = total + term
+    return total
+
+
+def random_params(rng, n):
+    xs = [Fraction(rng.randrange(2, 40), rng.choice([1, 2])) for _ in range(n)]
+    ys = [Fraction(rng.randrange(-20, 1), rng.choice([1, 2, 3]))
+          for _ in range(n)]
+    return SpectralParams(xs, ys)
 
 
 # ---------- per-site weights ----------
@@ -42,6 +69,67 @@ def test_weights_at_half_integer_label():
     assert w[1] == RatFunc(lp({-3: -1}, scale=2))
 
 
+# ---------- the domain-wall sweep ----------
+
+def test_sweep_matches_enumeration_with_distinct_site_weights():
+    # six distinct weights per site, so a wrong state label anywhere in
+    # the sweep (3 for 4, a wrong zero-entry state) changes the sum
+    rng = random.Random(11)
+    for n in range(1, 6):
+        site = [[tuple(rng.sample(range(2, 1000), 6)) for _ in range(n)]
+                for _ in range(n)]
+        frontier = state_sweep({0: 1}, site)
+        assert list(frontier) == [(1 << n) - 1]
+        total = frontier[(1 << n) - 1]
+        assert total == enumerated_sum(site, enumerated_states(n))
+        assert total == enumerated_sum(site, search_dwbc_states(n))
+
+
+def test_sweep_by_rows_composes():
+    # the frontier after the top rows is the start of the rest
+    rng = random.Random(12)
+    n = 4
+    site = [[tuple(rng.sample(range(2, 1000), 6)) for _ in range(n)]
+            for _ in range(n)]
+    for k in range(n + 1):
+        top = state_sweep({0: 1}, site[:k])
+        assert all(bin(mask).count("1") == k for mask in top)
+        assert state_sweep(top, site[k:]) == state_sweep({0: 1}, site)
+
+
+def test_scaled_weights_are_the_weights_times_b():
+    for v in (Fraction(1), Fraction(5), Fraction(3, 2), Fraction(-7, 3)):
+        scale = v.denominator
+        b = RatFunc(qdiff(1, scale))
+        plain = vertex_weights(v, scale)
+        for s, w in enumerate(_scaled_weights(v, scale), start=1):
+            assert RatFunc(w) == plain[s] * b
+
+
+def test_state_sum_matches_enumeration():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        p = random_params(rng, n)
+        site = [[_scaled_weights(p.label(i, j), p.scale) for j in range(n)]
+                for i in range(n)]
+        total = enumerated_sum(site, enumerated_states(n),
+                               LaurentPoly.one(1, p.scale))
+        assert z_brute(p) == RatFunc(total, qdiff(1, p.scale) ** (n * n))
+
+
+def test_formal_row_sum_matches_enumeration():
+    rng = random.Random(6)
+    for n in range(1, 4):
+        p = random_params(rng, n)
+        site = [[_scaled_weights_formal(y, p.scale) for y in p.ys]]
+        site += [[_scaled_weights(p.label(i, j), p.scale, 2)
+                  for j in range(n)] for i in range(1, n)]
+        total = enumerated_sum(site, enumerated_states(n),
+                               LaurentPoly.one(2, p.scale))
+        denom = qdiff(1, p.scale, 2) ** (n * n)
+        assert _z_formal(p) == RatFunc(total, denom)
+
+
 # ---------- the state sum ----------
 
 def test_single_site_value():
@@ -54,7 +142,7 @@ def test_brute_bound_enforced():
     with pytest.raises(ValueError):
         z_brute(SpectralParams(range(1, n + 1), [0] * n))
     with pytest.raises(ValueError):
-        list(dwbc_states(ENUM_BOUND + 1))
+        lemma_degree_check(n, SpectralParams(range(1, n + 1), [0] * n))
 
 
 def test_row_and_column_exchange_symmetry():
@@ -100,7 +188,7 @@ def test_contributing_states_at_unit_corner_label():
     weights = {(i, j): vertex_weights(p.label(i, j))
                for i in range(n) for j in range(n)}
     seen_zero = seen_nonzero = False
-    for state in dwbc_states(n):
+    for state in enumerated_states(n):
         prod = RatFunc(LaurentPoly.one())
         for i in range(n):
             for j in range(n):
@@ -127,10 +215,8 @@ def test_uniform_label_two_collapses_to_plain_count():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         SpectralParams([1, 2], [0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one"):
         SpectralParams([], [])
     p = SpectralParams([3, 5], [0, 1])
     assert p.drop(0, 1).xs == (Fraction(5),)
     assert p.drop(0, 1).ys == (Fraction(0),)
-    with pytest.raises(ValueError):
-        z_brute(p, formal_row=1)
