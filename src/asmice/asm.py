@@ -8,6 +8,8 @@ with 1).  Permutation matrices are exactly the members with no -1.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .intpoly import IntPoly
 
 #: largest n the command line offers brute enumeration for
@@ -84,36 +86,52 @@ def validate(rows):
 
 def enumerate_asms(n):
     """Yield all n x n alternating sign matrices in row-major lexicographic
-    order with entries ordered -1 < 0 < 1."""
+    order with entries ordered -1 < 0 < 1.
+
+    Recurses over whole rows, n deep, keeping the columns whose partial
+    sum is 1 as a mask c.  A row with +1 entries in the columns of P and
+    -1 entries in those of M fits when P & c == 0 and M lies inside c, and
+    leaves the mask c ^ P ^ M.  The candidate rows are tried in
+    lexicographic order, so the matrices come out in that order.  After n
+    rows the mask holds n ones, since every row sums to 1.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    col = [0] * n
+    rows = _alternating_rows(n)
+    picked = []
+
+    def extend(c):
+        if len(picked) == n:
+            yield Asm(picked)
+            return
+        for row, plus, minus in rows:
+            if not plus & c and minus & c == minus:
+                picked.append(row)
+                yield from extend(c ^ plus ^ minus)
+                picked.pop()
+
+    yield from extend(0)
+
+
+def _alternating_rows(n):
+    """The 2^(n-1) rows of length n whose nonzero entries read +1, -1, ...,
+    +1, in lexicographic order, each with the bit masks of its +1 and of
+    its -1 columns."""
     rows = []
-
-    def fill_row(j, acc, row):
-        if j == n:
-            if acc == 1:
-                rows.append(tuple(row))
-                yield from next_row()
-                rows.pop()
-            return
-        for e in (-1, 0, 1):
-            if acc + e not in (0, 1) or col[j] + e not in (0, 1):
-                continue
-            col[j] += e
-            row.append(e)
-            yield from fill_row(j + 1, acc + e, row)
-            row.pop()
-            col[j] -= e
-
-    def next_row():
-        if len(rows) == n:
-            if all(c == 1 for c in col):
-                yield Asm(list(rows))
-            return
-        yield from fill_row(0, 0, [])
-
-    yield from next_row()
+    for size in range(1, n + 1, 2):
+        for cols in combinations(range(n), size):
+            row = [0] * n
+            plus = minus = 0
+            for i, j in enumerate(cols):
+                if i % 2:
+                    row[j] = -1
+                    minus |= 1 << j
+                else:
+                    row[j] = 1
+                    plus |= 1 << j
+            rows.append((tuple(row), plus, minus))
+    rows.sort()
+    return rows
 
 
 def count_asms_brute(n):

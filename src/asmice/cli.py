@@ -99,12 +99,13 @@ def cmd_xenum(n, at=None):
 
 def cmd_bseq(max_n):
     report = RunReport("bseq", {"max_n": max_n})
-    chain = b_chain(max_n)
+    a_polys = [transfer_count(n) for n in range(1, max_n)]
+    chain = b_chain(max_n, a_polys)
     for n in range(1, max_n + 1):
         report.emit(f"B({n};x) = {chain[n]}")
     for n in range(1, max_n):
         c = 1 if n % 2 else 2
-        ok = transfer_count(n) == chain[n] * chain[n + 1] * c
+        ok = a_polys[n - 1] == chain[n] * chain[n + 1] * c
         label = f"A({n};x) = {'2·' if c == 2 else ''}B({n};x)·B({n + 1};x)"
         report.add_check(label, ok)
     return report
@@ -192,6 +193,9 @@ def _parse_methods(text):
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated subset of "
             f"{','.join(COUNT_BOUNDS)}, got {text!r}")
+    if len(set(methods)) < len(methods):
+        raise argparse.ArgumentTypeError(
+            f"each method may appear once, got {text!r}")
     return methods
 
 

@@ -22,6 +22,24 @@ is a whole matrix, with at most floor((n-1)^2/4) entries -1, so a nonzero
 bit above the top slot can only come from a broken bound, and unpacking
 raises on it.  The bound does not use the product formula, which the sweep
 is checked against.
+
+Meet in the middle.  Turned upside down, a matrix is again a member: the
+rows keep their alternating signs, and every column still has partial
+sums 0 or 1 read from the bottom, because its suffix sums are one minus
+its prefix sums.  So if the top k rows of a member leave the column mask
+m, its bottom n-k rows, turned over, are the top n-k rows of a member
+with column mask ~m, the complement of m in the n columns; conversely
+any top block with mask m stacks onto any turned-over block with mask ~m
+to give a member.  With T_k the frontier after k rows,
+A(n;x) = sum over m of T_k(m) * T_(n-k)(~m), degrees adding.
+transfer_count takes k = floor(n/2); one sweep of ceil(n/2) rows gives
+both frontiers, and each product is one integer multiply of two packed
+vectors.
+
+The products need no wider slots.  Every summand is nonnegative, so slot
+d of each product, and of every partial sum over m, is at most the
+coefficient of x^d in A(n;x), which counts whole matrices and so is at
+most 2^(n*n) < 2^B; no slot carries, and the top-slot check still holds.
 """
 
 from __future__ import annotations
@@ -40,15 +58,33 @@ def coeff_count(n):
 
 
 def transfer_count(n):
-    """The weighted count A(n;x) as an IntPoly, by the row-sweep DP."""
+    """The weighted count A(n;x) as an IntPoly, by meeting in the middle.
+
+    Sweeps ceil(n/2) rows and pairs the frontier after k = floor(n/2)
+    rows with the one after n - k rows on complementary masks.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > DEFAULT_BOUND:
         raise ValueError(f"n={n} exceeds the transfer bound {DEFAULT_BOUND}")
     width = n * n + 1
+    full = (1 << n) - 1
+    top = _sweep(n, width, n // 2, {0: 1})
+    bottom = _sweep(n, width, n % 2, top)
+    total = sum(v * bottom.get(full ^ mask, 0) for mask, v in top.items())
+    return IntPoly(_unpack(total, coeff_count(n), width))
+
+
+def _sweep(n, width, rows, frontier):
+    """The frontier `rows` whole rows below `frontier`, which is unchanged.
+
+    A frontier maps a column mask to the packed count of its partial
+    fillings.  The loop adds into the previous frontier in place, so the
+    sweep starts from a copy.
+    """
+    r1 = dict(frontier)
     # one frontier per row prefix r; entry 0 keeps a key where it is
-    r1 = {0: 1}
-    for _ in range(n):
+    for _ in range(rows):
         r0, r1 = r1, {}                  # a finished row ends with r = 1
         for j in range(n):
             bit = 1 << j
@@ -60,7 +96,7 @@ def transfer_count(n):
                 r1[mask] = r1.get(mask, 0) + v
             for mask, v in minus:
                 r0[mask] = r0.get(mask, 0) + v
-    return IntPoly(_unpack(r1.get((1 << n) - 1, 0), coeff_count(n), width))
+    return r1
 
 
 def _unpack(v, slots, width):

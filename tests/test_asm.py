@@ -1,9 +1,11 @@
 """Alternating-sign matrices: validation, enumeration, weighted counts."""
 
+from itertools import product
+
 import pytest
 
 from asmice.asm import (Asm, AsmInvalid, count_asms_brute, enumerate_asms,
-                        format_asm, parse_asm, x_enumerate_brute)
+                        format_asm, parse_asm, validate, x_enumerate_brute)
 from asmice.intpoly import IntPoly
 
 
@@ -18,8 +20,24 @@ def test_permutation_matrices_are_included():
     assert len(ms) - len(perms) == 1          # the single matrix with a -1
 
 
+def _is_asm(rows):
+    try:
+        validate(rows)
+    except AsmInvalid:
+        return False
+    return True
+
+
+def test_enumeration_matches_filtering_every_matrix():
+    for n in (1, 2, 3):
+        every = (tuple(entries[i * n:(i + 1) * n] for i in range(n))
+                 for entries in product((-1, 0, 1), repeat=n * n))
+        assert [m.rows for m in enumerate_asms(n)] == list(
+            filter(_is_asm, every)), n
+
+
 def test_enumeration_is_lexicographic():
-    for n in (3, 4):
+    for n in (3, 4, 5):
         flat = [tuple(x for row in m.rows for x in row)
                 for m in enumerate_asms(n)]
         assert flat == sorted(flat)

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from asmice import cli
+from asmice import cli, formulas
 from asmice.transfer import transfer_count
 
 
@@ -81,6 +81,19 @@ def test_bseq(capsys):
     assert len(checks) == 5
     assert all(l.startswith("[pass]") for l in checks)
     assert any("A(2;x) = 2·B(2;x)·B(3;x)" in l for l in checks)
+
+
+def test_bseq_sweeps_each_size_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return transfer_count(n)
+
+    monkeypatch.setattr(cli, "transfer_count", counted)
+    monkeypatch.setattr(formulas, "transfer_count", counted)
+    assert cli.run(["bseq", "--max-n", "6"]).exit_code == 0
+    assert calls == [1, 2, 3, 4, 5]
 
 
 # ---------- verify ----------
@@ -162,6 +175,7 @@ def test_cmd_table_unknown_format_raises_value_error():
     ["bseq", "--max-n", "0"],
     ["table", "--max-n", "0"],
     ["count", "--n", "20", "--method", "transfer"],
+    ["count", "--n", "3", "--method", "brute,transfer,brute"],
     ["bseq", "--max-n", "18"],
     ["verify", "ybe", "--workers", "0"],
     ["verify", "ybe", "--workers", "-1"],

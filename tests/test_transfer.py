@@ -7,7 +7,8 @@ import pytest
 from asmice.asm import x_enumerate_brute
 from asmice.formulas import a2_formula, a3_formula, a_formula
 from asmice.intpoly import IntPoly
-from asmice.transfer import DEFAULT_BOUND, _unpack, coeff_count, transfer_count
+from asmice.transfer import (DEFAULT_BOUND, _sweep, _unpack, coeff_count,
+                             transfer_count)
 
 
 def formula_count(n):
@@ -19,6 +20,14 @@ def formula_count(n):
 def test_matches_brute_enumeration():
     for n in range(1, 7):
         assert transfer_count(n) == x_enumerate_brute(n)
+
+
+def test_meet_in_the_middle_matches_the_full_sweep():
+    for n in range(1, 14):
+        width = n * n + 1
+        full = _sweep(n, width, n, {0: 1}).get((1 << n) - 1, 0)
+        assert transfer_count(n) == IntPoly(
+            _unpack(full, coeff_count(n), width)), n
 
 
 def test_backends_agree():
