@@ -41,6 +41,15 @@ def qdiff(a, scale=1, nvars=1, var=0):
     return LaurentPoly(nvars, scale, {tuple(pos): 1, tuple(neg): -1})
 
 
+def qdiff_product(values, scale=1):
+    """prod_{j<i} d(v_i - v_j) over the values in the given order."""
+    out = LaurentPoly.one(1, scale)
+    for i, v in enumerate(values):
+        for u in values[:i]:
+            out = out * qdiff(v - u, scale)
+    return out
+
+
 def beta(scale=1, nvars=1, var=0):
     """t^(1/2) - t^(-1/2), the bracket denominator."""
     return qdiff(1, scale, nvars, var)

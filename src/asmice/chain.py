@@ -16,7 +16,8 @@ coefficients times a fixed fourth-root prefactor:
 
 with tau(g) = s^g + s^(-g) - (x-2) and d(k) = s^(k/2) - s^(-k/2).  The
 factor prod tau * det[1/tau] is computed as one polynomial determinant,
-det[prod_{k != j} tau(g_ik)] (matrices.cleared_reciprocals).  The
+det[prod_{k != j} tau(g_ik)] (matrices.cleared_reciprocals), and the
+difference products are brackets.qdiff_product, as in izergin.ik_z.  The
 key collapse is [v][v-1] = tau(g)/beta^2 at v = 1/2 + g*eps, which leaves
 q only in the prefactor and in the rational constants x - 2 and
 beta^2 = x^2 - 4x.
@@ -36,12 +37,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .brackets import BracketProduct, qdiff
+from .brackets import BracketProduct, qdiff_product
 from .cyclotomic import Cyclotomic, cyclotomic_embed
 from .dets import EpsilonGrid, s_det_product
 from .laurent import LaurentPoly, RatFunc, limit_at_one
 from .matrices import cleared_reciprocals, det_exact
-from .sixvertex import state_sweep
+from .sixvertex import site_weights, state_sweep
 
 #: difference-ratio exponents (a, b) with 1/tau(m) = d(a*m)/d(b*m)
 RATIO_EXPONENTS = {1: (1, 3), 2: (2, 4)}
@@ -50,10 +51,9 @@ RATIO_EXPONENTS = {1: (1, 3), 2: (2, 4)}
 def q_fourth_root(x):
     """q^(1/4) in Q(zeta_24) for the root of unity solving
     q^(1/2) + q^(-1/2) = x - 2."""
-    try:
-        return cyclotomic_embed({1: 6, 2: 8, 3: 12}[int(x)])
-    except KeyError:
-        raise ValueError(f"no pinned root of unity for x = {x}") from None
+    if x not in (1, 2, 3):
+        raise ValueError(f"no pinned root of unity for x = {x}")
+    return cyclotomic_embed({1: 6, 2: 8, 3: 12}[x])
 
 
 def tau_poly(g, x, scale=1):
@@ -99,13 +99,8 @@ def ik_eps_ratfunc(n, x, grid=None):
     beta_power = beta_sq ** ((n * n - n) // 2)
     if beta_power.denominator == 1:
         beta_power = beta_power.numerator   # int coefficients stay ints
-    den = LaurentPoly.const(beta_power, 1, scale)
-    for i in range(n):
-        for j in range(i):
-            den = den * qdiff(grid.row_f[i] - grid.row_f[j], scale)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = den * qdiff(grid.col_f[i] - grid.col_f[j], scale)
+    den = (qdiff_product(grid.row_f, scale)
+           * qdiff_product(grid.col_f[::-1], scale) * beta_power)
     return RatFunc(num, den)
 
 
@@ -150,32 +145,19 @@ def z_half_eps_product(n):
 
 def z_half_eps_brute(n, x, grid=None):
     """State-sum oracle for Z on an epsilon grid, exact in s with
-    coefficients in Q(zeta_24)."""
+    coefficients in Q(zeta_24): sixvertex.site_weights at
+    m = q^(1/4) * s^(g/2) and the pinned scalar h = q^(1/2)."""
     if grid is None:
         grid = EpsilonGrid.standard(n)
     if grid.n != n:
         raise ValueError("grid size mismatch")
     q4 = q_fourth_root(x)
-    q4i = q4.inverse()
-    beta = q4 * q4 - q4i * q4i
+    h = q4 * q4
     scale = _grid_scale(grid)
-
-    def site_weights(g):
-        k = Fraction(g) * scale
-        if k.denominator != 1:
-            raise ValueError("grid exponent off the lattice")
-        k = int(k)
-
-        def mono(key, c):
-            return LaurentPoly(1, scale, {(key,): c})
-
-        w34 = mono(k, q4i) + mono(-k, -q4)
-        w56 = mono(k, q4) + mono(-k, -q4i)
-        return (mono(-k, -beta * q4i), mono(k, -beta * q4), w34, w34, w56, w56)
-
-    site = [[site_weights(grid.g(i, j)) for j in range(n)] for i in range(n)]
+    site = [[site_weights(LaurentPoly.var_power(grid.g(i, j) / 2, scale) * q4,
+                          h) for j in range(n)] for i in range(n)]
     total = state_sweep({0: LaurentPoly.one(1, scale)}, site)[(1 << n) - 1]
-    return RatFunc(total * (beta.inverse() ** (n * n)))
+    return RatFunc(total * (h - h ** -1) ** -(n * n))
 
 
 def half_spec_value(n, x):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .brackets import BracketProduct, qdiff
+from .brackets import BracketProduct, qdiff, qdiff_product
 from .laurent import LaurentPoly, RatFunc
 from .matrices import RingMatrix, det_exact
 
@@ -67,13 +67,8 @@ def cauchy_det_closed(xs, ys):
     n = len(xs)
     if len(ys) != n:
         raise ValueError("parameter count mismatch")
-    num = qdiff(1, scale) ** n
-    for i in range(n):
-        for j in range(i):
-            num = num * qdiff(xs[i] - xs[j], scale)
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = num * qdiff(ys[i] - ys[j], scale)
+    num = (qdiff(1, scale) ** n * qdiff_product(xs, scale)
+           * qdiff_product(ys[::-1], scale))
     den = LaurentPoly.one(1, scale)
     for x in xs:
         for y in ys:

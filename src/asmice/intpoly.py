@@ -88,6 +88,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of an IntPoly")
         out = IntPoly.const(1)
         base = self
         while n:

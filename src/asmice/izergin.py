@@ -15,13 +15,16 @@ b = q^(1/2)-q^(-1/2) collapses to b^(n^2-n) in the denominator, and
     Z = (-1)^n * q^(sum (y_i-x_i)/2) * det E'
         over b^(n^2-n) * prod_{j<i} d(x_i-x_j) * prod_{i<j} d(y_i-y_j).
 
-The result is reduced to a genuine Laurent polynomial whenever it is one.
+Both difference products are brackets.qdiff_product, the second over the
+y's reversed.  The result is reduced to a genuine Laurent polynomial
+whenever it is one (laurent.reduced, as for sixvertex.z_brute).
 """
 
 from __future__ import annotations
 
-from .brackets import bracket_ratio, qdiff
-from .laurent import LaurentPoly, NonDivisible, RatFunc, divide_exact
+from .brackets import bracket_ratio, qdiff, qdiff_product
+from .laurent import LaurentPoly, reduced
+from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 from .matrices import RingMatrix, cleared_reciprocals, det_exact
 from .sixvertex import SpectralParams
 
@@ -80,14 +83,6 @@ def ik_z(inst):
     num = mono * det
     if n % 2:
         num = -num
-    den = qdiff(1, scale) ** (n * n - n)
-    for i in range(n):
-        for j in range(i):
-            den = den * qdiff(p.xs[i] - p.xs[j], scale)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = den * qdiff(p.ys[i] - p.ys[j], scale)
-    try:
-        return RatFunc(divide_exact(num, den))
-    except NonDivisible:
-        return RatFunc(num, den)
+    den = (qdiff(1, scale) ** (n * n - n) * qdiff_product(p.xs, scale)
+           * qdiff_product(p.ys[::-1], scale))
+    return reduced(num, den)

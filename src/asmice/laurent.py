@@ -386,6 +386,15 @@ def divide_exact(num, den):
     return _divide_sparse(num, den)
 
 
+def reduced(num, den):
+    """num/den as a RatFunc: the exact quotient when den divides num, else
+    the unreduced fraction."""
+    try:
+        return RatFunc(divide_exact(num, den))
+    except NonDivisible:
+        return RatFunc(num, den)
+
+
 def _divide_dense1(num, den):
     nlo, a = num._dense1()
     dlo, b = den._dense1()
@@ -692,10 +701,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        if _is_scalar(num):
+            like = den if isinstance(den, LaurentPoly) else LaurentPoly.one()
+            num = LaurentPoly.const(num, like.nvars, like.scale)
         if den is None:
             den = LaurentPoly.one(num.nvars, num.scale)
-        if _is_scalar(num):
-            num = LaurentPoly.const(num, den.nvars, den.scale)
         if _is_scalar(den):
             den = LaurentPoly.const(den, num.nvars, num.scale)
         if den.is_zero:

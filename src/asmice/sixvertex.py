@@ -16,6 +16,11 @@ quotient is itself a Laurent polynomial and is returned in reduced
 (denominator-one) form.  The tests check the sweep against the sum over
 every enumerated state.
 
+The scaled weights are written once, in site_weights(m, h), m = q^(v/2),
+h = q^(1/2); its callers pass a generic label (z_brute, ybe.ybe_check),
+a label keeping w = q^(x_0/2) formal (the degree check), or a label
+pinned to a root of unity on the epsilon grid (chain.z_half_eps_brute).
+
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
 q^(x_0).  Both run on the state sum itself, independent of the
@@ -30,7 +35,8 @@ from math import lcm
 
 from .brackets import bracket_ratio, qdiff
 from .ice import ZERO_STATE
-from .laurent import LaurentPoly, NonDivisible, RatFunc, divide_exact
+from .laurent import LaurentPoly, RatFunc, reduced
+from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 
 Z_BRUTE_BOUND = 6
 
@@ -88,31 +94,24 @@ def vertex_weights(v, scale=None):
             3: side, 4: side, 5: turn, 6: turn}
 
 
-def _scaled_weights(v, scale, nvars=1):
-    """The six weights multiplied by b = q^(1/2)-q^(-1/2), as polynomials.
+def site_weights(m, h):
+    """The six weights at a site, multiplied by b = h - 1/h.
 
-    The two monomial weights become two-term polynomials and the bracket
-    weights become plain differences q^((v-1)/2)-q^((1-v)/2), q^(v/2)-q^(-v/2).
+    m = q^(v/2) for the site label v, a one-term LaurentPoly, and
+    h = q^(1/2), another or a scalar; the scaled weights are
+    (-b/m, -b*m, m/h - h/m, m/h - h/m, m - 1/m, m - 1/m).
     """
-    b = qdiff(1, scale, nvars)
-    w1 = -(b * LaurentPoly.var_power(Fraction(-v, 2), scale, 0, nvars))
-    w2 = -(b * LaurentPoly.var_power(Fraction(v, 2), scale, 0, nvars))
-    w34 = qdiff(v - 1, scale, nvars)
-    w56 = qdiff(v, scale, nvars)
-    return (w1, w2, w34, w34, w56, w56)
+    mi, hi = m ** -1, h ** -1
+    b = h - hi
+    turn = m * hi - mi * h
+    side = m - mi
+    return (-(mi * b), -(m * b), turn, turn, side, side)
 
 
-def _scaled_weights_formal(y, scale):
-    """Scaled weights for a site in the formal row, label x0 - y with
-    w = q^(x0/2) carried as the second variable."""
-    def mono(t_half, w_exp, coeff=1):
-        return LaurentPoly(2, scale, {(int(t_half * scale), w_exp * 2 * scale): coeff})
-    b = qdiff(1, scale, 2)
-    w1 = -(b * mono(y, -1))
-    w2 = -(b * mono(-y, 1))
-    w34 = mono(-y - 1, 1) - mono(y + 1, -1)
-    w56 = mono(-y, 1) - mono(y, -1)
-    return (w1, w2, w34, w34, w56, w56)
+def _label_weights(v, scale):
+    """site_weights at the label v, on the 1/(2*scale) grid."""
+    return site_weights(LaurentPoly.var_power(Fraction(v, 2), scale),
+                        LaurentPoly.var_power(Fraction(1, 2), scale))
 
 
 def state_sweep(frontier, rows):
@@ -147,22 +146,13 @@ def state_sweep(frontier, rows):
     return frontier
 
 
-def _site(p, rows, nvars=1):
+def _site(p, rows):
     """Scaled site weights of the given rows, within the size bound."""
     if p.n > Z_BRUTE_BOUND:
         raise ValueError(
             f"n={p.n} exceeds the state-sum bound {Z_BRUTE_BOUND}")
-    return [[_scaled_weights(p.label(i, j), p.scale, nvars)
-             for j in range(p.n)] for i in rows]
-
-
-def _divided(total, n, scale, nvars=1):
-    """A scaled state sum divided back by b^(n^2), reduced when exact."""
-    denom = qdiff(1, scale, nvars) ** (n * n)
-    try:
-        return RatFunc(divide_exact(total, denom))
-    except NonDivisible:
-        return RatFunc(total, denom)
+    return [[_label_weights(p.label(i, j), p.scale) for j in range(p.n)]
+            for i in rows]
 
 
 def z_brute(p):
@@ -171,29 +161,35 @@ def z_brute(p):
     n = p.n
     site = _site(p, range(n))
     total = state_sweep({0: LaurentPoly.one(1, p.scale)}, site)[(1 << n) - 1]
-    return _divided(total, n, p.scale)
+    return reduced(total, qdiff(1, p.scale) ** (n * n))
 
 
 def _z_formal(p):
-    """Z with row 0 formal, as a RatFunc in q and w = q^(x_0/2); x_0 is
-    ignored.
+    """b^(n^2) * Z with row 0 formal, a LaurentPoly in q and w = q^(x_0/2);
+    x_0 is ignored.
 
     By linearity in the top row: that row alone ends at the n masks of
     its +1, and each key's bivariate weight multiplies the sweep of the
-    other rows started from that key.  One sweep of all rows would carry
-    bivariate values through every frontier (tens of thousands of live
-    terms at n = 4).
+    other rows started from that key.  Those rows do not involve w, so
+    they are swept in q alone and lifted to (q, w) once at the end; one
+    sweep of all rows would carry bivariate values through every frontier
+    (tens of thousands of live terms at n = 4).
     """
     n = p.n
     scale = p.scale
-    rest = _site(p, range(1, n), 2)
-    one = LaurentPoly.one(2, scale)
-    top = state_sweep({0: one},
-                      [[_scaled_weights_formal(y, scale) for y in p.ys]])
+    rest = _site(p, range(1, n))
+    h = LaurentPoly.var_power(Fraction(1, 2), scale, 0, 2)
+    w = LaurentPoly.var_power(1, scale, 1, 2)
+    row = [site_weights(LaurentPoly.var_power(-y / 2, scale, 0, 2) * w, h)
+           for y in p.ys]
+    top = state_sweep({0: LaurentPoly.one(2, scale)}, [row])
+    one = LaurentPoly.one(1, scale)
     total = LaurentPoly.zero(2, scale)
-    for mask, w in top.items():
-        total = total + w * state_sweep({mask: one}, rest)[(1 << n) - 1]
-    return _divided(total, n, scale, 2)
+    for mask, weight in top.items():
+        below = state_sweep({mask: one}, rest)[(1 << n) - 1]
+        total = total + weight * LaurentPoly._clean(
+            2, scale, {(k[0], 0): c for k, c in below.terms.items()})
+    return total
 
 
 def lemma_recursion_check(n, p, i, j):
@@ -225,21 +221,17 @@ def lemma_recursion_check(n, p, i, j):
 def lemma_degree_check(n, p):
     """Degree bound: q^(n*x_0/2) * Z is polynomial in q^(x_0), degree < n.
 
-    Z is computed with w = q^(x_0/2) formal; the check is that the
-    denominator is free of w and every w-exponent e of the numerator has
-    n + e in {0, 2, ..., 2(n-1)}.
+    Z is computed with w = q^(x_0/2) formal and scaled by b^(n^2), which
+    does not involve w; the check is that every w-exponent e of that
+    numerator has n + e in {0, 2, ..., 2(n-1)}.
     """
     if n != p.n:
         raise ValueError("n does not match the parameter count")
     z = _z_formal(p)
-    half = 2 * z.num.scale
-    den_w = {k[1] for k in z.den.terms}
-    if len(den_w) != 1:
-        return False
-    shift = den_w.pop()
+    half = 2 * z.scale
     allowed = set(range(0, 2 * n - 1, 2))
-    for k in z.num.terms:
-        e = Fraction(k[1] - shift, half) + n
+    for k in z.terms:
+        e = Fraction(k[1], half) + n
         if e.denominator != 1 or int(e) not in allowed:
             return False
     return True

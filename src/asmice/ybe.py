@@ -27,7 +27,7 @@ from math import lcm
 
 from .ice import STATE_OF_FLAGS
 from .laurent import LaurentPoly
-from .sixvertex import _scaled_weights
+from .sixvertex import _label_weights
 
 LHS_CROSSINGS = (("y", "B1", "B2", "I1", "I2"),
                  ("x", "B0", "I1", "T0", "I3"),
@@ -100,9 +100,9 @@ def ybe_check(y, z):
     z = Fraction(z)
     x = y + z
     scale = lcm(y.denominator, z.denominator)
-    weight_of = {"x": _scaled_weights(x, scale),
-                 "y": _scaled_weights(y, scale),
-                 "z": _scaled_weights(z, scale)}
+    weight_of = {"x": _label_weights(x, scale),
+                 "y": _label_weights(y, scale),
+                 "z": _label_weights(z, scale)}
     trivial = 0
     equal = 0
     failures = []

@@ -25,6 +25,16 @@ def test_fourth_root_bookkeeping():
         q_fourth_root(4)
 
 
+def test_fourth_root_rejects_non_integral_x():
+    # x = 3/2 would truncate to the x = 1 root without the check
+    for x in (Fraction(3, 2), Fraction(5, 2), Fraction(1, 3)):
+        with pytest.raises(ValueError, match="no pinned root"):
+            q_fourth_root(x)
+    with pytest.raises(ValueError, match="no pinned root"):
+        half_spec_value(2, Fraction(3, 2))
+    assert q_fourth_root(Fraction(2)) == q_fourth_root(2)
+
+
 def test_tau_at_zero_offset_is_constant():
     for x in (1, 2, 3):
         t = tau_poly(0, x)

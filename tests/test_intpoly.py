@@ -31,6 +31,12 @@ def test_arithmetic():
     assert (x + IntPoly.const(1)) - x == IntPoly.const(1)
     assert x * 3 == IntPoly([0, 3])
     assert x ** 3 == IntPoly([0, 0, 0, 1])
+    assert x ** 0 == IntPoly.const(1)
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError, match="negative power"):
+        IntPoly.const(1) ** -1
 
 
 def test_evaluation():

@@ -13,7 +13,7 @@ from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                             _bits, _divide_ints, _divide_rational,
                             _long_divide, _mul_cyclotomic, _mul_rational,
                             _mul_terms, _pack, _unpack, _width, divide_exact,
-                            limit_at_one, vanishing_order_at_one)
+                            limit_at_one, reduced, vanishing_order_at_one)
 
 
 def lp(terms, scale=1):
@@ -425,6 +425,22 @@ def test_ratfunc_arithmetic():
     assert 1 / half == half.reciprocal()
     with pytest.raises(ZeroDivisionError):
         half / RatFunc(LaurentPoly.zero())
+
+
+def test_ratfunc_from_a_scalar():
+    assert RatFunc(3) == 3
+    assert RatFunc(3).poly() == LaurentPoly.const(3)
+    assert RatFunc(Fraction(1, 2), lp({1: 1}, scale=2)).poly() == \
+        lp({-1: Fraction(1, 2)}, scale=2)
+
+
+def test_reduced_divides_when_exact():
+    num, den = lp({2: 1, -2: -1}), lp({1: 1, -1: -1})
+    r = reduced(num, den)
+    assert r.is_poly and r.poly() == lp({1: 1, -1: 1})
+    r = reduced(den, num)                   # 1/(t^(1/2)+t^(-1/2)) stays
+    assert not r.is_poly
+    assert r == RatFunc(den, num)
 
 
 def test_ratfunc_zero_denominator_rejected():

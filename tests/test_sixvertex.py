@@ -8,9 +8,9 @@ import pytest
 from asmice.asm import count_asms_brute, enumerate_asms
 from asmice.brackets import bracket, bracket_ratio, qdiff
 from asmice.ice import from_ice, search_dwbc_states, to_ice
+from asmice import laurent
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
-from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND,
-                              _scaled_weights, _scaled_weights_formal,
+from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND, _label_weights,
                               _z_formal, lemma_degree_check,
                               lemma_recursion_check, state_sweep,
                               vertex_weights, z_brute)
@@ -36,6 +36,28 @@ def enumerated_sum(site, states, one=1):
                 term = term * w[state[i, j] - 1]
         total = total + term
     return total
+
+
+def written_weights(v, scale, nvars=1):
+    """The six weights at label v times b = q^(1/2)-q^(-1/2), written out:
+    -b q^(-v/2), -b q^(v/2), then d(v-1) twice and d(v) twice."""
+    b = qdiff(1, scale, nvars)
+    return (-(b * LaurentPoly.var_power(Fraction(-v, 2), scale, 0, nvars)),
+            -(b * LaurentPoly.var_power(Fraction(v, 2), scale, 0, nvars)),
+            qdiff(v - 1, scale, nvars), qdiff(v - 1, scale, nvars),
+            qdiff(v, scale, nvars), qdiff(v, scale, nvars))
+
+
+def formal_row_weights(y, scale):
+    """written_weights at the label x0 - y with w = q^(x0/2) carried as the
+    second variable: t^(a/2) w^e has the key (a*scale, 2*e*scale)."""
+    def mono(a, e):
+        return LaurentPoly(2, scale, {(int(a * scale), 2 * e * scale): 1})
+    b = qdiff(1, scale, 2)
+    d_minus_one = mono(-y - 1, 1) - mono(y + 1, -1)
+    d = mono(-y, 1) - mono(y, -1)
+    return (-(b * mono(y, -1)), -(b * mono(-y, 1)),
+            d_minus_one, d_minus_one, d, d)
 
 
 def random_params(rng, n):
@@ -102,7 +124,9 @@ def test_scaled_weights_are_the_weights_times_b():
         scale = v.denominator
         b = RatFunc(qdiff(1, scale))
         plain = vertex_weights(v, scale)
-        for s, w in enumerate(_scaled_weights(v, scale), start=1):
+        for s, w in enumerate(_label_weights(v, scale), start=1):
+            assert RatFunc(w) == plain[s] * b
+        for s, w in enumerate(written_weights(v, scale), start=1):
             assert RatFunc(w) == plain[s] * b
 
 
@@ -110,7 +134,7 @@ def test_state_sum_matches_enumeration():
     rng = random.Random(5)
     for n in range(1, 5):
         p = random_params(rng, n)
-        site = [[_scaled_weights(p.label(i, j), p.scale) for j in range(n)]
+        site = [[written_weights(p.label(i, j), p.scale) for j in range(n)]
                 for i in range(n)]
         total = enumerated_sum(site, enumerated_states(n),
                                LaurentPoly.one(1, p.scale))
@@ -118,16 +142,31 @@ def test_state_sum_matches_enumeration():
 
 
 def test_formal_row_sum_matches_enumeration():
+    # _z_formal is the scaled sum b^(n^2) Z itself, undivided
     rng = random.Random(6)
     for n in range(1, 4):
         p = random_params(rng, n)
-        site = [[_scaled_weights_formal(y, p.scale) for y in p.ys]]
-        site += [[_scaled_weights(p.label(i, j), p.scale, 2)
+        site = [[formal_row_weights(y, p.scale) for y in p.ys]]
+        site += [[written_weights(p.label(i, j), p.scale, 2)
                   for j in range(n)] for i in range(1, n)]
         total = enumerated_sum(site, enumerated_states(n),
                                LaurentPoly.one(2, p.scale))
-        denom = qdiff(1, p.scale, 2) ** (n * n)
-        assert _z_formal(p) == RatFunc(total, denom)
+        assert _z_formal(p) == total
+
+
+def test_formal_row_at_a_value_is_the_state_sum():
+    # setting w = q^(x0/2) in the formal sum gives b^(n^2) Z at that x0
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        p = random_params(rng, n)
+        scale = p.scale
+        at = {}
+        for (k, kw), c in _z_formal(p).terms.items():
+            key = (k + int(kw * p.xs[0] / 2),)
+            at[key] = at.get(key, 0) + c
+        scaled = RatFunc(LaurentPoly(1, scale, at),
+                         qdiff(1, scale) ** (n * n))
+        assert scaled == z_brute(p)
 
 
 # ---------- the state sum ----------
@@ -177,6 +216,15 @@ def test_degree_bound_in_first_row_parameter():
         xs = [Fraction(0)] + [Fraction(7 * k + 1, 2) for k in range(1, n)]
         ys = [Fraction(k, 2) for k in range(n)]
         assert lemma_degree_check(n, SpectralParams(xs, ys))
+
+
+def test_degree_check_divides_no_two_variable_polynomial(monkeypatch):
+    def refuse(num, den):
+        raise AssertionError("two-variable division")
+    monkeypatch.setattr(laurent, "_divide_sparse", refuse)
+    p = SpectralParams([0, Fraction(9, 2), Fraction(15, 2)],
+                       [0, Fraction(1, 2), 1])
+    assert lemma_degree_check(3, p)
 
 
 def test_contributing_states_at_unit_corner_label():
