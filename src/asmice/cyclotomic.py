@@ -11,6 +11,9 @@ Products are reduced with the fold z^k = z^(k-4) - z^(k-8) (k >= 8), which
 is Phi_24 = 0 rearranged.  Inverses come from the norm: the Galois
 automorphisms sigma_k (z -> z^k, k a unit mod 24) only permute and fold the
 coefficients, and 1/a = prod_{k != 1} sigma_k(a) / N(a) with N(a) rational.
+Scaling by a rational, and so every quotient and inverse, stores an
+integral coefficient as an int, so integral elements stay on int
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ def _fold(conv):
             conv[k - 4] += c
             conv[k - 8] -= c
     return conv[:DEGREE] + [0] * (DEGREE - len(conv))
+
+
+def _integral(x):
+    """x, as an int when it is an integral Fraction."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def _make(coeffs):
@@ -70,7 +80,7 @@ class Cyclotomic:
         return int(r)
 
     def _scale(self, r):
-        return _make([c * r if c else 0 for c in self.coeffs])
+        return _make([_integral(c * r) if c else 0 for c in self.coeffs])
 
     def _sigma(self, k):
         """The automorphism z -> z^k applied to self."""

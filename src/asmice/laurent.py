@@ -43,6 +43,25 @@ at any bound from the quotient's length; when the multiply-back fails, B is
 doubled at most _WIDENINGS times, and then the schoolbook long division
 decides.
 
+Exponent lattice.  The dense lists hold only the lattice lo + g*Z that the
+operands' exponents occupy: g is the gcd of the offsets k - lo over the
+terms of both operands (each with its own least exponent lo), and 1 when
+both are monomials.  A bracket q^(a/2) - q^(-a/2) has its two terms 2*a*D
+grid units apart at scale D, so every product of brackets and monomials
+has g >= 2, and the full grid would leave at least half of each packed
+bigint as zero slots.  With s = t^g an operand is t^lo * A(s).  Multiply:
+t -> t^g is a ring map, so (t^lo1 A(s)) (t^lo2 B(s)) = t^(lo1+lo2) (AB)(s)
+and the kernel multiplies A and B.  Divide: the dividend is t^lo1 N(s)
+and the divisor t^lo2 D(s), and monomials are units, so the question is
+whether N(t^g) = D(t^g) R(t) for some Laurent polynomial R.  Write
+R = sum_r t^r R_r(t^g) over the residues r = 0..g-1.  Every exponent of
+D(t^g) t^r R_r(t^g) is r mod g, and every exponent of N(t^g) is 0 mod g,
+so the residue classes do not mix: D R_r = 0, hence R_r = 0, for r != 0.
+So N(t^g) / D(t^g) is a Laurent polynomial iff N(s)/D(s) is one, and the
+quotient is t^(lo1-lo2) (N/D)(t^g): dividing the compacted lists decides
+NonDivisible exactly as the full grid does.  Packing is judged on the
+compacted lengths.
+
 Cyclotomic coefficients.  A multiply with Cyclotomic coefficients (mixed
 freely with int and Fraction ones) writes each operand as
 sum_k z^k P_k(t), k = 0..7, with rational P_k; a rational coefficient lies
@@ -228,37 +247,32 @@ class LaurentPoly:
         a, b = self._matched(other)
         if a.is_zero or b.is_zero:
             return LaurentPoly.zero(a.nvars, a.scale)
-        if a.nvars == 1 and _worth_packing(len(a.terms) * len(b.terms),
-                                           a._span1() + b._span1()):
-            lo1, x = a._dense1()
-            lo2, y = b._dense1()
-            out = _mul_rational(x, y)
-            if out is None:
-                out = _mul_cyclotomic(x, y)
+        if a.nvars == 1:
+            out = _mul_packed1(a, b)
             if out is not None:
-                return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale)
+                return out
         return LaurentPoly._clean(a.nvars, a.scale,
                                   _mul_terms(a.terms, b.terms, a.nvars))
 
     __rmul__ = __mul__
 
-    def _span1(self):
-        """Length of the dense univariate coefficient list."""
-        return max(self.terms)[0] - min(self.terms)[0] + 1
+    def _span1(self, g):
+        """Length of the dense univariate coefficient list on lo + g*Z."""
+        return (max(self.terms)[0] - min(self.terms)[0]) // g + 1
 
-    def _dense1(self):
-        """Univariate terms as (offset, coefficient list); list[i] is the
-        coefficient of unit^(offset+i)."""
+    def _dense1(self, g=1):
+        """Univariate terms as (offset, coefficient list) on the lattice
+        offset + g*Z; list[i] is the coefficient of unit^(offset+g*i)."""
         lo = min(self.terms)[0]
-        cs = [0] * (max(self.terms)[0] - lo + 1)
+        cs = [0] * ((max(self.terms)[0] - lo) // g + 1)
         for k, c in self.terms.items():
-            cs[k[0] - lo] = c
+            cs[(k[0] - lo) // g] = c
         return lo, cs
 
     @classmethod
-    def _from_dense1(cls, lo, cs, scale):
+    def _from_dense1(cls, lo, cs, scale, g=1):
         return cls._clean(1, scale,
-                          {(lo + i,): c for i, c in enumerate(cs) if c})
+                          {(lo + g * i,): c for i, c in enumerate(cs) if c})
 
     def __pow__(self, n):
         if n < 0:
@@ -396,8 +410,9 @@ def reduced(num, den):
 
 
 def _divide_dense1(num, den):
-    nlo, a = num._dense1()
-    dlo, b = den._dense1()
+    g = _lattice_step(num, den)
+    nlo, a = num._dense1(g)
+    dlo, b = den._dense1(g)
     if len(a) < len(b):
         raise NonDivisible("quotient support would be empty")
     q = None
@@ -405,7 +420,7 @@ def _divide_dense1(num, den):
         q = _divide_rational(a, b)
     if q is None:
         q = _long_divide(a, b)
-    return LaurentPoly._from_dense1(nlo - dlo, q, num.scale)
+    return LaurentPoly._from_dense1(nlo - dlo, q, num.scale, g)
 
 
 def _divide_sparse(num, den):
@@ -512,6 +527,38 @@ def _worth_packing(pairs, slots):
     """The packed kernel touches every slot of the dense spans once; the
     schoolbook touches every pair of nonzero terms."""
     return pairs > _PACK_RATIO * slots
+
+
+def _lattice_step(*polys):
+    """The largest g with every exponent of each univariate polynomial on
+    its own lo + g*Z, lo its least exponent; 1 when all are monomials."""
+    g = 0
+    for p in polys:
+        lo = min(p.terms)[0]
+        g = gcd(g, *[k - lo for k, in p.terms])
+    return g or 1
+
+
+def _mul_packed1(a, b):
+    """Univariate a * b by the packed kernel on the lattice of their
+    exponents; None when the schoolbook is cheaper or a coefficient is
+    neither rational nor cyclotomic."""
+    pairs = len(a.terms) * len(b.terms)
+    # a dense list is never shorter than its term count, so operands this
+    # sparse stay on the schoolbook whatever their lattice step
+    if not _worth_packing(pairs, len(a.terms) + len(b.terms)):
+        return None
+    g = _lattice_step(a, b)
+    if not _worth_packing(pairs, a._span1(g) + b._span1(g)):
+        return None
+    lo1, x = a._dense1(g)
+    lo2, y = b._dense1(g)
+    out = _mul_rational(x, y)
+    if out is None:
+        out = _mul_cyclotomic(x, y)
+    if out is None:
+        return None
+    return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale, g)
 
 
 def _split(cs):

@@ -1,9 +1,11 @@
 """Exact determinants over the rings used in this package.
 
 Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
-The default pipeline clears RatFunc denominators row by row, runs
-fraction-free Bareiss elimination over the polynomial ring (every division
-in Bareiss is exact there), and divides the cleared determinant back out.
+The default pipeline clears RatFunc denominators row by row, scales each
+row whose coefficients are rational to a primitive integer row (dividing
+out its content, a positive rational), runs fraction-free Bareiss
+elimination over Z or Z[t] (every division in Bareiss is exact there), and
+multiplies the contents and divides the cleared determinant back out.
 The determinant sides of the state-sum identity call the clearing step,
 cleared_reciprocals, directly on their polynomial denominators.
 The cofactor (bitmask subset DP) expansion _det_cofactor works over any
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .laurent import LaurentPoly, RatFunc, divide_exact
+from .laurent import LaurentPoly, RatFunc, _split, divide_exact
 
 
 class RingMatrix:
@@ -58,12 +60,12 @@ class RingMatrix:
 
 
 def det_exact(matrix):
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free Bareiss elimination over Z."""
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
     if any(isinstance(x, RatFunc) for row in matrix.rows for x in row):
         return _det_cleared(matrix)
-    return _det_bareiss(matrix.rows)
+    return _det_primitive(matrix.rows)
 
 
 def cleared_reciprocals(e):
@@ -100,7 +102,38 @@ def _det_cleared(matrix):
     rows = [[x.num * c for x, c in zip(er, cr)]
             for er, cr in zip(entries, cleared)]
     den_total = reduce(mul, (dr[0] * cr[0] for dr, cr in zip(dens, cleared)))
-    return RatFunc(_det_bareiss(rows), den_total)
+    return RatFunc(_det_primitive(rows), den_total)
+
+
+def _det_primitive(rows):
+    """Bareiss on the primitive rows, times the product of the contents."""
+    content = 1
+    primitive = []
+    for row in rows:
+        c, row = _primitive_row(row)
+        content *= c
+        primitive.append(row)
+    d = _det_bareiss(primitive)
+    if content == 1:
+        return d
+    return d * (content.numerator if content.denominator == 1 else content)
+
+
+def _primitive_row(row):
+    """(c, row / c) with c the positive rational content of the row's
+    coefficients; (1, row) for a zero row or one with a coefficient that
+    is not rational."""
+    coeffs = []
+    for x in row:
+        coeffs.extend(x.terms.values() if isinstance(x, LaurentPoly) else (x,))
+    split = _split(coeffs) if any(coeffs) else None
+    if split is None or split[0] == 1:
+        return 1, row
+    content, ints = split
+    it = iter(ints)
+    return content, [
+        LaurentPoly._clean(x.nvars, x.scale, {k: next(it) for k in x.terms})
+        if isinstance(x, LaurentPoly) else next(it) for x in row]
 
 
 def _det_bareiss(rows):

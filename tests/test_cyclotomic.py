@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from asmice.chain import q_fourth_root
 from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
 
 #: Phi_24 = z^8 - z^4 + 1, ascending coefficients
@@ -82,6 +83,23 @@ def test_int_coefficients_stay_ints():
     assert all(type(c) is int for c in (z ** 5 + 3 * z - 2).coeffs)
 
 
+def integral_are_ints(a):
+    return all(type(c) is int for c in a.coeffs if c.denominator == 1)
+
+
+def test_integral_quotients_stay_ints():
+    for x in (1, 2, 3):
+        root = q_fourth_root(x)
+        inverse = root.inverse()
+        assert root * inverse == 1
+        assert all(type(c) is int for c in inverse.coeffs)
+        assert all(type(c) is int for c in (1 / root).coeffs)
+        assert all(type(c) is int for c in (root ** -5).coeffs)
+    z = cyclotomic_embed(8)
+    assert all(type(c) is int for c in ((4 * z - 2) / 2).coeffs)
+    assert all(type(c) is int for c in ((z / 3) * Fraction(3)).coeffs)
+
+
 def test_coefficients_must_be_rational():
     for bad in (0.5, "1", cyclotomic_embed(3), complex(1, 0)):
         with pytest.raises(TypeError):
@@ -144,6 +162,15 @@ def test_inverse_of_random_elements(a):
     assume(a)
     assert a * a.inverse() == 1
     assert a / a == 1
+
+
+@given(elements, st.integers(1, 6) | st.fractions(max_denominator=6))
+def test_integral_coefficients_stay_ints(a, r):
+    assume(a and r)
+    assert integral_are_ints(a.inverse())
+    assert integral_are_ints(a / r)
+    assert integral_are_ints(a * r)
+    assert (a * r) / r == a
 
 
 @given(elements, elements, elements)

@@ -11,8 +11,9 @@ from asmice.chain import q_fourth_root
 from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                             _bits, _divide_ints, _divide_rational,
-                            _long_divide, _mul_cyclotomic, _mul_rational,
-                            _mul_terms, _pack, _unpack, _width, divide_exact,
+                            _lattice_step, _long_divide, _mul_cyclotomic,
+                            _mul_packed1, _mul_rational, _mul_terms, _pack,
+                            _unpack, _width, _worth_packing, divide_exact,
                             limit_at_one, reduced, vanishing_order_at_one)
 
 
@@ -394,6 +395,98 @@ def test_dense_cyclotomic_operands_skip_the_schoolbook(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("dense operands reached the schoolbook")
+
+    monkeypatch.setattr(laurent, "_mul_terms", refuse)
+    assert p * q == expected
+
+
+# ---------- the exponent lattice: operands t^lo * A(t^g) ----------
+
+def on_lattice(coeffs, g, lo):
+    """t^lo * A(t^g) in grid units, A with the given coefficients."""
+    return lp({lo + g * i: c for i, c in enumerate(coeffs)})
+
+
+def long_quotient(p, q):
+    """p / q by the schoolbook on the full grid: a LaurentPoly, or
+    NonDivisible."""
+    lo1, a = p._dense1()
+    lo2, b = q._dense1()
+    try:
+        return LaurentPoly._from_dense1(lo1 - lo2, _long_divide(a, b), p.scale)
+    except NonDivisible as exc:
+        return type(exc)
+
+
+def lattice_quotient(p, q):
+    try:
+        return divide_exact(p, q)
+    except NonDivisible as exc:
+        return type(exc)
+
+
+nonzero_rationals = rationals.filter(bool)
+integral_cyclotomic = st.builds(
+    Cyclotomic, st.lists(st.integers(-9, 9), min_size=8, max_size=8)) \
+    .filter(bool)
+lattice_coeffs = (
+    st.lists(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+             min_size=10, max_size=20)
+    | st.lists(nonzero_rationals, min_size=10, max_size=20)
+    | st.lists(nonzero_rationals | integral_cyclotomic, min_size=10,
+               max_size=14))
+odd_offsets = st.integers(-30, 30).map(lambda k: 2 * k + 1)
+
+
+@given(st.sampled_from([2, 3, 24]), lattice_coeffs, lattice_coeffs,
+       odd_offsets, odd_offsets)
+def test_lattice_kernel_against_the_schoolbook(g, a, b, lo1, lo2):
+    p, q = on_lattice(a, g, lo1), on_lattice(b, g, lo2)
+    assert _lattice_step(p, q) == g
+    product = schoolbook(p, q)
+    assert _mul_packed1(p, q) == product == p * q
+    assert lattice_quotient(product, q) == long_quotient(product, q) == p
+
+
+def test_lattices_2z_and_3z_together_pack_on_the_full_grid():
+    for kinds in ([5, -3, 7], [Fraction(1, 3), 2, Fraction(-5, 7)],
+                  [z4, Fraction(1, 2), 1 - z4]):
+        p = on_lattice([kinds[i % 3] * (i + 1) for i in range(30)], 2, -7)
+        q = on_lattice([kinds[i % 3] * (2 * i - 19) for i in range(30)], 3, 5)
+        assert _lattice_step(p, q) == 1
+        product = schoolbook(p, q)
+        assert _mul_packed1(p, q) == product == p * q
+        assert lattice_quotient(product, q) == long_quotient(product, q) == p
+        assert lattice_quotient(product, p) == long_quotient(product, p) == q
+
+
+def test_lattice_step_spans_both_operands():
+    assert _lattice_step(lp({7: 2}), lp({-3: 1})) == 1
+    assert _lattice_step(lp({7: 2}), lp({-3: 1, 3: 1})) == 6
+
+
+@given(st.sampled_from([2, 3, 24]), lattice_coeffs, lattice_coeffs,
+       odd_offsets, st.integers(1, 23))
+def test_one_off_lattice_term_is_not_divisible(g, a, b, lo, shift):
+    q = on_lattice(b, g, lo)
+    num = schoolbook(on_lattice(a, g, lo), q)
+    lo = min(num.terms)[0]
+    num = num + lp({lo + shift % (g - 1) + 1: 1})      # off the lattice
+    assert long_quotient(num, q) is NonDivisible
+    assert lattice_quotient(num, q) is NonDivisible
+
+
+def test_compacted_operands_reach_the_kernel(monkeypatch):
+    # on 2Z, 9 terms each: 81 pairs against 34 full-grid slots does not
+    # pack, against the 18 lattice slots it does
+    p = on_lattice(range(1, 10), 2, -5)
+    q = on_lattice(range(-9, 0), 2, 3)
+    assert not _worth_packing(81, p._span1(1) + q._span1(1))
+    assert _worth_packing(81, p._span1(2) + q._span1(2))
+    expected = schoolbook(p, q)
+
+    def refuse(*args):
+        raise AssertionError("lattice operands reached the schoolbook")
 
     monkeypatch.setattr(laurent, "_mul_terms", refuse)
     assert p * q == expected

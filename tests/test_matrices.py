@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from asmice import matrices
 from asmice.brackets import qdiff
+from asmice.dets import EpsilonGrid, general_x_matrix
 from asmice.laurent import LaurentPoly, RatFunc
 from asmice.matrices import (RingMatrix, _det_cofactor, cleared_reciprocals,
                              det_exact)
@@ -103,3 +105,49 @@ def test_cleared_reciprocals():
         recip = RingMatrix([[RatFunc(LaurentPoly.one(1, 2), x) for x in row]
                             for row in e])
         assert det_exact(c) == _det_cofactor(recip) * prod
+
+
+def test_bareiss_runs_over_the_integers(monkeypatch):
+    grid = EpsilonGrid.symmetric((-4, -2, 0, 2, 4))
+    m = general_x_matrix(grid, s=Fraction(7, 5))
+    seen = set()
+    mul = LaurentPoly.__mul__
+    bareiss = matrices._det_bareiss
+
+    def checked(a, b):
+        for p in (a, b):
+            coeffs = p.terms.values() if isinstance(p, LaurentPoly) else (p,)
+            seen.update(map(type, coeffs))
+        return mul(a, b)
+
+    def traced(rows):
+        monkeypatch.setattr(LaurentPoly, "__mul__", checked)
+        try:
+            return bareiss(rows)
+        finally:
+            monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+
+    monkeypatch.setattr(matrices, "_det_bareiss", traced)
+    d = det_exact(m)
+    assert seen == {int}
+    monkeypatch.undo()
+    for u in (3, Fraction(1, 2)):           # x = u^2
+        at_x = general_x_matrix(grid, x=u * u, s=Fraction(7, 5))
+        assert d.eval_units(u) == _det_cofactor(at_x)
+
+
+def test_row_contents_multiply_back():
+    rng = random.Random(19)
+    for _ in range(4):
+        m = RingMatrix.from_fn(
+            3, 3, lambda i, j: (qdiff(rng.randrange(1, 5))
+                                + LaurentPoly.const(rng.randrange(-3, 4)))
+            * Fraction(rng.randrange(1, 9), rng.randrange(1, 9)) * (i + 2))
+        d = det_exact(m)
+        assert d == _det_cofactor(m)
+    m = RingMatrix([[Fraction(1, 2), Fraction(3, 4)], [6, 4]])
+    assert det_exact(m) == Fraction(-5, 2)
+    assert type(det_exact(RingMatrix([[2, 4], [3, 9]]))) is int
+    zero_row = RingMatrix([[LaurentPoly.zero(), LaurentPoly.zero()],
+                           [qdiff(1), qdiff(2)]])
+    assert det_exact(zero_row) == 0
