@@ -22,40 +22,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
-                      _inv_scalar)
+from .laurent import LaurentPoly, NonDivisible, RatFunc, _inv_scalar
 
 
-def qdiff(a, scale=1, nvars=1, var=0):
-    """The two-term Laurent polynomial t^(a/2) - t^(-a/2)."""
-    k = Fraction(a) * scale
-    if k.denominator != 1:
-        raise GridViolation(f"{a}/2 is not on the 1/{2 * scale} grid")
-    k = int(k)
-    if k == 0:
-        return LaurentPoly.zero(nvars, scale)
-    pos = [0] * nvars
-    neg = [0] * nvars
-    pos[var] = k
-    neg[var] = -k
-    return LaurentPoly(nvars, scale, {tuple(pos): 1, tuple(neg): -1})
+def qdiff(a, nvars=1, var=0):
+    """The two-term Laurent polynomial t^(a/2) - t^(-a/2), for any
+    rational a."""
+    half = Fraction(a) / 2
+    return (LaurentPoly.var_power(half, var, nvars)
+            - LaurentPoly.var_power(-half, var, nvars))
 
 
-def qdiff_product(values, scale=1):
+def qdiff_product(values):
     """prod_{j<i} d(v_i - v_j) over the values in the given order."""
-    out = LaurentPoly.one(1, scale)
+    out = LaurentPoly.one()
     for i, v in enumerate(values):
         for u in values[:i]:
-            out = out * qdiff(v - u, scale)
+            out = out * qdiff(v - u)
     return out
 
 
-def beta(scale=1, nvars=1, var=0):
+def beta(nvars=1, var=0):
     """t^(1/2) - t^(-1/2), the bracket denominator."""
-    return qdiff(1, scale, nvars, var)
+    return qdiff(1, nvars, var)
 
 
-def bracket(a, scale=1, nvars=1, var=0):
+def bracket(a, nvars=1, var=0):
     """The bracket [a] as a LaurentPoly; a must be an integer.
 
     For non-integral rational a the quotient d(a)/d(1) is not a Laurent
@@ -65,22 +57,19 @@ def bracket(a, scale=1, nvars=1, var=0):
     a = Fraction(a)
     if a.denominator != 1:
         raise NonDivisible(f"[{a}] is not a Laurent polynomial")
-    n = a.numerator
-    if n == 0:
-        return LaurentPoly.zero(nvars, scale)
-    sign = 1 if n > 0 else -1
-    n = abs(n)
+    sign = 1 if a > 0 else -1
+    n = abs(a.numerator)
     terms = {}
     for j in range(n):
         exps = [0] * nvars
-        exps[var] = (n - 1 - 2 * j) * scale
+        exps[var] = n - 1 - 2 * j
         terms[tuple(exps)] = sign
-    return LaurentPoly(nvars, scale, terms)
+    return LaurentPoly(nvars, 1, terms)
 
 
-def bracket_ratio(a, scale=1, nvars=1, var=0):
-    """[a] as an exact RatFunc, valid for any grid-representable rational a."""
-    return RatFunc(qdiff(a, scale, nvars, var), beta(scale, nvars, var))
+def bracket_ratio(a, nvars=1, var=0):
+    """[a] as an exact RatFunc, valid for any rational a."""
+    return RatFunc(qdiff(a, nvars, var), beta(nvars, var))
 
 
 class BracketProduct:
@@ -192,13 +181,12 @@ class BracketProduct:
             value *= Fraction(a) ** e
         return self.coeff * value
 
-    def expand_ratfunc(self, scale=1):
+    def expand_ratfunc(self):
         """The product as an explicit RatFunc in one variable."""
-        num = LaurentPoly.monomial(self.coeff, (self.unit_expo * scale,), scale) \
-            if not self.zero else LaurentPoly.zero(1, scale)
-        den = LaurentPoly.one(1, scale)
+        num = LaurentPoly.var_power(Fraction(self.unit_expo, 2)) * self.coeff
+        den = LaurentPoly.one()
         for a, e in sorted(self.diffs.items()):
-            f = _diff_units(a, scale)
+            f = qdiff(a)
             if e > 0:
                 num = num * f ** e
             else:
@@ -215,9 +203,4 @@ class BracketProduct:
             return "BracketProduct(0)"
         fs = " * ".join(f"d({a})^{e}" for a, e in sorted(self.diffs.items()))
         return f"BracketProduct({self.coeff} * u^{self.unit_expo}{' * ' + fs if fs else ''})"
-
-
-def _diff_units(a, scale):
-    """d(a) with the argument in half-power units: s^(a/2) - s^(-a/2)."""
-    return LaurentPoly(1, scale, {(a * scale,): 1, (-a * scale,): -1})
 

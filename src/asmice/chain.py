@@ -35,7 +35,6 @@ is taken on the exact rational function.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .brackets import BracketProduct, qdiff_product
 from .cyclotomic import Cyclotomic, cyclotomic_embed
@@ -56,22 +55,12 @@ def q_fourth_root(x):
     return cyclotomic_embed({1: 6, 2: 8, 3: 12}[x])
 
 
-def tau_poly(g, x, scale=1):
+def tau_poly(g, x):
     """s^g + s^(-g) - (x - 2) as a polynomial in the deformation unit."""
     x = Fraction(x)
     if x.denominator == 1:
         x = x.numerator             # int coefficients keep Bareiss over Z
-    k = Fraction(g) * 2 * scale
-    if k.denominator != 1:
-        raise ValueError(f"exponent {g} not on the 1/{2 * scale} grid")
-    k = int(k)
-    if k == 0:
-        return LaurentPoly.const(4 - x, 1, scale)
-    return LaurentPoly(1, scale, {(k,): 1, (-k,): 1, (0,): 2 - x})
-
-
-def _grid_scale(grid):
-    return lcm(*(f.denominator for f in grid.row_f + grid.col_f))
+    return LaurentPoly.var_power(g) + LaurentPoly.var_power(-g) + (2 - x)
 
 
 def ik_eps_ratfunc(n, x, grid=None):
@@ -85,9 +74,8 @@ def ik_eps_ratfunc(n, x, grid=None):
     beta_sq = x * x - 4 * x
     if beta_sq == 0:
         raise ValueError("x in {0, 4} degenerates the weights")
-    scale = _grid_scale(grid)
 
-    taus = [[tau_poly(grid.g(i, j), x, scale) for j in range(n)]
+    taus = [[tau_poly(grid.g(i, j), x) for j in range(n)]
             for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -95,12 +83,12 @@ def ik_eps_ratfunc(n, x, grid=None):
                 raise ValueError(f"tau vanishes at entry ({i},{j})")
     det = det_exact(cleared_reciprocals(taus))
     num = LaurentPoly.var_power(
-        Fraction(sum(grid.col_f) - sum(grid.row_f), 2), scale) * det
+        Fraction(sum(grid.col_f) - sum(grid.row_f), 2)) * det
     beta_power = beta_sq ** ((n * n - n) // 2)
     if beta_power.denominator == 1:
         beta_power = beta_power.numerator   # int coefficients stay ints
-    den = (qdiff_product(grid.row_f, scale)
-           * qdiff_product(grid.col_f[::-1], scale) * beta_power)
+    den = (qdiff_product(grid.row_f)
+           * qdiff_product(grid.col_f[::-1]) * beta_power)
     return RatFunc(num, den)
 
 
@@ -153,10 +141,9 @@ def z_half_eps_brute(n, x, grid=None):
         raise ValueError("grid size mismatch")
     q4 = q_fourth_root(x)
     h = q4 * q4
-    scale = _grid_scale(grid)
-    site = [[site_weights(LaurentPoly.var_power(grid.g(i, j) / 2, scale) * q4,
-                          h) for j in range(n)] for i in range(n)]
-    total = state_sweep({0: LaurentPoly.one(1, scale)}, site)[(1 << n) - 1]
+    site = [[site_weights(LaurentPoly.var_power(grid.g(i, j) / 2) * q4, h)
+             for j in range(n)] for i in range(n)]
+    total = state_sweep({0: LaurentPoly.one()}, site)[(1 << n) - 1]
     return RatFunc(total * (h - h ** -1) ** -(n * n))
 
 

@@ -27,7 +27,6 @@ determinants:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .brackets import BracketProduct, qdiff, qdiff_product
 from .laurent import LaurentPoly, RatFunc
@@ -42,7 +41,6 @@ def cauchy_matrix(xs, ys):
     """T_{i,j} = 1/[x_i - y_j] over the formal q-variable."""
     xs = [Fraction(x) for x in xs]
     ys = [Fraction(y) for y in ys]
-    scale = lcm(*(v.denominator for v in xs + ys))
     n = len(xs)
     if len(ys) != n:
         raise ValueError("parameter count mismatch")
@@ -50,10 +48,10 @@ def cauchy_matrix(xs, ys):
     _require_distinct(ys, "y")
 
     def entry(i, j):
-        d = qdiff(xs[i] - ys[j], scale)
+        d = qdiff(xs[i] - ys[j])
         if d.is_zero:
             raise ValueError(f"x_{i} - y_{j} = 0: entry pole")
-        return RatFunc(qdiff(1, scale), d)
+        return RatFunc(qdiff(1), d)
 
     return RingMatrix.from_fn(n, n, entry)
 
@@ -63,16 +61,14 @@ def cauchy_det_closed(xs, ys):
     assembled as b^n * prod d(x_i-x_j) prod d(y_i-y_j) / prod d(x_i-y_j)."""
     xs = [Fraction(x) for x in xs]
     ys = [Fraction(y) for y in ys]
-    scale = lcm(*(v.denominator for v in xs + ys))
     n = len(xs)
     if len(ys) != n:
         raise ValueError("parameter count mismatch")
-    num = (qdiff(1, scale) ** n * qdiff_product(xs, scale)
-           * qdiff_product(ys[::-1], scale))
-    den = LaurentPoly.one(1, scale)
+    num = qdiff(1) ** n * qdiff_product(xs) * qdiff_product(ys[::-1])
+    den = LaurentPoly.one()
     for x in xs:
         for y in ys:
-            den = den * qdiff(x - y, scale)
+            den = den * qdiff(x - y)
     return RatFunc(num, den)
 
 
@@ -122,7 +118,7 @@ def s_matrix_bivariate(n):
     """S(n;s,t) with both variables formal (small-n cross-check mode)."""
     def entry(i, j):
         m = i + j + 1
-        return RatFunc(qdiff(m, 1, 2, 0), qdiff(m, 1, 2, 1))
+        return RatFunc(qdiff(m, 2, 0), qdiff(m, 2, 1))
 
     return RingMatrix.from_fn(n, n, entry)
 
@@ -138,9 +134,9 @@ def s_det_closed_bivariate(n):
         return LaurentPoly(2, 1, {(1, -k): 1, (-1, k): -1})
 
     def dt(m):
-        return qdiff(m, 1, 2, 1)
+        return qdiff(m, 2, 1)
 
-    num = LaurentPoly.one(2, 1)
+    num = LaurentPoly.one(2)
     for i in range(n):
         for j in range(i):
             num = num * dt(i - j) ** 2
@@ -148,7 +144,7 @@ def s_det_closed_bivariate(n):
         num = num * mixed(k) ** (n - k)
     for k in range(1, n):
         num = num * mixed(-k) ** (n - k)
-    den = LaurentPoly.one(2, 1)
+    den = LaurentPoly.one(2)
     for i in range(n):
         for j in range(n):
             den = den * dt(i + j + 1)
@@ -203,56 +199,29 @@ def general_x_matrix(grid, x=FORMAL, s=FORMAL):
     entries are bivariate (variable 0 is s, variable 1 is x); with one
     rational value substituted they are univariate in the other.
     """
-    n = grid.n
-    if x is FORMAL and s is FORMAL:
-        xvar = LaurentPoly.var_power(1, 1, 1, 2)
-        num = xvar * xvar - 4 * xvar
-
-        def entry(i, j):
-            g = grid.g(i, j)
-            den = _spow_bivar(g) + _spow_bivar(-g) + 2 - xvar
-            return RatFunc(num, den)
-    elif x is FORMAL:
-        s_val = Fraction(s)
-        num = LaurentPoly(1, 1, {(4,): 1, (2,): -4})
-
-        def entry(i, j):
-            g = grid.g(i, j)
-            c = _rat_pow(s_val, g) + _rat_pow(s_val, -g) + 2
-            den = LaurentPoly(1, 1, {(0,): c, (2,): -1})
-            return RatFunc(num, den)
-    elif s is FORMAL:
-        xv = Fraction(x)
-        num = LaurentPoly.const(xv * xv - 4 * xv)
-
-        def entry(i, j):
-            g = grid.g(i, j)
-            den = _spow(g) + _spow(-g) + (2 - xv)
-            if den.is_zero:
-                raise ValueError(f"zero denominator at entry ({i},{j})")
-            return RatFunc(num, den)
+    nvars = 2 if x is FORMAL and s is FORMAL else 1
+    if s is FORMAL:
+        def spow(g):
+            return LaurentPoly.var_power(g, 0, nvars)
     else:
-        xv = Fraction(x)
-        s_val = Fraction(s)
+        s = Fraction(s)
 
-        def entry(i, j):
-            g = grid.g(i, j)
-            den = _rat_pow(s_val, g) + _rat_pow(s_val, -g) + 2 - xv
-            if not den:
-                raise ValueError(f"zero denominator at entry ({i},{j})")
-            return (xv * xv - 4 * xv) / den
+        def spow(g):
+            return _rat_pow(s, g)
+    x = LaurentPoly.var_power(1, nvars - 1, nvars) if x is FORMAL \
+        else Fraction(x)
+    num = x * x - 4 * x
 
-    return RingMatrix.from_fn(n, n, entry)
+    def entry(i, j):
+        g = grid.g(i, j)
+        den = spow(g) + spow(-g) + 2 - x
+        if not den:
+            raise ValueError(f"zero denominator at entry ({i},{j})")
+        if isinstance(den, Fraction):
+            return num / den
+        return RatFunc(num, den)
 
-
-def _spow(g):
-    g = Fraction(g)
-    return LaurentPoly.var_power(g, (2 * g).denominator)
-
-
-def _spow_bivar(g):
-    g = Fraction(g)
-    return LaurentPoly.var_power(g, (2 * g).denominator, 0, 2)
+    return RingMatrix.from_fn(grid.n, grid.n, entry)
 
 
 def _rat_pow(base, e):

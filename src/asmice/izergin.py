@@ -32,7 +32,7 @@ from .sixvertex import SpectralParams
 class IkInstance:
     """Validated parameter set for the determinant formula."""
 
-    __slots__ = ("params", "scale")
+    __slots__ = ("params",)
 
     def __init__(self, params):
         if not isinstance(params, SpectralParams):
@@ -51,7 +51,6 @@ class IkInstance:
                 if params.ys[i] == params.ys[j]:
                     raise ValueError(f"y_{i} = y_{j}: prefactor denominator vanishes")
         self.params = params
-        self.scale = params.scale
 
     @property
     def n(self):
@@ -61,11 +60,10 @@ class IkInstance:
 def ik_matrix(inst):
     """The n x n matrix M with entries 1/([x_i-y_j][x_i-y_j-1])."""
     p = inst.params
-    scale = inst.scale
 
     def entry(i, j):
         v = p.label(i, j)
-        return (bracket_ratio(v, scale) * bracket_ratio(v - 1, scale)).reciprocal()
+        return (bracket_ratio(v) * bracket_ratio(v - 1)).reciprocal()
 
     return RingMatrix.from_fn(inst.n, inst.n, entry)
 
@@ -74,15 +72,14 @@ def ik_z(inst):
     """The determinant side of the state-sum identity, exact."""
     p = inst.params
     n = inst.n
-    scale = inst.scale
-    e = [[qdiff(p.label(i, j), scale) * qdiff(p.label(i, j) - 1, scale)
+    e = [[qdiff(p.label(i, j)) * qdiff(p.label(i, j) - 1)
           for j in range(n)] for i in range(n)]
     det = det_exact(cleared_reciprocals(e))
     shift = sum(y - x for x, y in zip(p.xs, p.ys))
-    mono = LaurentPoly.var_power(shift / 2, scale)
+    mono = LaurentPoly.var_power(shift / 2)
     num = mono * det
     if n % 2:
         num = -num
-    den = (qdiff(1, scale) ** (n * n - n) * qdiff_product(p.xs, scale)
-           * qdiff_product(p.ys[::-1], scale))
+    den = (qdiff(1) ** (n * n - n) * qdiff_product(p.xs)
+           * qdiff_product(p.ys[::-1]))
     return reduced(num, den)

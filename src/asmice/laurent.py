@@ -5,6 +5,12 @@ scale D, stored as integer multiples of the grid unit.  So at scale D=1 the
 monomial t^(1/2) has exponent key 1 and t^(-3) has key -6.  One or two
 variables are supported; keys are exponent tuples of length nvars.
 
+The grid is this module's business.  A constructor that takes a rational
+exponent (var_power, and the brackets module's qdiff through it) picks the
+coarsest grid that holds it, and every binary operation promotes its
+operands to the least common grid (_matched).  Callers never choose D; only
+the raw-key constructor LaurentPoly(nvars, scale, terms) takes one.
+
 Coefficients are exact scalars: int, fractions.Fraction, or any ring element
 that sets the class attribute ``scalar_ring = True`` (the cyclotomic numbers
 in this package do).  Zero coefficients are never stored.
@@ -163,12 +169,11 @@ class LaurentPoly:
         return cls(nvars, scale, {tuple(exps): 1})
 
     @classmethod
-    def var_power(cls, a, scale=1, var=0, nvars=1):
-        """The monomial t_var^a for rational a; a*2*scale must be integral."""
-        k = Fraction(a) * 2 * scale
-        if k.denominator != 1:
-            raise GridViolation(f"exponent {a} not on the 1/{2*scale} grid")
-        return cls.unit_power(int(k), scale, var, nvars)
+    def var_power(cls, a, var=0, nvars=1):
+        """The monomial t_var^a for rational a, on the coarsest grid that
+        holds it: scale (2a).denominator."""
+        k = Fraction(a) * 2
+        return cls.unit_power(k.numerator, k.denominator, var, nvars)
 
     # ---------- structure ----------
 
@@ -191,8 +196,11 @@ class LaurentPoly:
         if new_scale % self.scale:
             raise GridViolation("new scale must be a multiple of the old one")
         m = new_scale // self.scale
-        return LaurentPoly(self.nvars, new_scale,
-                           {tuple(e * m for e in k): c for k, c in self.terms.items()})
+        if self.nvars == 1:
+            terms = {(e * m,): c for (e,), c in self.terms.items()}
+        else:
+            terms = {(e * m, f * m): c for (e, f), c in self.terms.items()}
+        return LaurentPoly._clean(self.nvars, new_scale, terms)
 
     def _matched(self, other):
         if self.nvars != other.nvars:
@@ -434,7 +442,7 @@ def _divide_sparse(num, den):
     dterms = {(k[0] - dmin[0], k[1] - dmin[1]): c
               for k, c in den.terms.items()}
     dlead = min(dterms, key=_grlex_desc)
-    dlc = dterms[dlead]
+    over_lead = _divider(dterms[dlead])
     heap = [(*_grlex_desc(k), k) for k in rem]
     heapify(heap)
     quot = {}
@@ -446,7 +454,7 @@ def _divide_sparse(num, den):
         mono = (rlead[0] - dlead[0], rlead[1] - dlead[1])
         if mono[0] < 0 or mono[1] < 0:
             raise NonDivisible("leading term not divisible")
-        qc = _coeff_div(c, dlc)
+        qc = over_lead(c)
         quot[mono] = qc
         for k, dc in dterms.items():
             key = (mono[0] + k[0], mono[1] + k[1])
@@ -473,7 +481,7 @@ def _long_divide(a, b):
     """Schoolbook quotient of coefficient lists a / b with b[0] and b[-1]
     nonzero; raise NonDivisible on a nonzero remainder."""
     dn = len(b) - 1
-    lead = b[dn]
+    over_lead = _divider(b[dn])
     nonzero = [(j, c) for j, c in enumerate(b) if c]
     q = [0] * (len(a) - dn)
     r = list(a)
@@ -481,7 +489,7 @@ def _long_divide(a, b):
         c = r[i]
         if not c:
             continue
-        qc = _coeff_div(c, lead)
+        qc = over_lead(c)
         base = i - dn
         q[base] = qc
         for j, cb in nonzero:
@@ -726,14 +734,14 @@ def _bias(slots, size):
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
-def _coeff_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        if b and a % b == 0:
-            return a // b
-        return Fraction(a, b)
+def _divider(b):
+    """The map a -> a / b for a fixed nonzero coefficient b, which inverts
+    b once; an int quotient of ints that b divides stays an int."""
+    inv = _inv_scalar(b)
     if isinstance(b, int):
-        b = Fraction(b)
-    return a / b
+        return lambda a: (a // b if isinstance(a, int) and not a % b
+                          else a * inv)
+    return lambda a: a * inv
 
 
 class RatFunc:

@@ -77,7 +77,7 @@ def cleared_reciprocals(e):
     """
     rows = []
     for row in e:
-        out = [LaurentPoly.one(row[0].nvars, row[0].scale)]
+        out = [LaurentPoly.one(row[0].nvars)]
         for x in row[:-1]:
             out.append(out[-1] * x)         # prod_{k < j} e_ik
         suffix = row[-1]
@@ -200,9 +200,9 @@ def _exact_div(value, divisor):
 
 def _ring_zero(sample):
     if isinstance(sample, LaurentPoly):
-        return LaurentPoly.zero(sample.nvars, sample.scale)
+        return LaurentPoly.zero(sample.nvars)
     if isinstance(sample, RatFunc):
-        return RatFunc(LaurentPoly.zero(sample.num.nvars, sample.num.scale))
+        return RatFunc(LaurentPoly.zero(sample.num.nvars))
     if isinstance(sample, Fraction):
         return Fraction(0)
     return 0

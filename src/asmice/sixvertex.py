@@ -20,6 +20,8 @@ The scaled weights are written once, in site_weights(m, h), m = q^(v/2),
 h = q^(1/2); its callers pass a generic label (z_brute, ybe.ybe_check),
 a label keeping w = q^(x_0/2) formal (the degree check), or a label
 pinned to a root of unity on the epsilon grid (chain.z_half_eps_brute).
+vertex_weights divides them back by b.  Each weight sits on the exponent
+grid its own label needs; the laurent module promotes mixed grids.
 
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
@@ -31,7 +33,6 @@ elsewhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .brackets import bracket_ratio, qdiff
 from .ice import ZERO_STATE
@@ -44,7 +45,7 @@ Z_BRUTE_BOUND = 6
 class SpectralParams:
     """Row parameters x_i and column parameters y_j, all rational."""
 
-    __slots__ = ("xs", "ys", "scale")
+    __slots__ = ("xs", "ys")
 
     def __init__(self, xs, ys):
         self.xs = tuple(Fraction(x) for x in xs)
@@ -52,7 +53,6 @@ class SpectralParams:
         if len(self.xs) != len(self.ys) or not self.xs:
             raise ValueError(
                 "need equally many row and column parameters, at least one")
-        self.scale = lcm(*(v.denominator for v in self.xs + self.ys))
 
     @property
     def n(self):
@@ -81,17 +81,12 @@ class SpectralParams:
         return f"SpectralParams(X={list(self.xs)}, Y={list(self.ys)})"
 
 
-def vertex_weights(v, scale=None):
-    """The six weights at label v as a map state -> RatFunc in q."""
-    v = Fraction(v)
-    if scale is None:
-        scale = v.denominator
-    minus_lo = LaurentPoly.var_power(Fraction(-v, 2), scale) * -1
-    minus_hi = LaurentPoly.var_power(Fraction(v, 2), scale) * -1
-    side = bracket_ratio(v - 1, scale)
-    turn = bracket_ratio(v, scale)
-    return {1: RatFunc(minus_lo), 2: RatFunc(minus_hi),
-            3: side, 4: side, 5: turn, 6: turn}
+def vertex_weights(v):
+    """The six weights at label v as a map state -> RatFunc in q: the
+    scaled weights divided by b = q^(1/2) - q^(-1/2)."""
+    b = qdiff(1)
+    return {state: reduced(w, b)
+            for state, w in enumerate(_label_weights(v), start=1)}
 
 
 def site_weights(m, h):
@@ -108,10 +103,10 @@ def site_weights(m, h):
     return (-(mi * b), -(m * b), turn, turn, side, side)
 
 
-def _label_weights(v, scale):
-    """site_weights at the label v, on the 1/(2*scale) grid."""
-    return site_weights(LaurentPoly.var_power(Fraction(v, 2), scale),
-                        LaurentPoly.var_power(Fraction(1, 2), scale))
+def _label_weights(v):
+    """site_weights at the label v."""
+    return site_weights(LaurentPoly.var_power(Fraction(v) / 2),
+                        LaurentPoly.var_power(Fraction(1, 2)))
 
 
 def state_sweep(frontier, rows):
@@ -151,7 +146,7 @@ def _site(p, rows):
     if p.n > Z_BRUTE_BOUND:
         raise ValueError(
             f"n={p.n} exceeds the state-sum bound {Z_BRUTE_BOUND}")
-    return [[_label_weights(p.label(i, j), p.scale) for j in range(p.n)]
+    return [[_label_weights(p.label(i, j)) for j in range(p.n)]
             for i in rows]
 
 
@@ -160,8 +155,8 @@ def z_brute(p):
     sweep over the scaled site weights."""
     n = p.n
     site = _site(p, range(n))
-    total = state_sweep({0: LaurentPoly.one(1, p.scale)}, site)[(1 << n) - 1]
-    return reduced(total, qdiff(1, p.scale) ** (n * n))
+    total = state_sweep({0: LaurentPoly.one()}, site)[(1 << n) - 1]
+    return reduced(total, qdiff(1) ** (n * n))
 
 
 def _z_formal(p):
@@ -176,19 +171,18 @@ def _z_formal(p):
     (tens of thousands of live terms at n = 4).
     """
     n = p.n
-    scale = p.scale
     rest = _site(p, range(1, n))
-    h = LaurentPoly.var_power(Fraction(1, 2), scale, 0, 2)
-    w = LaurentPoly.var_power(1, scale, 1, 2)
-    row = [site_weights(LaurentPoly.var_power(-y / 2, scale, 0, 2) * w, h)
+    h = LaurentPoly.var_power(Fraction(1, 2), 0, 2)
+    w = LaurentPoly.var_power(1, 1, 2)
+    row = [site_weights(LaurentPoly.var_power(-y / 2, 0, 2) * w, h)
            for y in p.ys]
-    top = state_sweep({0: LaurentPoly.one(2, scale)}, [row])
-    one = LaurentPoly.one(1, scale)
-    total = LaurentPoly.zero(2, scale)
+    top = state_sweep({0: LaurentPoly.one(2)}, [row])
+    total = LaurentPoly.zero(2)
     for mask, weight in top.items():
-        below = state_sweep({mask: one}, rest)[(1 << n) - 1]
+        below = state_sweep({mask: LaurentPoly.one()}, rest)[(1 << n) - 1]
+        # below sits on its own grid, which may be coarser than weight's
         total = total + weight * LaurentPoly._clean(
-            2, scale, {(k[0], 0): c for k, c in below.terms.items()})
+            2, below.scale, {(k[0], 0): c for k, c in below.terms.items()})
     return total
 
 
@@ -205,14 +199,13 @@ def lemma_recursion_check(n, p, i, j):
     if p.xs[i] != p.ys[j] + 1:
         raise ValueError(f"precondition x_{i} = y_{j} + 1 violated")
     lhs = z_brute(p)
-    scale = p.scale
-    factor = RatFunc(LaurentPoly(1, scale, {(-scale,): -1}))
+    factor = RatFunc(LaurentPoly.var_power(Fraction(-1, 2)) * -1)
     for k in range(n):
         if k != j:
-            factor = factor * bracket_ratio(p.xs[i] - p.ys[k], scale)
+            factor = factor * bracket_ratio(p.xs[i] - p.ys[k])
     for k in range(n):
         if k != i:
-            factor = factor * bracket_ratio(p.xs[k] - p.ys[j], scale)
+            factor = factor * bracket_ratio(p.xs[k] - p.ys[j])
     if n == 1:
         return lhs == factor
     return lhs == factor * z_brute(p.drop(i, j))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .ice import STATE_OF_FLAGS
 from .laurent import LaurentPoly
@@ -75,10 +74,10 @@ def _crossing_weight(weights, bl, br, tl, tr):
     return weights[state - 1]
 
 
-def _side_sum(crossings, weight_of, boundary_bits, scale):
+def _side_sum(crossings, weight_of, boundary_bits):
     internal = sorted({e for c in crossings for e in c[1:] if e[0] in "IJ"})
     orient = dict(zip(BOUNDARY, boundary_bits))
-    total = LaurentPoly.zero(1, scale)
+    total = LaurentPoly.zero()
     for bits in product((False, True), repeat=len(internal)):
         orient.update(zip(internal, bits))
         term = None
@@ -98,18 +97,16 @@ def ybe_check(y, z):
     """Run all 64 boundary cases at crossing labels (y, z, x = y + z)."""
     y = Fraction(y)
     z = Fraction(z)
-    x = y + z
-    scale = lcm(y.denominator, z.denominator)
-    weight_of = {"x": _label_weights(x, scale),
-                 "y": _label_weights(y, scale),
-                 "z": _label_weights(z, scale)}
+    weight_of = {"x": _label_weights(y + z),
+                 "y": _label_weights(y),
+                 "z": _label_weights(z)}
     trivial = 0
     equal = 0
     failures = []
     lhs_by_bits = {}
     for bits in product((False, True), repeat=6):
-        lhs = _side_sum(LHS_CROSSINGS, weight_of, bits, scale)
-        rhs = _side_sum(RHS_CROSSINGS, weight_of, bits, scale)
+        lhs = _side_sum(LHS_CROSSINGS, weight_of, bits)
+        rhs = _side_sum(RHS_CROSSINGS, weight_of, bits)
         lhs_by_bits[bits] = lhs
         if lhs == rhs:
             equal += 1

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from asmice.brackets import (BracketProduct, beta, bracket, bracket_ratio,
                              qdiff)
-from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc)
+from asmice.laurent import LaurentPoly, NonDivisible, RatFunc
 
 
 def lp(terms, scale=1):
@@ -27,14 +27,16 @@ def test_qdiff_basic_values():
     assert qdiff(0).is_zero
     assert qdiff(1) == lp({1: 1, -1: -1})
     assert qdiff(3) == lp({3: 1, -3: -1})
-    assert qdiff(Fraction(1, 2), scale=2) == lp({1: 1, -1: -1}, scale=2)
-    with pytest.raises(GridViolation):
-        qdiff(Fraction(1, 2))
+    assert qdiff(Fraction(1, 2)) == lp({1: 1, -1: -1}, scale=2)
+    assert qdiff(Fraction(-2, 3)) == lp({-2: 1, 2: -1}, scale=3)
+    # each on the coarsest grid that holds t^(a/2): D = a.denominator
+    for a in (0, 1, -3, Fraction(1, 2), Fraction(5, 4), Fraction(-7, 6)):
+        assert qdiff(a).scale == Fraction(a).denominator
 
 
 def test_beta_is_the_unit_difference():
-    assert beta() == qdiff(1)
-    assert beta(scale=4) == qdiff(1, scale=4)
+    assert beta() == qdiff(1) == lp({1: 1, -1: -1})
+    assert beta(2, 1) == LaurentPoly(2, 1, {(0, 1): 1, (0, -1): -1})
 
 
 def test_bracket_values():
@@ -60,15 +62,15 @@ def test_bracket_exchange_identity(a, b):
 @given(st.integers(-12, 12), st.integers(-12, 12))
 def test_difference_exchange_identity_on_the_quarter_grid(p, q):
     a, b = Fraction(p, 4), Fraction(q, 4)
-    lhs = qdiff(a, 4) * qdiff(b, 4) - qdiff(a + 1, 4) * qdiff(b - 1, 4)
-    assert lhs == qdiff(1, 4) * qdiff(a - b + 1, 4)
+    lhs = qdiff(a) * qdiff(b) - qdiff(a + 1) * qdiff(b - 1)
+    assert lhs == qdiff(1) * qdiff(a - b + 1)
 
 
 def test_bracket_ratio_matches_polynomial_bracket():
     for a in (-3, 0, 1, 2, 5):
         assert bracket_ratio(a) == RatFunc(bracket(a))
-    half = bracket_ratio(Fraction(1, 2), scale=2)
-    assert half * half == bracket_ratio(Fraction(1, 2), 2) ** 2
+    half = bracket_ratio(Fraction(1, 2))
+    assert half * half == bracket_ratio(Fraction(1, 2)) ** 2
     assert not half.is_poly
 
 

@@ -1,11 +1,15 @@
 """Half-integral Laurent polynomial and rational-function kernel."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import asmice
 from asmice import laurent
 from asmice.chain import q_fourth_root
 from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
@@ -39,13 +43,38 @@ def test_unit_power_places_half_integer_exponents():
 
 def test_var_power_accepts_grid_rationals():
     assert LaurentPoly.var_power(Fraction(3, 2)) == LaurentPoly.unit_power(3)
-    assert LaurentPoly.var_power(Fraction(1, 3), scale=3) == \
+    assert LaurentPoly.var_power(Fraction(1, 3)) == \
         LaurentPoly.unit_power(2, scale=3)
+    assert LaurentPoly.var_power(Fraction(-5, 4), 1, 2) == \
+        LaurentPoly(2, 2, {(0, -5): 1})
 
 
-def test_var_power_rejects_off_grid_exponent():
-    with pytest.raises(GridViolation):
-        LaurentPoly.var_power(Fraction(1, 3))
+def test_var_power_picks_the_coarsest_grid():
+    # t^a lands on the 1/(2D) grid exactly when D is a multiple of
+    # (2a).denominator
+    for a, scale in ((0, 1), (3, 1), (Fraction(1, 2), 1), (Fraction(1, 3), 3),
+                     (Fraction(-1, 4), 2), (Fraction(5, 6), 3)):
+        assert LaurentPoly.var_power(a).scale == scale
+
+
+def test_no_signature_outside_laurent_takes_a_grid():
+    # constructors pick the grid and operations promote, so no function or
+    # method of another module has a scale to pass
+    for info in pkgutil.iter_modules(asmice.__path__):
+        if info.name in ("laurent", "__main__"):
+            continue
+        module = importlib.import_module(f"asmice.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members = [getattr(m, "__func__", m)
+                           for m in vars(obj).values()]
+            for fn in members:
+                if inspect.isfunction(fn):
+                    params = inspect.signature(fn).parameters
+                    assert "scale" not in params, f"{module.__name__}.{name}"
 
 
 def test_constructor_rejects_non_integral_exponent_keys():
@@ -166,6 +195,41 @@ def test_divide_scalar_numerator_of_any_ring():
     assert divide_exact(z, LaurentPoly.unit_power(2)) == \
         LaurentPoly.monomial(z, (-2,))
     assert divide_exact(Fraction(1, 2), lp({0: 3})) == lp({0: Fraction(1, 6)})
+
+
+def counting_inverse(monkeypatch):
+    """A list that collects one entry per Cyclotomic.inverse call."""
+    calls = []
+    inverse = Cyclotomic.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counted)
+    return calls
+
+
+def test_long_division_inverts_the_lead_once(monkeypatch):
+    z = cyclotomic_embed(24)
+    d = [1, z, z * z + 3]                   # lead z^2 + 3, not rational
+    q = [Fraction(k, 7) * z ** k + k for k in range(1, 9)]
+    a = _mul_terms({(i,): c for i, c in enumerate(d)},
+                   {(i,): c for i, c in enumerate(q)}, 1)
+    a = [a.get((i,), 0) for i in range(len(d) + len(q) - 1)]
+    calls = counting_inverse(monkeypatch)
+    assert _long_divide(a, d) == q
+    assert len(calls) == 1
+
+
+def test_two_variable_division_inverts_the_lead_once(monkeypatch):
+    z = cyclotomic_embed(24)
+    d = LaurentPoly(2, 1, {(1, 1): z + 2, (0, 0): 1})
+    q = LaurentPoly(2, 1, {(k, 3 - k): z ** k + k for k in range(4)})
+    product = d * q
+    calls = counting_inverse(monkeypatch)
+    assert divide_exact(product, d) == q
+    assert len(calls) == 1
 
 
 bivariate = st.builds(

@@ -87,7 +87,7 @@ def test_matrix_helpers():
 def test_cleared_reciprocals():
     rng = random.Random(9)
     for n in (1, 2, 3, 4):
-        e = [[qdiff(Fraction(rng.randrange(1, 20), rng.choice([1, 2])), 2)
+        e = [[qdiff(Fraction(rng.randrange(1, 20), rng.choice([1, 2])))
               * LaurentPoly.const(rng.choice([1, 2, -3]), 1, 2)
               for _ in range(n)] for _ in range(n)]
         c = cleared_reciprocals(e)

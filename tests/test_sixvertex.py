@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -38,22 +39,31 @@ def enumerated_sum(site, states, one=1):
     return total
 
 
+def common_scale(p):
+    """A grid that holds every label and parameter of p: the lcm of their
+    denominators."""
+    return lcm(*(v.denominator for v in p.xs + p.ys))
+
+
 def written_weights(v, scale, nvars=1):
-    """The six weights at label v times b = q^(1/2)-q^(-1/2), written out:
-    -b q^(-v/2), -b q^(v/2), then d(v-1) twice and d(v) twice."""
-    b = qdiff(1, scale, nvars)
-    return (-(b * LaurentPoly.var_power(Fraction(-v, 2), scale, 0, nvars)),
-            -(b * LaurentPoly.var_power(Fraction(v, 2), scale, 0, nvars)),
-            qdiff(v - 1, scale, nvars), qdiff(v - 1, scale, nvars),
-            qdiff(v, scale, nvars), qdiff(v, scale, nvars))
+    """The six weights at label v times b = q^(1/2)-q^(-1/2), written out
+    on the 1/(2*scale) grid: -b q^(-v/2), -b q^(v/2), then d(v-1) twice
+    and d(v) twice, d(a) = q^(a/2) - q^(-a/2)."""
+    def mono(a):                    # q^(a/2): the key a*scale
+        return LaurentPoly(nvars, scale, {(a * scale,) + (0,) * (nvars - 1): 1})
+
+    def d(a):
+        return mono(a) - mono(-a)
+    b = d(1)
+    return (-(b * mono(-v)), -(b * mono(v)), d(v - 1), d(v - 1), d(v), d(v))
 
 
 def formal_row_weights(y, scale):
     """written_weights at the label x0 - y with w = q^(x0/2) carried as the
     second variable: t^(a/2) w^e has the key (a*scale, 2*e*scale)."""
     def mono(a, e):
-        return LaurentPoly(2, scale, {(int(a * scale), 2 * e * scale): 1})
-    b = qdiff(1, scale, 2)
+        return LaurentPoly(2, scale, {(a * scale, 2 * e * scale): 1})
+    b = mono(1, 0) - mono(-1, 0)
     d_minus_one = mono(-y - 1, 1) - mono(y + 1, -1)
     d = mono(-y, 1) - mono(y, -1)
     return (-(b * mono(y, -1)), -(b * mono(-y, 1)),
@@ -87,7 +97,7 @@ def test_weights_at_integer_label():
 def test_weights_at_half_integer_label():
     v = Fraction(3, 2)
     w = vertex_weights(v)
-    assert w[5] == bracket_ratio(v, 2)
+    assert w[5] == bracket_ratio(v)
     assert w[1] == RatFunc(lp({-3: -1}, scale=2))
 
 
@@ -120,13 +130,12 @@ def test_sweep_by_rows_composes():
 
 
 def test_scaled_weights_are_the_weights_times_b():
+    b = RatFunc(qdiff(1))
     for v in (Fraction(1), Fraction(5), Fraction(3, 2), Fraction(-7, 3)):
-        scale = v.denominator
-        b = RatFunc(qdiff(1, scale))
-        plain = vertex_weights(v, scale)
-        for s, w in enumerate(_label_weights(v, scale), start=1):
+        plain = vertex_weights(v)
+        for s, w in enumerate(_label_weights(v), start=1):
             assert RatFunc(w) == plain[s] * b
-        for s, w in enumerate(written_weights(v, scale), start=1):
+        for s, w in enumerate(written_weights(v, v.denominator), start=1):
             assert RatFunc(w) == plain[s] * b
 
 
@@ -134,11 +143,23 @@ def test_state_sum_matches_enumeration():
     rng = random.Random(5)
     for n in range(1, 5):
         p = random_params(rng, n)
-        site = [[written_weights(p.label(i, j), p.scale) for j in range(n)]
+        scale = common_scale(p)
+        site = [[written_weights(p.label(i, j), scale) for j in range(n)]
                 for i in range(n)]
         total = enumerated_sum(site, enumerated_states(n),
-                               LaurentPoly.one(1, p.scale))
-        assert z_brute(p) == RatFunc(total, qdiff(1, p.scale) ** (n * n))
+                               LaurentPoly.one(1, scale))
+        assert z_brute(p) == RatFunc(total, qdiff(1) ** (n * n))
+
+
+def formal_row_sum(p):
+    """b^(n^2) Z with row 0 formal, summed over the enumerated states on
+    the common grid of p."""
+    n, scale = p.n, common_scale(p)
+    site = [[formal_row_weights(y, scale) for y in p.ys]]
+    site += [[written_weights(p.label(i, j), scale, 2)
+              for j in range(n)] for i in range(1, n)]
+    return enumerated_sum(site, enumerated_states(n),
+                          LaurentPoly.one(2, scale))
 
 
 def test_formal_row_sum_matches_enumeration():
@@ -146,12 +167,21 @@ def test_formal_row_sum_matches_enumeration():
     rng = random.Random(6)
     for n in range(1, 4):
         p = random_params(rng, n)
-        site = [[formal_row_weights(y, p.scale) for y in p.ys]]
-        site += [[written_weights(p.label(i, j), p.scale, 2)
-                  for j in range(n)] for i in range(1, n)]
-        total = enumerated_sum(site, enumerated_states(n),
-                               LaurentPoly.one(2, p.scale))
-        assert _z_formal(p) == total
+        assert _z_formal(p) == formal_row_sum(p)
+
+
+def test_formal_row_sum_when_x0_has_the_finest_grid():
+    # _z_formal ignores x0, so its grid can be coarser than the common one;
+    # in the first case the other rows sit on a finer grid than some top-row
+    # weights, in the second on a coarser one than some
+    for xs, ys in (([Fraction(1, 4), 3, 5], [0, Fraction(1, 2), 1]),
+                   ([Fraction(1, 4), Fraction(11, 2), Fraction(17, 2)],
+                    [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2)])):
+        p = SpectralParams(xs, ys)
+        z = _z_formal(p)
+        assert z.scale < common_scale(p)
+        assert z and z == formal_row_sum(p)
+        assert lemma_degree_check(3, p)
 
 
 def test_formal_row_at_a_value_is_the_state_sum():
@@ -159,13 +189,13 @@ def test_formal_row_at_a_value_is_the_state_sum():
     rng = random.Random(8)
     for n in (1, 2, 3):
         p = random_params(rng, n)
-        scale = p.scale
+        scale = common_scale(p)
         at = {}
-        for (k, kw), c in _z_formal(p).terms.items():
-            key = (k + int(kw * p.xs[0] / 2),)
+        for (k, kw), c in _z_formal(p).rescale(scale).terms.items():
+            key = (k + kw * p.xs[0] / 2,)
             at[key] = at.get(key, 0) + c
         scaled = RatFunc(LaurentPoly(1, scale, at),
-                         qdiff(1, scale) ** (n * n))
+                         qdiff(1) ** (n * n))
         assert scaled == z_brute(p)
 
 
