@@ -68,6 +68,19 @@ quotient is t^(lo1-lo2) (N/D)(t^g): dividing the compacted lists decides
 NonDivisible exactly as the full grid does.  Packing is judged on the
 compacted lengths.
 
+Two variables.  Each operand is shifted so that its least t- and
+u-exponents are 0 (monomials are units), then mapped by the Kronecker map
+K_B: t^e u^f -> s^(e + B*f), a ring map of Laurent polynomials that is
+one-to-one on those with every t-exponent in [0, B).  Multiply:
+B = deg_t a + deg_t b + 1 exceeds every t-exponent of the shifted product,
+so K_B(a) K_B(b) decodes by s^k -> t^(k mod B) u^(k div B).  Divide:
+B = deg_t num + 1.  If num = q den, then K_B(num) = K_B(q) K_B(den), so
+NonDivisible from the images is exact; and as t-degrees add (the
+coefficients form a domain), the image quotient K_B(q) decodes to
+t-exponents in [0, deg_t num - deg_t den].  A decoded quotient outside that
+range proves NonDivisible; for one inside it, q den has t-exponents in
+[0, B), and K_B(q den) = K_B(num) gives q den = num by injectivity.
+
 Cyclotomic coefficients.  A multiply with Cyclotomic coefficients (mixed
 freely with int and Fraction ones) writes each operand as
 sum_k z^k P_k(t), k = 0..7, with rational P_k; a rational coefficient lies
@@ -92,7 +105,6 @@ serve sparse operands and the tests, as the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add
 
@@ -255,12 +267,9 @@ class LaurentPoly:
         a, b = self._matched(other)
         if a.is_zero or b.is_zero:
             return LaurentPoly.zero(a.nvars, a.scale)
-        if a.nvars == 1:
-            out = _mul_packed1(a, b)
-            if out is not None:
-                return out
-        return LaurentPoly._clean(a.nvars, a.scale,
-                                  _mul_terms(a.terms, b.terms, a.nvars))
+        if a.nvars == 2:
+            return _mul_bivariate(a, b)
+        return _mul1(a, b)
 
     __rmul__ = __mul__
 
@@ -391,10 +400,9 @@ def _int_pow(base, e):
 def divide_exact(num, den):
     """Exact Laurent quotient num/den, or raise NonDivisible.
 
-    Both are first shifted by unit monomials so every variable has minimum
-    exponent 0; since unit monomials are invertible, Laurent divisibility is
-    exactly ordinary divisibility of the shifted polynomials, which is decided
-    by single-divisor long division in graded-lex order.
+    Unit monomials are invertible, so only the dense coefficient lists are
+    divided; two variables are first mapped to one (see the module
+    docstring).
     """
     if _is_scalar(num):
         num = LaurentPoly.const(num, den.nvars, den.scale)
@@ -405,7 +413,7 @@ def divide_exact(num, den):
     num, den = num._matched(den)
     if num.nvars == 1:
         return _divide_dense1(num, den)
-    return _divide_sparse(num, den)
+    return _divide_bivariate(num, den)
 
 
 def reduced(num, den):
@@ -431,50 +439,38 @@ def _divide_dense1(num, den):
     return LaurentPoly._from_dense1(nlo - dlo, q, num.scale, g)
 
 
-def _divide_sparse(num, den):
-    """Two-variable long division; the remainder's terms wait in a heap
-    ordered by descending graded-lex key, and a popped key that is no longer
-    in the remainder is skipped."""
-    nmin = num.min_exponents()
-    dmin = den.min_exponents()
-    rem = {(k[0] - nmin[0], k[1] - nmin[1]): c
-           for k, c in num.terms.items()}
-    dterms = {(k[0] - dmin[0], k[1] - dmin[1]): c
-              for k, c in den.terms.items()}
-    dlead = min(dterms, key=_grlex_desc)
-    over_lead = _divider(dterms[dlead])
-    heap = [(*_grlex_desc(k), k) for k in rem]
-    heapify(heap)
-    quot = {}
-    while heap:
-        rlead = heappop(heap)[-1]
-        c = rem.get(rlead)
-        if c is None:
-            continue
-        mono = (rlead[0] - dlead[0], rlead[1] - dlead[1])
-        if mono[0] < 0 or mono[1] < 0:
-            raise NonDivisible("leading term not divisible")
-        qc = over_lead(c)
-        quot[mono] = qc
-        for k, dc in dterms.items():
-            key = (mono[0] + k[0], mono[1] + k[1])
-            s = rem.get(key, 0) - qc * dc
-            if s:
-                if key not in rem:
-                    heappush(heap, (*_grlex_desc(key), key))
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    shift = (nmin[0] - dmin[0], nmin[1] - dmin[1])
-    return LaurentPoly._clean(num.nvars, num.scale,
-                              {(k[0] + shift[0], k[1] + shift[1]): c
-                               for k, c in quot.items()})
+def _divide_bivariate(num, den):
+    """Two-variable num / den by _divide_dense1 on the Kronecker images."""
+    ln, ld = num.min_exponents(), den.min_exponents()
+    base = max(num.terms)[0] - ln[0] + 1
+    top = (base - 1) - (max(den.terms)[0] - ld[0])
+    if top < 0:
+        raise NonDivisible("divisor has the larger t-degree")
+    q = _divide_dense1(_kronecker(num, ln, base), _kronecker(den, ld, base))
+    if any(k % base > top for k, in q.terms):
+        raise NonDivisible("quotient image decodes outside the t-range")
+    return _decoded(q, (ln[0] - ld[0], ln[1] - ld[1]), base, num.scale)
 
 
-def _grlex_desc(k):
-    """Heap key of a two-variable exponent: smallest for the graded-lex
-    largest."""
-    return -k[0] - k[1], -k[0]
+def _mul_bivariate(a, b):
+    """Two-variable a * b by _mul1 on the Kronecker images."""
+    la, lb = a.min_exponents(), b.min_exponents()
+    base = max(a.terms)[0] - la[0] + max(b.terms)[0] - lb[0] + 1
+    out = _mul1(_kronecker(a, la, base), _kronecker(b, lb, base))
+    return _decoded(out, (la[0] + lb[0], la[1] + lb[1]), base, a.scale)
+
+
+def _kronecker(p, lo, base):
+    """p shifted by t^(-lo[0]) u^(-lo[1]), then t^e u^f -> s^(e + base*f)."""
+    return LaurentPoly._clean(1, p.scale, {
+        (e - lo[0] + base * (f - lo[1]),): c for (e, f), c in p.terms.items()})
+
+
+def _decoded(image, lo, base, scale):
+    """Inverse of _kronecker on t-exponents in [0, base), shifted by lo."""
+    return LaurentPoly._clean(2, scale, {
+        (lo[0] + k % base, lo[1] + k // base): c
+        for (k,), c in image.terms.items()})
 
 
 def _long_divide(a, b):
@@ -499,19 +495,22 @@ def _long_divide(a, b):
     return q
 
 
-def _mul_terms(a, b, nvars):
-    """Schoolbook product of two term dicts, over pairs of nonzero terms."""
+def _mul1(a, b):
+    """Univariate a * b: the packed kernel, else the schoolbook."""
+    out = _mul_packed1(a, b)
+    if out is None:
+        out = LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
+    return out
+
+
+def _mul_terms(a, b):
+    """Schoolbook product of univariate term dicts, over nonzero pairs."""
     if len(a) < len(b):
         a, b = b, a
     out = {}
     get = out.get
-    for kb, cb in b.items():
-        if nvars == 1:
-            e, = kb
-            shifted = [((k[0] + e,), c * cb) for k, c in a.items()]
-        else:
-            e, f = kb
-            shifted = [((k[0] + e, k[1] + f), c * cb) for k, c in a.items()]
+    for (e,), cb in b.items():
+        shifted = [((k + e,), c * cb) for (k,), c in a.items()]
         for k, c in shifted:
             s = get(k, 0) + c
             if s:
@@ -904,6 +903,8 @@ def vanishing_order_at_one(p):
     """(order, deflated) for a univariate Laurent polynomial at unit = 1:
     p = (unit - 1)^order * deflated with deflated(1) != 0.  Exact synthetic
     division; the unit monomial content is immaterial and dropped."""
+    if p.nvars != 1:
+        raise ValueError("vanishing order only defined for univariate values")
     if p.is_zero:
         raise ValueError("zero polynomial has no finite vanishing order")
     _, cs = p._dense1()
@@ -933,12 +934,10 @@ def limit_at_one(rf):
     a larger numerator order gives 0, and a larger denominator order is a
     pole (raised as NonDivisible).  No 0/0 evaluation ever happens.
     """
-    if rf.num.nvars != 1:
-        raise ValueError("limit only defined for univariate values")
+    od, pd = vanishing_order_at_one(rf.den)
     if rf.is_zero:
         return Fraction(0)
     on, pn = vanishing_order_at_one(rf.num)
-    od, pd = vanishing_order_at_one(rf.den)
     if on > od:
         return Fraction(0)
     if on < od:

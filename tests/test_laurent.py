@@ -215,7 +215,7 @@ def test_long_division_inverts_the_lead_once(monkeypatch):
     d = [1, z, z * z + 3]                   # lead z^2 + 3, not rational
     q = [Fraction(k, 7) * z ** k + k for k in range(1, 9)]
     a = _mul_terms({(i,): c for i, c in enumerate(d)},
-                   {(i,): c for i, c in enumerate(q)}, 1)
+                   {(i,): c for i, c in enumerate(q)})
     a = [a.get((i,), 0) for i in range(len(d) + len(q) - 1)]
     calls = counting_inverse(monkeypatch)
     assert _long_divide(a, d) == q
@@ -256,10 +256,22 @@ def test_bivariate_divide_rejects_product_plus_monomial(p, q, exps):
         divide_exact(p * q + LaurentPoly.monomial(1, exps), q)
 
 
+def test_bivariate_quotient_outside_the_t_range_is_not_divisible():
+    # keys t^2 - u over 1 - t: on base B = 3 the images s^2 - s^3 and 1 - s
+    # divide with quotient s^2, which decodes to t^2, but a divisor of
+    # t-degree 1 leaves a quotient of t-degree at most 2 - 1 = 1
+    num = LaurentPoly(2, 1, {(2, 0): 1, (0, 1): -1})
+    den = LaurentPoly(2, 1, {(0, 0): 1, (1, 0): -1})
+    with pytest.raises(NonDivisible):
+        divide_exact(num, den)
+    with pytest.raises(NonDivisible):               # larger t-degree below
+        divide_exact(LaurentPoly(2, 1, {(0, 0): 1, (0, 1): 1}), den)
+
+
 # ---------- the packed-integer kernel against the schoolbook oracle ----------
 
 def schoolbook(p, q):
-    return LaurentPoly._clean(1, p.scale, _mul_terms(p.terms, q.terms, 1))
+    return LaurentPoly._clean(1, p.scale, _mul_terms(p.terms, q.terms))
 
 
 def packed(p, q):
@@ -556,6 +568,60 @@ def test_compacted_operands_reach_the_kernel(monkeypatch):
     assert p * q == expected
 
 
+# ---------- two variables: the Kronecker map against a 2-tuple oracle ----------
+
+def schoolbook2(p, q):
+    """Two-variable p * q over pairs of 2-tuple keys."""
+    out = {}
+    for (e, f), c in p.terms.items():
+        for (g, h), d in q.terms.items():
+            out[e + g, f + h] = out.get((e + g, f + h), 0) + c * d
+    return LaurentPoly(2, p.scale, out)
+
+
+def rectangle(rows, lo):
+    """sum over f, e of rows[f][e] t^(lo[0] + e) u^(lo[1] + f), in keys."""
+    return LaurentPoly(2, 1, {(lo[0] + e, lo[1] + f): c
+                              for f, row in enumerate(rows)
+                              for e, c in enumerate(row)})
+
+
+coefficients2 = (st.integers(-9, 9) | st.fractions(max_denominator=5)
+                 | integral_cyclotomic)
+corners = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+sparse2 = st.dictionaries(corners, coefficients2, max_size=8) \
+    .map(lambda terms: LaurentPoly(2, 1, terms))
+# at least 5 x 5 nonzero terms: the images always pack (_worth_packing)
+dense2 = st.builds(
+    rectangle,
+    st.integers(5, 7).flatmap(lambda w: st.lists(
+        st.lists(coefficients2.filter(bool), min_size=w, max_size=w),
+        min_size=5, max_size=7)),
+    corners)
+
+
+@given(sparse2 | dense2, sparse2 | dense2)
+def test_bivariate_product_matches_the_oracle(p, q):
+    assert p * q == schoolbook2(p, q)
+
+
+def test_dense_two_variable_products_skip_the_schoolbook(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense operands reached the schoolbook")
+
+    rows = [[(3 * f - e) or 7 for e in range(6)] for f in range(5)]
+    p = rectangle(rows, (-2, 1))
+    for q in (rectangle([[Fraction(c, 5) for c in row] for row in rows],
+                        (3, -4)),
+              rectangle([[Cyclotomic(range(c, c + 8)) for c in row]
+                         for row in rows], (0, 0)),
+              rectangle([[z4 * c for c in row] for row in rows], (1, 1))):
+        expected = schoolbook2(p, q)
+        with monkeypatch.context() as m:
+            m.setattr(laurent, "_mul_terms", refuse)
+            assert p * q == expected
+
+
 # ---------- rational functions ----------
 
 def test_ratfunc_equality_by_cross_multiplication():
@@ -629,6 +695,15 @@ def test_vanishing_order():
     assert vanishing_order_at_one(LaurentPoly.const(5))[0] == 0
     with pytest.raises(ValueError):
         vanishing_order_at_one(LaurentPoly.zero())
+
+
+def test_vanishing_order_rejects_two_variables():
+    one_minus_u = LaurentPoly(2, 1, {(0, 0): 1, (0, 2): -1})
+    for call in (lambda: vanishing_order_at_one(one_minus_u),
+                 lambda: limit_at_one(RatFunc(one_minus_u)),
+                 lambda: limit_at_one(RatFunc(LaurentPoly.zero(2)))):
+        with pytest.raises(ValueError, match="univariate"):
+            call()
 
 
 def test_limit_matched_orders():

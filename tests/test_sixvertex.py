@@ -251,7 +251,7 @@ def test_degree_bound_in_first_row_parameter():
 def test_degree_check_divides_no_two_variable_polynomial(monkeypatch):
     def refuse(num, den):
         raise AssertionError("two-variable division")
-    monkeypatch.setattr(laurent, "_divide_sparse", refuse)
+    monkeypatch.setattr(laurent, "_divide_bivariate", refuse)
     p = SpectralParams([0, Fraction(9, 2), Fraction(15, 2)],
                        [0, Fraction(1, 2), 1])
     assert lemma_degree_check(3, p)
