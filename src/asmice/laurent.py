@@ -98,6 +98,38 @@ scalar's nonzero components, so its product costs one bigint multiply per
 such component.  Exact divide with Cyclotomic coefficients stays on the
 schoolbook.
 
+Packed site weights.  A domain-wall state sum (sixvertex.state_sweep)
+multiplies each frontier entry by few-term site weights, one site at a
+time, and adds entries; pack_state_sum lets it do so on ints.  The
+exponents of every weight are read once on the common grid of all weights
+and start values.  Each state takes exactly one weight per site, so taking
+each site's least exponent o out of all its weights (t^(-o) w) changes
+every state's product by the same monomial t^(sum of the o); the start
+values have their least exponent taken out too.  Every shifted weight then
+has exponents in [0, span] for its site, and a state's product has
+exponents in [0, S], S the sum of all the spans, so S + 1 slots hold it.
+A frontier entry is the packed int P_W(v) of its shifted coefficient list,
+and a weight sum_k c_k t^k multiplies it as sum_k c_k (P_W(v) << k*W),
+which is P_W(v * w) since P_W is a ring map; no slot is read during the
+sweep.
+
+Slot width.  Along a row the sweep takes at most two of a site's weights
+from any key (entry 0, and +1 or -1 where the column and row bits allow),
+so from any start key at most 2^c fillings of c sites reach the end; and
+as L1(fg) <= L1(f) L1(g), every coefficient of the sum is at most
+L1(start) * prod over sites (2 * the site's largest L1) in absolute value.
+W is that bound's bit length plus a sign bit, rounded up to whole bytes.
+Each scaled six-vertex weight (-b/m, -b m, m/h - h/m, m - 1/m) has at most
+two terms, with coefficients +-1, so its L1 norm is at most 2; from the
+start 1 the n^2 sites bound every coefficient of b^(n^2) Z by
+4^(n^2) = 2^(2n^2), and W = _width(2n^2 + 2).  A formal top row swept
+first and handed over as the start has L1 at most n 2^n < 4^n over its n
+masks, so the same W holds.  The final entry is unpacked into exactly
+S + 1 slots, so a bit above the top slot raises ArithmeticError instead
+of reading as a coefficient.  A start in (t, u) is split by u-exponent,
+one packed frontier per exponent, and the sums are joined at the end, so
+the packed sweep never multiplies in two variables.
+
 The schoolbook multiply (_mul_terms) and long division (_long_divide) also
 serve sparse operands and the tests, as the oracle.
 """
@@ -352,9 +384,18 @@ class LaurentPoly:
     def shift_unit(self, deltas):
         """Multiply by the unit monomial with the given exponent offsets."""
         deltas = tuple(deltas)
-        return LaurentPoly(self.nvars, self.scale,
-                           {tuple(e + d for e, d in zip(k, deltas)): c
-                            for k, c in self.terms.items()})
+        if len(deltas) != self.nvars:
+            raise ValueError("offset tuple length != nvars")
+        steps = tuple(int(d) for d in deltas)
+        if steps != deltas:
+            raise GridViolation(f"offset {deltas} is not integral")
+        if self.nvars == 1:
+            (d,) = steps
+            terms = {(e + d,): c for (e,), c in self.terms.items()}
+        else:
+            d, f = steps
+            terms = {(e + d, g + f): c for (e, g), c in self.terms.items()}
+        return LaurentPoly._clean(self.nvars, self.scale, terms)
 
     # ---------- display ----------
 
@@ -731,6 +772,84 @@ def _unpack(v, slots, width):
 def _bias(slots, size):
     """2^(width-1) in each of `slots` slots of `size` bytes."""
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+# ---------- packed site weights ----------
+
+class _Shifts:
+    """The weight p packed for slots of `width` bits, read on the grid and
+    shifted by t^(-lo): v * w is the sum of c * (v << s) over its terms'
+    bit offsets s and coefficients c, so the zero weight gives 0."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, p, grid, lo, width):
+        step = grid // p.scale
+        self.pairs = [((k[0] * step - lo) * width, c)
+                      for k, c in p.terms.items()]
+
+    def __rmul__(self, v):
+        return sum([c * (v << s) for s, c in self.pairs])
+
+
+def _l1(p):
+    """The sum of |c| over the coefficients of p, which must be ints."""
+    if any(type(c) is not int for c in p.terms.values()):
+        raise TypeError("packed weights need int coefficients")
+    return sum(map(abs, p.terms.values()))
+
+
+def _span(polys, grid):
+    """The least and the greatest t-exponent of the polys on the grid; 0, 0
+    when all are zero."""
+    exps = [k[0] * (grid // p.scale) for p in polys for k in p.terms]
+    return min(exps, default=0), max(exps, default=0)
+
+
+def pack_state_sum(start, rows):
+    """A state sum of univariate int-coefficient site weights, set up to
+    run on packed ints (see "Packed site weights" in the module docstring).
+
+    start maps frontier keys to nonzero LaurentPolys in t or in (t, u);
+    rows[i][j] is one site's sequence of weights.  Returns (frontiers,
+    packed, unpack): packed has the shape of rows, each weight replaced by
+    a multiplier of packed ints; frontiers holds the packed start, one
+    frontier per u-exponent (a single one for a univariate start); unpack
+    takes the final entries, one per frontier in that order, to the
+    LaurentPoly whose t-coefficients they pack.
+    """
+    polys = [w for row in rows for site in row for w in site]
+    grid = lcm(*[p.scale for p in polys], *[p.scale for p in start.values()])
+    values = {key: p.rescale(grid) for key, p in start.items()}
+    spans = [[_span(site, grid) for site in row] for row in rows]
+    low, top = _span(values.values(), grid)
+    offset, slots = low, top - low + 1
+    bound = sum(map(_l1, values.values()))
+    for row, span in zip(rows, spans):
+        for site, (lo, hi) in zip(row, span):
+            offset += lo
+            slots += hi - lo
+            bound *= 2 * max(map(_l1, site))
+    width = _width(bound.bit_length() + 1)
+    packed = [[tuple(_Shifts(w, grid, lo, width) for w in site)
+               for site, (lo, _) in zip(row, span)]
+              for row, span in zip(rows, spans)]
+    frontiers = {}
+    for key, p in values.items():
+        for k, c in p.terms.items():
+            frontier = frontiers.setdefault(k[1:], {})
+            frontier[key] = frontier.get(key, 0) + (c << (k[0] - low) * width)
+    nvars = next(iter(values.values())).nvars
+
+    def unpack(totals):
+        terms = {}
+        for rest, v in zip(frontiers, totals):
+            cs = _unpack(v, slots, width)
+            terms.update({(offset + i,) + rest: c
+                          for i, c in enumerate(cs) if c})
+        return LaurentPoly._clean(nvars, grid, terms)
+
+    return list(frontiers.values()), packed, unpack
 
 
 def _divider(b):

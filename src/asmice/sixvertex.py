@@ -23,6 +23,16 @@ pinned to a root of unity on the epsilon grid (chain.z_half_eps_brute).
 vertex_weights divides them back by b.  Each weight sits on the exponent
 grid its own label needs; the laurent module promotes mixed grids.
 
+state_sweep is ring-generic: it only multiplies a frontier entry by a
+weight and adds entries.  z_brute and the degree check have int
+coefficients, so they hand it packed values (laurent.pack_state_sum): each
+frontier entry is one int, and each weight multiplies it by a shift and an
+add per term.  The degree check sweeps its formal top row in (q, w) as
+LaurentPolys, then the other rows on packed ints once per w-exponent, so
+only the n sites of that row multiply in two variables.
+chain.z_half_eps_brute, with Q(zeta_24) coefficients, sweeps LaurentPoly
+values.
+
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
 q^(x_0).  Both run on the state sum itself, independent of the
@@ -36,7 +46,7 @@ from fractions import Fraction
 
 from .brackets import bracket_ratio, qdiff
 from .ice import ZERO_STATE
-from .laurent import LaurentPoly, RatFunc, reduced
+from .laurent import LaurentPoly, RatFunc, pack_state_sum, reduced
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 
 Z_BRUTE_BOUND = 6
@@ -150,12 +160,19 @@ def _site(p, rows):
             for i in rows]
 
 
+def _packed_sweep(n, start, rows):
+    """The all-ones entry of state_sweep(start, rows), swept on packed ints
+    (laurent.pack_state_sum)."""
+    frontiers, packed, unpack = pack_state_sum(start, rows)
+    full = (1 << n) - 1
+    return unpack([state_sweep(f, packed)[full] for f in frontiers])
+
+
 def z_brute(p):
     """The state sum Z(n; X, Y) as a RatFunc in q, summed by the domain-wall
     sweep over the scaled site weights."""
     n = p.n
-    site = _site(p, range(n))
-    total = state_sweep({0: LaurentPoly.one()}, site)[(1 << n) - 1]
+    total = _packed_sweep(n, {0: LaurentPoly.one()}, _site(p, range(n)))
     return reduced(total, qdiff(1) ** (n * n))
 
 
@@ -164,26 +181,16 @@ def _z_formal(p):
     x_0 is ignored.
 
     By linearity in the top row: that row alone ends at the n masks of
-    its +1, and each key's bivariate weight multiplies the sweep of the
-    other rows started from that key.  Those rows do not involve w, so
-    they are swept in q alone and lifted to (q, w) once at the end; one
-    sweep of all rows would carry bivariate values through every frontier
-    (tens of thousands of live terms at n = 4).
+    its +1, and the other rows, which do not involve w, are swept from
+    there in q alone, once for each w-exponent of the top row's weights.
     """
     n = p.n
-    rest = _site(p, range(1, n))
     h = LaurentPoly.var_power(Fraction(1, 2), 0, 2)
     w = LaurentPoly.var_power(1, 1, 2)
     row = [site_weights(LaurentPoly.var_power(-y / 2, 0, 2) * w, h)
            for y in p.ys]
     top = state_sweep({0: LaurentPoly.one(2)}, [row])
-    total = LaurentPoly.zero(2)
-    for mask, weight in top.items():
-        below = state_sweep({mask: LaurentPoly.one()}, rest)[(1 << n) - 1]
-        # below sits on its own grid, which may be coarser than weight's
-        total = total + weight * LaurentPoly._clean(
-            2, below.scale, {(k[0], 0): c for k, c in below.terms.items()})
-    return total
+    return _packed_sweep(n, top, _site(p, range(1, n)))
 
 
 def lemma_recursion_check(n, p, i, j):

@@ -18,7 +18,8 @@ from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                             _lattice_step, _long_divide, _mul_cyclotomic,
                             _mul_packed1, _mul_rational, _mul_terms, _pack,
                             _unpack, _width, _worth_packing, divide_exact,
-                            limit_at_one, reduced, vanishing_order_at_one)
+                            limit_at_one, pack_state_sum, reduced,
+                            vanishing_order_at_one)
 
 
 def lp(terms, scale=1):
@@ -94,6 +95,17 @@ def test_rescale_refines_but_never_coarsens():
     assert q.scale == 2 and q == p
     with pytest.raises(GridViolation):
         q.rescale(3)
+
+
+def test_shift_unit_moves_every_key_on_the_same_grid():
+    p = LaurentPoly(2, 2, {(1, -3): 4, (0, 5): -1})
+    q = p.shift_unit((2, Fraction(-4, 2)))
+    assert q.scale == 2 and q.terms == {(3, -5): 4, (2, 3): -1}
+    assert lp({1: 2, -3: 1}).shift_unit((3,)) == lp({4: 2, 0: 1})
+    with pytest.raises(GridViolation):
+        p.shift_unit((Fraction(1, 2), 0))
+    with pytest.raises(ValueError):
+        p.shift_unit((1,))
 
 
 def test_mixed_scale_arithmetic_promotes_to_common_grid():
@@ -404,6 +416,50 @@ def test_unpack_rejects_bits_above_the_top_slot():
               _pack([-128, -128, -128], 8) - 1):
         with pytest.raises(ArithmeticError):
             _unpack(v, 3, 8)
+
+
+# ---------- packed site weights against the schoolbook ----------
+
+unit_weights = st.dictionaries(st.integers(-9, 9), st.sampled_from([1, -1]),
+                               max_size=2)
+
+
+@given(st.lists(st.tuples(unit_weights, st.sampled_from([1, 2, 4])),
+                min_size=1, max_size=12),
+       st.sampled_from([1, 3]))
+def test_packed_site_product_round_trips(weights, start_scale):
+    # one site per weight, so a packed product walks a single state
+    row = [(LaurentPoly(1, scale, {(k,): c for k, c in terms.items()}),)
+           for terms, scale in weights]
+    start = LaurentPoly(1, start_scale, {(-1,): 1, (2,): -1})
+    frontiers, packed, unpack = pack_state_sum({0: start}, [row])
+    v, = frontiers[0].values()
+    expected = start
+    for (w,), (m,) in zip(row, packed[0]):
+        v = v * m
+        a, b = expected._matched(w)
+        expected = LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
+    assert unpack([v]) == expected
+
+
+def test_packed_site_weights_reject_bits_above_the_top_slot():
+    # one site t^(1/2) - t^(-1/2): L1(start) * 2 * L1(site) = 4 needs 3
+    # signed bits, one byte per slot, and its grid exponents -1..1 fill 3
+    site = (lp({1: 1, -1: -1}), lp({0: 1}))
+    frontiers, packed, unpack = pack_state_sum({0: LaurentPoly.one()},
+                                               [[site]])
+    v = 1 * packed[0][0][0]
+    assert v == _pack([-1, 0, 1], 8)
+    assert unpack([v]) == site[0]
+    # a slot count read off the bit length would take these as 4 slots
+    for bad in (v + (1 << 24), v - (1 << 24)):
+        with pytest.raises(ArithmeticError):
+            unpack([bad])
+
+
+def test_packed_site_weights_need_int_coefficients():
+    with pytest.raises(TypeError):
+        pack_state_sum({0: LaurentPoly.one()}, [[(lp({0: Fraction(1, 2)}),)]])
 
 
 # ---------- Q(zeta_24) coefficients, one z-component at a time ----------

@@ -12,7 +12,7 @@ from asmice.ice import from_ice, search_dwbc_states, to_ice
 from asmice import laurent
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
 from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND, _label_weights,
-                              _z_formal, lemma_degree_check,
+                              _packed_sweep, _z_formal, lemma_degree_check,
                               lemma_recursion_check, state_sweep,
                               vertex_weights, z_brute)
 
@@ -129,6 +129,22 @@ def test_sweep_by_rows_composes():
         assert state_sweep(top, site[k:]) == state_sweep({0: 1}, site)
 
 
+def test_packed_sweep_matches_the_laurent_sweep():
+    # quarter-grid labels, and the labels 0 (side weights vanish) and
+    # 1 (turn weights vanish), at the largest n the verify suite runs
+    n = 5
+    p = SpectralParams([Fraction(1, 4), 1, Fraction(7, 2), 5, Fraction(9, 4)],
+                       [0, Fraction(-3, 4), 1, Fraction(1, 2), 4])
+    labels = {p.label(i, j) for i in range(n) for j in range(n)}
+    assert {0, 1} <= labels and Fraction(1, 4) in labels
+    site = [[_label_weights(p.label(i, j)) for j in range(n)]
+            for i in range(n)]
+    one = {0: LaurentPoly.one()}
+    total = state_sweep(one, site)[(1 << n) - 1]
+    assert _packed_sweep(n, one, site) == total
+    assert z_brute(p) == RatFunc(total, qdiff(1) ** (n * n))
+
+
 def test_scaled_weights_are_the_weights_times_b():
     b = RatFunc(qdiff(1))
     for v in (Fraction(1), Fraction(5), Fraction(3, 2), Fraction(-7, 3)):
@@ -163,11 +179,27 @@ def formal_row_sum(p):
 
 
 def test_formal_row_sum_matches_enumeration():
-    # _z_formal is the scaled sum b^(n^2) Z itself, undivided
+    # _z_formal is the scaled sum b^(n^2) Z itself, undivided; n = 4 is the
+    # largest the verify suite runs
     rng = random.Random(6)
-    for n in range(1, 4):
+    for n in range(1, 5):
         p = random_params(rng, n)
         assert _z_formal(p) == formal_row_sum(p)
+
+
+def test_formal_row_sum_when_top_row_terms_cancel():
+    # with equal column parameters, terms of the top row's weights cancel at
+    # its two inner masks, in several w-exponents, and at its outer masks
+    # none do; the lower rows are swept once per w-exponent from those
+    p = SpectralParams([0, 3, Fraction(7, 2), 2], [0, 0, 0, 0])
+    top = state_sweep({0: LaurentPoly.one(2)},
+                      [[formal_row_weights(y, 1) for y in p.ys]])
+    lost = {mask: 2 ** 4 - sum(map(abs, w.terms.values()))
+            for mask, w in top.items()}
+    assert lost == {1: 0, 2: 4, 4: 4, 8: 0}
+    assert all(len({f for _, f in w.terms}) == 4 for w in top.values())
+    assert _z_formal(p) == formal_row_sum(p)
+    assert lemma_degree_check(4, p)
 
 
 def test_formal_row_sum_when_x0_has_the_finest_grid():
