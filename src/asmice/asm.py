@@ -136,18 +136,40 @@ def _alternating_rows(n):
 
 def count_asms_brute(n):
     """Number of n x n alternating sign matrices by direct enumeration."""
-    return sum(1 for _ in enumerate_asms(n))
+    return sum(_neg_counts(n).values())
 
 
 def x_enumerate_brute(n):
     """Generating polynomial sum over matrices of x^(number of -1 entries),
     by direct enumeration."""
+    counts = _neg_counts(n)
+    return IntPoly([counts.get(d, 0) for d in range(max(counts) + 1)])
+
+
+def _neg_counts(n):
+    """Map k to the number of n x n members with k entries -1.
+
+    The row recursion of enumerate_asms, counting only: each candidate
+    row carries the number of its -1 entries, and every matrix is still
+    reached as its own leaf, so this stays an independent brute force.
+    No rows are kept and no Asm is built.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    rows = [(plus, minus, minus.bit_count())
+            for _, plus, minus in _alternating_rows(n)]
     counts = {}
-    for a in enumerate_asms(n):
-        k = a.neg_count()
-        counts[k] = counts.get(k, 0) + 1
-    size = max(counts) + 1 if counts else 0
-    return IntPoly([counts.get(d, 0) for d in range(size)])
+
+    def extend(c, depth, negs):
+        if depth == n:
+            counts[negs] = counts.get(negs, 0) + 1
+            return
+        for plus, minus, k in rows:
+            if not plus & c and minus & c == minus:
+                extend(c ^ plus ^ minus, depth + 1, negs + k)
+
+    extend(0, 0, 0)
+    return counts
 
 
 def format_asm(asm):

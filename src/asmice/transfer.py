@@ -40,6 +40,38 @@ The products need no wider slots.  Every summand is nonnegative, so slot
 d of each product, and of every partial sum over m, is at most the
 coefficient of x^d in A(n;x), which counts whole matrices and so is at
 most 2^(n*n) < 2^B; no slot carries, and the top-slot check still holds.
+
+Mirror fold.  Read right to left, a member is again a member with the
+same entries -1: each row is the same sequence reversed, which still
+alternates +1, -1, ..., +1, and each column is another column unchanged.
+So the top k rows leave mask m exactly when their mirror image leaves
+rev m, the mask read right to left, and T_k(m) = T_k(rev m).  A folded
+frontier keeps T_k only at the canonical masks c = min(m, rev m).  One
+more row is swept in two batches.  The sources c != rev c each stand for
+the two masks c and rev c with equal values, and a row from rev c to m
+is the mirror image of a row from c to rev m; so the batch's sum S gives
+S(m) + S(rev m) at the canonical target m, which is 2 S(m) at a
+palindrome.  The palindromic sources stand only for themselves, and
+their sum P has P(m) = P(rev m), so its canonical targets carry all of
+it.  The odd extra row, from T_floor(n/2) to T_ceil(n/2), therefore
+sweeps about half its sources, like every other row.
+
+Orbit pairing.  Complement commutes with reversal, ~rev m = rev ~m, so
+the terms T_k(m) T_(n-k)(~m) of m and of rev m are equal: the pairing
+runs over canonical c only, weighting c by 2 when c != rev c, with the
+partner d = canon(~c).  At even n the two frontiers are one, and c -> d
+is an involution on canonical masks that keeps the weight, so the terms
+of c and of d are equal too; each pair {c, d} is visited once and
+doubled, unless d = c, which happens exactly when ~c = rev c.
+
+The fold needs no wider slots either.  Each folded value, doubled at a
+palindrome or not, is T_k at a canonical mask, a true frontier value,
+and the batch sums S and P inside a row are parts of it; each doubled
+product in the pairing is the sum of the two or four equal terms it
+stands for.  All are partial sums, with nonnegative summands,
+of a true frontier value or of a coefficient of A(n;x), so each slot
+stays below 2^(n*n) < 2^B and a bit above the top slot still means a
+broken bound.
 """
 
 from __future__ import annotations
@@ -60,19 +92,78 @@ def coeff_count(n):
 def transfer_count(n):
     """The weighted count A(n;x) as an IntPoly, by meeting in the middle.
 
-    Sweeps ceil(n/2) rows and pairs the frontier after k = floor(n/2)
-    rows with the one after n - k rows on complementary masks.
+    Sweeps ceil(n/2) rows, keyed by mirror-canonical masks, and pairs the
+    frontier after k = floor(n/2) rows with the one after n - k rows on
+    complementary masks, once per mirror orbit.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > DEFAULT_BOUND:
         raise ValueError(f"n={n} exceeds the transfer bound {DEFAULT_BOUND}")
     width = n * n + 1
+    rev = _reversals(n)
+    top = _folded_sweep(n, width, n // 2, {0: 1}, rev)
+    bottom = _folded_sweep(n, width, n % 2, top, rev)
+    return IntPoly(_unpack(_pair(n, top, bottom, rev), coeff_count(n), width))
+
+
+def _reversals(n):
+    """rev[m] is the n-bit mask m read right to left."""
+    rev = [0]
+    for j in range(n):
+        bit = 1 << (n - 1 - j)
+        rev += [r | bit for r in rev]
+    return rev
+
+
+def _folded_sweep(n, width, rows, frontier, rev):
+    """_sweep on frontiers that hold only the canonical masks m <= rev[m].
+
+    A row's sources go through _sweep in two batches.  A source c that is
+    not a palindrome stands for c and rev c too, so each target m of that
+    batch is added at min(m, rev m), doubled when m is a palindrome.  The
+    palindromic sources stand only for themselves, and since their targets
+    come in mirror pairs, only the canonical ones are kept.
+    """
+    for _ in range(rows):
+        pairs = {c: v for c, v in frontier.items() if c != rev[c]}
+        singles = {c: v for c, v in frontier.items() if c == rev[c]}
+        frontier = {}
+        for m, v in _sweep(n, width, 1, pairs).items():
+            r = rev[m]
+            if m < r:
+                frontier[m] = frontier.get(m, 0) + v
+            elif r < m:
+                frontier[r] = frontier.get(r, 0) + v
+            else:
+                frontier[m] = frontier.get(m, 0) + (v << 1)
+        for m, v in _sweep(n, width, 1, singles).items():
+            if m <= rev[m]:
+                frontier[m] = frontier.get(m, 0) + v
+    return frontier
+
+
+def _pair(n, top, bottom, rev):
+    """The packed sum over all masks m of T_k(m) * T_(n-k)(~m), read from
+    the folded frontiers after k = floor(n/2) and n - k rows.
+
+    Each canonical c stands for its mirror orbit {c, rev c}, which ~ maps
+    onto the orbit of d = canon(~c).  At even n the two frontiers are one,
+    and c -> d pairs the orbits, so each pair {c, d} is visited once.
+    """
     full = (1 << n) - 1
-    top = _sweep(n, width, n // 2, {0: 1})
-    bottom = _sweep(n, width, n % 2, top)
-    total = sum(v * bottom.get(full ^ mask, 0) for mask, v in top.items())
-    return IntPoly(_unpack(total, coeff_count(n), width))
+    by_weight = {1: 0, 2: 0, 4: 0}
+    for c, v in top.items():
+        d = full ^ c
+        d = min(d, rev[d])
+        weight = 1 if c == rev[c] else 2
+        if not n % 2:
+            if d < c:
+                continue
+            if d != c:
+                weight *= 2
+        by_weight[weight] += v * bottom.get(d, 0)
+    return by_weight[1] + (by_weight[2] << 1) + (by_weight[4] << 2)
 
 
 def _sweep(n, width, rows, frontier):

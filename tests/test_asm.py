@@ -1,5 +1,6 @@
 """Alternating-sign matrices: validation, enumeration, weighted counts."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -80,6 +81,18 @@ def test_weighted_count_specializations():
         p = x_enumerate_brute(n)
         assert p(1) == count_asms_brute(n)
         assert p(2) == 2 ** (n * (n - 1) // 2)
+
+
+def test_brute_count_matches_the_matrices_enumerated():
+    for n in range(1, 7):
+        assert count_asms_brute(n) == sum(1 for _ in enumerate_asms(n)), n
+
+
+def test_brute_polynomial_matches_the_matrices_enumerated():
+    for n in range(1, 7):
+        counts = Counter(m.neg_count() for m in enumerate_asms(n))
+        assert x_enumerate_brute(n) == IntPoly(
+            [counts[d] for d in range(max(counts) + 1)]), n
 
 
 def test_text_round_trip():

@@ -7,8 +7,8 @@ import pytest
 from asmice.asm import x_enumerate_brute
 from asmice.formulas import a2_formula, a3_formula, a_formula
 from asmice.intpoly import IntPoly
-from asmice.transfer import (DEFAULT_BOUND, _sweep, _unpack, coeff_count,
-                             transfer_count)
+from asmice.transfer import (DEFAULT_BOUND, _folded_sweep, _pair, _reversals,
+                             _sweep, _unpack, coeff_count, transfer_count)
 
 
 def formula_count(n):
@@ -30,7 +30,41 @@ def test_meet_in_the_middle_matches_the_full_sweep():
             _unpack(full, coeff_count(n), width)), n
 
 
-def test_backends_agree():
+def test_reversals_read_each_mask_right_to_left():
+    for n in range(1, 9):
+        assert _reversals(n) == [int(f"{m:0{n}b}"[::-1], 2)
+                                 for m in range(1 << n)], n
+
+
+def test_folded_frontier_is_the_full_frontier_on_canonical_masks():
+    """Row by row, the mirror-folded sweep keeps exactly the unfolded
+    frontier's values at the masks m <= rev m.  At n = 1 and 2 every
+    mask is a palindrome or the mirror image of its complement."""
+    for n in range(1, 13):
+        width = n * n + 1
+        rev = _reversals(n)
+        full, folded = {0: 1}, {0: 1}
+        for k in range(n + 1):
+            assert folded == {m: v for m, v in full.items()
+                              if m <= rev[m]}, (n, k)
+            full = _sweep(n, width, 1, full)
+            folded = _folded_sweep(n, width, 1, folded, rev)
+
+
+def test_orbit_pairing_matches_pairing_every_mask():
+    for n in range(1, 13):
+        width = n * n + 1
+        rev = _reversals(n)
+        ones = (1 << n) - 1
+        top = _sweep(n, width, n // 2, {0: 1})
+        bottom = _sweep(n, width, n - n // 2, {0: 1})
+        every = sum(v * bottom.get(ones ^ m, 0) for m, v in top.items())
+        folded_top = _folded_sweep(n, width, n // 2, {0: 1}, rev)
+        folded_bottom = _folded_sweep(n, width, n % 2, folded_top, rev)
+        assert _pair(n, folded_top, folded_bottom, rev) == every, n
+
+
+def test_sweep_matches_the_closed_forms():
     """The sweep matches all three closed forms at every n up to the bound."""
     for n in range(1, DEFAULT_BOUND + 1):
         p = transfer_count(n)
