@@ -20,7 +20,7 @@ from fractions import Fraction
 from .asm import ENUM_BOUND, count_asms_brute
 from .formulas import a2_formula, a3_formula, a_formula, b_chain
 from .transfer import DEFAULT_BOUND, transfer_count
-from .verify import SUITE_NAMES, run_suite
+from .verify import MAX_N, SUITE_NAMES, run_suite
 
 
 class RunReport:
@@ -230,7 +230,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--n", type=_size(), default=None,
+    p.add_argument("--n", type=_size(MAX_N), default=None,
                    help="size bound override for the suite")
     p.add_argument("--workers", type=_size(os.cpu_count() or 1), default=1,
                    help="process count, at most the CPU count")

@@ -107,11 +107,15 @@ each site's least exponent o out of all its weights (t^(-o) w) changes
 every state's product by the same monomial t^(sum of the o); the start
 values have their least exponent taken out too.  Every shifted weight then
 has exponents in [0, span] for its site, and a state's product has
-exponents in [0, S], S the sum of all the spans, so S + 1 slots hold it.
-A frontier entry is the packed int P_W(v) of its shifted coefficient list,
-and a weight sum_k c_k t^k multiplies it as sum_k c_k (P_W(v) << k*W),
-which is P_W(v * w) since P_W is a ring map; no slot is read during the
-sweep.
+exponents in [0, S], S the sum of all the spans.  Let g be the gcd of
+every shifted exponent of the weights and the start values (1 if all are
+0): a state's product is a sum of one exponent per site and one of the
+start, so it stays on the lattice g*Z, and the lists hold only that
+lattice, S/g + 1 slots (t -> t^g is a ring map, as for the kernel's
+lattice).  A frontier entry is the packed int P_W(v) of its shifted
+coefficient list, and a weight sum_k c_k t^(g*k) multiplies it as
+sum_k c_k (P_W(v) << k*W), which is P_W(v * w) since P_W is a ring map; no
+slot is read during the sweep.
 
 Slot width.  Along a row the sweep takes at most two of a site's weights
 from any key (entry 0, and +1 or -1 where the column and row bits allow),
@@ -125,7 +129,7 @@ start 1 the n^2 sites bound every coefficient of b^(n^2) Z by
 4^(n^2) = 2^(2n^2), and W = _width(2n^2 + 2).  A formal top row swept
 first and handed over as the start has L1 at most n 2^n < 4^n over its n
 masks, so the same W holds.  The final entry is unpacked into exactly
-S + 1 slots, so a bit above the top slot raises ArithmeticError instead
+S/g + 1 slots, so a bit above the top slot raises ArithmeticError instead
 of reading as a coefficient.  A start in (t, u) is split by u-exponent,
 one packed frontier per exponent, and the sums are joined at the end, so
 the packed sweep never multiplies in two variables.
@@ -137,7 +141,7 @@ serve sparse operands and the tests, as the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add
 
 from .cyclotomic import DEGREE, Cyclotomic, _fold, _make
@@ -777,15 +781,16 @@ def _bias(slots, size):
 # ---------- packed site weights ----------
 
 class _Shifts:
-    """The weight p packed for slots of `width` bits, read on the grid and
-    shifted by t^(-lo): v * w is the sum of c * (v << s) over its terms'
-    bit offsets s and coefficients c, so the zero weight gives 0."""
+    """The weight p packed for slots of `width` bits, read on the grid,
+    shifted by t^(-lo) and laid on the lattice g*Z: v * w is the sum of
+    c * (v << s) over its terms' bit offsets s and coefficients c, so the
+    zero weight gives 0."""
 
     __slots__ = ("pairs",)
 
-    def __init__(self, p, grid, lo, width):
+    def __init__(self, p, grid, lo, g, width):
         step = grid // p.scale
-        self.pairs = [((k[0] * step - lo) * width, c)
+        self.pairs = [((k[0] * step - lo) // g * width, c)
                       for k, c in p.terms.items()]
 
     def __rmul__(self, v):
@@ -831,25 +836,77 @@ def pack_state_sum(start, rows):
             slots += hi - lo
             bound *= 2 * max(map(_l1, site))
     width = _width(bound.bit_length() + 1)
-    packed = [[tuple(_Shifts(w, grid, lo, width) for w in site)
+    g = gcd(*[k[0] * (grid // w.scale) - lo
+              for row, span in zip(rows, spans)
+              for site, (lo, _) in zip(row, span) for w in site
+              for k in w.terms],
+            *[k[0] - low for p in values.values() for k in p.terms]) or 1
+    slots = (slots - 1) // g + 1
+    packed = [[tuple(_Shifts(w, grid, lo, g, width) for w in site)
                for site, (lo, _) in zip(row, span)]
               for row, span in zip(rows, spans)]
     frontiers = {}
     for key, p in values.items():
         for k, c in p.terms.items():
             frontier = frontiers.setdefault(k[1:], {})
-            frontier[key] = frontier.get(key, 0) + (c << (k[0] - low) * width)
+            frontier[key] = frontier.get(key, 0) + (
+                c << (k[0] - low) // g * width)
     nvars = next(iter(values.values())).nvars
 
     def unpack(totals):
         terms = {}
         for rest, v in zip(frontiers, totals):
             cs = _unpack(v, slots, width)
-            terms.update({(offset + i,) + rest: c
+            terms.update({(offset + g * i,) + rest: c
                           for i, c in enumerate(cs) if c})
         return LaurentPoly._clean(nvars, grid, terms)
 
     return list(frontiers.values()), packed, unpack
+
+
+def pack_matrix(rows):
+    """A square matrix of univariate int-coefficient LaurentPolys as a
+    matrix of ints whose determinant unpacks to theirs (see "Packed
+    determinants" in the matrices module docstring).
+
+    Returns (ints, unpack): unpack takes det(ints) to det(rows).  None
+    unless every entry is a univariate LaurentPoly with int coefficients.
+    """
+    if not all(type(p) is LaurentPoly and p.nvars == 1
+               and all(type(c) is int for c in p.terms.values())
+               for row in rows for p in row):
+        return None
+    grid = lcm(*[p.scale for row in rows for p in row])
+    rows = [[p.rescale(grid) for p in row] for row in rows]
+    lows = [[min(p.terms)[0] if p else None for p in row] for row in rows]
+    # entry (i, j) times t^(-r_i - c_j) has its exponents in g*[0, top]
+    r = [min([lo for lo in row if lo is not None], default=0)
+         for row in lows]
+    c = [min([row[j] - ri for row, ri in zip(lows, r) if row[j] is not None],
+             default=0) for j in range(len(rows))]
+    g = gcd(*[k - ri - cj for row, ri in zip(rows, r)
+              for p, cj in zip(row, c) for k, in p.terms]) or 1
+    tops = [[(max(p.terms)[0] - ri - cj) // g if p else 0
+             for p, cj in zip(row, c)] for row, ri in zip(rows, r)]
+    slots = min(sum(map(max, tops)), sum(map(max, zip(*tops)))) + 1
+    # a zero row counts 1, so that every entry fits a slot too
+    hadamard = prod(max(sum(_l1(p) ** 2 for p in row), 1) for row in rows)
+    width = _width((isqrt(hadamard) + 1).bit_length() + 1)
+
+    def packed(p, shift):
+        if not p:
+            return 0
+        lo, cs = p._dense1(g)
+        return _pack(cs, width) << (lo - shift) // g * width
+
+    ints = [[packed(p, ri + cj) for p, cj in zip(row, c)]
+            for row, ri in zip(rows, r)]
+
+    def unpack(det):
+        return LaurentPoly._from_dense1(sum(r) + sum(c),
+                                        _unpack(det, slots, width), grid, g)
+
+    return ints, unpack
 
 
 def _divider(b):

@@ -26,6 +26,10 @@ from .ybe import ybe_check
 
 SUITE_NAMES = ("ybe", "ik", "cauchy", "sdet", "lemmas", "chain")
 
+#: the largest size override every suite can draw: the Cauchy suite takes
+#: n distinct xs from 1..MAX_N
+MAX_N = 39
+
 #: fixed (y, z) pairs always included in the Yang-Baxter suite
 YBE_PINNED = ((Fraction(2), Fraction(3)),
               (Fraction(1, 2), Fraction(3, 2)))
@@ -213,7 +217,7 @@ def _build_cauchy(rng, max_n):
     max_n = max_n or 5
     items = []
     for n in range(1, max_n + 1):
-        xs = rng.sample(range(1, 40), n)
+        xs = rng.sample(range(1, MAX_N + 1), n)
         ys = rng.sample(range(-40, 0), n)
         items.append((check_cauchy, {"n": n, "xs": xs, "ys": ys}))
     return items

@@ -182,6 +182,8 @@ def test_cmd_table_unknown_format_raises_value_error():
     ["verify", "ybe", "--workers", str((os.cpu_count() or 1) + 1)],
     ["verify", "ybe", "--seed", "-1"],
     ["verify", "ybe", "--seed", "one"],
+    ["verify", "cauchy", "--n", "40"],
+    ["verify", "all", "--n", "40"],
 ])
 def test_bad_size_exits_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

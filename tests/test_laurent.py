@@ -443,18 +443,20 @@ def test_packed_site_product_round_trips(weights, start_scale):
 
 
 def test_packed_site_weights_reject_bits_above_the_top_slot():
-    # one site t^(1/2) - t^(-1/2): L1(start) * 2 * L1(site) = 4 needs 3
-    # signed bits, one byte per slot, and its grid exponents -1..1 fill 3
-    site = (lp({1: 1, -1: -1}), lp({0: 1}))
-    frontiers, packed, unpack = pack_state_sum({0: LaurentPoly.one()},
-                                               [[site]])
-    v = 1 * packed[0][0][0]
-    assert v == _pack([-1, 0, 1], 8)
-    assert unpack([v]) == site[0]
-    # a slot count read off the bit length would take these as 4 slots
-    for bad in (v + (1 << 24), v - (1 << 24)):
-        with pytest.raises(ArithmeticError):
-            unpack([bad])
+    # one site t^(g/2) - t^(-g/2): L1(start) * 2 * L1(site) = 4 needs 3
+    # signed bits, one byte per slot, and its grid exponents -g, 0, g fill
+    # 3 slots of the lattice gZ
+    for g in (1, 2):
+        site = (lp({g: 1, -g: -1}), lp({0: 1}))
+        frontiers, packed, unpack = pack_state_sum({0: LaurentPoly.one()},
+                                                   [[site]])
+        v = 1 * packed[0][0][0]
+        assert v == _pack([-1, 0, 1], 8)
+        assert unpack([v]) == site[0]
+        # a slot count read off the bit length would take these as 4 slots
+        for bad in (v + (1 << 24), v - (1 << 24)):
+            with pytest.raises(ArithmeticError):
+                unpack([bad])
 
 
 def test_packed_site_weights_need_int_coefficients():

@@ -1,14 +1,16 @@
-"""Exact determinants: Bareiss pipeline vs division-free cofactor oracle."""
+"""Exact determinants: packed and Bareiss paths vs the cofactor oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
-from asmice import matrices
+from asmice import laurent, matrices
 from asmice.brackets import qdiff
 from asmice.dets import EpsilonGrid, general_x_matrix
-from asmice.laurent import LaurentPoly, RatFunc
+from asmice.laurent import LaurentPoly, RatFunc, _pack, pack_matrix
 from asmice.matrices import (RingMatrix, _det_cofactor, cleared_reciprocals,
                              det_exact)
 
@@ -107,17 +109,27 @@ def test_cleared_reciprocals():
         assert det_exact(c) == _det_cofactor(recip) * prod
 
 
+def coefficient_types(values):
+    return {type(c) for x in values for c in
+            (x.terms.values() if isinstance(x, LaurentPoly) else (x,))}
+
+
 def test_bareiss_runs_over_the_integers(monkeypatch):
-    grid = EpsilonGrid.symmetric((-4, -2, 0, 2, 4))
-    m = general_x_matrix(grid, s=Fraction(7, 5))
-    seen = set()
-    mul = LaurentPoly.__mul__
-    bareiss = matrices._det_bareiss
+    # the 5x5 matrix takes the packed path and the 7x7 one Bareiss; each
+    # sees int coefficients only
+    seen = {}
+    pack, bareiss, mul = (matrices.pack_matrix, matrices._det_bareiss,
+                          LaurentPoly.__mul__)
+
+    def packed(rows):
+        seen.setdefault("packed", set()).update(
+            coefficient_types(x for row in rows for x in row))
+        out = pack(rows)
+        assert out is not None
+        return out
 
     def checked(a, b):
-        for p in (a, b):
-            coeffs = p.terms.values() if isinstance(p, LaurentPoly) else (p,)
-            seen.update(map(type, coeffs))
+        seen.setdefault("bareiss", set()).update(coefficient_types((a, b)))
         return mul(a, b)
 
     def traced(rows):
@@ -127,13 +139,186 @@ def test_bareiss_runs_over_the_integers(monkeypatch):
         finally:
             monkeypatch.setattr(LaurentPoly, "__mul__", mul)
 
+    monkeypatch.setattr(matrices, "pack_matrix", packed)
     monkeypatch.setattr(matrices, "_det_bareiss", traced)
-    d = det_exact(m)
-    assert seen == {int}
-    monkeypatch.undo()
-    for u in (3, Fraction(1, 2)):           # x = u^2
-        at_x = general_x_matrix(grid, x=u * u, s=Fraction(7, 5))
-        assert d.eval_units(u) == _det_cofactor(at_x)
+    for f, path in (((-4, -2, 0, 2, 4), "packed"),
+                    ((-3, -2, -1, 0, 1, 2, 3), "bareiss")):
+        grid = EpsilonGrid.symmetric(f)
+        seen.clear()
+        d = det_exact(general_x_matrix(grid, s=Fraction(7, 5)))
+        assert seen == {path: {int}}
+        for u in (3, Fraction(1, 2)):           # x = u^2
+            at_x = general_x_matrix(grid, x=u * u, s=Fraction(7, 5))
+            assert d.eval_units(u) == _det_cofactor(at_x)
+
+
+def test_primitive_rows_have_int_coefficients(monkeypatch):
+    # content 1 with Fraction coefficients, whose denominators are all 1
+    row = [LaurentPoly(1, 2, {(-1,): Fraction(2), (3,): Fraction(-3)}),
+           LaurentPoly.const(Fraction(5))]
+    content, out = matrices._primitive_row(row)
+    assert content == 1 and out == row
+    assert coefficient_types(out) == {int}
+    m = RingMatrix([row, [qdiff(1), qdiff(2)]])
+    monkeypatch.setattr(matrices, "_det_bareiss", None)     # packed only
+    assert det_exact(m) == _det_cofactor(m)
+
+
+# ---------- the packed determinant against Bareiss and cofactors ----------
+
+@st.composite
+def packable_rows(draw):
+    """Square rows of univariate int-coefficient LaurentPolys: mixed or
+    single grids (scales 1, 2, 4, 12), negative exponents, zero entries,
+    exponents r_i + c_j + g*k that leave a lattice step g, and now and
+    then a zero row, a zero column, a repeated row, or orthogonal rows
+    whose determinant meets the Hadamard bound."""
+    n = draw(st.integers(1, matrices._PACKED_MAX_N))
+    g = draw(st.sampled_from([1, 2, 3]))
+    span = draw(st.sampled_from([0, 1, 4]))
+    scales = st.sampled_from([1, 2, 4, 12])
+    if not draw(st.booleans()):
+        scales = st.just(draw(scales))
+    offsets = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    r, c = draw(offsets), draw(offsets)
+    terms = st.dictionaries(st.integers(0, span),
+                            st.integers(-10 ** 6, 10 ** 6), max_size=3)
+    rows = [[LaurentPoly(1, draw(scales),
+                         {(ri + cj + g * k,): v
+                          for k, v in draw(terms).items()})
+             for cj in c] for ri in r]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero column",
+                                  "repeated row", "orthogonal"]))
+    if shape == "orthogonal":
+        # blocks [[a, -b], [b, a]] down the diagonal, and [a] last at odd
+        # n, times t^(r_i + c_j) on one grid: |det| = prod_i (row i's L2)
+        scale = draw(scales)
+        rows = [[LaurentPoly.zero()] * n for _ in range(n)]
+        for k in range(0, n, 2):
+            a, b = draw(st.integers(-10 ** 6, 10 ** 6)), \
+                draw(st.integers(-10 ** 6, 10 ** 6))
+            block = [[a, -b], [b, a]]
+            for di in range(min(2, n - k)):
+                for dj in range(min(2, n - k)):
+                    rows[k + di][k + dj] = LaurentPoly(
+                        1, scale, {(r[k + di] + c[k + dj],): block[di][dj]})
+    elif shape == "zero row":
+        rows[i] = [LaurentPoly.zero()] * n
+    elif shape == "zero column":
+        for row in rows:
+            row[j] = LaurentPoly.zero()
+    elif shape == "repeated row" and i != j:
+        rows[i] = list(rows[j])
+    return rows
+
+
+@given(packable_rows())
+def test_packed_determinant_matches_bareiss_and_cofactor(rows):
+    d = matrices._det_packed(rows)
+    assert d == matrices._det_bareiss(rows) == _det_cofactor(RingMatrix(rows))
+
+
+def test_packed_lattice_step_compacts_the_slots():
+    # entries in t^2 on grid 1 pack to the same ints as the same entries
+    # in t, and unpack with every exponent doubled
+    rng = random.Random(23)
+    cs = [[{k: rng.randrange(-9, 10) for k in range(3)} for _ in range(4)]
+          for _ in range(4)]
+
+    def rows(g):
+        return [[LaurentPoly(1, 1, {(g * k - 5,): v for k, v in e.items()})
+                 for e in row] for row in cs]
+
+    (ints1, unpack1), (ints2, unpack2) = pack_matrix(rows(1)), \
+        pack_matrix(rows(2))
+    assert ints1 == ints2
+    d = _det_cofactor(RingMatrix(ints1))
+    assert unpack2(d) == matrices._det_bareiss(rows(2))
+    assert {k % 2 for k, in unpack2(d).terms} == {0}
+    assert unpack1(d) == matrices._det_bareiss(rows(1))
+
+
+def test_packed_shifts_take_out_row_and_column_monomials():
+    # every entry of b has a nonzero constant term, so
+    # a = diag(t^r) b diag(t^c) packs to the ints of b
+    rng = random.Random(31)
+    b = [[LaurentPoly(1, 1, {(0,): rng.choice([-2, -1, 1, 2]),
+                             (rng.randrange(1, 4),): rng.randrange(-9, 10)})
+          for _ in range(4)] for _ in range(4)]
+    r, c = [3, -7, 0, 5], [-2, 4, 4, -6]
+    a = [[LaurentPoly.var_power(ri + cj) * x for x, cj in zip(row, c)]
+         for row, ri in zip(b, r)]
+    (ints_a, unpack_a), (ints_b, unpack_b) = pack_matrix(a), pack_matrix(b)
+    assert ints_a == ints_b
+    d = _det_cofactor(RingMatrix(ints_b))
+    assert unpack_a(d) == LaurentPoly.var_power(sum(r) + sum(c)) * \
+        unpack_b(d) == matrices._det_bareiss(a)
+
+
+def test_packed_hadamard_matrices_meet_the_bound():
+    # |det H| = sqrt(prod_i sum_j |h_ij|^2), the Hadamard bound itself;
+    # det [[8, -8], [8, 8]] = 128 needs a second byte for its sign bit
+    h2 = [[8, -8], [8, 8]]
+    h4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    for h, det in ((h4, 16), (h2, 128)):
+        n = len(h)
+        for e in (0, 3):
+            rows = [[LaurentPoly(1, 1, {(e * (i + j),): v})
+                     for j, v in enumerate(row)] for i, row in enumerate(h)]
+            d = matrices._det_packed(rows)
+            assert d == _det_cofactor(RingMatrix(rows)) == \
+                LaurentPoly(1, 1, {(e * n * (n - 1),): det})
+
+
+def test_packed_determinant_rejects_bits_above_the_top_slot():
+    # [[1 + t, 1 + t], [1, 2]]: degree sums 1 over the rows and 2 over the
+    # columns, so 2 slots; P = 8 * 5 gives the bound 7, one byte per slot
+    one, t = LaurentPoly.one(), LaurentPoly.var_power(1)
+    ints, unpack = pack_matrix([[one + t, one + t], [one, 2 * one]])
+    d = _det_cofactor(RingMatrix(ints))
+    assert d == _pack([1, 1], 8)
+    assert unpack(d) == one + t
+    for bad in (d + (1 << 16), d - (1 << 16)):
+        with pytest.raises(ArithmeticError):
+            unpack(bad)
+
+
+def test_packed_slots_one_byte_narrower_overflow(monkeypatch):
+    width = laurent._width
+    monkeypatch.setattr(laurent, "_width",
+                        lambda bits: max(width(bits) - 8, 8))
+
+    def top_slot_overflows(rows):
+        try:
+            matrices._det_packed(rows)
+        except OverflowError:       # an entry wider than a slot
+            return False
+        except ArithmeticError:
+            return True
+        return False
+
+    # some drawn determinant must need the byte taken away; no shrinking
+    find(packable_rows(), top_slot_overflows,
+         settings=settings(phases=[Phase.generate]))
+
+
+def test_seven_rows_go_through_bareiss(monkeypatch):
+    rng = random.Random(29)
+    rows = [[LaurentPoly(1, rng.choice([1, 2]),
+                         {(rng.randrange(-3, 4),): rng.randrange(-9, 10)
+                          for _ in range(2)}) for _ in range(7)]
+            for _ in range(7)]
+    assert matrices._det_packed(rows) is None
+    ints, unpack = pack_matrix(rows)
+    packed = unpack(_det_cofactor(RingMatrix(ints)))
+    calls = []
+    bareiss = matrices._det_bareiss
+    monkeypatch.setattr(matrices, "_det_bareiss",
+                        lambda rows: calls.append(1) or bareiss(rows))
+    m = RingMatrix(rows)
+    assert det_exact(m) == packed == _det_cofactor(m)
+    assert calls == [1]
 
 
 def test_row_contents_multiply_back():
