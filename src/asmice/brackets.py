@@ -16,13 +16,19 @@ in factored form together with a scalar prefactor and a monomial, so the
 t -> 1 limit can be taken structurally: d(a)/d(b) -> a/b, monomials -> 1.
 A product whose difference factors do not balance (net power nonzero) either
 vanishes in the limit or has a pole; no expanded 0/0 evaluation ever occurs.
+Expanded, every difference product goes through laurent.diff_product once:
+qdiff_product, the numerator and denominator of expand_ratfunc, and the
+quotient that decides equality of two products.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
-from .laurent import LaurentPoly, NonDivisible, RatFunc, _inv_scalar
+from .cyclotomic import _integral
+from .laurent import (LaurentPoly, NonDivisible, RatFunc, _inv_scalar,
+                      diff_product)
 
 
 def qdiff(a, nvars=1, var=0):
@@ -33,13 +39,15 @@ def qdiff(a, nvars=1, var=0):
             - LaurentPoly.var_power(-half, var, nvars))
 
 
-def qdiff_product(values):
-    """prod_{j<i} d(v_i - v_j) over the values in the given order."""
-    out = LaurentPoly.one()
-    for i, v in enumerate(values):
-        for u in values[:i]:
-            out = out * qdiff(v - u)
-    return out
+def qdiff_product(*value_lists, beta_power=0):
+    """beta^beta_power times prod_{j<i} d(v_i - v_j) over the values of
+    each list in the given order, expanded by one laurent.diff_product."""
+    diffs = Counter({1: beta_power})
+    for values in value_lists:
+        for i, v in enumerate(values):
+            for u in values[:i]:
+                diffs[v - u] += 1
+    return diff_product(diffs)
 
 
 def beta(nvars=1, var=0):
@@ -75,9 +83,10 @@ def bracket_ratio(a, nvars=1, var=0):
 class BracketProduct:
     """prefactor * unit^expo * prod d(a)^e in factored form.
 
-    ``diffs`` maps positive integer arguments a (in units of the variable's
-    half-power, so d(a) = s^(a/2)-s^(-a/2)) to integer exponents; negative
-    arguments are normalized away via d(-a) = -d(a).  ``unit_expo`` counts
+    ``diffs`` maps positive rational arguments a (in units of the
+    variable's half-power, so d(a) = s^(a/2)-s^(-a/2)) to integer
+    exponents; negative arguments are normalized away via d(-a) = -d(a).
+    An integral coefficient is kept as an int.  ``unit_expo`` counts
     half-powers of the variable.  In bracket terms the product equals
     prefactor * s^(unit_expo/2) * prod [a]^e * d(1)^(net) with
     net = sum of exponents, since [a] = d(a)/d(1) and [1] = 1.
@@ -86,7 +95,7 @@ class BracketProduct:
     __slots__ = ("coeff", "unit_expo", "diffs", "zero")
 
     def __init__(self, coeff=1, unit_expo=0, diffs=None, zero=False):
-        self.coeff = coeff if not isinstance(coeff, int) else Fraction(coeff)
+        self.coeff = _integral(coeff)
         self.unit_expo = unit_expo
         store = {}
         if not zero:
@@ -106,7 +115,7 @@ class BracketProduct:
         self.diffs = {a: e for a, e in store.items() if e} if not zero else {}
         self.zero = zero or (not zero and not self.coeff)
         if self.zero:
-            self.coeff = Fraction(0)
+            self.coeff = 0
             self.unit_expo = 0
             self.diffs = {}
 
@@ -181,22 +190,31 @@ class BracketProduct:
             value *= Fraction(a) ** e
         return self.coeff * value
 
+    def _expanded(self):
+        """(numerator, denominator) LaurentPolys of a nonzero product: the
+        factors with e > 0 and with e < 0 each expanded on ints by
+        laurent.diff_product, the coefficient and monomial applied last."""
+        num = diff_product({a: e for a, e in self.diffs.items() if e > 0})
+        den = diff_product({a: -e for a, e in self.diffs.items() if e < 0})
+        mono = LaurentPoly.var_power(Fraction(self.unit_expo, 2)) * self.coeff
+        return mono * num, den
+
     def expand_ratfunc(self):
         """The product as an explicit RatFunc in one variable."""
-        num = LaurentPoly.var_power(Fraction(self.unit_expo, 2)) * self.coeff
-        den = LaurentPoly.one()
-        for a, e in sorted(self.diffs.items()):
-            f = qdiff(a)
-            if e > 0:
-                num = num * f ** e
-            else:
-                den = den * f ** (-e)
-        return RatFunc(num, den)
+        if self.zero:
+            return RatFunc(LaurentPoly.zero())
+        return RatFunc(*self._expanded())
 
     def __eq__(self, other):
+        """Equality as functions, decided on the quotient self / other,
+        whose common factors have cancelled: it is 1 exactly when its
+        numerator and denominator expand to the same polynomial."""
         if not isinstance(other, BracketProduct):
             return NotImplemented
-        return self.expand_ratfunc() == other.expand_ratfunc()
+        if self.zero or other.zero:
+            return self.zero and other.zero
+        num, den = (self / other)._expanded()
+        return num == den
 
     def __repr__(self):
         if self.zero:

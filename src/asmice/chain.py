@@ -16,9 +16,10 @@ coefficients times a fixed fourth-root prefactor:
 
 with tau(g) = s^g + s^(-g) - (x-2) and d(k) = s^(k/2) - s^(-k/2).  The
 factor prod tau * det[1/tau] is computed as one polynomial determinant,
-det[prod_{k != j} tau(g_ik)] (matrices.cleared_reciprocals), and the
-difference products are brackets.qdiff_product, as in izergin.ik_z.  The
-key collapse is [v][v-1] = tau(g)/beta^2 at v = 1/2 + g*eps, which leaves
+det[prod_{k != j} tau(g_ik)] (matrices.cleared_reciprocals), and both
+difference products are expanded together by one brackets.qdiff_product
+call (one packed laurent.diff_product), as in izergin.ik_z.  The key
+collapse is [v][v-1] = tau(g)/beta^2 at v = 1/2 + g*eps, which leaves
 q only in the prefactor and in the rational constants x - 2 and
 beta^2 = x^2 - 4x.
 
@@ -87,8 +88,7 @@ def ik_eps_ratfunc(n, x, grid=None):
     beta_power = beta_sq ** ((n * n - n) // 2)
     if beta_power.denominator == 1:
         beta_power = beta_power.numerator   # int coefficients stay ints
-    den = (qdiff_product(grid.row_f)
-           * qdiff_product(grid.col_f[::-1]) * beta_power)
+    den = qdiff_product(grid.row_f, grid.col_f[::-1]) * beta_power
     return RatFunc(num, den)
 
 

@@ -26,10 +26,11 @@ determinants:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .brackets import BracketProduct, qdiff, qdiff_product
-from .laurent import LaurentPoly, RatFunc
+from .laurent import LaurentPoly, RatFunc, diff_product
 from .matrices import RingMatrix, det_exact
 
 FORMAL = None
@@ -64,11 +65,8 @@ def cauchy_det_closed(xs, ys):
     n = len(xs)
     if len(ys) != n:
         raise ValueError("parameter count mismatch")
-    num = qdiff(1) ** n * qdiff_product(xs) * qdiff_product(ys[::-1])
-    den = LaurentPoly.one()
-    for x in xs:
-        for y in ys:
-            den = den * qdiff(x - y)
+    num = qdiff_product(xs, ys[::-1], beta_power=n)
+    den = diff_product(Counter(x - y for x in xs for y in ys))
     return RatFunc(num, den)
 
 

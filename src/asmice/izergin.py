@@ -15,15 +15,17 @@ b = q^(1/2)-q^(-1/2) collapses to b^(n^2-n) in the denominator, and
     Z = (-1)^n * q^(sum (y_i-x_i)/2) * det E'
         over b^(n^2-n) * prod_{j<i} d(x_i-x_j) * prod_{i<j} d(y_i-y_j).
 
-Both difference products are brackets.qdiff_product, the second over the
-y's reversed.  The result is reduced to a genuine Laurent polynomial
-whenever it is one (laurent.reduced, as for sixvertex.z_brute).
+Every difference product here is expanded once on packed ints by
+laurent.diff_product: each e_{i,j}, and the whole denominator, b^(n^2-n)
+and both pair products (the second over the y's reversed), as one
+brackets.qdiff_product call.  The result is reduced to a genuine Laurent
+polynomial whenever it is one (laurent.reduced, as for sixvertex.z_brute).
 """
 
 from __future__ import annotations
 
-from .brackets import bracket_ratio, qdiff, qdiff_product
-from .laurent import LaurentPoly, reduced
+from .brackets import bracket_ratio, qdiff_product
+from .laurent import LaurentPoly, diff_product, reduced
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 from .matrices import RingMatrix, cleared_reciprocals, det_exact
 from .sixvertex import SpectralParams
@@ -72,7 +74,7 @@ def ik_z(inst):
     """The determinant side of the state-sum identity, exact."""
     p = inst.params
     n = inst.n
-    e = [[qdiff(p.label(i, j)) * qdiff(p.label(i, j) - 1)
+    e = [[diff_product({p.label(i, j): 1, p.label(i, j) - 1: 1})
           for j in range(n)] for i in range(n)]
     det = det_exact(cleared_reciprocals(e))
     shift = sum(y - x for x, y in zip(p.xs, p.ys))
@@ -80,6 +82,5 @@ def ik_z(inst):
     num = mono * det
     if n % 2:
         num = -num
-    den = (qdiff(1) ** (n * n - n) * qdiff_product(p.xs)
-           * qdiff_product(p.ys[::-1]))
+    den = qdiff_product(p.xs, p.ys[::-1], beta_power=n * n - n)
     return reduced(num, den)

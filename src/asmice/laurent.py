@@ -8,8 +8,10 @@ variables are supported; keys are exponent tuples of length nvars.
 The grid is this module's business.  A constructor that takes a rational
 exponent (var_power, and the brackets module's qdiff through it) picks the
 coarsest grid that holds it, and every binary operation promotes its
-operands to the least common grid (_matched).  Callers never choose D; only
-the raw-key constructor LaurentPoly(nvars, scale, terms) takes one.
+operands to the least common grid (_matched).  A caller that combines many
+polynomials on mixed grids puts them on their least common grid once, by
+common_grid, so that no operation promotes again.  Callers never choose D;
+only the raw-key constructor LaurentPoly(nvars, scale, terms) takes one.
 
 Coefficients are exact scalars: int, fractions.Fraction, or any ring element
 that sets the class attribute ``scalar_ring = True`` (the cyclotomic numbers
@@ -133,6 +135,27 @@ S/g + 1 slots, so a bit above the top slot raises ArithmeticError instead
 of reading as a coefficient.  A start in (t, u) is split by u-exponent,
 one packed frontier per exponent, and the sums are joined at the end, so
 the packed sweep never multiplies in two variables.
+
+Difference products.  diff_product expands prod d(a)^e over rational
+arguments a and exponents e >= 0, d(a) = t^(a/2) - t^(-a/2).  As
+d(-a) = -d(a), a negative argument is replaced by -a and contributes the
+sign (-1)^e, and a zero argument with e > 0 makes the product 0.  For
+a > 0, d(a) = t^(-a/2) (t^a - 1), so the product is that sign times
+t^(-sum e*a/2) times P = prod (t^a - 1)^e.  On the grid D, the lcm of the
+denominators of the a, t^a is m_a = 2aD grid units, an even integer, so
+the monomial is a whole number of units.  Every exponent of P is a sum of
+m_a's, so P lies on the lattice g*Z, g the gcd of the m_a, between 0 and
+M = sum e*m_a: with s = t^g it is a polynomial of degree M/g in s, exactly
+M/g + 1 slots (t -> t^g is a ring map, as for the kernel's lattice).  A
+factor s^k - 1 multiplies a packed value v as (v << k*W) - v, which is
+P_W(v * (s^k - 1)); no slot is read until the end.  Slot width: with E the
+number of factors (the sum of the e), L1(s^k - 1) = 2 and
+L1(fg) <= L1(f) L1(g) bound every coefficient of P by 2^E in absolute
+value, so W = _width(E + 2), the bound's bit length plus a sign bit,
+holds each one strictly inside (-2^(W-1), 2^(W-1)); d(1)^E has the central
+binomial coefficient C(E, E/2) at its middle.  The final int is unpacked
+into exactly M/g + 1 slots, so a bit above the top slot raises
+ArithmeticError instead of reading as a coefficient.
 
 The schoolbook multiply (_mul_terms) and long division (_long_divide) also
 serve sparse operands and the tests, as the oracle.
@@ -464,6 +487,7 @@ def divide_exact(num, den):
 def reduced(num, den):
     """num/den as a RatFunc: the exact quotient when den divides num, else
     the unreduced fraction."""
+    num, den = num._matched(den)        # once, for both outcomes
     try:
         return RatFunc(divide_exact(num, den))
     except NonDivisible:
@@ -862,6 +886,47 @@ def pack_state_sum(start, rows):
         return LaurentPoly._clean(nvars, grid, terms)
 
     return list(frontiers.values()), packed, unpack
+
+
+def diff_product(diffs):
+    """prod d(a)^e over {a: e}, d(a) = t^(a/2) - t^(-a/2) for rational a
+    and e >= 0, as a univariate LaurentPoly with int coefficients expanded
+    on one packed int (see "Difference products" in the module
+    docstring)."""
+    sign, factors = 1, {}
+    for a, e in diffs.items():
+        if e < 0:
+            raise ValueError(f"d({a}) has the negative exponent {e}")
+        if not e:
+            continue
+        a = Fraction(a)
+        if not a:
+            return LaurentPoly.zero()
+        if a < 0:
+            a = -a
+            sign = -sign if e % 2 else sign
+        factors[a] = factors.get(a, 0) + e
+    grid = lcm(*[a.denominator for a in factors])
+    # d(a) = t^(-a/2) (t^a - 1), and t^a is m = 2*a*grid grid units
+    steps = {int(2 * a * grid): e for a, e in factors.items()}
+    g = gcd(*steps) or 1
+    width = _width(sum(steps.values()) + 2)
+    v = sign
+    for m, e in steps.items():
+        shift = m // g * width
+        for _ in range(e):
+            v = (v << shift) - v
+    top = sum(m * e for m, e in steps.items())
+    return LaurentPoly._from_dense1(-top // 2, _unpack(v, top // g + 1, width),
+                                    grid, g)
+
+
+def common_grid(items):
+    """The LaurentPolys among items rescaled to their least common grid,
+    other items (scalars) unchanged, as a list in the same order."""
+    grid = lcm(*[p.scale for p in items if isinstance(p, LaurentPoly)])
+    return [p.rescale(grid) if isinstance(p, LaurentPoly) else p
+            for p in items]
 
 
 def pack_matrix(rows):

@@ -138,19 +138,22 @@ def cleared_reciprocals(e):
     """The matrix [prod_{k != j} e_ik] of a square array of polynomials.
 
     Row i is [1/e_ij] times R_i = prod_k e_ik, so its determinant is
-    det[1/e_ij] * prod_{i,j} e_ij.  A row is built from prefix and suffix
-    products in 3n - 4 multiplies.
+    det[1/e_ij] * prod_{i,j} e_ij.  A row of n >= 2 entries is built from
+    prefix and suffix products in 3n - 6 multiplies, none by 1.
     """
     rows = []
     for row in e:
-        out = [LaurentPoly.one(row[0].nvars)]
-        for x in row[:-1]:
+        if len(row) == 1:
+            rows.append([LaurentPoly.one(row[0].nvars)])
+            continue
+        out = [None, row[0]]
+        for x in row[1:-1]:
             out.append(out[-1] * x)         # prod_{k < j} e_ik
         suffix = row[-1]
-        for j in range(len(row) - 2, -1, -1):
+        for j in range(len(row) - 2, 0, -1):
             out[j] = out[j] * suffix        # times prod_{k > j} e_ik
-            if j:
-                suffix = suffix * row[j]
+            suffix = suffix * row[j]
+        out[0] = suffix
         rows.append(out)
     return RingMatrix(rows)
 

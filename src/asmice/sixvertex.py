@@ -20,8 +20,11 @@ The scaled weights are written once, in site_weights(m, h), m = q^(v/2),
 h = q^(1/2); its callers pass a generic label (z_brute, ybe.ybe_check),
 a label keeping w = q^(x_0/2) formal (the degree check), or a label
 pinned to a root of unity on the epsilon grid (chain.z_half_eps_brute).
-vertex_weights divides them back by b.  Each weight sits on the exponent
-grid its own label needs; the laurent module promotes mixed grids.
+vertex_weights divides them back by b.  site_weights puts m and h on
+their common grid first (laurent.common_grid), so each weight sits on the
+exponent grid its own label needs and no operation promotes again; a
+caller that mixes labels (ybe.ybe_check) puts their weights on one grid
+the same way.
 
 state_sweep is ring-generic: it only multiplies a frontier entry by a
 weight and adds entries.  z_brute and the degree check have int
@@ -42,11 +45,13 @@ elsewhere in the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
-from .brackets import bracket_ratio, qdiff
+from .brackets import BracketProduct, qdiff
 from .ice import ZERO_STATE
-from .laurent import LaurentPoly, RatFunc, pack_state_sum, reduced
+from .laurent import (LaurentPoly, common_grid, diff_product,
+                      pack_state_sum, reduced)
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 
 Z_BRUTE_BOUND = 6
@@ -106,6 +111,7 @@ def site_weights(m, h):
     h = q^(1/2), another or a scalar; the scaled weights are
     (-b/m, -b*m, m/h - h/m, m/h - h/m, m - 1/m, m - 1/m).
     """
+    m, h = common_grid((m, h))
     mi, hi = m ** -1, h ** -1
     b = h - hi
     turn = m * hi - mi * h
@@ -173,7 +179,7 @@ def z_brute(p):
     sweep over the scaled site weights."""
     n = p.n
     total = _packed_sweep(n, {0: LaurentPoly.one()}, _site(p, range(n)))
-    return reduced(total, qdiff(1) ** (n * n))
+    return reduced(total, diff_product({1: n * n}))
 
 
 def _z_formal(p):
@@ -206,13 +212,10 @@ def lemma_recursion_check(n, p, i, j):
     if p.xs[i] != p.ys[j] + 1:
         raise ValueError(f"precondition x_{i} = y_{j} + 1 violated")
     lhs = z_brute(p)
-    factor = RatFunc(LaurentPoly.var_power(Fraction(-1, 2)) * -1)
-    for k in range(n):
-        if k != j:
-            factor = factor * bracket_ratio(p.xs[i] - p.ys[k])
-    for k in range(n):
-        if k != i:
-            factor = factor * bracket_ratio(p.xs[k] - p.ys[j])
+    diffs = Counter(p.xs[i] - y for k, y in enumerate(p.ys) if k != j)
+    diffs.update(x - p.ys[j] for k, x in enumerate(p.xs) if k != i)
+    diffs[1] -= 2 * (n - 1)                 # [a] = d(a) / d(1)
+    factor = BracketProduct(-1, -1, diffs).expand_ratfunc()
     if n == 1:
         return lhs == factor
     return lhs == factor * z_brute(p.drop(i, j))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .ice import STATE_OF_FLAGS
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, common_grid
 from .sixvertex import _label_weights
 
 LHS_CROSSINGS = (("y", "B1", "B2", "I1", "I2"),
@@ -77,7 +77,7 @@ def _crossing_weight(weights, bl, br, tl, tr):
 def _side_sum(crossings, weight_of, boundary_bits):
     internal = sorted({e for c in crossings for e in c[1:] if e[0] in "IJ"})
     orient = dict(zip(BOUNDARY, boundary_bits))
-    total = LaurentPoly.zero()
+    total = None
     for bits in product((False, True), repeat=len(internal)):
         orient.update(zip(internal, bits))
         term = None
@@ -89,17 +89,17 @@ def _side_sum(crossings, weight_of, boundary_bits):
                 break
             term = w if term is None else term * w
         if term is not None:
-            total = total + term
-    return total
+            total = term if total is None else total + term
+    return LaurentPoly.zero() if total is None else total
 
 
 def ybe_check(y, z):
     """Run all 64 boundary cases at crossing labels (y, z, x = y + z)."""
     y = Fraction(y)
     z = Fraction(z)
-    weight_of = {"x": _label_weights(y + z),
-                 "y": _label_weights(y),
-                 "z": _label_weights(z)}
+    weights = common_grid([w for v in (y + z, y, z)
+                           for w in _label_weights(v)])
+    weight_of = {"x": weights[:6], "y": weights[6:12], "z": weights[12:]}
     trivial = 0
     equal = 0
     failures = []

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from asmice.brackets import (BracketProduct, beta, bracket, bracket_ratio,
-                             qdiff)
+                             qdiff, qdiff_product)
+from asmice.chain import q_fourth_root
 from asmice.laurent import LaurentPoly, NonDivisible, RatFunc
 
 
@@ -148,3 +149,89 @@ def test_power_of_zero():
         z ** -1
     with pytest.raises(ZeroDivisionError):
         BracketProduct.one() / z
+
+
+# ---------- packed expansion against the factor-by-factor oracle ----------
+
+def factor_by_factor(p):
+    """p as a RatFunc expanded one qdiff(a) ** e at a time, the coefficient
+    and monomial multiplied in first."""
+    num = LaurentPoly.var_power(Fraction(p.unit_expo, 2)) * p.coeff
+    den = LaurentPoly.one()
+    for a, e in sorted(p.diffs.items()):
+        if e > 0:
+            num = num * qdiff(a) ** e
+        else:
+            den = den * qdiff(a) ** -e
+    return RatFunc(num, den)
+
+
+def cross_multiplied_equal(p, q):
+    return factor_by_factor(p) == factor_by_factor(q)
+
+
+products = st.builds(
+    BracketProduct,
+    st.sampled_from([1, -1, 3, Fraction(-2, 5), q_fourth_root(1)]),
+    st.integers(-6, 6),
+    st.dictionaries(st.builds(Fraction, st.integers(-6, 6),
+                              st.sampled_from([1, 2, 3, 4])),
+                    st.integers(-3, 3), max_size=4)
+    .filter(lambda d: d.get(0, 0) >= 0),         # d(0) may not divide
+)
+
+
+@given(products)
+def test_expand_ratfunc_matches_the_factor_by_factor_oracle(p):
+    assert p.expand_ratfunc() == factor_by_factor(p)
+
+
+@given(products, products)
+def test_equality_matches_the_cross_multiplied_comparison(p, q):
+    assert (p == q) == cross_multiplied_equal(p, q)
+
+
+@given(products, products.filter(bool))
+def test_equality_on_equal_pairs(p, q):
+    # the same function built another way: q cancels, and d(-a)^e is
+    # (-1)^e d(a)^e
+    flipped = BracketProduct(p.coeff * (-1) ** (p.net_diff_power % 2),
+                             p.unit_expo, {-a: e for a, e in p.diffs.items()})
+    for other in (p * q / q, flipped):
+        assert p == other
+        assert cross_multiplied_equal(p, other)
+
+
+def test_equality_with_the_zero_product():
+    zero = BracketProduct.diff(0)
+    assert zero == BracketProduct(0) == BracketProduct(5, 3, {0: 2, 4: -1})
+    assert cross_multiplied_equal(zero, BracketProduct(0))
+    for p in (BracketProduct.one(), BracketProduct.diff(2, -1),
+              BracketProduct(Fraction(1, 3), 1, {1: 1})):
+        assert p != zero and zero != p
+        assert not cross_multiplied_equal(p, zero)
+
+
+def test_integral_coefficients_stay_ints():
+    assert type(BracketProduct(3).coeff) is int
+    assert type(BracketProduct(Fraction(6, 2)).coeff) is int
+    assert type(BracketProduct.diff(0).coeff) is int
+    assert type((BracketProduct(3) * 2).coeff) is int
+    assert type(BracketProduct(Fraction(1, 2)).coeff) is Fraction
+    assert type(BracketProduct(3).limit_at_one()) is Fraction
+    assert BracketProduct(3, 0, {2: 1, 1: -1}).limit_at_one() == 6
+    assert all(type(c) is int for c in BracketProduct(
+        3, -1, {2: 2, 5: -1}).expand_ratfunc().num.terms.values())
+
+
+@given(st.lists(st.lists(st.builds(Fraction, st.integers(-8, 8),
+                                   st.sampled_from([1, 2, 4])), max_size=5),
+                max_size=3),
+       st.integers(0, 6))
+def test_qdiff_product_matches_sequential_differences(lists, power):
+    want = qdiff(1) ** power
+    for values in lists:
+        for i, v in enumerate(values):
+            for u in values[:i]:
+                want = want * qdiff(v - u)
+    assert qdiff_product(*lists, beta_power=power) == want

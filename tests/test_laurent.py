@@ -5,21 +5,23 @@ import inspect
 import pkgutil
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 import asmice
 from asmice import laurent
+from asmice.brackets import qdiff
 from asmice.chain import q_fourth_root
 from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                             _bits, _divide_ints, _divide_rational,
                             _lattice_step, _long_divide, _mul_cyclotomic,
                             _mul_packed1, _mul_rational, _mul_terms, _pack,
-                            _unpack, _width, _worth_packing, divide_exact,
-                            limit_at_one, pack_state_sum, reduced,
-                            vanishing_order_at_one)
+                            _unpack, _width, _worth_packing, common_grid,
+                            diff_product, divide_exact, limit_at_one,
+                            pack_state_sum, reduced, vanishing_order_at_one)
 
 
 def lp(terms, scale=1):
@@ -462,6 +464,88 @@ def test_packed_site_weights_reject_bits_above_the_top_slot():
 def test_packed_site_weights_need_int_coefficients():
     with pytest.raises(TypeError):
         pack_state_sum({0: LaurentPoly.one()}, [[(lp({0: Fraction(1, 2)}),)]])
+
+
+# ---------- difference products against the schoolbook ----------
+
+def schoolbook_diff_product(diffs):
+    """prod qdiff(a) ** e, one schoolbook multiply per factor."""
+    out = LaurentPoly.one()
+    for a, e in diffs.items():
+        for _ in range(e):
+            out, f = out._matched(qdiff(a))
+            out = LaurentPoly._clean(1, out.scale,
+                                     _mul_terms(out.terms, f.terms))
+    return out
+
+
+# integer, half, third and quarter arguments of either sign, and zero
+diff_arguments = st.builds(Fraction, st.integers(-12, 12),
+                           st.sampled_from([1, 2, 3, 4]))
+
+
+@given(st.dictionaries(diff_arguments, st.integers(0, 4), max_size=6))
+def test_diff_product_matches_the_schoolbook(diffs):
+    assert diff_product(diffs) == schoolbook_diff_product(diffs)
+
+
+def test_diff_product_on_seeded_wide_draws():
+    for seed in range(20):
+        rng = random.Random(seed)
+        diffs = {Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 4, 6])):
+                 rng.randint(0, 9) for _ in range(rng.randint(1, 8))}
+        assert diff_product(diffs) == schoolbook_diff_product(diffs), diffs
+
+
+def test_diff_product_edge_cases():
+    assert diff_product({}) == LaurentPoly.one()
+    assert diff_product({0: 1, 3: 2}).is_zero
+    assert diff_product({0: 0, 3: 0, -2: 1}) == qdiff(-2)
+    assert diff_product({2: 1, -2: 1}) == qdiff(2) * qdiff(-2)
+    assert all(type(c) is int for c in diff_product({Fraction(1, 3): 5,
+                                                     -7: 2}).terms.values())
+    with pytest.raises(ValueError):
+        diff_product({2: -1})
+
+
+def test_diff_product_reaches_the_width_bound_at_the_centre():
+    # d(1)^E has the coefficients +-C(E, k), the largest (-1)^(E/2) C(E, E/2)
+    # in the middle: at E = 120 it needs 117 bits and a sign in slots of
+    # _width(122) = 128 bits, at E = 62 it needs 60 bits and a sign, so a
+    # slot one byte narrower than _width(64) could not hold it
+    for e in (62, 120):
+        p = diff_product({1: e})
+        assert p.terms[(0,)] == (-1) ** (e // 2) * comb(e, e // 2)
+        assert len(p.terms) == e + 1
+        assert p == schoolbook_diff_product({1: e})
+    assert comb(62, 31).bit_length() + 1 > _width(62 + 2) - 8
+
+
+def test_diff_product_unpacks_exactly_its_slots(monkeypatch):
+    seen = []
+
+    def spy(v, slots, width):
+        seen.append((v, slots, width))
+        return _unpack(v, slots, width)
+
+    monkeypatch.setattr(laurent, "_unpack", spy)
+    diffs = {Fraction(1, 2): 2, 3: 1, -1: 1}
+    p = diff_product(diffs)
+    (v, slots, width), = seen
+    # grid 2: t^(1/2), t^3 and t^1 are 2, 12 and 4 units, on the lattice
+    # 2Z, so degree 2*2 + 12 + 4 = 20 is 11 slots; four factors, 6 bits
+    assert (slots, width) == (11, _width(4 + 2))
+    assert p == schoolbook_diff_product(diffs)
+    for bad in (v + (1 << slots * width), v - (1 << slots * width)):
+        with pytest.raises(ArithmeticError):
+            _unpack(bad, slots, width)
+
+
+def test_common_grid_promotes_once_and_keeps_scalars():
+    a, b, c, d = common_grid([lp({1: 1}), lp({1: 2}, 3), 5, lp({4: 1}, 2)])
+    assert (a.scale, b.scale, d.scale) == (6, 6, 6)
+    assert a == lp({1: 1}) and b == lp({1: 2}, 3) and d == lp({4: 1}, 2)
+    assert c == 5
 
 
 # ---------- Q(zeta_24) coefficients, one z-component at a time ----------

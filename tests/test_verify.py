@@ -2,6 +2,7 @@
 
 import pytest
 
+from asmice.laurent import LaurentPoly
 from asmice.verify import (SUITE_NAMES, CheckResult, build_suite, run_suite)
 
 EXPECTED_SIZES = {"ybe": 7, "ik": 11, "cauchy": 5,
@@ -77,3 +78,20 @@ def test_run_suite_rejects_fewer_than_one_worker(workers):
 def test_check_result_repr():
     assert repr(CheckResult("probe", True, "n=2")) == "[pass] probe: n=2"
     assert repr(CheckResult("probe", False)) == "[FAIL] probe"
+
+
+def test_one_pass_of_the_suite_changes_few_grids(monkeypatch):
+    # weights of labels on mixed grids go to their common grid once
+    # (laurent.common_grid), not once per operation that mixes them
+    changes = 0
+    rescale = LaurentPoly.rescale
+
+    def counted(self, new_scale):
+        nonlocal changes
+        changes += new_scale != self.scale
+        return rescale(self, new_scale)
+
+    monkeypatch.setattr(LaurentPoly, "rescale", counted)
+    for func, kwargs in build_suite("all", seed=0):
+        assert func(**kwargs).passed
+    assert changes < 400
