@@ -9,8 +9,6 @@ a one-line message.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -20,7 +18,6 @@ from fractions import Fraction
 from .asm import ENUM_BOUND, count_asms_brute
 from .formulas import a2_formula, a3_formula, a_formula, b_chain
 from .transfer import DEFAULT_BOUND, transfer_count
-from .verify import MAX_N, SUITE_NAMES, run_suite
 
 
 class RunReport:
@@ -112,6 +109,7 @@ def cmd_bseq(max_n):
 
 
 def cmd_verify(suite, max_n=None, workers=1, seed=0):
+    from .verify import run_suite
     report = RunReport("verify", {"suite": suite, "n": max_n,
                                   "workers": workers, "seed": seed})
     results = run_suite(suite, seed=seed, max_n=max_n, workers=workers)
@@ -138,6 +136,8 @@ def cmd_table(max_n, fmt="text"):
                  "poly": [str(c) for c in r["poly"].ascending()]},
                 separators=(",", ":")))
     elif fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "a1", "a2", "a3", "poly"])
@@ -186,6 +186,24 @@ def _size(limit=None, low=1):
     return parse
 
 
+def _verify_n(text):
+    """argparse type of verify --n: 1 <= n <= verify.MAX_N."""
+    from .verify import MAX_N
+    return _size(MAX_N)(text)
+
+
+class _Suites:
+    """argparse choices of verify: the suite names and "all", read from
+    verify only when the verify subcommand is parsed or its help shown."""
+
+    def __iter__(self):
+        from .verify import SUITE_NAMES
+        return iter(SUITE_NAMES + ("all",))
+
+    def __contains__(self, name):
+        return name in tuple(self)
+
+
 def _parse_methods(text):
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     unknown = [m for m in methods if m not in COUNT_BOUNDS]
@@ -229,8 +247,10 @@ def build_parser():
                    dest="max_n")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--n", type=_size(MAX_N), default=None,
+    # a metavar keeps argparse from listing the choices while it builds
+    p.add_argument("suite", choices=_Suites(), metavar="suite",
+                   help="one of %(choices)s")
+    p.add_argument("--n", type=_verify_n, default=None,
                    help="size bound override for the suite")
     p.add_argument("--workers", type=_size(os.cpu_count() or 1), default=1,
                    help="process count, at most the CPU count")

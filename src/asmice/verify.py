@@ -8,7 +8,6 @@ depend on execution order and the items can run in a process pool.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .chain import (a_via_chain, ean_normalize, half_spec_value,
@@ -311,6 +310,9 @@ def run_suite(name, seed=0, max_n=None, workers=1):
         raise ValueError(f"workers must be at least 1, got {workers}")
     items = build_suite(name, seed, max_n)
     if workers > 1:
+        # the pool pulls in multiprocessing, socket and subprocess: only
+        # a pooled run pays for them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_call_item, items))
     return [_call_item(it) for it in items]

@@ -4,11 +4,16 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from asmice import cli, formulas
+from asmice import cli, formulas, verify
 from asmice.transfer import transfer_count
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def lines_of(capsys):
@@ -122,9 +127,23 @@ def test_verify_seed_draws_other_parameters():
     assert details[0] != details[1]
 
 
-def test_verify_unknown_suite():
-    with pytest.raises(SystemExit):
+def test_verify_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "everything"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'everything'" in err
+    for name in verify.SUITE_NAMES + ("all",):
+        assert repr(name) in err
+
+
+def test_verify_help_names_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in verify.SUITE_NAMES + ("all",):
+        assert name in out
 
 
 # ---------- table ----------
@@ -219,3 +238,41 @@ def test_failed_check_sets_exit_code():
 def test_xenum_matches_transfer_directly(capsys):
     assert cli.main(["xenum", "--n", "5"]) == 0
     assert lines_of(capsys) == [str(transfer_count(5))]
+
+
+# ---------- what a command loads ----------
+
+def loaded_after(code):
+    """The modules a fresh interpreter has loaded after running code."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_counting_commands_load_no_verify_machinery():
+    loaded = loaded_after(
+        "from asmice import cli\n"
+        "cli.run(['count', '--n', '6',\n"
+        "         '--method', 'brute,transfer,formula'])\n"
+        "cli.run(['table', '--max-n', '5', '--format', 'json'])")
+    unwanted = {"asmice.laurent", "asmice.cyclotomic", "asmice.verify",
+                "concurrent.futures.process", "csv"}
+    assert loaded & unwanted == set()
+    assert "asmice.transfer" in loaded
+
+
+def test_bare_package_import_loads_no_module():
+    loaded = loaded_after("import asmice")
+    assert "asmice" in loaded
+    assert {m for m in loaded if m.startswith("asmice.")} == set()
+
+
+def test_serial_suite_loads_no_process_pool():
+    loaded = loaded_after(
+        "from asmice import verify\n"
+        "assert all(r.passed for r in verify.run_suite('ybe'))")
+    assert "asmice.verify" in loaded
+    assert "concurrent.futures.process" not in loaded

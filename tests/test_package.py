@@ -1,0 +1,57 @@
+"""The package's public names, resolved on first use, and the README's
+documented examples."""
+
+import doctest
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import asmice
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_public_name_is_its_modules_object():
+    for name in asmice.__all__:
+        module = importlib.import_module(f"asmice.{asmice._MODULE_OF[name]}")
+        assert getattr(asmice, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+
+
+def test_public_names_listed_once_and_in_dir():
+    assert len(asmice.__all__) == len(set(asmice.__all__)) == 56
+    assert set(asmice.__all__) <= set(dir(asmice))
+
+
+def test_submodule_import_from_package():
+    from asmice import chain
+    assert chain is importlib.import_module("asmice.chain")
+    assert asmice.chain is chain
+
+
+def test_unknown_attribute_names_itself():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        asmice.no_such_name
+
+
+def test_name_follows_its_modules_binding(monkeypatch):
+    from asmice import transfer
+    original = transfer.transfer_count
+    monkeypatch.setattr(transfer, "transfer_count", len)
+    assert asmice.transfer_count is len
+    monkeypatch.undo()
+    assert asmice.transfer_count is original
+
+
+def test_readme_examples():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    examples = [b for b in blocks if ">>>" in b]
+    assert examples
+    runner = doctest.DocTestRunner()
+    for i, text in enumerate(examples):
+        test = doctest.DocTestParser().get_doctest(
+            text, {}, f"README-{i}", str(README), 0)
+        runner.run(test)
+    assert runner.failures == 0 and runner.tries >= 4
