@@ -100,41 +100,19 @@ scalar's nonzero components, so its product costs one bigint multiply per
 such component.  Exact divide with Cyclotomic coefficients stays on the
 schoolbook.
 
-Packed site weights.  A domain-wall state sum (sixvertex.state_sweep)
-multiplies each frontier entry by few-term site weights, one site at a
-time, and adds entries; pack_state_sum lets it do so on ints.  The
-exponents of every weight are read once on the common grid of all weights
-and start values.  Each state takes exactly one weight per site, so taking
-each site's least exponent o out of all its weights (t^(-o) w) changes
-every state's product by the same monomial t^(sum of the o); the start
-values have their least exponent taken out too.  Every shifted weight then
-has exponents in [0, span] for its site, and a state's product has
-exponents in [0, S], S the sum of all the spans.  Let g be the gcd of
-every shifted exponent of the weights and the start values (1 if all are
-0): a state's product is a sum of one exponent per site and one of the
-start, so it stays on the lattice g*Z, and the lists hold only that
-lattice, S/g + 1 slots (t -> t^g is a ring map, as for the kernel's
-lattice).  A frontier entry is the packed int P_W(v) of its shifted
-coefficient list, and a weight sum_k c_k t^(g*k) multiplies it as
-sum_k c_k (P_W(v) << k*W), which is P_W(v * w) since P_W is a ring map; no
-slot is read during the sweep.
-
-Slot width.  Along a row the sweep takes at most two of a site's weights
-from any key (entry 0, and +1 or -1 where the column and row bits allow),
-so from any start key at most 2^c fillings of c sites reach the end; and
-as L1(fg) <= L1(f) L1(g), every coefficient of the sum is at most
-L1(start) * prod over sites (2 * the site's largest L1) in absolute value.
-W is that bound's bit length plus a sign bit, rounded up to whole bytes.
-Each scaled six-vertex weight (-b/m, -b m, m/h - h/m, m - 1/m) has at most
-two terms, with coefficients +-1, so its L1 norm is at most 2; from the
-start 1 the n^2 sites bound every coefficient of b^(n^2) Z by
-4^(n^2) = 2^(2n^2), and W = _width(2n^2 + 2).  A formal top row swept
-first and handed over as the start has L1 at most n 2^n < 4^n over its n
-masks, so the same W holds.  The final entry is unpacked into exactly
-S/g + 1 slots, so a bit above the top slot raises ArithmeticError instead
-of reading as a coefficient.  A start in (t, u) is split by u-exponent,
-one packed frontier per exponent, and the sums are joined at the end, so
-the packed sweep never multiplies in two variables.
+Packed layouts.  A _Layout is the one format that the packers outside the
+kernel share: a univariate polynomial whose grid exponents are
+offset + g*i, i = 0..slots-1, is the int P_W(v) of its coefficient list
+v.  P_W is a ring map, so a caller may multiply, add and shift packed
+values and read no slot until the end; t -> t^g is one too, so with g the
+gcd of the exponents the caller can produce, less the offset, the lists
+hold only the lattice offset + g*Z (as for the kernel's lattice).  The
+caller states a bound on the absolute value of every coefficient: W, its
+bit length plus a sign bit rounded up to whole bytes, puts each strictly
+inside (-2^(W-1), 2^(W-1)), so it unpacks uniquely (see "Slot width of a
+product").  It also states its greatest exponent above the offset, top:
+unpacking reads exactly top/g + 1 slots, so a bit above the top slot
+raises ArithmeticError instead of reading as a coefficient.
 
 Difference products.  diff_product expands prod d(a)^e over rational
 arguments a and exponents e >= 0, d(a) = t^(a/2) - t^(-a/2).  As
@@ -144,18 +122,12 @@ a > 0, d(a) = t^(-a/2) (t^a - 1), so the product is that sign times
 t^(-sum e*a/2) times P = prod (t^a - 1)^e.  On the grid D, the lcm of the
 denominators of the a, t^a is m_a = 2aD grid units, an even integer, so
 the monomial is a whole number of units.  Every exponent of P is a sum of
-m_a's, so P lies on the lattice g*Z, g the gcd of the m_a, between 0 and
-M = sum e*m_a: with s = t^g it is a polynomial of degree M/g in s, exactly
-M/g + 1 slots (t -> t^g is a ring map, as for the kernel's lattice).  A
-factor s^k - 1 multiplies a packed value v as (v << k*W) - v, which is
-P_W(v * (s^k - 1)); no slot is read until the end.  Slot width: with E the
-number of factors (the sum of the e), L1(s^k - 1) = 2 and
-L1(fg) <= L1(f) L1(g) bound every coefficient of P by 2^E in absolute
-value, so W = _width(E + 2), the bound's bit length plus a sign bit,
-holds each one strictly inside (-2^(W-1), 2^(W-1)); d(1)^E has the central
-binomial coefficient C(E, E/2) at its middle.  The final int is unpacked
-into exactly M/g + 1 slots, so a bit above the top slot raises
-ArithmeticError instead of reading as a coefficient.
+m_a's, between 0 and top = sum e*m_a, so the layout's g is the gcd of the
+m_a, and a factor s^k - 1 (s = t^g) multiplies a packed value v as
+(v << k*W) - v.  With E the number of factors (the sum of the e),
+L1(s^k - 1) = 2 and L1(fg) <= L1(f) L1(g) bound every coefficient of P
+by 2^E; d(1)^E has the central binomial coefficient C(E, E/2) at its
+middle.
 
 The schoolbook multiply (_mul_terms) and long division (_long_divide) also
 serve sparse operands and the tests, as the oracle.
@@ -164,7 +136,7 @@ serve sparse operands and the tests, as the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 from operator import add
 
 from .cyclotomic import DEGREE, Cyclotomic, _fold, _make
@@ -188,7 +160,7 @@ class LaurentPoly:
     def __init__(self, nvars, scale, terms):
         if nvars not in (1, 2):
             raise ValueError("only 1 or 2 variables supported")
-        if scale < 1:
+        if type(scale) is not int or scale < 1:
             raise ValueError("scale must be a positive integer")
         clean = {}
         for exps, c in terms.items():
@@ -262,6 +234,8 @@ class LaurentPoly:
         return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
 
     def rescale(self, new_scale):
+        if type(new_scale) is not int or new_scale < 1:
+            raise ValueError("scale must be a positive integer")
         if new_scale == self.scale:
             return self
         if new_scale % self.scale:
@@ -802,23 +776,47 @@ def _bias(slots, size):
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
 
-# ---------- packed site weights ----------
+# ---------- packed layouts ----------
 
-class _Shifts:
-    """The weight p packed for slots of `width` bits, read on the grid,
-    shifted by t^(-lo) and laid on the lattice g*Z: v * w is the sum of
-    c * (v << s) over its terms' bit offsets s and coefficients c, so the
-    zero weight gives 0."""
+class _Layout:
+    """One packed format (see "Packed layouts" in the module docstring):
+    the coefficient of t^(offset + g*i) on the grid in slot i of `width`
+    bits, for i < `slots`.  g is the gcd of exps (1 when all are 0), bound
+    is at least every coefficient's absolute value, and top, a multiple of
+    g, is the greatest exponent above the offset."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("grid", "offset", "g", "width", "slots")
 
-    def __init__(self, p, grid, lo, g, width):
-        step = grid // p.scale
-        self.pairs = [((k[0] * step - lo) // g * width, c)
-                      for k, c in p.terms.items()]
+    def __init__(self, grid, exps, bound, offset, top):
+        self.grid = grid
+        self.offset = offset
+        self.g = gcd(*exps) or 1
+        self.width = _width(bound.bit_length() + 1)
+        self.slots = top // self.g + 1
 
-    def __rmul__(self, v):
-        return sum([c * (v << s) for s, c in self.pairs])
+    def place(self, p, shift):
+        """The (bit offset, coefficient) pairs of p * t^(-shift), in the
+        order of p.terms; only the first exponent of each key is read, on
+        the layout's grid."""
+        step, g, width = self.grid // p.scale, self.g, self.width
+        return [((k[0] * step - shift) // g * width, c)
+                for k, c in p.terms.items()]
+
+    def pack(self, p, shift):
+        """p * t^(-shift), univariate with int coefficients, as one int."""
+        if not p:
+            return 0
+        lo, cs = p.rescale(self.grid)._dense1(self.g)
+        return _pack(cs, self.width) << (lo - shift) // self.g * self.width
+
+    def terms(self, v, rest=()):
+        """{(exponent,) + rest: coefficient} over the nonzero slots of v."""
+        offset, g = self.offset, self.g
+        return {(offset + g * i,) + rest: c
+                for i, c in enumerate(_unpack(v, self.slots, self.width)) if c}
+
+    def unpack(self, v):
+        return LaurentPoly._clean(1, self.grid, self.terms(v))
 
 
 def _l1(p):
@@ -826,66 +824,6 @@ def _l1(p):
     if any(type(c) is not int for c in p.terms.values()):
         raise TypeError("packed weights need int coefficients")
     return sum(map(abs, p.terms.values()))
-
-
-def _span(polys, grid):
-    """The least and the greatest t-exponent of the polys on the grid; 0, 0
-    when all are zero."""
-    exps = [k[0] * (grid // p.scale) for p in polys for k in p.terms]
-    return min(exps, default=0), max(exps, default=0)
-
-
-def pack_state_sum(start, rows):
-    """A state sum of univariate int-coefficient site weights, set up to
-    run on packed ints (see "Packed site weights" in the module docstring).
-
-    start maps frontier keys to nonzero LaurentPolys in t or in (t, u);
-    rows[i][j] is one site's sequence of weights.  Returns (frontiers,
-    packed, unpack): packed has the shape of rows, each weight replaced by
-    a multiplier of packed ints; frontiers holds the packed start, one
-    frontier per u-exponent (a single one for a univariate start); unpack
-    takes the final entries, one per frontier in that order, to the
-    LaurentPoly whose t-coefficients they pack.
-    """
-    polys = [w for row in rows for site in row for w in site]
-    grid = lcm(*[p.scale for p in polys], *[p.scale for p in start.values()])
-    values = {key: p.rescale(grid) for key, p in start.items()}
-    spans = [[_span(site, grid) for site in row] for row in rows]
-    low, top = _span(values.values(), grid)
-    offset, slots = low, top - low + 1
-    bound = sum(map(_l1, values.values()))
-    for row, span in zip(rows, spans):
-        for site, (lo, hi) in zip(row, span):
-            offset += lo
-            slots += hi - lo
-            bound *= 2 * max(map(_l1, site))
-    width = _width(bound.bit_length() + 1)
-    g = gcd(*[k[0] * (grid // w.scale) - lo
-              for row, span in zip(rows, spans)
-              for site, (lo, _) in zip(row, span) for w in site
-              for k in w.terms],
-            *[k[0] - low for p in values.values() for k in p.terms]) or 1
-    slots = (slots - 1) // g + 1
-    packed = [[tuple(_Shifts(w, grid, lo, g, width) for w in site)
-               for site, (lo, _) in zip(row, span)]
-              for row, span in zip(rows, spans)]
-    frontiers = {}
-    for key, p in values.items():
-        for k, c in p.terms.items():
-            frontier = frontiers.setdefault(k[1:], {})
-            frontier[key] = frontier.get(key, 0) + (
-                c << (k[0] - low) // g * width)
-    nvars = next(iter(values.values())).nvars
-
-    def unpack(totals):
-        terms = {}
-        for rest, v in zip(frontiers, totals):
-            cs = _unpack(v, slots, width)
-            terms.update({(offset + g * i,) + rest: c
-                          for i, c in enumerate(cs) if c})
-        return LaurentPoly._clean(nvars, grid, terms)
-
-    return list(frontiers.values()), packed, unpack
 
 
 def diff_product(diffs):
@@ -909,16 +847,14 @@ def diff_product(diffs):
     grid = lcm(*[a.denominator for a in factors])
     # d(a) = t^(-a/2) (t^a - 1), and t^a is m = 2*a*grid grid units
     steps = {int(2 * a * grid): e for a, e in factors.items()}
-    g = gcd(*steps) or 1
-    width = _width(sum(steps.values()) + 2)
+    top = sum(m * e for m, e in steps.items())
+    layout = _Layout(grid, steps, 1 << sum(steps.values()), -top // 2, top)
     v = sign
     for m, e in steps.items():
-        shift = m // g * width
+        shift = m // layout.g * layout.width
         for _ in range(e):
             v = (v << shift) - v
-    top = sum(m * e for m, e in steps.items())
-    return LaurentPoly._from_dense1(-top // 2, _unpack(v, top // g + 1, width),
-                                    grid, g)
+    return layout.unpack(v)
 
 
 def common_grid(items):
@@ -927,51 +863,6 @@ def common_grid(items):
     grid = lcm(*[p.scale for p in items if isinstance(p, LaurentPoly)])
     return [p.rescale(grid) if isinstance(p, LaurentPoly) else p
             for p in items]
-
-
-def pack_matrix(rows):
-    """A square matrix of univariate int-coefficient LaurentPolys as a
-    matrix of ints whose determinant unpacks to theirs (see "Packed
-    determinants" in the matrices module docstring).
-
-    Returns (ints, unpack): unpack takes det(ints) to det(rows).  None
-    unless every entry is a univariate LaurentPoly with int coefficients.
-    """
-    if not all(type(p) is LaurentPoly and p.nvars == 1
-               and all(type(c) is int for c in p.terms.values())
-               for row in rows for p in row):
-        return None
-    grid = lcm(*[p.scale for row in rows for p in row])
-    rows = [[p.rescale(grid) for p in row] for row in rows]
-    lows = [[min(p.terms)[0] if p else None for p in row] for row in rows]
-    # entry (i, j) times t^(-r_i - c_j) has its exponents in g*[0, top]
-    r = [min([lo for lo in row if lo is not None], default=0)
-         for row in lows]
-    c = [min([row[j] - ri for row, ri in zip(lows, r) if row[j] is not None],
-             default=0) for j in range(len(rows))]
-    g = gcd(*[k - ri - cj for row, ri in zip(rows, r)
-              for p, cj in zip(row, c) for k, in p.terms]) or 1
-    tops = [[(max(p.terms)[0] - ri - cj) // g if p else 0
-             for p, cj in zip(row, c)] for row, ri in zip(rows, r)]
-    slots = min(sum(map(max, tops)), sum(map(max, zip(*tops)))) + 1
-    # a zero row counts 1, so that every entry fits a slot too
-    hadamard = prod(max(sum(_l1(p) ** 2 for p in row), 1) for row in rows)
-    width = _width((isqrt(hadamard) + 1).bit_length() + 1)
-
-    def packed(p, shift):
-        if not p:
-            return 0
-        lo, cs = p._dense1(g)
-        return _pack(cs, width) << (lo - shift) // g * width
-
-    ints = [[packed(p, ri + cj) for p, cj in zip(row, c)]
-            for row, ri in zip(rows, r)]
-
-    def unpack(det):
-        return LaurentPoly._from_dense1(sum(r) + sum(c),
-                                        _unpack(det, slots, width), grid, g)
-
-    return ints, unpack
 
 
 def _divider(b):

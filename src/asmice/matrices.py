@@ -18,38 +18,27 @@ so it works over any commutative ring.  It takes the packed path's
 determinant over Z; on the unpacked entries the tests use it, and
 Bareiss, as the oracles.
 
-Packed determinants.  laurent.pack_matrix maps an n x n matrix A of
-Laurent polynomials in t with int coefficients to a matrix of ints:
-- Grid.  Every entry is read on the common grid of all entries, so every
-  exponent is an integer.
+Packed determinants.  _det_packed lays the entries of an n x n matrix A of
+Laurent polynomials in t with int coefficients on one laurent._Layout and
+takes the determinant of the packed ints by _det_cofactor; packing is a
+ring map and a determinant is a polynomial in the entries, so that
+determinant packs det A.  The matrix states three things:
 - Shifts.  Let r_i be the least exponent in row i, and c_j the least over
   i of (the least exponent of a_ij) - r_i, with 0 for a zero row or
   column.  B = diag(t^(-r)) A diag(t^(-c)) has no negative exponent, and
   det A = t^(sum r + sum c) det B.
-- Lattice.  Let g be the gcd of all exponents of B (1 if there are none).
-  Then B = C(t^g) for a matrix C over Z[s]; s -> t^g is a ring map and a
-  determinant is a polynomial in the entries, so det B = (det C)(t^g).
-- Packing.  Evaluation at s = 2^W is a ring map Z[s] -> Z too, so the
-  determinant over Z of the packed entries C(2^W) is (det C)(2^W), for
-  every W.  It is computed by _det_cofactor.
-- Slot width.  A coefficient d_k of det C is the mean of det C(z) z^(-k)
-  over the unit circle, so |d_k| <= max |det C(z)| over |z| = 1.  There
-  |c_ij(z)| <= L1(c_ij) = L1(a_ij), so Hadamard's inequality, |det M| <=
+- Slot width.  A coefficient d_k of det B is the mean of det B(z) z^(-k)
+  over the unit circle, so |d_k| <= max |det B(z)| over |z| = 1.  There
+  |b_ij(z)| <= L1(b_ij) = L1(a_ij), so Hadamard's inequality, |det M| <=
   the product of the Euclidean lengths of M's rows, gives |d_k| <=
-  sqrt(P), P = prod_i S_i with S_i = sum_j L1(a_ij)^2.  As d_k is an
-  integer, |d_k| < bound = isqrt(P) + 1, so W = _width(bits of bound + 1)
-  puts every d_k strictly inside (-2^(W-1), 2^(W-1)) and det C unpacks
-  uniquely (see "Slot width of a product" in the laurent module).  Every
-  coefficient of an entry fits too: it is at most L1(a_ij) <= sqrt(S_i)
-  <= sqrt(P), as long as no S_i is 0; a zero row counts 1 in P, which
-  keeps this and still bounds det C = 0.
-- Slot count.  Each term of det C takes one entry from every row and
-  every column, so deg det C is at most the sum over the rows of C of the
-  largest degree in each, and likewise over the columns.  The
-  determinant is unpacked into exactly the smaller sum plus one slots, so
-  a packed value with a bit above the top slot raises ArithmeticError.
-Then det A is t^(sum r + sum c) times det C with every exponent multiplied
-by g.
+  sqrt(P), P = prod_i S_i with S_i = sum_j L1(a_ij)^2, and the bound is
+  isqrt(P) + 1.  Every coefficient of an entry fits too: it is at most
+  L1(a_ij) <= sqrt(S_i) <= sqrt(P), as long as no S_i is 0; a zero row
+  counts 1 in P, which keeps this and still bounds det B = 0.
+- Slot count.  Each term of det B takes one entry from every row and
+  every column, so deg det B is at most the sum over the rows of B of the
+  largest degree in each, and likewise over the columns: top is the
+  smaller sum.
 
 The cutoff _PACKED_MAX_N is measured.  The subset expansion makes
 n * 2^(n-1) products, each of a minor by one entry, and no division;
@@ -79,9 +68,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import isqrt, lcm, prod
 from operator import mul
 
-from .laurent import LaurentPoly, RatFunc, _split, divide_exact, pack_matrix
+from .laurent import (LaurentPoly, RatFunc, _l1, _Layout, _split,
+                      divide_exact)
 
 #: the most rows the packed path takes, measured (see the module docstring)
 _PACKED_MAX_N = 6
@@ -209,13 +200,34 @@ def _primitive_row(row):
 
 
 def _det_packed(rows):
-    """The subset expansion over Z of the packed rows, unpacked; None
-    unless n <= _PACKED_MAX_N and pack_matrix packs them."""
-    packed = pack_matrix(rows) if len(rows) <= _PACKED_MAX_N else None
-    if packed is None:
+    """The subset expansion over Z of the packed rows, unpacked (see
+    "Packed determinants" in the module docstring); None unless n <=
+    _PACKED_MAX_N and every entry is a univariate LaurentPoly with int
+    coefficients."""
+    if len(rows) > _PACKED_MAX_N or not all(
+            type(p) is LaurentPoly and p.nvars == 1
+            and all(type(c) is int for c in p.terms.values())
+            for row in rows for p in row):
         return None
-    ints, unpack = packed
-    return unpack(_det_cofactor(RingMatrix(ints)))
+    grid = lcm(*[p.scale for row in rows for p in row])
+    rows = [[p.rescale(grid) for p in row] for row in rows]
+    lows = [[min(p.terms)[0] if p else None for p in row] for row in rows]
+    # entry (i, j) times t^(-r_i - c_j) has its exponents in [0, top_ij]
+    r = [min([lo for lo in row if lo is not None], default=0)
+         for row in lows]
+    c = [min([row[j] - ri for row, ri in zip(lows, r) if row[j] is not None],
+             default=0) for j in range(len(rows))]
+    tops = [[max(p.terms)[0] - ri - cj if p else 0 for p, cj in zip(row, c)]
+            for row, ri in zip(rows, r)]
+    # a zero row counts 1, so that every entry fits a slot too
+    hadamard = prod(max(sum(_l1(p) ** 2 for p in row), 1) for row in rows)
+    layout = _Layout(grid, [k - ri - cj for row, ri in zip(rows, r)
+                            for p, cj in zip(row, c) for k, in p.terms],
+                     isqrt(hadamard) + 1, sum(r) + sum(c),
+                     min(sum(map(max, tops)), sum(map(max, zip(*tops)))))
+    ints = [[layout.pack(p, ri + cj) for p, cj in zip(row, c)]
+            for row, ri in zip(rows, r)]
+    return layout.unpack(_det_cofactor(RingMatrix(ints)))
 
 
 def _det_bareiss(rows):
@@ -235,7 +247,6 @@ def _det_bareiss(rows):
             for j in range(k + 1, n):
                 t = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 a[i][j] = t if prev is None else _exact_div(t, prev)
-            a[i][k] = _ring_zero(a[i][k])
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return d if sign == 1 else -d
@@ -283,8 +294,6 @@ def _exact_div(value, divisor):
 def _ring_zero(sample):
     if isinstance(sample, LaurentPoly):
         return LaurentPoly.zero(sample.nvars)
-    if isinstance(sample, RatFunc):
-        return RatFunc(LaurentPoly.zero(sample.num.nvars))
     if isinstance(sample, Fraction):
         return Fraction(0)
     return 0

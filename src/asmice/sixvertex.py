@@ -27,14 +27,32 @@ caller that mixes labels (ybe.ybe_check) puts their weights on one grid
 the same way.
 
 state_sweep is ring-generic: it only multiplies a frontier entry by a
-weight and adds entries.  z_brute and the degree check have int
-coefficients, so they hand it packed values (laurent.pack_state_sum): each
-frontier entry is one int, and each weight multiplies it by a shift and an
-add per term.  The degree check sweeps its formal top row in (q, w) as
-LaurentPolys, then the other rows on packed ints once per w-exponent, so
-only the n sites of that row multiply in two variables.
-chain.z_half_eps_brute, with Q(zeta_24) coefficients, sweeps LaurentPoly
-values.
+weight and adds entries.  chain.z_half_eps_brute, with Q(zeta_24)
+coefficients, sweeps LaurentPoly values.  z_brute and the degree check
+have int coefficients and sweep packed ints (_packed_sweep).  The degree
+check sweeps its formal top row in (q, w) as LaurentPolys, then the other
+rows once per w-exponent, so only the n sites of that row multiply in two
+variables.
+
+Packed site weights.  _packed_sweep lays every weight and start value on
+one laurent._Layout.  Each state takes exactly one weight per site, so
+taking each site's least exponent out of all its weights changes every
+state's product by the same monomial; the start values have their least
+exponent taken out too.  Every product then has its exponents in
+[0, top], top the sum of the sites' and the start's spans, on the lattice
+of their shifted exponents.  A frontier entry is one int, and a weight
+sum_k c_k t^(g*k) multiplies it as sum_k c_k (v << k*W) (_Shifts): a
+shift and an add per term, and no slot is read until the end.
+
+Slot width.  Along a row the sweep takes at most two of a site's weights
+from any key (entry 0, and +1 or -1 where the column and row bits allow),
+so from any start key at most 2^c fillings of c sites reach the end; as
+L1(fg) <= L1(f) L1(g), every coefficient of the sum is at most
+L1(start) * prod over sites (2 * the site's largest L1).  Each scaled
+weight has at most two terms, with coefficients +-1, so from the start 1
+the n^2 sites bound every coefficient of b^(n^2) Z by 4^(n^2).  A formal
+top row swept first and handed over as the start has L1 at most
+n 2^n < 4^n over its n masks, so the same bound holds.
 
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
@@ -47,11 +65,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from .brackets import BracketProduct, qdiff
 from .ice import ZERO_STATE
-from .laurent import (LaurentPoly, common_grid, diff_product,
-                      pack_state_sum, reduced)
+from .laurent import (LaurentPoly, _l1, _Layout, common_grid, diff_product,
+                      reduced)
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 
 Z_BRUTE_BOUND = 6
@@ -166,12 +185,52 @@ def _site(p, rows):
             for i in rows]
 
 
+class _Shifts:
+    """A weight as the (bit offset, coefficient) pairs of its terms on a
+    layout: v * w is the sum of c * (v << s) over them, 0 for no pairs."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __rmul__(self, v):
+        return sum([c * (v << s) for s, c in self.pairs])
+
+
 def _packed_sweep(n, start, rows):
-    """The all-ones entry of state_sweep(start, rows), swept on packed ints
-    (laurent.pack_state_sum)."""
-    frontiers, packed, unpack = pack_state_sum(start, rows)
+    """The all-ones entry of state_sweep(start, rows) for a start of
+    nonzero LaurentPolys in t or in (t, u) and univariate int-coefficient
+    weights, swept on packed ints (see "Packed site weights" in the module
+    docstring)."""
+    sites = [site for row in rows for site in row]
+    grid = lcm(*[w.scale for site in sites for w in site],
+               *[p.scale for p in start.values()])
+    start = {key: p.rescale(grid) for key, p in start.items()}
+    # the start values, then each site: grid exponents and the least one
+    groups = [tuple(start.values())] + sites
+    exps = [[k[0] * (grid // p.scale) for p in group for k in p.terms]
+            for group in groups]
+    lows = [min(e, default=0) for e in exps]
+    bound = sum(map(_l1, start.values()))
+    for site in sites:
+        bound *= 2 * max(map(_l1, site))
+    layout = _Layout(grid, [k - lo for e, lo in zip(exps, lows) for k in e],
+                     bound, sum(lows),
+                     sum(max(e, default=0) for e in exps) - sum(lows))
+    flat = [tuple(_Shifts(layout.place(w, lo)) for w in site)
+            for site, lo in zip(sites, lows[1:])]
+    packed = [flat[i:i + n] for i in range(0, len(flat), n)]
+    frontiers = {}          # one packed frontier per u-exponent
+    for key, p in start.items():
+        for (s, c), k in zip(layout.place(p, lows[0]), p.terms):
+            frontier = frontiers.setdefault(k[1:], {})
+            frontier[key] = frontier.get(key, 0) + (c << s)
     full = (1 << n) - 1
-    return unpack([state_sweep(f, packed)[full] for f in frontiers])
+    terms = {}
+    for rest, frontier in frontiers.items():
+        terms.update(layout.terms(state_sweep(frontier, packed)[full], rest))
+    return LaurentPoly._clean(groups[0][0].nvars, grid, terms)
 
 
 def z_brute(p):

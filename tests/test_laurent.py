@@ -1,11 +1,13 @@
 """Half-integral Laurent polynomial and rational-function kernel."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +23,8 @@ from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                             _mul_packed1, _mul_rational, _mul_terms, _pack,
                             _unpack, _width, _worth_packing, common_grid,
                             diff_product, divide_exact, limit_at_one,
-                            pack_state_sum, reduced, vanishing_order_at_one)
+                            reduced, vanishing_order_at_one)
+from asmice.sixvertex import _packed_sweep
 
 
 def lp(terms, scale=1):
@@ -78,6 +81,27 @@ def test_no_signature_outside_laurent_takes_a_grid():
                 if inspect.isfunction(fn):
                     params = inspect.signature(fn).parameters
                     assert "scale" not in params, f"{module.__name__}.{name}"
+
+
+def test_no_module_outside_laurent_imports_the_packed_format():
+    # the slot format is laurent's: other modules pack through _Layout
+    private = {"_pack", "_unpack", "_bias", "_width"}
+    for path in sorted(Path(asmice.__path__[0]).glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module in ("laurent", "asmice.laurent"):
+                assert not private & {a.name for a in node.names}, path.name
+
+
+def test_scale_must_be_a_positive_int():
+    # only an int of at least 1 is a scale: 2.0 used to store float keys
+    for scale in (2.0, True, Fraction(2), 0):
+        with pytest.raises(ValueError, match="positive integer"):
+            LaurentPoly(1, scale, {(1,): 1})
+        with pytest.raises(ValueError, match="positive integer"):
+            LaurentPoly.var_power(1).rescale(scale)
 
 
 def test_constructor_rejects_non_integral_exponent_keys():
@@ -426,44 +450,72 @@ unit_weights = st.dictionaries(st.integers(-9, 9), st.sampled_from([1, -1]),
                                max_size=2)
 
 
-@given(st.lists(st.tuples(unit_weights, st.sampled_from([1, 2, 4])),
-                min_size=1, max_size=12),
+@given(st.integers(1, 3),
+       st.lists(st.tuples(unit_weights, st.sampled_from([1, 2, 4])),
+                min_size=9, max_size=9),
        st.sampled_from([1, 3]))
-def test_packed_site_product_round_trips(weights, start_scale):
-    # one site per weight, so a packed product walks a single state
-    row = [(LaurentPoly(1, scale, {(k,): c for k, c in terms.items()}),)
-           for terms, scale in weights]
+def test_packed_site_product_round_trips(n, weights, start_scale):
+    # the six weights of a site are equal, so each of the A(n) domain-wall
+    # states of n x n sites takes the same product, one weight per site
+    sites = [(LaurentPoly(1, scale, {(k,): c for k, c in terms.items()}),) * 6
+             for terms, scale in weights[:n * n]]
+    rows = [sites[i:i + n] for i in range(0, n * n, n)]
     start = LaurentPoly(1, start_scale, {(-1,): 1, (2,): -1})
-    frontiers, packed, unpack = pack_state_sum({0: start}, [row])
-    v, = frontiers[0].values()
     expected = start
-    for (w,), (m,) in zip(row, packed[0]):
-        v = v * m
+    for w, *_ in sites:
         a, b = expected._matched(w)
         expected = LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
-    assert unpack([v]) == expected
+    assert _packed_sweep(n, {0: start}, rows) == (1, 2, 7)[n - 1] * expected
 
 
-def test_packed_site_weights_reject_bits_above_the_top_slot():
-    # one site t^(g/2) - t^(-g/2): L1(start) * 2 * L1(site) = 4 needs 3
-    # signed bits, one byte per slot, and its grid exponents -g, 0, g fill
-    # 3 slots of the lattice gZ
+def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
+    # at n = 1 the state sum is the start times the site's first weight,
+    # t^(g/2) - t^(-g/2), the others 1: L1(start) * 2 * L1(site) = 4 needs
+    # 3 signed bits, one byte per slot, and its grid exponents -g, 0, g
+    # fill 3 slots of the lattice gZ
+    seen = []
+    terms = laurent._Layout.terms
+    monkeypatch.setattr(laurent._Layout, "terms", lambda layout, v, rest=():
+                        seen.append((layout, v)) or terms(layout, v, rest))
     for g in (1, 2):
-        site = (lp({g: 1, -g: -1}), lp({0: 1}))
-        frontiers, packed, unpack = pack_state_sum({0: LaurentPoly.one()},
-                                                   [[site]])
-        v = 1 * packed[0][0][0]
+        seen.clear()
+        site = (lp({g: 1, -g: -1}),) + (lp({0: 1}),) * 5
+        assert _packed_sweep(1, {0: LaurentPoly.one()}, [[site]]) == site[0]
+        (layout, v), = seen
         assert v == _pack([-1, 0, 1], 8)
-        assert unpack([v]) == site[0]
         # a slot count read off the bit length would take these as 4 slots
         for bad in (v + (1 << 24), v - (1 << 24)):
             with pytest.raises(ArithmeticError):
-                unpack([bad])
+                layout.unpack(bad)
 
 
 def test_packed_site_weights_need_int_coefficients():
     with pytest.raises(TypeError):
-        pack_state_sum({0: LaurentPoly.one()}, [[(lp({0: Fraction(1, 2)}),)]])
+        _packed_sweep(1, {0: LaurentPoly.one()},
+                      [[(lp({0: Fraction(1, 2)}),) * 6]])
+
+
+# ---------- packed layouts ----------
+
+@given(st.sampled_from([1, 2, 3]), st.integers(-6, 6),
+       st.sampled_from([1, 2, 4]),
+       st.dictionaries(st.integers(0, 8), st.integers(-10 ** 6, 10 ** 6),
+                       max_size=5))
+def test_layout_places_and_packs_on_its_lattice(g, shift, scale, coeffs):
+    # p has exponents shift + g*k at its own scale; on the layout's grid 4
+    # each is step = 4 / scale times as many units, 9 slots of g*step
+    step = 4 // scale
+    p = LaurentPoly(1, scale, {(shift + g * k,): c for k, c in coeffs.items()})
+    layout = laurent._Layout(4, [g * step],
+                             max(map(abs, coeffs.values()), default=0),
+                             shift * step, 8 * g * step)
+    v = layout.pack(p, shift * step)
+    assert v == sum(c << s for s, c in layout.place(p, shift * step))
+    assert layout.unpack(v) == p
+    assert layout.slots == 9
+    for bad in (v + (1 << 9 * layout.width), v - (1 << 9 * layout.width)):
+        with pytest.raises(ArithmeticError):
+            layout.unpack(bad)
 
 
 # ---------- difference products against the schoolbook ----------

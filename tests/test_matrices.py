@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from asmice import laurent, matrices
 from asmice.brackets import qdiff
 from asmice.dets import EpsilonGrid, general_x_matrix
-from asmice.laurent import LaurentPoly, RatFunc, _pack, pack_matrix
+from asmice.laurent import LaurentPoly, RatFunc, _pack
 from asmice.matrices import (RingMatrix, _det_cofactor, cleared_reciprocals,
                              det_exact)
 
@@ -118,14 +118,14 @@ def test_bareiss_runs_over_the_integers(monkeypatch):
     # the 5x5 matrix takes the packed path and the 7x7 one Bareiss; each
     # sees int coefficients only
     seen = {}
-    pack, bareiss, mul = (matrices.pack_matrix, matrices._det_bareiss,
+    pack, bareiss, mul = (matrices._det_packed, matrices._det_bareiss,
                           LaurentPoly.__mul__)
 
     def packed(rows):
-        seen.setdefault("packed", set()).update(
-            coefficient_types(x for row in rows for x in row))
         out = pack(rows)
-        assert out is not None
+        if out is not None:
+            seen.setdefault("packed", set()).update(
+                coefficient_types(x for row in rows for x in row))
         return out
 
     def checked(a, b):
@@ -139,7 +139,7 @@ def test_bareiss_runs_over_the_integers(monkeypatch):
         finally:
             monkeypatch.setattr(LaurentPoly, "__mul__", mul)
 
-    monkeypatch.setattr(matrices, "pack_matrix", packed)
+    monkeypatch.setattr(matrices, "_det_packed", packed)
     monkeypatch.setattr(matrices, "_det_bareiss", traced)
     for f, path in (((-4, -2, 0, 2, 4), "packed"),
                     ((-3, -2, -1, 0, 1, 2, 3), "bareiss")):
@@ -219,6 +219,18 @@ def test_packed_determinant_matches_bareiss_and_cofactor(rows):
     assert d == matrices._det_bareiss(rows) == _det_cofactor(RingMatrix(rows))
 
 
+def packed_ints(rows):
+    """(the packed ints, the determinant) of _det_packed on rows."""
+    seen = []
+    cofactor = matrices._det_cofactor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "_det_cofactor",
+                   lambda m: seen.append(m.rows) or cofactor(m))
+        d = matrices._det_packed(rows)
+    ints, = seen
+    return ints, d
+
+
 def test_packed_lattice_step_compacts_the_slots():
     # entries in t^2 on grid 1 pack to the same ints as the same entries
     # in t, and unpack with every exponent doubled
@@ -230,13 +242,11 @@ def test_packed_lattice_step_compacts_the_slots():
         return [[LaurentPoly(1, 1, {(g * k - 5,): v for k, v in e.items()})
                  for e in row] for row in cs]
 
-    (ints1, unpack1), (ints2, unpack2) = pack_matrix(rows(1)), \
-        pack_matrix(rows(2))
+    (ints1, d1), (ints2, d2) = packed_ints(rows(1)), packed_ints(rows(2))
     assert ints1 == ints2
-    d = _det_cofactor(RingMatrix(ints1))
-    assert unpack2(d) == matrices._det_bareiss(rows(2))
-    assert {k % 2 for k, in unpack2(d).terms} == {0}
-    assert unpack1(d) == matrices._det_bareiss(rows(1))
+    assert d2 == matrices._det_bareiss(rows(2))
+    assert {k % 2 for k, in d2.terms} == {0}
+    assert d1 == matrices._det_bareiss(rows(1))
 
 
 def test_packed_shifts_take_out_row_and_column_monomials():
@@ -249,11 +259,10 @@ def test_packed_shifts_take_out_row_and_column_monomials():
     r, c = [3, -7, 0, 5], [-2, 4, 4, -6]
     a = [[LaurentPoly.var_power(ri + cj) * x for x, cj in zip(row, c)]
          for row, ri in zip(b, r)]
-    (ints_a, unpack_a), (ints_b, unpack_b) = pack_matrix(a), pack_matrix(b)
+    (ints_a, da), (ints_b, db) = packed_ints(a), packed_ints(b)
     assert ints_a == ints_b
-    d = _det_cofactor(RingMatrix(ints_b))
-    assert unpack_a(d) == LaurentPoly.var_power(sum(r) + sum(c)) * \
-        unpack_b(d) == matrices._det_bareiss(a)
+    assert da == LaurentPoly.var_power(sum(r) + sum(c)) * db == \
+        matrices._det_bareiss(a)
 
 
 def test_packed_hadamard_matrices_meet_the_bound():
@@ -271,17 +280,20 @@ def test_packed_hadamard_matrices_meet_the_bound():
                 LaurentPoly(1, 1, {(e * n * (n - 1),): det})
 
 
-def test_packed_determinant_rejects_bits_above_the_top_slot():
+def test_packed_determinant_rejects_bits_above_the_top_slot(monkeypatch):
     # [[1 + t, 1 + t], [1, 2]]: degree sums 1 over the rows and 2 over the
     # columns, so 2 slots; P = 8 * 5 gives the bound 7, one byte per slot
     one, t = LaurentPoly.one(), LaurentPoly.var_power(1)
-    ints, unpack = pack_matrix([[one + t, one + t], [one, 2 * one]])
-    d = _det_cofactor(RingMatrix(ints))
-    assert d == _pack([1, 1], 8)
-    assert unpack(d) == one + t
-    for bad in (d + (1 << 16), d - (1 << 16)):
+    rows = [[one + t, one + t], [one, 2 * one]]
+    ints, d = packed_ints(rows)
+    assert _det_cofactor(RingMatrix(ints)) == _pack([1, 1], 8)
+    assert d == one + t
+    cofactor = matrices._det_cofactor
+    for bad in (1 << 16, -(1 << 16)):
+        monkeypatch.setattr(matrices, "_det_cofactor",
+                            lambda m, bad=bad: cofactor(m) + bad)
         with pytest.raises(ArithmeticError):
-            unpack(bad)
+            matrices._det_packed(rows)
 
 
 def test_packed_slots_one_byte_narrower_overflow(monkeypatch):
@@ -310,8 +322,9 @@ def test_seven_rows_go_through_bareiss(monkeypatch):
                           for _ in range(2)}) for _ in range(7)]
             for _ in range(7)]
     assert matrices._det_packed(rows) is None
-    ints, unpack = pack_matrix(rows)
-    packed = unpack(_det_cofactor(RingMatrix(ints)))
+    monkeypatch.setattr(matrices, "_PACKED_MAX_N", 7)
+    packed = matrices._det_packed(rows)
+    monkeypatch.undo()
     calls = []
     bareiss = matrices._det_bareiss
     monkeypatch.setattr(matrices, "_det_bareiss",
