@@ -89,28 +89,45 @@ def enumerate_asms(n):
     order with entries ordered -1 < 0 < 1.
 
     Recurses over whole rows, n deep, keeping the columns whose partial
-    sum is 1 as a mask c.  A row with +1 entries in the columns of P and
-    -1 entries in those of M fits when P & c == 0 and M lies inside c, and
-    leaves the mask c ^ P ^ M.  The candidate rows are tried in
-    lexicographic order, so the matrices come out in that order.  After n
-    rows the mask holds n ones, since every row sums to 1.
+    sum is 1 as a mask c, and tries the rows that fit c (see _FittingRows)
+    in lexicographic order, so the matrices come out in that order.  After
+    n rows the mask holds n ones, since every row sums to 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rows = _alternating_rows(n)
+    fits = _FittingRows(n)
     picked = []
 
     def extend(c):
         if len(picked) == n:
             yield Asm(picked)
             return
-        for row, plus, minus in rows:
-            if not plus & c and minus & c == minus:
-                picked.append(row)
-                yield from extend(c ^ plus ^ minus)
-                picked.pop()
+        for row, flip, _ in fits[c]:
+            picked.append(row)
+            yield from extend(c ^ flip)
+            picked.pop()
 
     yield from extend(0)
+
+
+class _FittingRows(dict):
+    """Map a column mask c to the alternating rows that fit it, as
+    (row, plus ^ minus, number of -1 entries) in lexicographic order.
+
+    A row with +1 entries in the columns of the mask P and -1 entries in
+    those of M fits c when P & c == 0 and M lies inside c, and leaves the
+    mask c ^ P ^ M.  Each list is built on the first lookup of its mask.
+    """
+
+    def __init__(self, n):
+        super().__init__()
+        self.rows = _alternating_rows(n)
+
+    def __missing__(self, c):
+        fit = self[c] = [(row, plus ^ minus, minus.bit_count())
+                         for row, plus, minus in self.rows
+                         if not plus & c and minus & c == minus]
+        return fit
 
 
 def _alternating_rows(n):
@@ -149,24 +166,22 @@ def x_enumerate_brute(n):
 def _neg_counts(n):
     """Map k to the number of n x n members with k entries -1.
 
-    The row recursion of enumerate_asms, counting only: each candidate
-    row carries the number of its -1 entries, and every matrix is still
+    The row recursion of enumerate_asms, counting only: each fitting row
+    carries the number of its -1 entries, and every matrix is still
     reached as its own leaf, so this stays an independent brute force.
     No rows are kept and no Asm is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rows = [(plus, minus, minus.bit_count())
-            for _, plus, minus in _alternating_rows(n)]
+    fits = _FittingRows(n)
     counts = {}
 
     def extend(c, depth, negs):
         if depth == n:
             counts[negs] = counts.get(negs, 0) + 1
             return
-        for plus, minus, k in rows:
-            if not plus & c and minus & c == minus:
-                extend(c ^ plus ^ minus, depth + 1, negs + k)
+        for _, flip, k in fits[c]:
+            extend(c ^ flip, depth + 1, negs + k)
 
     extend(0, 0, 0)
     return counts

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -218,7 +219,13 @@ def _parse_methods(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reports bad input in one line, exit status 2."""
+    """An ArgumentParser that reports bad input in one line, exit status 2,
+    and reads a value such as -1/2 as a negative rational, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

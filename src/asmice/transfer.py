@@ -13,15 +13,21 @@ packing): coefficient d sits in bits [d*B, (d+1)*B), so raising the degree
 is ``v << B`` and adding two vectors is one integer addition.  Packing is
 exact as long as no coefficient reaches 2^B.
 
-Slot width B = n*n + 1.  A cell offers at most two entries: 0 and +1 when
-(ct, r) = (0, 0), 0 and -1 when (ct, r) = (1, 1), and only 0 otherwise.  So
-after c cells at most 2^c partial fillings exist, and every coefficient of
-every key counts a subset of them: it is at most 2^c <= 2^(n*n) < 2^B,
-so no slot carries into the next.  Every filling that reaches the final key
-is a whole matrix, with at most floor((n-1)^2/4) entries -1, so a nonzero
-bit above the top slot can only come from a broken bound, and unpacking
-raises on it.  The bound does not use the product formula, which the sweep
-is checked against.
+Slot width B is the bit length of U = prod_{i=1}^{n-1} C(n, i), so
+U < 2^B.  The top k rows of a member are fixed by the column masks
+m_1, ..., m_k they leave, since row i has +1 where m_i gains a bit on
+m_(i-1) and -1 where it loses one, and |m_i| = i because every row sums
+to 1.  So at most prod_{i<=k} C(n, i) <= U top blocks exist.  Inside a
+row, a partial filling in the state (mask, r) is fixed by its block of
+whole rows and the state mask, which differs from the block's mask
+exactly where the swept cells hold +1 or -1.  So the fillings of one
+state inject into the blocks, and every coefficient of every key, an
+in-place partial sum included, counts at most U of them: it is below
+2^B, so no slot carries into the next.  Every filling that reaches the
+final key is a whole matrix, with at most floor((n-1)^2/4) entries -1,
+so a nonzero bit above the top slot can only come from a broken bound,
+and unpacking raises on it.  The bound does not use the product formula,
+which the sweep is checked against.
 
 Meet in the middle.  Turned upside down, a matrix is again a member: the
 rows keep their alternating signs, and every column still has partial
@@ -38,8 +44,9 @@ vectors.
 
 The products need no wider slots.  Every summand is nonnegative, so slot
 d of each product, and of every partial sum over m, is at most the
-coefficient of x^d in A(n;x), which counts whole matrices and so is at
-most 2^(n*n) < 2^B; no slot carries, and the top-slot check still holds.
+coefficient of x^d in A(n;x), which counts whole matrices, blocks of n
+rows, and so is at most A(n) <= U < 2^B; no slot carries, and the
+top-slot check still holds.
 
 Mirror fold.  Read right to left, a member is again a member with the
 same entries -1: each row is the same sequence reversed, which still
@@ -70,11 +77,13 @@ and the batch sums S and P inside a row are parts of it; each doubled
 product in the pairing is the sum of the two or four equal terms it
 stands for.  All are partial sums, with nonnegative summands,
 of a true frontier value or of a coefficient of A(n;x), so each slot
-stays below 2^(n*n) < 2^B and a bit above the top slot still means a
-broken bound.
+stays at most U < 2^B and a bit above the top slot still means a broken
+bound.
 """
 
 from __future__ import annotations
+
+from math import comb, prod
 
 from .intpoly import IntPoly
 
@@ -100,11 +109,16 @@ def transfer_count(n):
         raise ValueError("n must be positive")
     if n > DEFAULT_BOUND:
         raise ValueError(f"n={n} exceeds the transfer bound {DEFAULT_BOUND}")
-    width = n * n + 1
+    width = _slot_width(n)
     rev = _reversals(n)
     top = _folded_sweep(n, width, n // 2, {0: 1}, rev)
     bottom = _folded_sweep(n, width, n % 2, top, rev)
     return IntPoly(_unpack(_pair(n, top, bottom, rev), coeff_count(n), width))
+
+
+def _slot_width(n):
+    """Bits per packed slot: the bit length of prod_{i=1}^{n-1} C(n, i)."""
+    return prod(comb(n, i) for i in range(1, n)).bit_length()
 
 
 def _reversals(n):

@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from asmice.asm import (Asm, AsmInvalid, count_asms_brute, enumerate_asms,
-                        format_asm, parse_asm, validate, x_enumerate_brute)
+from asmice.asm import (Asm, AsmInvalid, _alternating_rows, _FittingRows,
+                        count_asms_brute, enumerate_asms, format_asm,
+                        parse_asm, validate, x_enumerate_brute)
 from asmice.intpoly import IntPoly
 
 
@@ -19,6 +20,19 @@ def test_permutation_matrices_are_included():
     perms = [m for m in ms if m.neg_count() == 0]
     assert len(perms) == 6
     assert len(ms) - len(perms) == 1          # the single matrix with a -1
+
+
+def test_fitting_rows_filter_the_alternating_rows():
+    """Every mask a walk reaches (fewer than n ones) looks up exactly the
+    alternating rows that fit it, in their lexicographic order."""
+    for n in range(1, 7):
+        fits = _FittingRows(n)
+        for c in range(1 << n):
+            if c.bit_count() < n:
+                assert fits[c] == [
+                    (row, plus ^ minus, minus.bit_count())
+                    for row, plus, minus in _alternating_rows(n)
+                    if not plus & c and minus & c == minus], (n, c)
 
 
 def _is_asm(rows):

@@ -64,6 +64,12 @@ def test_xenum_rational_point(capsys):
     assert lines_of(capsys) == ["13/2"]
 
 
+def test_xenum_negative_rational_point(capsys):
+    """A spaced negative rational is a value, not an option flag."""
+    assert cli.main(["xenum", "--n", "3", "--at", "-1/2"]) == 0
+    assert lines_of(capsys) == ["11/2"]
+
+
 def test_xenum_bad_rational():
     with pytest.raises(SystemExit):
         cli.main(["xenum", "--n", "3", "--at", "pi"])

@@ -8,7 +8,8 @@ from asmice.asm import x_enumerate_brute
 from asmice.formulas import a2_formula, a3_formula, a_formula
 from asmice.intpoly import IntPoly
 from asmice.transfer import (DEFAULT_BOUND, _folded_sweep, _pair, _reversals,
-                             _sweep, _unpack, coeff_count, transfer_count)
+                             _slot_width, _sweep, _unpack, coeff_count,
+                             transfer_count)
 
 
 def formula_count(n):
@@ -24,10 +25,22 @@ def test_matches_brute_enumeration():
 
 def test_meet_in_the_middle_matches_the_full_sweep():
     for n in range(1, 14):
-        width = n * n + 1
+        width = _slot_width(n)
         full = _sweep(n, width, n, {0: 1}).get((1 << n) - 1, 0)
         assert transfer_count(n) == IntPoly(
             _unpack(full, coeff_count(n), width)), n
+
+
+def test_slot_width_bounds_every_count():
+    """The slot width is the bit length of U(n) = prod_{0<i<n} C(n, i),
+    which bounds A(n) and so every coefficient of A(n;x)."""
+    for n in range(1, 41):
+        u = math.prod(math.comb(n, i) for i in range(1, n))
+        assert _slot_width(n) == u.bit_length(), n
+        assert u >= a_formula(n), n
+    for n in range(1, DEFAULT_BOUND + 1):
+        assert max(transfer_count(n).ascending()) < 1 << _slot_width(n), n
+    assert [_slot_width(n) for n in (13, 14, 16)] == [98, 115, 153]
 
 
 def test_reversals_read_each_mask_right_to_left():
@@ -41,7 +54,7 @@ def test_folded_frontier_is_the_full_frontier_on_canonical_masks():
     frontier's values at the masks m <= rev m.  At n = 1 and 2 every
     mask is a palindrome or the mirror image of its complement."""
     for n in range(1, 13):
-        width = n * n + 1
+        width = _slot_width(n)
         rev = _reversals(n)
         full, folded = {0: 1}, {0: 1}
         for k in range(n + 1):
@@ -53,7 +66,7 @@ def test_folded_frontier_is_the_full_frontier_on_canonical_masks():
 
 def test_orbit_pairing_matches_pairing_every_mask():
     for n in range(1, 13):
-        width = n * n + 1
+        width = _slot_width(n)
         rev = _reversals(n)
         ones = (1 << n) - 1
         top = _sweep(n, width, n // 2, {0: 1})
