@@ -16,6 +16,8 @@ in factored form together with a scalar prefactor and a monomial, so the
 t -> 1 limit can be taken structurally: d(a)/d(b) -> a/b, monomials -> 1.
 A product whose difference factors do not balance (net power nonzero) either
 vanishes in the limit or has a pole; no expanded 0/0 evaluation ever occurs.
+Its factors are normalised as laurent.diff_product's are, and a product
+is zero exactly when its coefficient is 0.
 Expanded, every difference product goes through laurent.diff_product once:
 qdiff_product, the numerator and denominator of expand_ratfunc, and the
 quotient that decides equality of two products.
@@ -27,8 +29,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .cyclotomic import _integral
-from .laurent import (LaurentPoly, NonDivisible, RatFunc, _inv_scalar,
-                      diff_product)
+from .laurent import (LaurentPoly, NonDivisible, RatFunc, _diff_factors,
+                      _inv_scalar, diff_product)
 
 
 def qdiff(a, nvars=1, var=0):
@@ -85,92 +87,53 @@ class BracketProduct:
 
     ``diffs`` maps positive rational arguments a (in units of the
     variable's half-power, so d(a) = s^(a/2)-s^(-a/2)) to integer
-    exponents; negative arguments are normalized away via d(-a) = -d(a).
-    An integral coefficient is kept as an int.  ``unit_expo`` counts
+    exponents; negative arguments are normalized away via d(-a) = -d(a),
+    and d(0) makes the coefficient 0, which is the zero product.  An
+    integral coefficient is kept as an int.  ``unit_expo`` counts
     half-powers of the variable.  In bracket terms the product equals
     prefactor * s^(unit_expo/2) * prod [a]^e * d(1)^(net) with
     net = sum of exponents, since [a] = d(a)/d(1) and [1] = 1.
     """
 
-    __slots__ = ("coeff", "unit_expo", "diffs", "zero")
+    __slots__ = ("coeff", "unit_expo", "diffs")
 
-    def __init__(self, coeff=1, unit_expo=0, diffs=None, zero=False):
-        self.coeff = _integral(coeff)
+    def __init__(self, coeff=1, unit_expo=0, diffs=None):
+        sign, self.diffs = _diff_factors(diffs or {})
+        coeff = _integral(coeff)
+        self.coeff = coeff if sign > 0 else -coeff if sign else 0
         self.unit_expo = unit_expo
-        store = {}
-        if not zero:
-            for a, e in (diffs or {}).items():
-                if e == 0:
-                    continue
-                if a == 0:
-                    if e > 0:
-                        zero = True
-                        continue
-                    raise ZeroDivisionError("d(0) with negative exponent")
-                if a < 0:
-                    if e % 2:
-                        self.coeff = -self.coeff
-                    a = -a
-                store[a] = store.get(a, 0) + e
-        self.diffs = {a: e for a, e in store.items() if e} if not zero else {}
-        self.zero = zero or (not zero and not self.coeff)
-        if self.zero:
-            self.coeff = 0
-            self.unit_expo = 0
-            self.diffs = {}
-
-    # ---------- constructors ----------
-
-    @classmethod
-    def one(cls):
-        return cls(1)
-
-    @classmethod
-    def diff(cls, a, e=1):
-        return cls(1, 0, {a: e})
-
-    @classmethod
-    def monomial(cls, half_expo):
-        return cls(1, half_expo)
 
     # ---------- algebra ----------
 
     def __mul__(self, other):
         if isinstance(other, BracketProduct):
-            if self.zero or other.zero:
-                return BracketProduct(zero=True)
             d = dict(self.diffs)
             for a, e in other.diffs.items():
                 d[a] = d.get(a, 0) + e
             return BracketProduct(self.coeff * other.coeff,
                                   self.unit_expo + other.unit_expo, d)
-        return BracketProduct(self.coeff * other, self.unit_expo, self.diffs,
-                              self.zero)
+        return BracketProduct(self.coeff * other, self.unit_expo, self.diffs)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, BracketProduct):
-            if other.zero:
-                raise ZeroDivisionError("division by a zero bracket product")
-            inv = BracketProduct(_inv_scalar(other.coeff), -other.unit_expo,
-                                 {a: -e for a, e in other.diffs.items()})
-            return self * inv
+            return self * BracketProduct(
+                _inv_scalar(other.coeff), -other.unit_expo,
+                {a: -e for a, e in other.diffs.items()})
         return self * _inv_scalar(other)
 
     def __pow__(self, n):
-        if self.zero:
-            if n > 0:
-                return BracketProduct(zero=True)
-            if n == 0:
-                return BracketProduct.one()
-            raise ZeroDivisionError("negative power of zero")
         c = self.coeff ** n if n >= 0 else _inv_scalar(self.coeff) ** (-n)
         return BracketProduct(c, self.unit_expo * n,
                               {a: e * n for a, e in self.diffs.items()})
 
+    @property
+    def zero(self):
+        return not self.coeff
+
     def __bool__(self):
-        return not self.zero
+        return bool(self.coeff)
 
     @property
     def net_diff_power(self):
@@ -178,10 +141,8 @@ class BracketProduct:
 
     def limit_at_one(self):
         """Exact limit as the variable goes to 1."""
-        if self.zero:
-            return Fraction(0)
         net = self.net_diff_power
-        if net > 0:
+        if not self.coeff or net > 0:
             return Fraction(0)
         if net < 0:
             raise NonDivisible("pole at 1: unbalanced difference factors")
@@ -201,7 +162,7 @@ class BracketProduct:
 
     def expand_ratfunc(self):
         """The product as an explicit RatFunc in one variable."""
-        if self.zero:
+        if not self.coeff:
             return RatFunc(LaurentPoly.zero())
         return RatFunc(*self._expanded())
 
@@ -211,13 +172,13 @@ class BracketProduct:
         numerator and denominator expand to the same polynomial."""
         if not isinstance(other, BracketProduct):
             return NotImplemented
-        if self.zero or other.zero:
-            return self.zero and other.zero
+        if not (self.coeff and other.coeff):
+            return not (self.coeff or other.coeff)
         num, den = (self / other)._expanded()
         return num == den
 
     def __repr__(self):
-        if self.zero:
+        if not self.coeff:
             return "BracketProduct(0)"
         fs = " * ".join(f"d({a})^{e}" for a, e in sorted(self.diffs.items()))
         return f"BracketProduct({self.coeff} * u^{self.unit_expo}{' * ' + fs if fs else ''})"

@@ -35,6 +35,7 @@ is taken on the exact rational function.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .brackets import BracketProduct, qdiff_product
@@ -97,38 +98,34 @@ def ik_eps_product(n, x):
     if x not in RATIO_EXPONENTS:
         raise ValueError("factored form only for x = 1 or x = 2")
     a, b = RATIO_EXPONENTS[x]
-    w = BracketProduct.monomial(-n * n)
+    s_det = s_det_product(n, a, b)
+    diffs = Counter(s_det.diffs)
     for m in range(1, 2 * n):
         cnt = n - abs(m - n)
-        w = w * BracketProduct(1, 0, {b * m: cnt, a * m: -cnt})
-    w = w * s_det_product(n, a, b)
-    w = w / (Fraction(x * x - 4 * x) ** ((n * n - n) // 2))
+        diffs[b * m] += cnt
+        diffs[a * m] -= cnt
     for k in range(1, n):
-        w = w * BracketProduct.diff(k, -2 * (n - k))
-    return w
+        diffs[k] -= 2 * (n - k)
+    coeff = s_det.coeff / Fraction(x * x - 4 * x) ** ((n * n - n) // 2)
+    return BracketProduct(coeff, -n * n, diffs)
 
 
 def z_half_eps_product(n):
     """The factored evaluation of Z on the standard grid at x = 1,
     including the fourth-root prefactor: (-1)^n q^(-n/4) s^(-n^2/2) times
     a balanced product of brackets [k] = d(k)/d(1)."""
-    q4 = q_fourth_root(1)
-    coeff = (Fraction(-1) ** n) * q4.inverse() ** n
-    p = BracketProduct(coeff, -n * n)
+    diffs = Counter()
     for i in range(n):
-        for j in range(i):
-            k = i - j
-            p = p * BracketProduct(Fraction(1, 3), 0, {3 * k: 1, k: -1})
-    for i in range(n):
-        d = {}
-        for j in range(1, 3 * i + 2):
-            d[j] = d.get(j, 0) + 1
-        for j in range(1, n + i + 1):
-            d[j] = d.get(j, 0) - 1
-        net = sum(d.values())
-        d[1] = d.get(1, 0) - net
-        p = p * BracketProduct(1, 0, d)
-    return p
+        for k in range(1, i + 1):           # [3k]/(3[k]) for each j = i - k
+            diffs[3 * k] += 1
+            diffs[k] -= 1
+        # row i: [1]...[3i+1] / [1]...[n+i]; its d(1)^(n-2i-1) balancing
+        # factors multiply to d(1)^0 over the rows
+        diffs.update(range(1, 3 * i + 2))
+        diffs.subtract(range(1, n + i + 1))
+    coeff = (Fraction(-1) ** n * Fraction(1, 3) ** ((n * n - n) // 2)
+             * q_fourth_root(1).inverse() ** n)
+    return BracketProduct(coeff, -n * n, diffs)
 
 
 def z_half_eps_brute(n, x, grid=None):

@@ -137,16 +137,12 @@ def cmd_table(max_n, fmt="text"):
                  "poly": [str(c) for c in r["poly"].ascending()]},
                 separators=(",", ":")))
     elif fmt == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "a1", "a2", "a3", "poly"])
+        # every field is an integer or a ";"-joined list: none needs quoting
+        report.emit("n,a1,a2,a3,poly")
         for r in rows:
-            writer.writerow([r["n"], r["a1"], r["a2"], r["a3"],
-                             ";".join(str(c) for c in r["poly"].ascending())])
-        for line in buf.getvalue().splitlines():
-            report.emit(line)
+            report.emit(",".join(
+                [str(r["n"]), str(r["a1"]), str(r["a2"]), str(r["a3"]),
+                 ";".join(str(c) for c in r["poly"].ascending())]))
     elif fmt == "text":
         header = f"{'n':>3} {'A(n;1)':>16} {'A(n;2)':>16} {'A(n;3)':>20}  A(n;x)"
         report.emit(header)

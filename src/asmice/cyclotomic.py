@@ -52,7 +52,6 @@ def _make(coeffs):
 
 class Cyclotomic:
     __slots__ = ("coeffs",)
-    scalar_ring = True
 
     def __init__(self, coeffs):
         cs = list(coeffs)

@@ -93,18 +93,17 @@ def s_det_product(n, a, b):
     """det s_matrix(n,a,b) in factored BracketProduct form."""
     if b == 0:
         raise ValueError("b must be nonzero")
-    out = BracketProduct.one()
+    diffs = Counter()
     for i in range(n):
         for j in range(i):
-            out = out * BracketProduct.diff(b * (i - j), 2)
-    for i in range(n):
+            diffs[b * (i - j)] += 2
         for j in range(n):
-            out = out * BracketProduct.diff(b * (i + j + 1), -1)
+            diffs[b * (i + j + 1)] -= 1
     for k in range(n):
-        out = out * BracketProduct.diff(a - b * k, n - k)
+        diffs[a - b * k] += n - k
     for k in range(1, n):
-        out = out * BracketProduct.diff(a + b * k, n - k)
-    return out
+        diffs[a + b * k] += n - k
+    return BracketProduct(1, 0, diffs)
 
 
 def s_det_closed(n, a, b):

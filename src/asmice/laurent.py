@@ -13,9 +13,8 @@ polynomials on mixed grids puts them on their least common grid once, by
 common_grid, so that no operation promotes again.  Callers never choose D;
 only the raw-key constructor LaurentPoly(nvars, scale, terms) takes one.
 
-Coefficients are exact scalars: int, fractions.Fraction, or any ring element
-that sets the class attribute ``scalar_ring = True`` (the cyclotomic numbers
-in this package do).  Zero coefficients are never stored.
+Coefficients are exact scalars: int, fractions.Fraction or Cyclotomic.
+Zero coefficients are never stored.
 
 Division follows the Laurent convention that monomials are units: t divides 1,
 with quotient t^(-1).  divide_exact raises NonDivisible when the quotient is
@@ -46,10 +45,9 @@ quotient is in Z[t] by Gauss's lemma, so P_B(a) = P_B(d) * P_B(a/d) for
 every B, and a nonzero remainder of P_B(a) by P_B(d) (nonzero, since its
 slots are in range) proves NonDivisible.  A zero remainder is only evidence:
 the quotient is unpacked and multiplied back with a width proved as above,
-and must give a.  B starts at the dividend's and divisor's bit lengths, not
-at any bound from the quotient's length; when the multiply-back fails, B is
-doubled at most _WIDENINGS times, and then the schoolbook long division
-decides.
+and must give a.  B is tried once, from the dividend's and divisor's bit
+lengths, not from any bound on the quotient's; when the quotient overflows
+its slots or fails to multiply back, the schoolbook long division decides.
 
 Exponent lattice.  The dense lists hold only the lattice lo + g*Z that the
 operands' exponents occupy: g is the gcd of the offsets k - lo over the
@@ -115,9 +113,10 @@ unpacking reads exactly top/g + 1 slots, so a bit above the top slot
 raises ArithmeticError instead of reading as a coefficient.
 
 Difference products.  diff_product expands prod d(a)^e over rational
-arguments a and exponents e >= 0, d(a) = t^(a/2) - t^(-a/2).  As
-d(-a) = -d(a), a negative argument is replaced by -a and contributes the
-sign (-1)^e, and a zero argument with e > 0 makes the product 0.  For
+arguments a and exponents e >= 0, d(a) = t^(a/2) - t^(-a/2).  Its factor
+map {a: e} is normalised by _diff_factors, as the brackets module's
+factored products are: d(-a) = -d(a) replaces a negative argument by -a
+with the sign (-1)^e, and d(0) makes the sign 0.  For
 a > 0, d(a) = t^(-a/2) (t^a - 1), so the product is that sign times
 t^(-sum e*a/2) times P = prod (t^a - 1)^e.  On the grid D, the lcm of the
 denominators of the a, t^a is m_a = 2aD grid units, an even integer, so
@@ -151,7 +150,7 @@ class NonDivisible(ArithmeticError):
 
 
 def _is_scalar(x):
-    return isinstance(x, (int, Fraction)) or getattr(x, "scalar_ring", False)
+    return isinstance(x, (int, Fraction, Cyclotomic))
 
 
 class LaurentPoly:
@@ -198,11 +197,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, c, nvars=1, scale=1):
         return cls(nvars, scale, {(0,) * nvars: c})
-
-    @classmethod
-    def monomial(cls, coeff, exps, scale=1):
-        exps = tuple(exps)
-        return cls(len(exps), scale, {exps: coeff})
 
     @classmethod
     def unit_power(cls, k, scale=1, var=0, nvars=1):
@@ -379,9 +373,6 @@ class LaurentPoly:
 
     # ---------- division ----------
 
-    def divide_exact(self, other):
-        return divide_exact(self, other)
-
     def shift_unit(self, deltas):
         """Multiply by the unit monomial with the given exponent offsets."""
         deltas = tuple(deltas)
@@ -474,12 +465,13 @@ def _divide_dense1(num, den):
     dlo, b = den._dense1(g)
     if len(a) < len(b):
         raise NonDivisible("quotient support would be empty")
-    q = None
     if _worth_packing((len(a) - len(b) + 1) * len(den.terms), len(a) + len(b)):
-        q = _divide_rational(a, b)
-    if q is None:
-        q = _long_divide(a, b)
-    return LaurentPoly._from_dense1(nlo - dlo, q, num.scale, g)
+        sa, sb = _split(a), _split(b)
+        q = sa and sb and _divide_ints(sa[1], sb[1])
+        if q:
+            return LaurentPoly._from_dense1(
+                nlo - dlo, _scaled(sa[0] / sb[0], q), num.scale, g)
+    return LaurentPoly._from_dense1(nlo - dlo, _long_divide(a, b), num.scale, g)
 
 
 def _divide_bivariate(num, den):
@@ -539,11 +531,25 @@ def _long_divide(a, b):
 
 
 def _mul1(a, b):
-    """Univariate a * b: the packed kernel, else the schoolbook."""
-    out = _mul_packed1(a, b)
-    if out is None:
-        out = LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
-    return out
+    """Univariate a * b: the packed kernel on the lattice of their
+    exponents, unless the schoolbook is cheaper or a coefficient is neither
+    rational nor cyclotomic."""
+    pairs = len(a.terms) * len(b.terms)
+    # a dense list is never shorter than its term count, so operands this
+    # sparse stay on the schoolbook whatever their lattice step
+    if _worth_packing(pairs, len(a.terms) + len(b.terms)):
+        g = _lattice_step(a, b)
+        if _worth_packing(pairs, a._span1(g) + b._span1(g)):
+            lo1, x = a._dense1(g)
+            lo2, y = b._dense1(g)
+            sx, sy = _split(x), _split(y)
+            if sx and sy:
+                out = _scaled(sx[0] * sy[0], _mul_ints(sx[1], sy[1]))
+            else:
+                out = _mul_cyclotomic(x, y)
+            if out is not None:
+                return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale, g)
+    return LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
 
 
 def _mul_terms(a, b):
@@ -569,9 +575,6 @@ def _mul_terms(a, b):
 #: term pairs per slot of the dense spans
 _PACK_RATIO = 4
 
-#: slot doublings an exact divide tries before the schoolbook decides
-_WIDENINGS = 2
-
 
 def _worth_packing(pairs, slots):
     """The packed kernel touches every slot of the dense spans once; the
@@ -587,28 +590,6 @@ def _lattice_step(*polys):
         lo = min(p.terms)[0]
         g = gcd(g, *[k - lo for k, in p.terms])
     return g or 1
-
-
-def _mul_packed1(a, b):
-    """Univariate a * b by the packed kernel on the lattice of their
-    exponents; None when the schoolbook is cheaper or a coefficient is
-    neither rational nor cyclotomic."""
-    pairs = len(a.terms) * len(b.terms)
-    # a dense list is never shorter than its term count, so operands this
-    # sparse stay on the schoolbook whatever their lattice step
-    if not _worth_packing(pairs, len(a.terms) + len(b.terms)):
-        return None
-    g = _lattice_step(a, b)
-    if not _worth_packing(pairs, a._span1(g) + b._span1(g)):
-        return None
-    lo1, x = a._dense1(g)
-    lo2, y = b._dense1(g)
-    out = _mul_rational(x, y)
-    if out is None:
-        out = _mul_cyclotomic(x, y)
-    if out is None:
-        return None
-    return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale, g)
 
 
 def _split(cs):
@@ -634,14 +615,6 @@ def _scaled(content, ints):
     if d == 1:
         return ints if n == 1 else [n * c for c in ints]
     return [Fraction(n * c, d) for c in ints]
-
-
-def _mul_rational(a, b):
-    """a * b by one bigint multiply; None unless both are rational."""
-    sa, sb = _split(a), _split(b)
-    if sa is None or sb is None:
-        return None
-    return _scaled(sa[0] * sb[0], _mul_ints(sa[1], sb[1]))
 
 
 #: the z-components of a rational coefficient, after component 0
@@ -699,18 +672,6 @@ def _mul_cyclotomic(a, b):
     return out
 
 
-def _divide_rational(a, b):
-    """a / b by one bigint divmod, or raise NonDivisible; None unless both
-    are rational, or when the widened slots still leave it undecided."""
-    sa, sb = _split(a), _split(b)
-    if sa is None or sb is None:
-        return None
-    q = _divide_ints(sa[1], sb[1])
-    if q is None:
-        return None
-    return _scaled(sa[0] / sb[0], q)
-
-
 def _bits(ints):
     return max(max(ints), -min(ints)).bit_length()
 
@@ -730,24 +691,18 @@ def _mul_ints(a, b):
 
 
 def _divide_ints(a, d):
-    """Quotient a / d of integer coefficient lists, d primitive; raise
-    NonDivisible on a nonzero packed remainder, None when no width tried
-    gives a quotient that multiplies back to a."""
-    slots = len(a) - len(d) + 1
+    """Quotient a / d of integer coefficient lists, d primitive, at one
+    slot width; raise NonDivisible on a nonzero packed remainder, None when
+    the quotient overflows its slots or does not multiply back to a."""
     width = _width(max(_bits(a), _bits(d)) + 1)
-    for _ in range(_WIDENINGS + 1):
-        q, r = divmod(_pack(a, width), _pack(d, width))
-        if r:
-            raise NonDivisible("nonzero remainder")
-        try:
-            q = _unpack(q, slots, width)
-        except ArithmeticError:
-            pass
-        else:
-            if _mul_ints(d, q) == a:
-                return q
-        width *= 2
-    return None
+    q, r = divmod(_pack(a, width), _pack(d, width))
+    if r:
+        raise NonDivisible("nonzero remainder")
+    try:
+        q = _unpack(q, len(a) - len(d) + 1, width)
+    except ArithmeticError:
+        return None
+    return q if _mul_ints(d, q) == a else None
 
 
 def _pack(ints, width):
@@ -831,19 +786,10 @@ def diff_product(diffs):
     and e >= 0, as a univariate LaurentPoly with int coefficients expanded
     on one packed int (see "Difference products" in the module
     docstring)."""
-    sign, factors = 1, {}
     for a, e in diffs.items():
         if e < 0:
             raise ValueError(f"d({a}) has the negative exponent {e}")
-        if not e:
-            continue
-        a = Fraction(a)
-        if not a:
-            return LaurentPoly.zero()
-        if a < 0:
-            a = -a
-            sign = -sign if e % 2 else sign
-        factors[a] = factors.get(a, 0) + e
+    sign, factors = _diff_factors(diffs)
     grid = lcm(*[a.denominator for a in factors])
     # d(a) = t^(-a/2) (t^a - 1), and t^a is m = 2*a*grid grid units
     steps = {int(2 * a * grid): e for a, e in factors.items()}
@@ -855,6 +801,25 @@ def diff_product(diffs):
         for _ in range(e):
             v = (v << shift) - v
     return layout.unpack(v)
+
+
+def _diff_factors(diffs):
+    """(sign, {a > 0: e != 0}) whose sign * prod d(a)^e equals
+    prod d(a)^e over diffs, keys kept as given: d(-a) = -d(a), and d(0)
+    makes the sign 0 (e > 0) or raises ZeroDivisionError (e < 0)."""
+    sign, factors = 1, {}
+    for a, e in diffs.items():
+        if not e:
+            continue
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("d(0) with a negative exponent")
+            return 0, {}
+        if a < 0:
+            a = -a
+            sign = -sign if e % 2 else sign
+        factors[a] = factors.get(a, 0) + e
+    return sign, {a: e for a, e in factors.items() if e}
 
 
 def common_grid(items):

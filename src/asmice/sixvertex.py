@@ -290,10 +290,6 @@ def lemma_degree_check(n, p):
     if n != p.n:
         raise ValueError("n does not match the parameter count")
     z = _z_formal(p)
-    half = 2 * z.scale
-    allowed = set(range(0, 2 * n - 1, 2))
-    for k in z.terms:
-        e = Fraction(k[1], half) + n
-        if e.denominator != 1 or int(e) not in allowed:
-            return False
-    return True
+    half = 2 * z.scale                      # grid units per w-exponent 1
+    return ({k[1] for k in z.terms}
+            <= {(2 * j - n) * half for j in range(n)})

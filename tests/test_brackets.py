@@ -8,11 +8,19 @@ from hypothesis import given, strategies as st
 from asmice.brackets import (BracketProduct, beta, bracket, bracket_ratio,
                              qdiff, qdiff_product)
 from asmice.chain import q_fourth_root
-from asmice.laurent import LaurentPoly, NonDivisible, RatFunc
+from asmice.laurent import LaurentPoly, NonDivisible, RatFunc, diff_product
 
 
 def lp(terms, scale=1):
     return LaurentPoly(1, scale, {(k,): c for k, c in terms.items()})
+
+
+def d(a, e=1):
+    """d(a)^e as a BracketProduct."""
+    return BracketProduct(1, 0, {a: e})
+
+
+ONE = BracketProduct()
 
 
 def bracket_factor(a):
@@ -78,23 +86,60 @@ def test_bracket_ratio_matches_polynomial_bracket():
 # ---------- factored products ----------
 
 def test_product_one_and_monomial():
-    assert BracketProduct.one().limit_at_one() == 1
-    m = BracketProduct.monomial(-9)
+    assert ONE.limit_at_one() == 1
+    m = BracketProduct(1, -9)
     assert m.unit_expo == -9 and m.limit_at_one() == 1
 
 
 def test_diff_normalizes_negative_arguments():
-    d = BracketProduct.diff(-3)
-    assert d.diffs == {3: 1} and d.coeff == -1
-    assert BracketProduct.diff(-3, 2).coeff == 1
+    assert d(-3).diffs == {3: 1} and d(-3).coeff == -1
+    assert d(-3, 2).coeff == 1
 
 
 def test_diff_zero_argument_gives_zero_product():
-    z = BracketProduct.diff(0)
-    assert z.zero and z.limit_at_one() == 0
+    z = d(0)
+    assert z.zero and z.coeff == 0 and z.limit_at_one() == 0
     assert z.expand_ratfunc().is_zero
     with pytest.raises(ZeroDivisionError):
-        BracketProduct.diff(0, -1)
+        d(0, -1)
+
+
+# {a: e} -> (coefficient, normalised factors) of prod d(a)^e
+NORMAL_FORMS = [
+    ({}, 1, {}),
+    ({2: 0, -3: 0}, 1, {}),
+    ({-3: 1}, -1, {3: 1}),
+    ({-3: 2}, 1, {3: 2}),
+    ({-3: 1, 3: 2, Fraction(-1, 2): 3}, 1, {3: 3, Fraction(1, 2): 3}),
+    ({2: 1, -2: 1}, -1, {2: 2}),
+    ({0: 1, 3: 2, -1: 1}, 0, {}),
+    ({0: 0, 5: 1}, 1, {5: 1}),
+]
+
+
+@pytest.mark.parametrize("diffs, coeff, factors", NORMAL_FORMS)
+def test_one_normal_form_for_difference_products(diffs, coeff, factors):
+    p = BracketProduct(1, 0, diffs)
+    assert (p.coeff, p.diffs) == (coeff, factors)
+    assert p.zero == (coeff == 0)
+    want = LaurentPoly.one()
+    for a, e in factors.items():
+        want = want * qdiff(a) ** e
+    assert diff_product(diffs) == want * coeff
+
+
+@pytest.mark.parametrize("diffs", [{0: -1}, {3: 1, 0: -2}])
+def test_negative_power_of_d0(diffs):
+    with pytest.raises(ZeroDivisionError):
+        BracketProduct(1, 0, diffs)
+    with pytest.raises(ValueError):
+        diff_product(diffs)
+
+
+def test_negative_exponents_stay_factored():
+    # d(2) d(-2)^(-1) = -1: the factors cancel, the sign stays
+    p = BracketProduct(1, 0, {2: 1, -2: -1, 4: -2})
+    assert (p.coeff, p.diffs) == (-1, {4: -2})
 
 
 def test_bracket_factor_balances_unit_differences():
@@ -102,7 +147,7 @@ def test_bracket_factor_balances_unit_differences():
     assert f.diffs == {3: 1, 1: -1}
     assert f.net_diff_power == 0
     assert f.limit_at_one() == 3
-    assert bracket_factor(1) == BracketProduct.one()
+    assert bracket_factor(1) == ONE
 
 
 def test_product_algebra():
@@ -118,9 +163,9 @@ def test_product_algebra():
 
 
 def test_limit_unbalanced_cases():
-    assert BracketProduct.diff(2).limit_at_one() == 0         # net > 0
+    assert d(2).limit_at_one() == 0                           # net > 0
     with pytest.raises(NonDivisible):
-        BracketProduct.diff(2, -1).limit_at_one()             # pole
+        d(2, -1).limit_at_one()                               # pole
 
 
 def test_limit_alias():
@@ -137,18 +182,19 @@ def test_expand_ratfunc_matches_direct_polynomials():
 def test_equality_is_extensional():
     # d(3)/d(1) == [3] == unit^2 + 1 + unit^-2 as expanded values
     a = bracket_factor(3)
-    b = BracketProduct.diff(3) / BracketProduct.diff(1)
+    b = d(3) / d(1)
     assert a == b
 
 
 def test_power_of_zero():
-    z = BracketProduct.diff(0)
+    z = d(0)
     assert (z ** 3).zero
-    assert (z ** 0) == BracketProduct.one()
+    assert (z ** 0) == ONE
+    assert (z * d(2, -1)).limit_at_one() == 0
     with pytest.raises(ZeroDivisionError):
         z ** -1
     with pytest.raises(ZeroDivisionError):
-        BracketProduct.one() / z
+        ONE / z
 
 
 # ---------- packed expansion against the factor-by-factor oracle ----------
@@ -203,10 +249,10 @@ def test_equality_on_equal_pairs(p, q):
 
 
 def test_equality_with_the_zero_product():
-    zero = BracketProduct.diff(0)
+    zero = d(0)
     assert zero == BracketProduct(0) == BracketProduct(5, 3, {0: 2, 4: -1})
     assert cross_multiplied_equal(zero, BracketProduct(0))
-    for p in (BracketProduct.one(), BracketProduct.diff(2, -1),
+    for p in (ONE, d(2, -1),
               BracketProduct(Fraction(1, 3), 1, {1: 1})):
         assert p != zero and zero != p
         assert not cross_multiplied_equal(p, zero)
@@ -215,7 +261,7 @@ def test_equality_with_the_zero_product():
 def test_integral_coefficients_stay_ints():
     assert type(BracketProduct(3).coeff) is int
     assert type(BracketProduct(Fraction(6, 2)).coeff) is int
-    assert type(BracketProduct.diff(0).coeff) is int
+    assert type(d(0).coeff) is int
     assert type((BracketProduct(3) * 2).coeff) is int
     assert type(BracketProduct(Fraction(1, 2)).coeff) is Fraction
     assert type(BracketProduct(3).limit_at_one()) is Fraction

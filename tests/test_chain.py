@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from asmice.chain import (a_via_chain, ean_normalize, half_spec_value,
+from asmice.brackets import BracketProduct
+from asmice.chain import (RATIO_EXPONENTS, a_via_chain, ean_normalize, half_spec_value,
                           ik_eps_product, ik_eps_ratfunc, q_fourth_root,
                           tau_poly, z_half_eps_brute, z_half_eps_product)
 from asmice.asm import enumerate_asms
-from asmice.dets import EpsilonGrid
+from asmice.dets import EpsilonGrid, s_det_product
 from asmice.ice import to_ice
 from asmice.laurent import LaurentPoly, RatFunc
 from asmice.transfer import transfer_count
@@ -153,3 +154,70 @@ def test_merged_point_normalization():
 def test_normalize_rejects_irrational_values():
     with pytest.raises((ArithmeticError, ValueError)):
         ean_normalize(1, q_fourth_root(1), 1)
+
+
+# ---------- closed forms against their factor-by-factor products ----------
+
+def d(a, e=1):
+    return BracketProduct(1, 0, {a: e})
+
+
+def chained_s_det(n, a, b):
+    out = BracketProduct()
+    for i in range(n):
+        for j in range(i):
+            out = out * d(b * (i - j), 2)
+    for i in range(n):
+        for j in range(n):
+            out = out * d(b * (i + j + 1), -1)
+    for k in range(n):
+        out = out * d(a - b * k, n - k)
+    for k in range(1, n):
+        out = out * d(a + b * k, n - k)
+    return out
+
+
+def chained_ik_eps(n, x):
+    a, b = RATIO_EXPONENTS[x]
+    w = BracketProduct(1, -n * n)
+    for m in range(1, 2 * n):
+        cnt = n - abs(m - n)
+        w = w * BracketProduct(1, 0, {b * m: cnt, a * m: -cnt})
+    w = w * chained_s_det(n, a, b)
+    w = w / (Fraction(x * x - 4 * x) ** ((n * n - n) // 2))
+    for k in range(1, n):
+        w = w * d(k, -2 * (n - k))
+    return w
+
+
+def chained_z_half_eps(n):
+    coeff = (Fraction(-1) ** n) * q_fourth_root(1).inverse() ** n
+    p = BracketProduct(coeff, -n * n)
+    for i in range(n):
+        for j in range(i):
+            k = i - j
+            p = p * BracketProduct(Fraction(1, 3), 0, {3 * k: 1, k: -1})
+    for i in range(n):
+        row = {}
+        for j in range(1, 3 * i + 2):
+            row[j] = row.get(j, 0) + 1
+        for j in range(1, n + i + 1):
+            row[j] = row.get(j, 0) - 1
+        row[1] = row.get(1, 0) - sum(row.values())
+        p = p * BracketProduct(1, 0, row)
+    return p
+
+
+def same_product(p, q):
+    """Equal coefficients, and equal monomials and factors unless zero."""
+    return p.coeff == q.coeff and (
+        not p.coeff or (p.unit_expo, p.diffs) == (q.unit_expo, q.diffs))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_forms_equal_their_chained_products(n):
+    for a, b in ((1, 3), (2, 4), (6, 3), (0, 3), (-2, 1), (Fraction(1, 2), 2)):
+        assert same_product(s_det_product(n, a, b), chained_s_det(n, a, b))
+    for x in (1, 2):
+        assert same_product(ik_eps_product(n, x), chained_ik_eps(n, x))
+    assert same_product(z_half_eps_product(n), chained_z_half_eps(n))

@@ -18,10 +18,9 @@ from asmice.brackets import qdiff
 from asmice.chain import q_fourth_root
 from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
-                            _bits, _divide_ints, _divide_rational,
-                            _lattice_step, _long_divide, _mul_cyclotomic,
-                            _mul_packed1, _mul_rational, _mul_terms, _pack,
-                            _unpack, _width, _worth_packing, common_grid,
+                            _bits, _divide_ints, _lattice_step, _long_divide,
+                            _mul_cyclotomic, _mul_terms, _pack, _unpack,
+                            _width, _worth_packing, common_grid,
                             diff_product, divide_exact, limit_at_one,
                             reduced, vanishing_order_at_one)
 from asmice.sixvertex import _packed_sweep
@@ -230,8 +229,7 @@ def test_divide_two_variable_product():
 def test_divide_scalar_numerator_of_any_ring():
     z = cyclotomic_embed(3)
     assert divide_exact(z, LaurentPoly.const(2)) == LaurentPoly.const(z / 2)
-    assert divide_exact(z, LaurentPoly.unit_power(2)) == \
-        LaurentPoly.monomial(z, (-2,))
+    assert divide_exact(z, LaurentPoly.unit_power(2)) == lp({-2: z})
     assert divide_exact(Fraction(1, 2), lp({0: 3})) == lp({0: Fraction(1, 6)})
 
 
@@ -291,7 +289,7 @@ def test_bivariate_divide_recovers_factor(p, q):
 def test_bivariate_divide_rejects_product_plus_monomial(p, q, exps):
     # q is not a unit, so it cannot divide p*q + t^a*u^b
     with pytest.raises(NonDivisible):
-        divide_exact(p * q + LaurentPoly.monomial(1, exps), q)
+        divide_exact(p * q + LaurentPoly(2, 1, {exps: 1}), q)
 
 
 def test_bivariate_quotient_outside_the_t_range_is_not_divisible():
@@ -312,26 +310,50 @@ def schoolbook(p, q):
     return LaurentPoly._clean(1, p.scale, _mul_terms(p.terms, q.terms))
 
 
-def packed(p, q):
+class Schoolbook(Exception):
+    """The packed kernel handed an operation to the schoolbook."""
+
+
+def refuse(*args):
+    raise Schoolbook
+
+
+def long_quotient(p, q):
+    """p / q by the schoolbook on the full grid: a LaurentPoly, or
+    NonDivisible."""
     lo1, a = p._dense1()
     lo2, b = q._dense1()
-    return LaurentPoly._from_dense1(lo1 + lo2, _mul_rational(a, b), p.scale)
+    try:
+        return LaurentPoly._from_dense1(lo1 - lo2, _long_divide(a, b), p.scale)
+    except NonDivisible as exc:
+        return type(exc)
+
+
+def lattice_quotient(p, q):
+    try:
+        return divide_exact(p, q)
+    except NonDivisible as exc:
+        return type(exc)
+    except Schoolbook:
+        return None
+
+
+def packed(p, q):
+    """p * q by the kernel with packing forced and the schoolbook refused."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_worth_packing", lambda pairs, slots: True)
+        mp.setattr(laurent, "_mul_terms", refuse)
+        return p * q
 
 
 def quotients(p, q):
     """(packed, schoolbook) outcomes of p / q: a LaurentPoly, None when the
     packed kernel leaves it undecided, or NonDivisible."""
-    lo1, a = p._dense1()
-    lo2, b = q._dense1()
-    out = []
-    for divide in (_divide_rational, _long_divide):
-        try:
-            cs = divide(a, b) if len(a) >= len(b) else None
-        except NonDivisible as exc:
-            out.append(type(exc))
-        else:
-            out.append(cs and LaurentPoly._from_dense1(lo1 - lo2, cs, p.scale))
-    return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "_worth_packing", lambda pairs, slots: True)
+        mp.setattr(laurent, "_long_divide", refuse)
+        by_packing = lattice_quotient(p, q)
+    return [by_packing, long_quotient(p, q)]
 
 
 def dense(coeffs, lo=0):
@@ -416,17 +438,12 @@ def q_factorial_pair(k):
     return [a._dense1()[1][::2] for a in (a, d, q)]
 
 
-def test_packed_divide_widens_for_a_wide_quotient():
-    a, d, q = q_factorial_pair(20)
-    assert _bits(q) + 1 > _width(max(_bits(a), _bits(d)) + 1)
-    assert _divide_ints(a, d) == q
-
-
 def test_packed_divide_falls_back_to_the_schoolbook():
-    a, d, q = q_factorial_pair(50)
-    assert _bits(q) + 1 > 4 * _width(max(_bits(a), _bits(d)) + 1)
-    assert _divide_ints(a, d) is None
-    assert divide_exact(dense(a), dense(d)) == dense(q)
+    for k in (20, 50):
+        a, d, q = q_factorial_pair(k)
+        assert _bits(q) + 1 > _width(max(_bits(a), _bits(d)) + 1)
+        assert _divide_ints(a, d) is None
+        assert divide_exact(dense(a), dense(d)) == dense(q)
 
 
 def test_pack_round_trips_balanced_slots():
@@ -677,24 +694,6 @@ def on_lattice(coeffs, g, lo):
     return lp({lo + g * i: c for i, c in enumerate(coeffs)})
 
 
-def long_quotient(p, q):
-    """p / q by the schoolbook on the full grid: a LaurentPoly, or
-    NonDivisible."""
-    lo1, a = p._dense1()
-    lo2, b = q._dense1()
-    try:
-        return LaurentPoly._from_dense1(lo1 - lo2, _long_divide(a, b), p.scale)
-    except NonDivisible as exc:
-        return type(exc)
-
-
-def lattice_quotient(p, q):
-    try:
-        return divide_exact(p, q)
-    except NonDivisible as exc:
-        return type(exc)
-
-
 nonzero_rationals = rationals.filter(bool)
 integral_cyclotomic = st.builds(
     Cyclotomic, st.lists(st.integers(-9, 9), min_size=8, max_size=8)) \
@@ -714,7 +713,7 @@ def test_lattice_kernel_against_the_schoolbook(g, a, b, lo1, lo2):
     p, q = on_lattice(a, g, lo1), on_lattice(b, g, lo2)
     assert _lattice_step(p, q) == g
     product = schoolbook(p, q)
-    assert _mul_packed1(p, q) == product == p * q
+    assert packed(p, q) == product == p * q
     assert lattice_quotient(product, q) == long_quotient(product, q) == p
 
 
@@ -725,7 +724,7 @@ def test_lattices_2z_and_3z_together_pack_on_the_full_grid():
         q = on_lattice([kinds[i % 3] * (2 * i - 19) for i in range(30)], 3, 5)
         assert _lattice_step(p, q) == 1
         product = schoolbook(p, q)
-        assert _mul_packed1(p, q) == product == p * q
+        assert packed(p, q) == product == p * q
         assert lattice_quotient(product, q) == long_quotient(product, q) == p
         assert lattice_quotient(product, p) == long_quotient(product, p) == q
 

@@ -9,7 +9,7 @@ import pytest
 from asmice.asm import count_asms_brute, enumerate_asms
 from asmice.brackets import bracket, bracket_ratio, qdiff
 from asmice.ice import from_ice, search_dwbc_states, to_ice
-from asmice import laurent
+from asmice import laurent, sixvertex
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
 from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND, _label_weights,
                               _packed_sweep, _z_formal, lemma_degree_check,
@@ -200,6 +200,20 @@ def test_formal_row_sum_when_top_row_terms_cancel():
     assert all(len({f for _, f in w.terms}) == 4 for w in top.values())
     assert _z_formal(p) == formal_row_sum(p)
     assert lemma_degree_check(4, p)
+
+
+@pytest.mark.parametrize("bad_key, scale", [(6, 1), (4, 1), (2, 2)])
+def test_degree_check_rejects_a_bad_w_exponent(monkeypatch, bad_key, scale):
+    # n = 3 allows the w-exponents -3, -1 and 1, each 2*scale grid units;
+    # the bad keys are the w-exponents n, the even 2 and the half 1/2
+    p = SpectralParams([1, 2, 3], [0, 0, 0])
+    good = {(0, -6 * scale): 1, (1, -2 * scale): 2, (-1, 2 * scale): -1}
+    monkeypatch.setattr(sixvertex, "_z_formal",
+                        lambda _: LaurentPoly(2, scale, good))
+    assert lemma_degree_check(3, p)
+    monkeypatch.setattr(sixvertex, "_z_formal", lambda _: LaurentPoly(
+        2, scale, {**good, (3, bad_key): 5}))
+    assert not lemma_degree_check(3, p)
 
 
 def test_formal_row_sum_when_x0_has_the_finest_grid():
