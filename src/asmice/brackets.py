@@ -88,7 +88,8 @@ class BracketProduct:
     ``diffs`` maps positive rational arguments a (in units of the
     variable's half-power, so d(a) = s^(a/2)-s^(-a/2)) to integer
     exponents; negative arguments are normalized away via d(-a) = -d(a),
-    and d(0) makes the coefficient 0, which is the zero product.  An
+    and d(0) makes the coefficient 0: the zero product, whose monomial and
+    factors are dropped.  An
     integral coefficient is kept as an int.  ``unit_expo`` counts
     half-powers of the variable.  In bracket terms the product equals
     prefactor * s^(unit_expo/2) * prod [a]^e * d(1)^(net) with
@@ -98,10 +99,11 @@ class BracketProduct:
     __slots__ = ("coeff", "unit_expo", "diffs")
 
     def __init__(self, coeff=1, unit_expo=0, diffs=None):
-        sign, self.diffs = _diff_factors(diffs or {})
+        sign, diffs = _diff_factors(diffs or {})
         coeff = _integral(coeff)
         self.coeff = coeff if sign > 0 else -coeff if sign else 0
-        self.unit_expo = unit_expo
+        self.unit_expo = unit_expo if self.coeff else 0
+        self.diffs = diffs if self.coeff else {}
 
     # ---------- algebra ----------
 
@@ -142,7 +144,7 @@ class BracketProduct:
     def limit_at_one(self):
         """Exact limit as the variable goes to 1."""
         net = self.net_diff_power
-        if not self.coeff or net > 0:
+        if net > 0:
             return Fraction(0)
         if net < 0:
             raise NonDivisible("pole at 1: unbalanced difference factors")

@@ -191,6 +191,7 @@ def test_power_of_zero():
     assert (z ** 3).zero
     assert (z ** 0) == ONE
     assert (z * d(2, -1)).limit_at_one() == 0
+    assert (z * BracketProduct(1, 5, {2: -1})).diffs == {}
     with pytest.raises(ZeroDivisionError):
         z ** -1
     with pytest.raises(ZeroDivisionError):

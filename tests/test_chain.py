@@ -209,9 +209,7 @@ def chained_z_half_eps(n):
 
 
 def same_product(p, q):
-    """Equal coefficients, and equal monomials and factors unless zero."""
-    return p.coeff == q.coeff and (
-        not p.coeff or (p.unit_expo, p.diffs) == (q.unit_expo, q.diffs))
+    return (p.coeff, p.unit_expo, p.diffs) == (q.coeff, q.unit_expo, q.diffs)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
