@@ -34,11 +34,19 @@ is a sum of at most k products v_i w_(m-i), each of absolute value below
 2^(b+c), so it is below k * 2^(b+c) < 2^(b+c+L) with L the bit length of k.
 With B = b + c + L + 1, rounded up to whole bytes, every coefficient of v,
 w and v*w lies strictly inside (-2^(B-1), 2^(B-1)).  A list with entries in
-that range is the only one that packs to its value: adding 2^(B-1) to every
-slot makes each slot a plain B-bit digit (the borrows that negative slots
-took from the slots above are paid back), so unpacking reads bytes.  A value
-that needs bits above the top slot comes from no such list, and unpacking
-raises ArithmeticError on it.
+[-2^(B-1), 2^(B-1)) is the only one that packs to its value: adding the bias
+2^(B-1) to every slot makes each slot the plain B-bit digit c + 2^(B-1) of
+its coefficient c (the borrows that negative slots took from the slots above
+are paid back), and flipping each slot's top bit, an XOR with the bias,
+turns that digit into c's B-bit two's complement.  So one to_bytes call
+gives the whole slot array, and packing runs the same steps backwards.  A
+value that needs bits above the top slot comes from no such list, and
+unpacking raises ArithmeticError on it.  Slots of 8, 16, 32 and 64 bits
+convert to and from the list in one struct call on little-endian signed
+words of their size; slots of 24, 40, 48 and 56 bits through the next wider
+word, whose pad bytes extend the sign of the slot's top byte (a pad byte
+that does not is a coefficient out of range, and packing raises
+OverflowError); wider slots convert one at a time.
 
 Exact divide.  The divisor d is made primitive.  If d divides a over Q, the
 quotient is in Z[t] by Gauss's lemma, so P_B(a) = P_B(d) * P_B(a/d) for
@@ -134,6 +142,7 @@ serve sparse operands and the tests, as the oracle.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -706,29 +715,61 @@ def _divide_ints(a, d):
 
 
 def _pack(ints, width):
-    """sum(ints[i] * 2^(i*width)), for |ints[i]| < 2^(width-1)."""
+    """sum(ints[i] * 2^(i*width)), for every ints[i] in
+    [-2^(width-1), 2^(width-1)); OverflowError on one outside."""
     size = width >> 3
-    half = 1 << (width - 1)
-    data = b"".join([(c + half).to_bytes(size, "little") for c in ints])
-    return int.from_bytes(data, "little") - _bias(len(ints), size)
+    if size > 8:
+        data = b"".join([c.to_bytes(size, "little", signed=True)
+                         for c in ints])
+    else:
+        code, wide = _WORDS[size]
+        try:
+            data = struct.pack(f"<{len(ints)}{code}", *ints)
+        except struct.error:
+            raise OverflowError("coefficient does not fit its slot") from None
+        if wide > size:
+            data = bytearray(data)
+            for k in range(wide, size, -1):
+                # the top byte of each k-byte word must extend the sign
+                if data[k - 1::k] != data[size - 1::k].translate(_SIGN):
+                    raise OverflowError("coefficient does not fit its slot")
+                del data[k - 1::k]
+    bias = _bias(len(ints), size)
+    return (int.from_bytes(data, "little") ^ bias) - bias
 
 
 def _unpack(v, slots, width):
     """The list that _pack turned into v: the balanced base-2^width digits
     of v, each in [-2^(width-1), 2^(width-1))."""
     size = width >> 3
+    bias = _bias(slots, size)
     try:
-        data = (v + _bias(slots, size)).to_bytes(slots * size, "little")
+        data = ((v + bias) ^ bias).to_bytes(slots * size, "little")
     except OverflowError:
         raise ArithmeticError("packed value overflows its top slot") from None
-    half = 1 << (width - 1)
-    return [int.from_bytes(data[i:i + size], "little") - half
-            for i in range(0, len(data), size)]
+    if size > 8:
+        return [int.from_bytes(data[i:i + size], "little", signed=True)
+                for i in range(0, len(data), size)]
+    code, wide = _WORDS[size]
+    if wide > size:
+        data, slot = bytearray(slots * wide), data
+        sign = slot[size - 1::size].translate(_SIGN)
+        for k in range(wide):
+            data[k::wide] = slot[k::size] if k < size else sign
+    return list(struct.unpack(f"<{slots}{code}", data))
 
 
 def _bias(slots, size):
     """2^(width-1) in each of `slots` slots of `size` bytes."""
     return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+
+
+# _WORDS[size]: the struct code and byte count of the least standard
+# little-endian word that holds a slot of `size` bytes.  _SIGN maps a
+# slot's top byte to the byte that extends its sign.
+_WORDS = (None, ("b", 1), ("h", 2), ("i", 4), ("i", 4),
+          ("q", 8), ("q", 8), ("q", 8), ("q", 8))
+_SIGN = bytes(128) + b"\xff" * 128
 
 
 # ---------- packed layouts ----------

@@ -6,7 +6,8 @@ import pytest
 
 from asmice.asm import Asm, enumerate_asms
 from asmice.ice import (ASM_ENTRY_OF_STATE, IceInvalid, IceState, from_ice,
-                        search_dwbc_states, to_ice)
+                        to_ice)
+from dwbc_search import search_dwbc_states
 
 
 def test_single_site_state():

@@ -84,7 +84,7 @@ def test_no_signature_outside_laurent_takes_a_grid():
 
 def test_no_module_outside_laurent_imports_the_packed_format():
     # the slot format is laurent's: other modules pack through _Layout
-    private = {"_pack", "_unpack", "_bias", "_width"}
+    private = {"_pack", "_unpack", "_bias", "_width", "_WORDS", "_SIGN"}
     for path in sorted(Path(asmice.__path__[0]).glob("*.py")):
         if path.name == "laurent.py":
             continue
@@ -447,10 +447,27 @@ def test_packed_divide_falls_back_to_the_schoolbook():
 
 
 def test_pack_round_trips_balanced_slots():
-    for width in (8, 16, 72):
-        top = 2 ** (width - 1) - 1
-        cs = [top, -top, 0, 1, -1, top]
-        assert _unpack(_pack(cs, width), len(cs), width) == cs
+    # every byte width: whole words (8, 16, 32, 64 bits), words with pad
+    # bytes (24, 40, 48, 56) and per-slot conversion (72)
+    for width in range(8, 73, 8):
+        half = 2 ** (width - 1)
+        for cs in ([half - 1, -half, 0, 1, -1, half - 1, -half + 1],
+                   [0, 0, 0], [-half], [half - 1], [0], []):
+            v = _pack(cs, width)
+            assert v == sum(c << i * width for i, c in enumerate(cs))
+            assert _unpack(v, len(cs), width) == cs
+
+
+def test_pack_rejects_coefficients_outside_their_slots():
+    for width in range(8, 73, 8):
+        half = 2 ** (width - 1)
+        for bad in (half, -half - 1):
+            with pytest.raises(OverflowError):
+                _pack([0, bad, 1], width)
+    # a 24-bit slot is written through a 32-bit word, which holds these
+    for bad in (1 << 23, -(1 << 23) - 1):
+        with pytest.raises(OverflowError):
+            _pack([bad], 24)
 
 
 def test_unpack_rejects_bits_above_the_top_slot():
@@ -459,6 +476,14 @@ def test_unpack_rejects_bits_above_the_top_slot():
               _pack([-128, -128, -128], 8) - 1):
         with pytest.raises(ArithmeticError):
             _unpack(v, 3, 8)
+    for width in (24, 72):
+        half = 2 ** (width - 1)
+        top, bottom = _pack([half - 1] * 3, width), _pack([-half] * 3, width)
+        assert _unpack(top, 3, width) == [half - 1] * 3
+        assert _unpack(bottom, 3, width) == [-half] * 3
+        for v in (1 << 3 * width, top + 1, bottom - 1):
+            with pytest.raises(ArithmeticError):
+                _unpack(v, 3, width)
 
 
 # ---------- packed site weights against the schoolbook ----------

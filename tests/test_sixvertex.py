@@ -8,13 +8,14 @@ import pytest
 
 from asmice.asm import count_asms_brute, enumerate_asms
 from asmice.brackets import bracket, bracket_ratio, qdiff
-from asmice.ice import from_ice, search_dwbc_states, to_ice
+from asmice.ice import from_ice, to_ice
 from asmice import laurent, sixvertex
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
 from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND, _label_weights,
                               _packed_sweep, _z_formal, lemma_degree_check,
                               lemma_recursion_check, state_sweep,
                               vertex_weights, z_brute)
+from dwbc_search import search_dwbc_states
 
 
 def lp(terms, scale=1):
