@@ -21,12 +21,17 @@ with quotient t^(-1).  divide_exact raises NonDivisible when the quotient is
 not itself a Laurent polynomial on the grid.
 
 Packed-integer kernel.  A univariate multiply or exact divide whose operands
-have only int and Fraction coefficients, and more pairs of nonzero terms than
-a few per slot of their dense spans, runs as one bigint operation (Kronecker
-substitution).  Each coefficient list is split as content * v, the content a
-positive rational and v a primitive integer vector, and v is packed into the
-integer P_B(v) = sum v_i 2^(i*B).  P_B is evaluation at 2^B, a ring map
-Z[t] -> Z, so P_B(v) * P_B(w) = P_B(v*w) for every slot width B.
+have more pairs of nonzero terms than a few per slot of their dense spans
+runs as one bigint operation (Kronecker substitution), when each operand's
+coefficient list splits as content * v with v a primitive integer vector.
+The content is a positive rational when every coefficient is an int or a
+Fraction, and a Cyclotomic u times a rational when every coefficient is a
+rational multiple of one u (as the root-of-unity prefactor q^(-n/4) makes
+them); other lists with Cyclotomic coefficients take the schoolbook.  The
+contents are scalars, so they multiply or divide apart from the vectors,
+and v is packed into the integer P_B(v) = sum v_i 2^(i*B).  P_B is
+evaluation at 2^B, a ring map Z[t] -> Z, so P_B(v) * P_B(w) = P_B(v*w)
+for every slot width B.
 
 Slot width of a product.  Let every |v_i| < 2^b and every |w_j| < 2^c, and
 let k be the smaller of the two nonzero-term counts.  Coefficient m of v*w
@@ -48,14 +53,17 @@ word, whose pad bytes extend the sign of the slot's top byte (a pad byte
 that does not is a coefficient out of range, and packing raises
 OverflowError); wider slots convert one at a time.
 
-Exact divide.  The divisor d is made primitive.  If d divides a over Q, the
-quotient is in Z[t] by Gauss's lemma, so P_B(a) = P_B(d) * P_B(a/d) for
-every B, and a nonzero remainder of P_B(a) by P_B(d) (nonzero, since its
-slots are in range) proves NonDivisible.  A zero remainder is only evidence:
-the quotient is unpacked and multiplied back with a width proved as above,
-and must give a.  B is tried once, from the dividend's and divisor's bit
-lengths, not from any bound on the quotient's; when the quotient overflows
-its slots or fails to multiply back, the schoolbook long division decides.
+Exact divide.  The contents divide apart, and the dividend and divisor
+become integer vectors a and d, d primitive.  Long division of rational
+vectors stays rational, so d divides a over Q(zeta_24) exactly when it does
+over Q.  If d divides a over Q, the quotient is in Z[t] by Gauss's lemma, so
+P_B(a) = P_B(d) * P_B(a/d) for every B, and a nonzero remainder of P_B(a) by
+P_B(d) (nonzero, since its slots are in range) proves NonDivisible.  A zero
+remainder is only evidence: the quotient is unpacked and multiplied back
+with a width proved as above, and must give a.  B is tried once, from the
+dividend's and divisor's bit lengths, not from any bound on the quotient's;
+when the quotient overflows its slots or fails to multiply back, the
+schoolbook long division decides.
 
 Exponent lattice.  The dense lists hold only the lattice lo + g*Z that the
 operands' exponents occupy: g is the gcd of the offsets k - lo over the
@@ -88,23 +96,6 @@ coefficients form a domain), the image quotient K_B(q) decodes to
 t-exponents in [0, deg_t num - deg_t den].  A decoded quotient outside that
 range proves NonDivisible; for one inside it, q den has t-exponents in
 [0, B), and K_B(q den) = K_B(num) gives q den = num by injectivity.
-
-Cyclotomic coefficients.  A multiply with Cyclotomic coefficients (mixed
-freely with int and Fraction ones) writes each operand as
-sum_k z^k P_k(t), k = 0..7, with rational P_k; a rational coefficient lies
-in component 0.  Every pair of nonzero components P_k, Q_l is multiplied
-by the rational kernel above, and P_k Q_l is added into slot k + l.  Each
-of those is an ordinary product in Z[t] after its content split, so the
-slot-width proof applies to it unchanged; the slots add the products as
-integers over one common denominator, exactly.  The slots 0..14 are the coefficients of the product in
-Q[z][t]; reduction modulo Phi_24 = z^8 - z^4 + 1 is a ring map from Q[z]
-onto Q(zeta_24), applied coefficient by coefficient, so folding each output
-coefficient's 15-vector with the cyclotomic module's fold gives the
-product in Q(zeta_24)[t] exactly.  Coefficients that fold to zero are not
-stored.  An operand that is one scalar times rationals has only the
-scalar's nonzero components, so its product costs one bigint multiply per
-such component.  Exact divide with Cyclotomic coefficients stays on the
-schoolbook.
 
 Packed layouts.  A _Layout is the one format that the packers outside the
 kernel share: a univariate polynomial whose grid exponents are
@@ -145,9 +136,8 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
-from .cyclotomic import DEGREE, Cyclotomic, _fold, _make
+from .cyclotomic import Cyclotomic, _integral
 
 
 class GridViolation(ValueError):
@@ -541,8 +531,8 @@ def _long_divide(a, b):
 
 def _mul1(a, b):
     """Univariate a * b: the packed kernel on the lattice of their
-    exponents, unless the schoolbook is cheaper or a coefficient is neither
-    rational nor cyclotomic."""
+    exponents, unless the schoolbook is cheaper or an operand's
+    coefficients have no content split (_split)."""
     pairs = len(a.terms) * len(b.terms)
     # a dense list is never shorter than its term count, so operands this
     # sparse stay on the schoolbook whatever their lattice step
@@ -554,9 +544,6 @@ def _mul1(a, b):
             sx, sy = _split(x), _split(y)
             if sx and sy:
                 out = _scaled(sx[0] * sy[0], _mul_ints(sx[1], sy[1]))
-            else:
-                out = _mul_cyclotomic(x, y)
-            if out is not None:
                 return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale, g)
     return LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
 
@@ -602,12 +589,20 @@ def _lattice_step(*polys):
 
 
 def _split(cs):
-    """(content, ints) with cs[i] == content * ints[i], the content a
-    positive Fraction and ints primitive; None unless every coefficient is
-    an int or a Fraction."""
+    """(content, ints) with cs[i] == content * ints[i] and ints primitive.
+    The content is a positive Fraction when every coefficient is an int or
+    a Fraction, and u times a Fraction when every coefficient is a rational
+    multiple of one Cyclotomic u; None for any other list."""
     kinds = set(map(type, cs))
-    if not kinds <= {int, Fraction}:
+    if not kinds <= {int, Fraction, Cyclotomic}:
         return None
+    unit = 1
+    if Cyclotomic in kinds:
+        parts = _rational_parts(cs)
+        if parts is None:
+            return None
+        unit, cs = parts
+        kinds = set(map(type, cs))
     den = 1
     if Fraction in kinds:
         den = lcm(*[c.denominator for c in cs])
@@ -615,70 +610,43 @@ def _split(cs):
     g = gcd(*cs)
     if g != 1:
         cs = [c // g for c in cs]
-    return Fraction(g, den), cs
+    return unit * Fraction(g, den), cs
+
+
+#: the z-components of a rational coefficient, after component 0
+_RATIONAL_TAIL = Cyclotomic([0]).coeffs[1:]
+
+
+def _rational_parts(cs):
+    """(u, rs) with cs[i] == u * rs[i], rs rational and u a Cyclotomic
+    whose first nonzero z-component is 1; None when there is no such u.
+    Compared a z-component at a time: component j of cs must be u_j times
+    the rs, which are component k, u's first nonzero one."""
+    rows = [c.coeffs if type(c) is Cyclotomic else (c,) + _RATIONAL_TAIL
+            for c in cs]
+    columns = list(zip(*rows))
+    pivot = next(filter(any, rows))
+    k = next(j for j, c in enumerate(pivot) if c)
+    u = [_integral(Fraction(c, pivot[k])) for c in pivot]
+    rs = columns[k]
+    for j, (column, uj) in enumerate(zip(columns, u)):
+        if not uj:
+            if any(column):
+                return None
+        elif j != k and list(column) != [r * uj for r in rs]:
+            return None
+    return Cyclotomic(u), list(rs)
 
 
 def _scaled(content, ints):
-    """content * ints, with int coefficients when the content is integral."""
+    """content * ints: Cyclotomic coefficients for a Cyclotomic content,
+    int ones for an integral Fraction content."""
+    if type(content) is Cyclotomic:
+        return [content * c if c else 0 for c in ints]
     n, d = content.numerator, content.denominator
     if d == 1:
         return ints if n == 1 else [n * c for c in ints]
     return [Fraction(n * c, d) for c in ints]
-
-
-#: the z-components of a rational coefficient, after component 0
-_RATIONAL_TAIL = (0,) * (DEGREE - 1)
-
-
-def _components(cs):
-    """{k: split P_k} over the nonzero P_k with cs[i] == sum_k z^k P_k[i];
-    None unless every coefficient is an int, a Fraction or a Cyclotomic."""
-    rows = []
-    for c in cs:
-        kind = type(c)
-        if kind is Cyclotomic:
-            rows.append(c.coeffs)
-        elif kind is int or kind is Fraction:
-            rows.append((c,) + _RATIONAL_TAIL)
-        else:
-            return None
-    out = {}
-    for k, column in enumerate(zip(*rows)):
-        if any(column):
-            split = _split(column)
-            if split is None:
-                return None
-            out[k] = split
-    return out
-
-
-def _mul_cyclotomic(a, b):
-    """a * b over Q(zeta_24) by one bigint multiply per pair of nonzero
-    z-components; None unless both are cyclotomic or rational."""
-    ca, cb = _components(a), _components(b)
-    if ca is None or cb is None:
-        return None
-    products = [(k + l, ck * cl, _mul_ints(vk, vl))
-                for k, (ck, vk) in ca.items() for l, (cl, vl) in cb.items()]
-    # slots[s]: den times the coefficient list of z^s, as ints
-    den = lcm(*[c.denominator for _, c, _ in products])
-    zero = [0] * (len(a) + len(b) - 1)
-    slots = [zero] * (max(s for s, _, _ in products) + 1)
-    for s, c, ints in products:
-        m = c.numerator * (den // c.denominator)
-        if m != 1:
-            ints = [m * v for v in ints]
-        slots[s] = ints if slots[s] is zero else list(map(add, slots[s], ints))
-    out = []
-    for column in zip(*slots):
-        folded = _fold(list(column))
-        if not any(folded):
-            out.append(0)
-        elif den == 1:
-            out.append(_make(folded))
-        else:
-            out.append(_make([Fraction(v, den) if v else 0 for v in folded]))
-    return out
 
 
 def _bits(ints):

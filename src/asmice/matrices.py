@@ -2,14 +2,14 @@
 
 Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
 det_exact clears RatFunc denominators row by row, and scales each row whose
-coefficients are rational to a primitive row with int coefficients
-(dividing out its content, a positive rational).  A matrix of at most
-_PACKED_MAX_N rows whose entries are then univariate LaurentPolys with int
-coefficients takes one determinant over Z (packed determinants, below).
-Every other matrix (plain numbers, Cyclotomic or leftover Fraction
-coefficients, two variables, or more rows) runs fraction-free Bareiss
-elimination over Z or Z[t], where every division is exact.  The contents
-are multiplied back and the cleared denominators divided out.  The
+coefficients are rational multiples of one scalar to a primitive row with
+int coefficients (dividing out its content: a positive rational, or a
+Cyclotomic times one).  A matrix of at most _PACKED_MAX_N rows whose
+entries are then univariate LaurentPolys with int coefficients takes one
+determinant over Z (packed determinants, below).  Every other matrix
+(plain numbers, leftover Cyclotomic or Fraction coefficients, two
+variables, or more rows) runs fraction-free Bareiss elimination over Z or
+Z[t], where every division is exact.  The contents are multiplied back and the cleared denominators divided out.  The
 determinant sides of the state-sum identity call the clearing step,
 cleared_reciprocals, directly on their polynomial denominators.
 
@@ -71,6 +71,7 @@ from functools import reduce
 from math import isqrt, lcm, prod
 from operator import mul
 
+from .cyclotomic import _integral
 from .laurent import (LaurentPoly, RatFunc, _l1, _Layout, _split,
                       divide_exact)
 
@@ -179,13 +180,14 @@ def _det_primitive(rows):
         d = _det_bareiss(primitive)
     if content == 1:
         return d
-    return d * (content.numerator if content.denominator == 1 else content)
+    return d * _integral(content)
 
 
 def _primitive_row(row):
-    """(c, row / c) with c the positive rational content of the row's
-    coefficients, row / c with int coefficients; (1, row) for a zero row
-    or one with a coefficient that is not rational."""
+    """(c, row / c) with row / c having int coefficients and c the content
+    of the row's coefficients (laurent._split): a positive rational, or a
+    Cyclotomic times one when they are all rational multiples of one
+    Cyclotomic; (1, row) for a zero row or one with no such content."""
     coeffs = []
     for x in row:
         coeffs.extend(x.terms.values() if isinstance(x, LaurentPoly) else (x,))

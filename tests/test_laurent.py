@@ -6,7 +6,7 @@ import inspect
 import pkgutil
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -19,10 +19,10 @@ from asmice.chain import q_fourth_root
 from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
                             _bits, _divide_ints, _lattice_step, _long_divide,
-                            _mul_cyclotomic, _mul_terms, _pack, _unpack,
-                            _width, _worth_packing, common_grid,
-                            diff_product, divide_exact, limit_at_one,
-                            reduced, vanishing_order_at_one)
+                            _mul_terms, _pack, _split, _unpack, _width,
+                            _worth_packing, common_grid, diff_product,
+                            divide_exact, limit_at_one, reduced,
+                            vanishing_order_at_one)
 from asmice.sixvertex import _packed_sweep
 
 
@@ -642,71 +642,48 @@ def test_common_grid_promotes_once_and_keeps_scalars():
     assert c == 5
 
 
-# ---------- Q(zeta_24) coefficients, one z-component at a time ----------
-
-def packed_cyclotomic(p, q):
-    lo1, a = p._dense1()
-    lo2, b = q._dense1()
-    return LaurentPoly._from_dense1(lo1 + lo2, _mul_cyclotomic(a, b), p.scale)
-
-
-def assert_cyclotomic_product(p, q):
-    product = packed_cyclotomic(p, q)
-    assert product == schoolbook(p, q) == p * q
-    assert all(product.terms.values())
-
+# ---------- Q(zeta_24) coefficients: one scalar content ----------
 
 rationals = st.integers(-10 ** 6, 10 ** 6) | st.fractions(max_denominator=30)
-full_cyclotomic = st.builds(
-    lambda cs, den: Cyclotomic([Fraction(c, den) for c in cs]),
-    st.lists(st.integers(-99, 99), min_size=8, max_size=8), st.integers(1, 6))
-dense_cyclotomic = st.lists(full_cyclotomic, min_size=1, max_size=12) \
-    .map(dense).filter(lambda p: not p.is_zero)
 dense_rational = st.lists(rationals, min_size=1, max_size=40) \
     .map(dense).filter(lambda p: not p.is_zero)
 z4 = cyclotomic_embed(6)
 scalars = st.sampled_from([z4, z4 - 1]) | st.builds(
     lambda x, n: q_fourth_root(x).inverse() ** n,
     st.sampled_from([1, 2, 3]), st.integers(1, 6))
-mixed = st.lists(st.just(0) | rationals | full_cyclotomic,
-                 min_size=1, max_size=30) \
-    .map(dense).filter(lambda p: not p.is_zero)
 
 
-@given(dense_cyclotomic, dense_cyclotomic)
-def test_cyclotomic_kernel_with_full_components(p, q):
-    assert_cyclotomic_product(p, q)
+@given(scalars, st.lists(rationals, min_size=1, max_size=30).filter(any))
+def test_split_takes_out_a_cyclotomic_content(c, rs):
+    cs = [c * r for r in rs]
+    content, ints = _split(cs)
+    assert [content * v for v in ints] == cs
+    assert all(type(v) is int for v in ints) and gcd(*ints) == 1
+
+
+def test_split_refuses_lists_with_no_common_scalar():
+    assert _split([z4, 2 * z4, z4 - 1]) is None         # not proportional
+    assert _split([3, 0, z4]) is None                   # int beside z^4
+    content, ints = _split([Cyclotomic([3]), 2, 0])     # z^0 beside ints
+    assert [content * v for v in ints] == [3, 2, 0]
 
 
 @given(scalars, dense_rational, dense_rational)
 def test_cyclotomic_kernel_with_one_scalar_times_rationals(c, p, q):
-    assert_cyclotomic_product(p * c, q)
-    assert_cyclotomic_product(p * c, q * c)
+    for x, y in ((p * c, q), (p * c, q * c)):
+        product = packed(x, y)
+        assert product == schoolbook(x, y) == x * y
+        assert all(product.terms.values())
 
 
-@given(mixed, mixed)
-def test_cyclotomic_kernel_with_mixed_coefficients(p, q):
-    assert_cyclotomic_product(p, q)
-
-
-def test_cyclotomic_kernel_drops_coefficients_that_fold_to_zero():
-    # (z^4 + t)(1 - z^4 + z^4 t) has t-coefficient z^8 - z^4 + 1 = Phi_24(z)
-    p = dense([z4, 1] * 20)
-    q = dense([1 - z4, z4])
-    product = packed_cyclotomic(p, q)
-    assert product == schoolbook(p, q)
-    assert sorted(product.terms) == [(k,) for k in range(0, 41, 2)]
-    assert all(product.terms.values())
-    assert product.terms[(2,)] == z4 + 1
-
-
-def test_dense_cyclotomic_operands_skip_the_schoolbook(monkeypatch):
-    p = dense([Cyclotomic(range(k, k + 8)) for k in range(30)])
-    q = dense([z4 * k for k in range(1, 30)])
-    expected = schoolbook(p, q)
-
-    monkeypatch.setattr(laurent, "_mul_terms", refuse)
-    assert p * q == expected
+def test_scalar_multiples_divide_on_the_kernel(monkeypatch):
+    c = q_fourth_root(3).inverse() ** 5
+    p = dense([Fraction(k, 3) for k in range(1, 20)])
+    q = dense([k - 7 for k in range(12)])
+    num = schoolbook(p * c, q)
+    monkeypatch.setattr(laurent, "_long_divide", refuse)
+    assert divide_exact(num, q) == p * c
+    assert divide_exact(num, q * c) == p
 
 
 # ---------- the exponent lattice: operands t^lo * A(t^g) ----------
@@ -717,15 +694,12 @@ def on_lattice(coeffs, g, lo):
 
 
 nonzero_rationals = rationals.filter(bool)
-integral_cyclotomic = st.builds(
-    Cyclotomic, st.lists(st.integers(-9, 9), min_size=8, max_size=8)) \
-    .filter(bool)
 lattice_coeffs = (
     st.lists(st.integers(-10 ** 6, 10 ** 6).filter(bool),
              min_size=10, max_size=20)
     | st.lists(nonzero_rationals, min_size=10, max_size=20)
-    | st.lists(nonzero_rationals | integral_cyclotomic, min_size=10,
-               max_size=14))
+    | st.builds(lambda c, rs: [c * r for r in rs], scalars,
+                st.lists(nonzero_rationals, min_size=10, max_size=14)))
 odd_offsets = st.integers(-30, 30).map(lambda k: 2 * k + 1)
 
 
@@ -741,7 +715,7 @@ def test_lattice_kernel_against_the_schoolbook(g, a, b, lo1, lo2):
 
 def test_lattices_2z_and_3z_together_pack_on_the_full_grid():
     for kinds in ([5, -3, 7], [Fraction(1, 3), 2, Fraction(-5, 7)],
-                  [z4, Fraction(1, 2), 1 - z4]):
+                  [(z4 - 1) * r for r in (3, Fraction(1, 2), -7)]):
         p = on_lattice([kinds[i % 3] * (i + 1) for i in range(30)], 2, -7)
         q = on_lattice([kinds[i % 3] * (2 * i - 19) for i in range(30)], 3, 5)
         assert _lattice_step(p, q) == 1
@@ -798,6 +772,9 @@ def rectangle(rows, lo):
                               for e, c in enumerate(row)})
 
 
+integral_cyclotomic = st.builds(
+    Cyclotomic, st.lists(st.integers(-9, 9), min_size=8, max_size=8)) \
+    .filter(bool)
 coefficients2 = (st.integers(-9, 9) | st.fractions(max_denominator=5)
                  | integral_cyclotomic)
 corners = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -822,8 +799,6 @@ def test_dense_two_variable_products_skip_the_schoolbook(monkeypatch):
     p = rectangle(rows, (-2, 1))
     for q in (rectangle([[Fraction(c, 5) for c in row] for row in rows],
                         (3, -4)),
-              rectangle([[Cyclotomic(range(c, c + 8)) for c in row]
-                         for row in rows], (0, 0)),
               rectangle([[z4 * c for c in row] for row in rows], (1, 1))):
         expected = schoolbook2(p, q)
         with monkeypatch.context() as m:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from asmice import laurent, matrices
 from asmice.brackets import qdiff
+from asmice.cyclotomic import cyclotomic_embed
 from asmice.dets import EpsilonGrid, general_x_matrix
 from asmice.laurent import LaurentPoly, RatFunc, _pack
 from asmice.matrices import (RingMatrix, _det_cofactor, cleared_reciprocals,
@@ -349,3 +350,14 @@ def test_row_contents_multiply_back():
     zero_row = RingMatrix([[LaurentPoly.zero(), LaurentPoly.zero()],
                            [qdiff(1), qdiff(2)]])
     assert det_exact(zero_row) == 0
+
+
+def test_cyclotomic_row_contents_multiply_back():
+    # a row that is z^4 times rationals has the cyclotomic content z^4
+    z4 = cyclotomic_embed(6)
+    t = LaurentPoly.var_power(1)
+    for m in (RingMatrix([[2 * z4, 3 * z4], [1, 5]]),
+              RingMatrix([[t * z4 + z4, 3 * t * z4], [t + 1, 5 * t]])):
+        assert matrices._primitive_row(m.rows[0])[0] == z4
+        assert det_exact(m) == _det_cofactor(m)
+    assert det_exact(RingMatrix([[2 * z4, 3 * z4], [1, 5]])) == 7 * z4
