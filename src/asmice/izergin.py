@@ -15,6 +15,8 @@ b = q^(1/2)-q^(-1/2) collapses to b^(n^2-n) in the denominator, and
     Z = (-1)^n * q^(sum (y_i-x_i)/2) * det E'
         over b^(n^2-n) * prod_{j<i} d(x_i-x_j) * prod_{i<j} d(y_i-y_j).
 
+det E' is matrices.cleared_det of the e_{i,j}: each entry is packed from
+its n - 1 factors by shift-and-add and never expanded as a polynomial.
 Every difference product here is expanded once on packed ints by
 laurent.diff_product: each e_{i,j}, and the whole denominator, b^(n^2-n)
 and both pair products (the second over the y's reversed), as one
@@ -27,7 +29,8 @@ from __future__ import annotations
 from .brackets import bracket_ratio, qdiff_product
 from .laurent import LaurentPoly, diff_product, reduced
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
-from .matrices import RingMatrix, cleared_reciprocals, det_exact
+from .matrices import RingMatrix, cleared_det
+from .matrices import det_exact  # noqa: F401  perfbench/selftest.py
 from .sixvertex import SpectralParams
 
 
@@ -76,7 +79,7 @@ def ik_z(inst):
     n = inst.n
     e = [[diff_product({p.label(i, j): 1, p.label(i, j) - 1: 1})
           for j in range(n)] for i in range(n)]
-    det = det_exact(cleared_reciprocals(e))
+    det = cleared_det(e)
     shift = sum(y - x for x, y in zip(p.xs, p.ys))
     mono = LaurentPoly.var_power(shift / 2)
     num = mono * det

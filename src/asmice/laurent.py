@@ -137,7 +137,7 @@ import struct
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, _integral
+from .cyclotomic import Cyclotomic, _integral, _make
 
 
 class GridViolation(ValueError):
@@ -639,9 +639,13 @@ def _rational_parts(cs):
 
 
 def _scaled(content, ints):
-    """content * ints: Cyclotomic coefficients for a Cyclotomic content,
-    int ones for an integral Fraction content."""
+    """content * ints: Cyclotomic coefficients for a Cyclotomic content
+    (built straight from its components times the int when they are all
+    ints), int ones for an integral Fraction content."""
     if type(content) is Cyclotomic:
+        u = content.coeffs
+        if all(type(x) is int for x in u):
+            return [_make([x * c for x in u]) if c else 0 for c in ints]
         return [content * c if c else 0 for c in ints]
     n, d = content.numerator, content.denominator
     if d == 1:
@@ -852,10 +856,15 @@ def _divider(b):
 class RatFunc:
     """Quotient of Laurent polynomials, reduced by monomial content only.
 
-    Equality is decided exactly by cross-multiplication, never by normal
-    forms, so no polynomial gcd is ever required.  A denominator that reduces
-    to a unit monomial is folded into the numerator so that polynomial values
-    are recognizable (is_poly / poly()).
+    Equality is decided exactly, on the numerators when the denominators
+    are equal and by cross-multiplication otherwise, never by normal forms,
+    so no polynomial gcd is ever required.  A denominator that reduces to a
+    unit monomial is folded into the numerator so that polynomial values
+    are recognizable (is_poly / poly()); such a value keeps its Fraction
+    coefficients.  Any other quotient whose coefficients are all ints and
+    Fractions keeps integer coefficients: num and den are both scaled by
+    the lcm of their coefficients' denominators, so their products run on
+    the integer kernel.  Cyclotomic coefficients are left as they are.
     """
 
     __slots__ = ("num", "den")
@@ -885,6 +894,8 @@ class RatFunc:
                 (k, c), = den.terms.items()
                 num = num.shift_unit(tuple(-e for e in k)) * _inv_scalar(c)
                 den = LaurentPoly.one(num.nvars, num.scale)
+            else:
+                num, den = _over_z(num, den)
         self.num = num
         self.den = den
 
@@ -969,6 +980,8 @@ class RatFunc:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:           # a denominator is never zero
+            return self.num == o.num
         return (self.num * o.den) == (o.num * self.den)
 
     def __hash__(self):
@@ -987,6 +1000,20 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.format()})"
+
+
+def _over_z(num, den):
+    """(num, den) times the lcm of their coefficients' denominators, so
+    that both have int coefficients, when every coefficient is an int or a
+    Fraction; unchanged otherwise."""
+    cs = [*num.terms.values(), *den.terms.values()]
+    kinds = set(map(type, cs))
+    if Fraction not in kinds or not kinds <= {int, Fraction}:
+        return num, den
+    m = lcm(*[c.denominator for c in cs])
+    return tuple(LaurentPoly._clean(p.nvars, p.scale, {
+        k: c.numerator * (m // c.denominator) for k, c in p.terms.items()})
+        for p in (num, den))
 
 
 def _inv_scalar(c):

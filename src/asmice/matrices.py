@@ -1,44 +1,62 @@
 """Exact determinants over the rings used in this package.
 
 Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
-det_exact clears RatFunc denominators row by row, and scales each row whose
-coefficients are rational multiples of one scalar to a primitive row with
-int coefficients (dividing out its content: a positive rational, or a
-Cyclotomic times one).  A matrix of at most _PACKED_MAX_N rows whose
-entries are then univariate LaurentPolys with int coefficients takes one
-determinant over Z (packed determinants, below).  Every other matrix
-(plain numbers, leftover Cyclotomic or Fraction coefficients, two
-variables, or more rows) runs fraction-free Bareiss elimination over Z or
-Z[t], where every division is exact.  The contents are multiplied back and the cleared denominators divided out.  The
-determinant sides of the state-sum identity call the clearing step,
-cleared_reciprocals, directly on their polynomial denominators.
+det_exact clears RatFunc denominators row by row, by cleared_det, and
+scales each row whose coefficients are rational multiples of one scalar to
+a primitive row with int coefficients (dividing out its content: a
+positive rational, or a Cyclotomic times one).  A matrix of at most
+_PACKED_MAX_N rows whose entries are univariate LaurentPolys with int
+coefficients, or products of such, takes one determinant over Z (packed
+determinants, below).  Every other matrix (plain numbers, leftover
+Cyclotomic or Fraction coefficients, two variables, or more rows) runs
+fraction-free Bareiss elimination over Z or Z[t], where every division is
+exact.  The contents are multiplied back and the cleared denominators
+divided out.  The determinant sides of the state-sum identity call the
+clearing step, cleared_det, directly on their polynomial denominators.
 
 The cofactor (bitmask subset DP) expansion _det_cofactor divides nothing,
 so it works over any commutative ring.  It takes the packed path's
 determinant over Z; on the unpacked entries the tests use it, and
 Bareiss, as the oracles.
 
-Packed determinants.  _det_packed lays the entries of an n x n matrix A of
-Laurent polynomials in t with int coefficients on one laurent._Layout and
-takes the determinant of the packed ints by _det_cofactor; packing is a
-ring map and a determinant is a polynomial in the entries, so that
-determinant packs det A.  The matrix states three things:
-- Shifts.  Let r_i be the least exponent in row i, and c_j the least over
-  i of (the least exponent of a_ij) - r_i, with 0 for a zero row or
-  column.  B = diag(t^(-r)) A diag(t^(-c)) has no negative exponent, and
-  det A = t^(sum r + sum c) det B.
+Packed determinants.  _det_packed takes an n x n matrix A whose entry
+a_ij is given as a tuple of factors, Laurent polynomials in t with int
+coefficients whose product it is (the empty tuple is 1, and a zero factor
+makes the entry 0), lays every entry
+on one laurent._Layout and takes the determinant of the packed ints by
+_det_cofactor.  Packing is evaluation at 2^W, a ring map, so an entry packs
+to the product of its packed factors, and the determinant of the packed
+entries packs det A.  So no entry is expanded as a polynomial: its first
+factor is packed by laurent._pack and multiplied by each other one by
+shift-and-add, sum_k c_k (v << k*W), as diff_product and the state sums
+do.  Only the determinant's slots need to fit (and the first factors', see
+below).  The matrix states three things:
+- Shifts.  Z[t] is a domain, so the least and greatest exponent of a_ij
+  are the sums of its factors' ones.  Let r_i be the least exponent in row
+  i, and c_j the least over i of (the least exponent of a_ij) - r_i, with 0
+  for a zero row or column.  B = diag(t^(-r)) A diag(t^(-c)) has no
+  negative exponent, and det A = t^(sum r + sum c) det B.  Every exponent
+  of b_ij is its base, the least one, plus one offset k - lo from each
+  factor, so the lattice step g is the gcd of the bases and the factors'
+  offsets.
 - Slot width.  A coefficient d_k of det B is the mean of det B(z) z^(-k)
   over the unit circle, so |d_k| <= max |det B(z)| over |z| = 1.  There
-  |b_ij(z)| <= L1(b_ij) = L1(a_ij), so Hadamard's inequality, |det M| <=
+  |b_ij(z)| <= L1(b_ij) <= l_ij, the product of the L1 norms of its
+  factors, as L1(fg) <= L1(f) L1(g).  So Hadamard's inequality, |det M| <=
   the product of the Euclidean lengths of M's rows, gives |d_k| <=
-  sqrt(P), P = prod_i S_i with S_i = sum_j L1(a_ij)^2, and the bound is
-  isqrt(P) + 1.  Every coefficient of an entry fits too: it is at most
-  L1(a_ij) <= sqrt(S_i) <= sqrt(P), as long as no S_i is 0; a zero row
-  counts 1 in P, which keeps this and still bounds det B = 0.
+  sqrt(P), P = prod_i S_i with S_i = sum_j l_ij^2, and the bound is
+  isqrt(P) + 1.  Every coefficient of a first factor fits too: it is at
+  most its L1 <= l_ij <= sqrt(S_i) <= sqrt(P), as long as no S_i is 0; a
+  zero row counts 1 in P, which keeps this and still bounds det B = 0.
 - Slot count.  Each term of det B takes one entry from every row and
   every column, so deg det B is at most the sum over the rows of B of the
   largest degree in each, and likewise over the columns: top is the
   smaller sum.
+
+A plain matrix reaches the same packer with each entry a 1-tuple.  When
+the packer refuses, the factors are multiplied out and the matrix goes to
+_det_primitive and Bareiss, so they see the same matrices whatever the
+entries' factors.
 
 The cutoff _PACKED_MAX_N is measured.  The subset expansion makes
 n * 2^(n-1) products, each of a minor by one entry, and no division;
@@ -126,44 +144,42 @@ def det_exact(matrix):
     return _det_primitive(matrix.rows)
 
 
-def cleared_reciprocals(e):
-    """The matrix [prod_{k != j} e_ik] of a square array of polynomials.
+def cleared_det(dens, nums=None):
+    """det[num_ij * prod_{k != j} den_ik] of a square array of polynomials
+    dens and one of numerators nums (all 1 when None).
 
-    Row i is [1/e_ij] times R_i = prod_k e_ik, so its determinant is
-    det[1/e_ij] * prod_{i,j} e_ij.  A row of n >= 2 entries is built from
-    prefix and suffix products in 3n - 6 multiplies, none by 1.
+    Row i is [num_ij / den_ij] times R_i = prod_k den_ik, so this is
+    det[num_ij / den_ij] * prod_{i,j} den_ij.  Each entry goes to the
+    packer as its factors, the numerator first (see "Packed determinants"
+    in the module docstring); when the packer refuses them, they are
+    multiplied out and the determinant taken by _det_primitive.
     """
-    rows = []
-    for row in e:
-        if len(row) == 1:
-            rows.append([LaurentPoly.one(row[0].nvars)])
-            continue
-        out = [None, row[0]]
-        for x in row[1:-1]:
-            out.append(out[-1] * x)         # prod_{k < j} e_ik
-        suffix = row[-1]
-        for j in range(len(row) - 2, 0, -1):
-            out[j] = out[j] * suffix        # times prod_{k > j} e_ik
-            suffix = suffix * row[j]
-        out[0] = suffix
-        rows.append(out)
-    return RingMatrix(rows)
+    rows = [[(() if nums is None else (nums[i][j],)) + row[:j] + row[j + 1:]
+             for j in range(len(row))]
+            for i, row in enumerate(map(tuple, dens))]
+    d = _det_packed(rows)
+    if d is None:
+        d = _det_primitive([[_product(e) for e in row] for row in rows])
+    return d
 
 
 def _det_cleared(matrix):
-    """Clear RatFunc denominators by rows, then take the determinant.
-
-    With C the cleared reciprocals of the denominators, B_ij = num_ij * C_ij
-    equals M_ij * R_i for R_i = prod_j den_ij, so det(M) = det(B) / prod_i
-    R_i, returned unreduced as a RatFunc.
-    """
+    """Clear RatFunc denominators by rows, then take the determinant:
+    det(M) = cleared_det(dens, nums) / prod_{i,j} den_ij, returned
+    unreduced as a RatFunc."""
     entries = [[_as_ratfunc(x) for x in row] for row in matrix.rows]
     dens = [[x.den for x in row] for row in entries]
-    cleared = cleared_reciprocals(dens).rows
-    rows = [[x.num * c for x, c in zip(er, cr)]
-            for er, cr in zip(entries, cleared)]
-    den_total = reduce(mul, (dr[0] * cr[0] for dr, cr in zip(dens, cleared)))
-    return RatFunc(_det_primitive(rows), den_total)
+    nums = [[x.num for x in row] for row in entries]
+    every = tuple(d for row in dens for d in row)
+    return RatFunc(cleared_det(dens, nums), _product(every))
+
+
+def _product(factors):
+    """The product of a tuple of factors: by shift-and-add, as the packed
+    determinant of one entry, or multiplied out when the packer refuses
+    them."""
+    p = _det_packed([[factors]])
+    return reduce(mul, factors) if p is None else p
 
 
 def _det_primitive(rows):
@@ -175,7 +191,7 @@ def _det_primitive(rows):
         c, row = _primitive_row(row)
         content *= c
         primitive.append(row)
-    d = _det_packed(primitive)
+    d = _det_packed([[(x,) for x in row] for row in primitive])
     if d is None:
         d = _det_bareiss(primitive)
     if content == 1:
@@ -204,32 +220,59 @@ def _primitive_row(row):
 def _det_packed(rows):
     """The subset expansion over Z of the packed rows, unpacked (see
     "Packed determinants" in the module docstring); None unless n <=
-    _PACKED_MAX_N and every entry is a univariate LaurentPoly with int
-    coefficients."""
+    _PACKED_MAX_N and every factor of every entry is a univariate
+    LaurentPoly with int coefficients."""
+    factors = [p for row in rows for e in row for p in e]
     if len(rows) > _PACKED_MAX_N or not all(
             type(p) is LaurentPoly and p.nvars == 1
             and all(type(c) is int for c in p.terms.values())
-            for row in rows for p in row):
+            for p in factors):
         return None
-    grid = lcm(*[p.scale for row in rows for p in row])
-    rows = [[p.rescale(grid) for p in row] for row in rows]
-    lows = [[min(p.terms)[0] if p else None for p in row] for row in rows]
+    grid = lcm(*[p.scale for p in factors])
+    # each nonzero factor once: on the grid, its least and greatest
+    # exponent and its L1 norm
+    spans = {}
+    for p in factors:
+        if p and id(p) not in spans:
+            q = p.rescale(grid)
+            spans[id(p)] = q, min(q.terms)[0], max(q.terms)[0], _l1(q)
+    rows = [[[spans[id(p)] for p in e] if all(e) else None for e in row]
+            for row in rows]
+    lows = [[sum(f[1] for f in e) if e is not None else None for e in row]
+            for row in rows]
     # entry (i, j) times t^(-r_i - c_j) has its exponents in [0, top_ij]
     r = [min([lo for lo in row if lo is not None], default=0)
          for row in lows]
     c = [min([row[j] - ri for row, ri in zip(lows, r) if row[j] is not None],
              default=0) for j in range(len(rows))]
-    tops = [[max(p.terms)[0] - ri - cj if p else 0 for p, cj in zip(row, c)]
-            for row, ri in zip(rows, r)]
-    # a zero row counts 1, so that every entry fits a slot too
-    hadamard = prod(max(sum(_l1(p) ** 2 for p in row), 1) for row in rows)
-    layout = _Layout(grid, [k - ri - cj for row, ri in zip(rows, r)
-                            for p, cj in zip(row, c) for k, in p.terms],
-                     isqrt(hadamard) + 1, sum(r) + sum(c),
+    tops = [[sum(f[2] for f in e) - ri - cj if e is not None else 0
+             for e, cj in zip(row, c)] for row, ri in zip(rows, r)]
+    # a zero row counts 1, so that every first factor fits a slot too
+    hadamard = prod(max(sum(prod(f[3] for f in e) ** 2
+                            for e in row if e is not None), 1)
+                    for row in rows)
+    exps = [lo - ri - cj for row, ri in zip(lows, r)
+            for lo, cj in zip(row, c) if lo is not None]
+    exps += [k - lo for q, lo, _, _ in spans.values() for k, in q.terms]
+    layout = _Layout(grid, exps, isqrt(hadamard) + 1, sum(r) + sum(c),
                      min(sum(map(max, tops)), sum(map(max, zip(*tops)))))
-    ints = [[layout.pack(p, ri + cj) for p, cj in zip(row, c)]
-            for row, ri in zip(rows, r)]
+    ints = [[_packed_entry(layout, e, lo - ri - cj) if e is not None else 0
+             for e, lo, cj in zip(row, lrow, c)]
+            for row, lrow, ri in zip(rows, lows, r)]
     return layout.unpack(_det_cofactor(RingMatrix(ints)))
+
+
+def _packed_entry(layout, e, base):
+    """The product of the factors e, each (p, its least exponent, ...),
+    with its least exponent moved to base, packed on the layout: the first
+    factor by _pack, and each other one multiplied in by shift-and-add."""
+    if not e:
+        return 1 << base // layout.g * layout.width
+    (p, lo, *_), *rest = e
+    v = layout.pack(p, lo - base)
+    for p, lo, *_ in rest:
+        v = sum([c * (v << s) for s, c in layout.place(p, lo)])
+    return v
 
 
 def _det_bareiss(rows):

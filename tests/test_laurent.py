@@ -668,6 +668,19 @@ def test_split_refuses_lists_with_no_common_scalar():
     assert [content * v for v in ints] == [3, 2, 0]
 
 
+@given(scalars, st.sampled_from([1, -2, Fraction(1, 3), Fraction(5, 2)]),
+       st.lists(st.integers(-50, 50), max_size=8))
+def test_scaled_builds_what_cyclotomic_multiply_builds(c, r, ints):
+    # int components are multiplied out directly, others by __mul__; the
+    # coefficients must come out equal and of the same types either way
+    content = c * r
+    out = laurent._scaled(content, ints)
+    want = [content * v if v else 0 for v in ints]
+    assert out == want
+    assert [tuple(map(type, x.coeffs)) for x in out if x] == \
+        [tuple(map(type, x.coeffs)) for x in want if x]
+
+
 @given(scalars, dense_rational, dense_rational)
 def test_cyclotomic_kernel_with_one_scalar_times_rationals(c, p, q):
     for x, y in ((p * c, q), (p * c, q * c)):
@@ -839,6 +852,44 @@ def test_ratfunc_from_a_scalar():
     assert RatFunc(3).poly() == LaurentPoly.const(3)
     assert RatFunc(Fraction(1, 2), lp({1: 1}, scale=2)).poly() == \
         lp({-1: Fraction(1, 2)}, scale=2)
+
+
+def test_ratfunc_keeps_integer_coefficients():
+    num = lp({2: Fraction(3, 4), 0: 1})
+    den = lp({1: Fraction(1, 6), -1: Fraction(-5, 2)})
+    r = RatFunc(num, den)
+    for p in (r.num, r.den):
+        assert {type(c) for c in p.terms.values()} == {int}
+    assert r.num * den == num * r.den                   # the same value
+    assert r.eval_units(3) == num.eval_units(3) / den.eval_units(3)
+    # a polynomial value keeps its Fraction coefficients
+    for value in (RatFunc(num), RatFunc(num * lp({2: 1}), lp({2: 1}))):
+        assert value.poly() == num
+        assert Fraction in {type(c) for c in value.poly().terms.values()}
+    assert RatFunc(num, lp({2: Fraction(2, 3)})).poly() == \
+        lp({0: Fraction(9, 8), -2: Fraction(3, 2)})
+    # Cyclotomic coefficients are left as they are
+    z = cyclotomic_embed(8)
+    cnum, cden = lp({1: z, 0: Fraction(1, 2)}), lp({2: 1, 0: z})
+    c = RatFunc(cnum, cden)
+    assert c.num.terms == cnum.terms and c.den.terms == cden.terms
+
+
+def test_ratfunc_equal_denominators_compare_numerators(monkeypatch):
+    num, den = lp({1: 1, -1: -1}), lp({2: 1, -2: -1})
+    extra = lp({3: 2, 0: 5})
+    a, same = RatFunc(num, den), RatFunc(num, den)
+    other = RatFunc(num + 1, den)
+    scaled = RatFunc(num * extra, den * extra)
+    plus_one = scaled + 1
+    products = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__",
+                        lambda p, q: products.append(1) or mul(p, q))
+    assert a == same and a != other
+    assert products == []               # equal denominators multiply nothing
+    assert a == scaled and a != plus_one
+    assert len(products) == 4           # unequal ones cross-multiply
 
 
 def test_reduced_divides_when_exact():

@@ -10,10 +10,30 @@ from hypothesis import strategies as st
 from asmice import laurent, matrices
 from asmice.brackets import qdiff
 from asmice.cyclotomic import cyclotomic_embed
-from asmice.dets import EpsilonGrid, general_x_matrix
-from asmice.laurent import LaurentPoly, RatFunc, _pack
-from asmice.matrices import (RingMatrix, _det_cofactor, cleared_reciprocals,
-                             det_exact)
+from asmice.dets import (EpsilonGrid, antidiagonal_block_det,
+                         general_x_matrix)
+from asmice.laurent import (LaurentPoly, RatFunc, _mul_terms, _pack,
+                            common_grid)
+from asmice.matrices import RingMatrix, _det_cofactor, cleared_det, det_exact
+
+
+def ones(rows):
+    """Plain rows as rows of factor tuples: each entry a 1-tuple."""
+    return [[(p,) for p in row] for row in rows]
+
+
+def det_packed(rows):
+    """_det_packed on plain rows."""
+    return matrices._det_packed(ones(rows))
+
+
+def schoolbook(factors):
+    """The product of univariate factors on their common grid, term by
+    term (1 for no factors)."""
+    terms, scale = {(0,): 1}, 1
+    for p in common_grid(factors):
+        terms, scale = _mul_terms(terms, p.terms), p.scale
+    return LaurentPoly(1, scale, terms)
 
 
 def test_pinned_small_determinants():
@@ -93,21 +113,82 @@ def test_cleared_reciprocals():
         e = [[qdiff(Fraction(rng.randrange(1, 20), rng.choice([1, 2])))
               * LaurentPoly.const(rng.choice([1, 2, -3]), 1, 2)
               for _ in range(n)] for _ in range(n)]
-        c = cleared_reciprocals(e)
-        for i in range(n):
-            for j in range(n):
-                want = LaurentPoly.one(1, 2)
-                for k in range(n):
-                    if k != j:
-                        want = want * e[i][k]
-                assert c[i, j] == want
+        want = RingMatrix([[schoolbook(row[:j] + row[j + 1:])
+                            for j in range(n)] for row in e])
+        d = cleared_det(e)
+        assert d == _det_cofactor(want)
         prod = LaurentPoly.one(1, 2)
         for row in e:
             for x in row:
                 prod = prod * x
         recip = RingMatrix([[RatFunc(LaurentPoly.one(1, 2), x) for x in row]
                             for row in e])
-        assert det_exact(c) == _det_cofactor(recip) * prod
+        assert d == _det_cofactor(recip) * prod
+
+
+def polys(nonzero):
+    """Univariate polynomials of up to 3 terms on grids 1, 2, 4 or 12, with
+    negative exponents and coefficients; zero unless nonzero."""
+    terms = st.dictionaries(st.integers(-8, 8),
+                            st.integers(-50, 50).filter(bool),
+                            min_size=int(nonzero), max_size=3)
+    return st.builds(lambda s, t: LaurentPoly(1, s, {(k,): v
+                                                     for k, v in t.items()}),
+                     st.sampled_from([1, 2, 4, 12]), terms)
+
+
+@st.composite
+def cleared_arrays(draw):
+    """(dens, nums) for cleared_det at n = 1..4: nonzero denominators,
+    numerators that are now and then zero, or None; and now and then a
+    Fraction coefficient in one denominator, which the packer refuses."""
+    n = draw(st.integers(1, 4))
+
+    def square(nonzero):
+        return draw(st.lists(st.lists(polys(nonzero), min_size=n,
+                                      max_size=n), min_size=n, max_size=n))
+
+    dens = square(True)
+    nums = square(False) if draw(st.booleans()) else None
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        dens[i][j] = dens[i][j] * Fraction(1, 2)
+    return dens, nums
+
+
+def expanded_cleared(dens, nums):
+    """The matrix [num_ij * prod_{k != j} den_ik], each entry multiplied
+    out on the schoolbook."""
+    n = len(dens)
+    return RingMatrix([[schoolbook(([nums[i][j]] if nums else [])
+                                   + row[:j] + row[j + 1:])
+                        for j in range(n)] for i, row in enumerate(dens)])
+
+
+@given(cleared_arrays())
+def test_cleared_det_matches_the_cofactor_oracle(array):
+    dens, nums = array
+    want = _det_cofactor(expanded_cleared(dens, nums))
+    assert cleared_det(dens, nums) == want
+
+
+def test_cleared_det_beyond_the_packed_size_takes_bareiss(monkeypatch):
+    rng = random.Random(37)
+    n = 7
+    dens, nums = ([[LaurentPoly(1, rng.choice([1, 2]),
+                                {(rng.randrange(-3, 4),): rng.randrange(-9, 10)
+                                 for _ in range(3)}) or LaurentPoly.one()
+                    for _ in range(n)] for _ in range(n)] for _ in range(2))
+    nums[2][5] = LaurentPoly.zero()
+    calls = []
+    bareiss = matrices._det_bareiss
+    monkeypatch.setattr(matrices, "_det_bareiss",
+                        lambda rows: calls.append(len(rows)) or bareiss(rows))
+    for num in (None, nums):
+        calls.clear()
+        d = cleared_det(dens, num)
+        assert calls == [n]
+        assert d == _det_cofactor(expanded_cleared(dens, num))
 
 
 def coefficient_types(values):
@@ -117,7 +198,8 @@ def coefficient_types(values):
 
 def test_bareiss_runs_over_the_integers(monkeypatch):
     # the 5x5 matrix takes the packed path and the 7x7 one Bareiss; each
-    # sees int coefficients only
+    # sees int coefficients only, as does the 1x1 packed product of the
+    # denominators
     seen = {}
     pack, bareiss, mul = (matrices._det_packed, matrices._det_bareiss,
                           LaurentPoly.__mul__)
@@ -125,8 +207,8 @@ def test_bareiss_runs_over_the_integers(monkeypatch):
     def packed(rows):
         out = pack(rows)
         if out is not None:
-            seen.setdefault("packed", set()).update(
-                coefficient_types(x for row in rows for x in row))
+            seen.setdefault(("packed", len(rows)), set()).update(
+                coefficient_types(p for row in rows for e in row for p in e))
         return out
 
     def checked(a, b):
@@ -142,15 +224,34 @@ def test_bareiss_runs_over_the_integers(monkeypatch):
 
     monkeypatch.setattr(matrices, "_det_packed", packed)
     monkeypatch.setattr(matrices, "_det_bareiss", traced)
-    for f, path in (((-4, -2, 0, 2, 4), "packed"),
+    for f, path in (((-4, -2, 0, 2, 4), ("packed", 5)),
                     ((-3, -2, -1, 0, 1, 2, 3), "bareiss")):
         grid = EpsilonGrid.symmetric(f)
         seen.clear()
         d = det_exact(general_x_matrix(grid, s=Fraction(7, 5)))
-        assert seen == {path: {int}}
+        assert seen == {path: {int}, ("packed", 1): {int}}
         for u in (3, Fraction(1, 2)):           # x = u^2
             at_x = general_x_matrix(grid, x=u * u, s=Fraction(7, 5))
             assert d.eval_units(u) == _det_cofactor(at_x)
+
+
+def test_block_factorization_multiplies_no_fractions(monkeypatch):
+    # the specialize workload's largest block-factorization job: with
+    # s = 7/5 every RatFunc holds int coefficients, so no schoolbook
+    # product sees a Fraction
+    seen = set()
+    mul_terms = laurent._mul_terms
+
+    def checked(a, b):
+        seen.update(map(type, a.values()), map(type, b.values()))
+        return mul_terms(a, b)
+
+    monkeypatch.setattr(laurent, "_mul_terms", checked)
+    m = general_x_matrix(EpsilonGrid.symmetric((-4, -2, 0, 2, 4)),
+                         s=Fraction(7, 5))
+    even, odd = antidiagonal_block_det(m)
+    assert det_exact(m) == even * odd
+    assert seen <= {int}
 
 
 def test_primitive_rows_have_int_coefficients(monkeypatch):
@@ -216,12 +317,13 @@ def packable_rows(draw):
 
 @given(packable_rows())
 def test_packed_determinant_matches_bareiss_and_cofactor(rows):
-    d = matrices._det_packed(rows)
+    d = det_packed(rows)
     assert d == matrices._det_bareiss(rows) == _det_cofactor(RingMatrix(rows))
 
 
 def packed_ints(rows):
-    """(the packed ints, the determinant) of _det_packed on rows."""
+    """(the packed ints, the determinant) of _det_packed on rows of factor
+    tuples."""
     seen = []
     cofactor = matrices._det_cofactor
     with pytest.MonkeyPatch.context() as mp:
@@ -233,21 +335,29 @@ def packed_ints(rows):
 
 
 def test_packed_lattice_step_compacts_the_slots():
-    # entries in t^2 on grid 1 pack to the same ints as the same entries
-    # in t, and unpack with every exponent doubled
+    # entries whose factors are in t^2 on grid 1 pack to the same ints as
+    # the same entries in t, and unpack with every exponent doubled (less
+    # the shift of the factors' offsets)
     rng = random.Random(23)
-    cs = [[{k: rng.randrange(-9, 10) for k in range(3)} for _ in range(4)]
-          for _ in range(4)]
+    cs = [[[{k: rng.randrange(-9, 10) for k in range(3)} for _ in range(2)]
+           for _ in range(4)] for _ in range(4)]
 
     def rows(g):
-        return [[LaurentPoly(1, 1, {(g * k - 5,): v for k, v in e.items()})
-                 for e in row] for row in cs]
+        # factor f of each entry is t^(lo_f) times a polynomial in t^g
+        return [[tuple(LaurentPoly(1, 1, {(g * k + lo,): v
+                                          for k, v in f.items()})
+                       for f, lo in zip(e, (-5, 3))) for e in row]
+                for row in cs]
+
+    def expanded(g):
+        return [[schoolbook(e) for e in row] for row in rows(g)]
 
     (ints1, d1), (ints2, d2) = packed_ints(rows(1)), packed_ints(rows(2))
     assert ints1 == ints2
-    assert d2 == matrices._det_bareiss(rows(2))
-    assert {k % 2 for k, in d2.terms} == {0}
-    assert d1 == matrices._det_bareiss(rows(1))
+    assert d2 == matrices._det_bareiss(expanded(2))
+    # each of the 4 rows contributes t^(-5 + 3) once
+    assert d2.terms == {(2 * k + 8,): v for (k,), v in d1.terms.items()}
+    assert d1 == matrices._det_bareiss(expanded(1))
 
 
 def test_packed_shifts_take_out_row_and_column_monomials():
@@ -260,7 +370,7 @@ def test_packed_shifts_take_out_row_and_column_monomials():
     r, c = [3, -7, 0, 5], [-2, 4, 4, -6]
     a = [[LaurentPoly.var_power(ri + cj) * x for x, cj in zip(row, c)]
          for row, ri in zip(b, r)]
-    (ints_a, da), (ints_b, db) = packed_ints(a), packed_ints(b)
+    (ints_a, da), (ints_b, db) = packed_ints(ones(a)), packed_ints(ones(b))
     assert ints_a == ints_b
     assert da == LaurentPoly.var_power(sum(r) + sum(c)) * db == \
         matrices._det_bareiss(a)
@@ -276,7 +386,7 @@ def test_packed_hadamard_matrices_meet_the_bound():
         for e in (0, 3):
             rows = [[LaurentPoly(1, 1, {(e * (i + j),): v})
                      for j, v in enumerate(row)] for i, row in enumerate(h)]
-            d = matrices._det_packed(rows)
+            d = det_packed(rows)
             assert d == _det_cofactor(RingMatrix(rows)) == \
                 LaurentPoly(1, 1, {(e * n * (n - 1),): det})
 
@@ -286,7 +396,7 @@ def test_packed_determinant_rejects_bits_above_the_top_slot(monkeypatch):
     # columns, so 2 slots; P = 8 * 5 gives the bound 7, one byte per slot
     one, t = LaurentPoly.one(), LaurentPoly.var_power(1)
     rows = [[one + t, one + t], [one, 2 * one]]
-    ints, d = packed_ints(rows)
+    ints, d = packed_ints(ones(rows))
     assert _det_cofactor(RingMatrix(ints)) == _pack([1, 1], 8)
     assert d == one + t
     cofactor = matrices._det_cofactor
@@ -294,7 +404,7 @@ def test_packed_determinant_rejects_bits_above_the_top_slot(monkeypatch):
         monkeypatch.setattr(matrices, "_det_cofactor",
                             lambda m, bad=bad: cofactor(m) + bad)
         with pytest.raises(ArithmeticError):
-            matrices._det_packed(rows)
+            det_packed(rows)
 
 
 def test_packed_slots_one_byte_narrower_overflow(monkeypatch):
@@ -304,7 +414,7 @@ def test_packed_slots_one_byte_narrower_overflow(monkeypatch):
 
     def top_slot_overflows(rows):
         try:
-            matrices._det_packed(rows)
+            det_packed(rows)
         except OverflowError:       # an entry wider than a slot
             return False
         except ArithmeticError:
@@ -322,9 +432,9 @@ def test_seven_rows_go_through_bareiss(monkeypatch):
                          {(rng.randrange(-3, 4),): rng.randrange(-9, 10)
                           for _ in range(2)}) for _ in range(7)]
             for _ in range(7)]
-    assert matrices._det_packed(rows) is None
+    assert det_packed(rows) is None
     monkeypatch.setattr(matrices, "_PACKED_MAX_N", 7)
-    packed = matrices._det_packed(rows)
+    packed = det_packed(rows)
     monkeypatch.undo()
     calls = []
     bareiss = matrices._det_bareiss
