@@ -24,6 +24,14 @@ collapse is [v][v-1] = tau(g)/beta^2 at v = 1/2 + g*eps, which leaves
 q only in the prefactor and in the rational constants x - 2 and
 beta^2 = x^2 - 4x.
 
+The determinant is over Z by construction.  For x = p/r in lowest terms
+the tau matrix is cleared by r: tau_poly gives r*tau(g), with int
+coefficients, and each entry of the cleared matrix is a product of n - 1
+of them, so the determinant gains r^(n^2-n).  The beta^2 power loses as
+much when it is taken as the int (r^2 beta^2)^((n^2-n)/2), r^2 beta^2 =
+p^2 - 4pr.  So W's numerator and denominator have int coefficients for
+every rational x.
+
 As eps -> 0 (s -> 1) the grid merges into the single point 1/2 and
 
     A(n; x) = x^((n^2-n)/2) * lim_{s->1} W(n, x; s).
@@ -60,22 +68,24 @@ def q_fourth_root(x):
 
 
 def tau_poly(g, x):
-    """s^g + s^(-g) - (x - 2) as a polynomial in the deformation unit."""
+    """r * tau(g) = r*s^g + r*s^(-g) + (2r - p) for x = p/r in lowest
+    terms: tau(g) cleared of its denominator, with int coefficients."""
     x = Fraction(x)
-    if x.denominator == 1:
-        x = x.numerator             # int coefficients keep Bareiss over Z
-    return LaurentPoly.var_power(g) + LaurentPoly.var_power(-g) + (2 - x)
+    p, r = x.numerator, x.denominator
+    return (r * (LaurentPoly.var_power(g) + LaurentPoly.var_power(-g))
+            + (2 * r - p))
 
 
 def ik_eps_ratfunc(n, x, grid=None):
     """W(n, x; s) from the exact determinant, any grid, any rational x
-    with x^2 - 4x != 0."""
+    with x^2 - 4x != 0; num and den have int coefficients."""
     if grid is None:
         grid = EpsilonGrid.standard(n)
     if grid.n != n:
         raise ValueError("grid size mismatch")
     x = Fraction(x)
-    beta_sq = x * x - 4 * x
+    p, r = x.numerator, x.denominator
+    beta_sq = p * p - 4 * p * r         # r^2 (x^2 - 4x)
     if beta_sq == 0:
         raise ValueError("x in {0, 4} degenerates the weights")
 
@@ -85,13 +95,12 @@ def ik_eps_ratfunc(n, x, grid=None):
         for j in range(n):
             if taus[i][j].is_zero:
                 raise ValueError(f"tau vanishes at entry ({i},{j})")
+    # the determinant and the beta_sq power carry the same r^(n^2-n)
     det = cleared_det(taus)
     num = LaurentPoly.var_power(
         Fraction(sum(grid.col_f) - sum(grid.row_f), 2)) * det
-    beta_power = beta_sq ** ((n * n - n) // 2)
-    if beta_power.denominator == 1:
-        beta_power = beta_power.numerator   # int coefficients stay ints
-    den = qdiff_product(grid.row_f, grid.col_f[::-1]) * beta_power
+    den = (qdiff_product(grid.row_f, grid.col_f[::-1])
+           * beta_sq ** ((n * n - n) // 2))
     return RatFunc(num, den)
 
 

@@ -59,9 +59,10 @@ def _print_report(report, stream):
 
 # ---------- subcommands ----------
 
-#: largest n each counting method accepts (None: no bound)
+#: largest n each counting method accepts; A(194) has 4,276 digits, the
+#: last A(n) under the 4,300 digits that CPython prints by default
 COUNT_BOUNDS = {"brute": ENUM_BOUND, "transfer": DEFAULT_BOUND,
-                "formula": None}
+                "formula": 194}
 
 
 def cmd_count(n, methods=("formula",)):
@@ -235,7 +236,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="A(n;1) by one or more methods")
-    p.add_argument("--n", type=_size(), required=True)
+    p.add_argument("--n", type=_size(), required=True,
+                   help="the size: at most " + ", ".join(
+                       f"{b} by {m}" for m, b in COUNT_BOUNDS.items()))
     p.add_argument("--method", type=_parse_methods, default=("formula",),
                    help="comma-separated subset of brute,transfer,formula")
 
@@ -276,10 +279,9 @@ def run(argv=None):
     if args.command == "count":
         # the only bound that depends on two arguments
         for m in args.method:
-            limit = COUNT_BOUNDS[m]
-            if limit is not None and args.n > limit:
+            if args.n > COUNT_BOUNDS[m]:
                 parser.error(f"count: --n {args.n} exceeds the {m} bound "
-                             f"{limit}")
+                             f"{COUNT_BOUNDS[m]}")
         report = cmd_count(args.n, args.method)
     elif args.command == "xenum":
         report = cmd_xenum(args.n, args.at)

@@ -10,50 +10,31 @@ division anywhere would falsify the factorization and raises.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .intpoly import IntPoly
 from .transfer import DEFAULT_BOUND, transfer_count
 
 
-class FactorialRatio:
-    """prefactor * prod num_args! / prod den_args!, evaluated exactly."""
-
-    __slots__ = ("num_args", "den_args", "prefactor")
-
-    def __init__(self, num_args, den_args, prefactor=1):
-        self.num_args = tuple(int(a) for a in num_args)
-        self.den_args = tuple(int(a) for a in den_args)
-        if any(a < 0 for a in self.num_args + self.den_args):
-            raise ValueError("factorial arguments must be nonnegative")
-        self.prefactor = Fraction(prefactor)
-
-    def value(self):
-        v = self.prefactor
-        for a in self.num_args:
-            v *= factorial(a)
-        for a in self.den_args:
-            v /= factorial(a)
-        return v
-
-    def as_integer(self):
-        v = self.value()
-        if v.denominator != 1:
-            raise ArithmeticError("factorial ratio is not an integer")
-        return int(v)
-
-    def __repr__(self):
-        return (f"FactorialRatio({self.prefactor} * {list(self.num_args)}! "
-                f"/ {list(self.den_args)}!)")
+def _quotient(num, den, what):
+    """num / den for ints that den must divide; ArithmeticError naming
+    what when it does not."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{what} is not an integer")
+    return q
 
 
 def a_formula(n):
-    """A(n) = prod_{i=0}^{n-1} (3i+1)! / (n+i)!."""
+    """A(n) = prod_{i=0}^{n-1} (3i+1)! / (n+i)!, by the integer step
+    A(k+1) = A(k) * k! (3k+1)! / ((2k)! (2k+1)!) from A(1) = 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return FactorialRatio([3 * i + 1 for i in range(n)],
-                          [n + i for i in range(n)]).as_integer()
+    a = 1
+    for k in range(1, n):
+        a = _quotient(a * factorial(k) * factorial(3 * k + 1),
+                      factorial(2 * k) * factorial(2 * k + 1), "A(n)")
+    return a
 
 
 def a2_formula(n):
@@ -68,24 +49,23 @@ def a3_formula(n):
 
     A(2m+1;3) = (3^(m(m+1)/2) * prod_{j=1}^m (3j-1)! / (m+j)!)^2
     A(2m;3)   = 3^(m-1) * (3m-1)! * (m-1)! / (2m-1)!^2 * A(2m-1;3)
+
+    The root of the odd case is an integer, as a rational whose square is
+    an integer must be.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    what = "3-enumeration value"
     if n % 2:
         m = (n - 1) // 2
-        root = FactorialRatio([3 * j - 1 for j in range(1, m + 1)],
-                              [m + j for j in range(1, m + 1)],
-                              Fraction(3) ** (m * (m + 1) // 2)).value()
-        val = root * root
-    else:
-        m = n // 2
-        step = FactorialRatio([3 * m - 1, m - 1],
-                              [2 * m - 1, 2 * m - 1],
-                              Fraction(3) ** (m - 1)).value()
-        val = step * a3_formula(n - 1)
-    if val.denominator != 1:
-        raise ArithmeticError("3-enumeration value is not an integer")
-    return int(val)
+        root = _quotient(
+            3 ** (m * (m + 1) // 2)
+            * prod(factorial(3 * j - 1) for j in range(1, m + 1)),
+            prod(factorial(m + j) for j in range(1, m + 1)), what)
+        return root * root
+    m = n // 2
+    return _quotient(3 ** (m - 1) * factorial(3 * m - 1) * factorial(m - 1)
+                     * a3_formula(n - 1), factorial(2 * m - 1) ** 2, what)
 
 
 class BChain:

@@ -861,10 +861,12 @@ class RatFunc:
     so no polynomial gcd is ever required.  A denominator that reduces to a
     unit monomial is folded into the numerator so that polynomial values
     are recognizable (is_poly / poly()); such a value keeps its Fraction
-    coefficients.  Any other quotient whose coefficients are all ints and
-    Fractions keeps integer coefficients: num and den are both scaled by
-    the lcm of their coefficients' denominators, so their products run on
-    the integer kernel.  Cyclotomic coefficients are left as they are.
+    coefficients.  Any other quotient with a coefficient that is not an
+    int is divided by the content of all its coefficients (_split), when
+    they have one, so that num and den have int coefficients and their
+    products run on the integer kernel: every quotient of ints and
+    Fractions, and every one whose coefficients are rational multiples of
+    one Cyclotomic.  Other Cyclotomic coefficients are left as they are.
     """
 
     __slots__ = ("num", "den")
@@ -895,7 +897,13 @@ class RatFunc:
                 num = num.shift_unit(tuple(-e for e in k)) * _inv_scalar(c)
                 den = LaurentPoly.one(num.nvars, num.scale)
             else:
-                num, den = _over_z(num, den)
+                cs = [*num.terms.values(), *den.terms.values()]
+                split = (None if all(type(c) is int for c in cs)
+                         else _split(cs))
+                if split is not None:
+                    ints = iter(split[1])
+                    num, den = [LaurentPoly._clean(p.nvars, p.scale, {
+                        k: next(ints) for k in p.terms}) for p in (num, den)]
         self.num = num
         self.den = den
 
@@ -1000,20 +1008,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.format()})"
-
-
-def _over_z(num, den):
-    """(num, den) times the lcm of their coefficients' denominators, so
-    that both have int coefficients, when every coefficient is an int or a
-    Fraction; unchanged otherwise."""
-    cs = [*num.terms.values(), *den.terms.values()]
-    kinds = set(map(type, cs))
-    if Fraction not in kinds or not kinds <= {int, Fraction}:
-        return num, den
-    m = lcm(*[c.denominator for c in cs])
-    return tuple(LaurentPoly._clean(p.nvars, p.scale, {
-        k: c.numerator * (m // c.denominator) for k, c in p.terms.items()})
-        for p in (num, den))
 
 
 def _inv_scalar(c):

@@ -1,18 +1,20 @@
 """Exact determinants over the rings used in this package.
 
 Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
-det_exact clears RatFunc denominators row by row, by cleared_det, and
-scales each row whose coefficients are rational multiples of one scalar to
-a primitive row with int coefficients (dividing out its content: a
-positive rational, or a Cyclotomic times one).  A matrix of at most
-_PACKED_MAX_N rows whose entries are univariate LaurentPolys with int
-coefficients, or products of such, takes one determinant over Z (packed
-determinants, below).  Every other matrix (plain numbers, leftover
-Cyclotomic or Fraction coefficients, two variables, or more rows) runs
-fraction-free Bareiss elimination over Z or Z[t], where every division is
-exact.  The contents are multiplied back and the cleared denominators
-divided out.  The determinant sides of the state-sum identity call the
-clearing step, cleared_det, directly on their polynomial denominators.
+det_exact clears RatFunc denominators row by row, by cleared_det.  A
+matrix of at most _PACKED_MAX_N rows whose entries are univariate
+LaurentPolys with int coefficients, or products of such, takes one
+determinant over Z (packed determinants, below).  Every other matrix
+(plain numbers, Cyclotomic or Fraction coefficients, two variables, or
+more rows) runs fraction-free Bareiss elimination over its entries' ring,
+where every division is exact, and the cleared denominators are divided
+out.  No content is split off a row: the callers build their polynomial
+determinants over Z (the chain module clears the tau matrix of the
+denominator of x, and RatFunc keeps int coefficients), so a polynomial
+determinant that the packer refuses is refused for its size or its
+second variable, which no scaling of the rows changes.  The determinant sides of the state-sum identity
+call the clearing step, cleared_det, directly on their polynomial
+denominators.
 
 The cofactor (bitmask subset DP) expansion _det_cofactor divides nothing,
 so it works over any commutative ring.  It takes the packed path's
@@ -55,8 +57,7 @@ below).  The matrix states three things:
 
 A plain matrix reaches the same packer with each entry a 1-tuple.  When
 the packer refuses, the factors are multiplied out and the matrix goes to
-_det_primitive and Bareiss, so they see the same matrices whatever the
-entries' factors.
+Bareiss, so it sees the same matrices whatever the entries' factors.
 
 The cutoff _PACKED_MAX_N is measured.  The subset expansion makes
 n * 2^(n-1) products, each of a minor by one entry, and no division;
@@ -89,9 +90,7 @@ from functools import reduce
 from math import isqrt, lcm, prod
 from operator import mul
 
-from .cyclotomic import _integral
-from .laurent import (LaurentPoly, RatFunc, _l1, _Layout, _split,
-                      divide_exact)
+from .laurent import LaurentPoly, RatFunc, _l1, _Layout, divide_exact
 
 #: the most rows the packed path takes, measured (see the module docstring)
 _PACKED_MAX_N = 6
@@ -141,7 +140,8 @@ def det_exact(matrix):
         raise ValueError("determinant of a non-square matrix")
     if any(isinstance(x, RatFunc) for row in matrix.rows for x in row):
         return _det_cleared(matrix)
-    return _det_primitive(matrix.rows)
+    d = _det_packed([[(x,) for x in row] for row in matrix.rows])
+    return _det_bareiss(matrix.rows) if d is None else d
 
 
 def cleared_det(dens, nums=None):
@@ -152,14 +152,14 @@ def cleared_det(dens, nums=None):
     det[num_ij / den_ij] * prod_{i,j} den_ij.  Each entry goes to the
     packer as its factors, the numerator first (see "Packed determinants"
     in the module docstring); when the packer refuses them, they are
-    multiplied out and the determinant taken by _det_primitive.
+    multiplied out and the determinant taken by Bareiss.
     """
     rows = [[(() if nums is None else (nums[i][j],)) + row[:j] + row[j + 1:]
              for j in range(len(row))]
             for i, row in enumerate(map(tuple, dens))]
     d = _det_packed(rows)
     if d is None:
-        d = _det_primitive([[_product(e) for e in row] for row in rows])
+        d = _det_bareiss([[_product(e) for e in row] for row in rows])
     return d
 
 
@@ -180,41 +180,6 @@ def _product(factors):
     them."""
     p = _det_packed([[factors]])
     return reduce(mul, factors) if p is None else p
-
-
-def _det_primitive(rows):
-    """The determinant of the primitive rows, packed or by Bareiss, times
-    the product of the contents."""
-    content = 1
-    primitive = []
-    for row in rows:
-        c, row = _primitive_row(row)
-        content *= c
-        primitive.append(row)
-    d = _det_packed([[(x,) for x in row] for row in primitive])
-    if d is None:
-        d = _det_bareiss(primitive)
-    if content == 1:
-        return d
-    return d * _integral(content)
-
-
-def _primitive_row(row):
-    """(c, row / c) with row / c having int coefficients and c the content
-    of the row's coefficients (laurent._split): a positive rational, or a
-    Cyclotomic times one when they are all rational multiples of one
-    Cyclotomic; (1, row) for a zero row or one with no such content."""
-    coeffs = []
-    for x in row:
-        coeffs.extend(x.terms.values() if isinstance(x, LaurentPoly) else (x,))
-    split = _split(coeffs) if any(coeffs) else None
-    if split is None:
-        return 1, row
-    content, ints = split
-    it = iter(ints)
-    return content, [
-        LaurentPoly._clean(x.nvars, x.scale, {k: next(it) for k in x.terms})
-        if isinstance(x, LaurentPoly) else next(it) for x in row]
 
 
 def _det_packed(rows):

@@ -228,7 +228,7 @@ def _build_sdet(rng, max_n):
     for a, b in ((1, 3), (2, 4), (1, 2), (2, 3)):
         for n in range(1, max_n + 1):
             items.append((check_sdet_pair, {"n": n, "a": a, "b": b}))
-    for n in (1, 2, 3):
+    for n in range(1, min(max_n, 3) + 1):
         items.append((check_sdet_bivariate, {"n": n}))
     for n in range(2, max_n + 1):
         items.append((check_sdet_collapse, {"n": n, "a": 3, "b": 3}))

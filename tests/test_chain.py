@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from asmice import laurent
+from asmice import laurent, matrices
 from asmice.brackets import BracketProduct
 from asmice.chain import (RATIO_EXPONENTS, a_via_chain, ean_normalize, half_spec_value,
                           ik_eps_product, ik_eps_ratfunc, q_fourth_root,
@@ -45,11 +45,16 @@ def test_tau_at_zero_offset_is_constant():
 
 
 def test_tau_keeps_integral_coefficients_integers():
-    for x in (1, Fraction(2), Fraction(6, 2)):
+    # tau_poly(g, p/r) is r * tau(g): int coefficients for every rational x
+    s = LaurentPoly.var_power
+    for x in (1, Fraction(2), Fraction(6, 2), Fraction(5, 2), Fraction(7, 3),
+              Fraction(-1, 2)):
+        r = Fraction(x).denominator
         for g in (0, Fraction(1, 2), 2):
-            assert all(type(c) is int for c in tau_poly(g, x).terms.values())
-    t = tau_poly(1, Fraction(5, 2))
-    assert t.terms[(0,)] == Fraction(-1, 2)
+            t = tau_poly(g, x)
+            assert all(type(c) is int for c in t.terms.values())
+            assert t == (s(g) + s(-g) - (x - 2)) * r
+    assert tau_poly(1, Fraction(5, 2)).terms[(0,)] == -1
 
 
 def test_determinant_evaluation_stays_over_z_for_integral_x():
@@ -58,6 +63,19 @@ def test_determinant_evaluation_stays_over_z_for_integral_x():
         w = ik_eps_ratfunc(3, x)
         for p in (w.num, w.den):
             assert all(type(c) is int for c in p.terms.values())
+
+
+def test_chain_at_non_integral_x_packs_and_matches_transfer(monkeypatch):
+    # the tau matrix cleared by the denominator of x packs for n <= 6, and
+    # x^((n^2-n)/2) lim W(n, x; s) is A(n; x) at a non-integral x too
+    monkeypatch.setattr(matrices, "_det_bareiss", None)     # packed only
+    for x in (Fraction(5, 2), Fraction(7, 3), Fraction(-1, 2)):
+        for n in range(1, 7):
+            w = ik_eps_ratfunc(n, x)
+            for p in (w.num, w.den):
+                assert all(type(c) is int for c in p.terms.values())
+            assert (x ** ((n * n - n) // 2) * laurent.limit_at_one(w)
+                    == transfer_count(n)(x))
 
 
 def test_state_sum_equals_determinant_evaluation():

@@ -40,6 +40,13 @@ def test_count_brute_bound():
         cli.main(["count", "--n", "8", "--method", "brute"])
 
 
+def test_count_prints_the_largest_formula_size(capsys):
+    # A(194) has 4,276 digits, under the default int-to-str limit
+    assert cli.COUNT_BOUNDS["formula"] == 194
+    assert cli.main(["count", "--n", "194"]) == 0
+    assert lines_of(capsys) == [str(formulas.a_formula(194))]
+
+
 def test_count_unknown_method():
     with pytest.raises(SystemExit):
         cli.main(["count", "--n", "3", "--method", "magic"])
@@ -198,6 +205,7 @@ def test_cmd_table_unknown_format_raises_value_error():
     ["bseq", "--max-n", "0"],
     ["table", "--max-n", "0"],
     ["count", "--n", "20", "--method", "transfer"],
+    ["count", "--n", "195"],
     ["count", "--n", "3", "--method", "brute,transfer,brute"],
     ["bseq", "--max-n", "18"],
     ["verify", "ybe", "--workers", "0"],

@@ -1,26 +1,16 @@
 """Closed-form counts and the polynomial factor chain."""
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from asmice.asm import count_asms_brute
-from asmice.formulas import (BChain, FactorialRatio, a2_formula, a3_formula,
-                             a_formula, b_chain)
+from asmice import formulas
+from asmice.formulas import (BChain, a2_formula, a3_formula, a_formula,
+                             b_chain)
 from asmice.intpoly import IntPoly
 from asmice.transfer import transfer_count
-
-
-def test_factorial_ratio_plumbing():
-    fr = FactorialRatio([4], [2, 2], 3)
-    assert fr.value() == 18
-    assert fr.as_integer() == 18
-    assert FactorialRatio([3], [3]).value() == 1
-    assert FactorialRatio([2], [4]).value() == Fraction(1, 12)
-    with pytest.raises(ArithmeticError):
-        FactorialRatio([2], [4]).as_integer()
-    with pytest.raises(ValueError):
-        FactorialRatio([-1], [])
 
 
 def test_plain_count_formula():
@@ -28,6 +18,30 @@ def test_plain_count_formula():
         [1, 2, 7, 42, 429, 7436, 218348]
     for n in (1, 2, 3, 4, 5):
         assert a_formula(n) == count_asms_brute(n)
+
+
+def test_integer_steps_match_the_factorial_products():
+    # A(n) and A(2m+1;3) by their products of factorial ratios, over Q
+    def ratio(nums, dens, c=1):
+        return c * Fraction(prod(map(factorial, nums)),
+                            prod(map(factorial, dens)))
+
+    for n in range(1, 41):
+        assert a_formula(n) == ratio([3 * i + 1 for i in range(n)],
+                                     [n + i for i in range(n)])
+    for m in range(20):
+        assert a3_formula(2 * m + 1) == ratio(
+            [3 * j - 1 for j in range(1, m + 1)],
+            [m + j for j in range(1, m + 1)], 3 ** (m * (m + 1) // 2)) ** 2
+
+
+def test_inexact_steps_raise(monkeypatch):
+    # one factorial off by one leaves a remainder in each formula
+    monkeypatch.setattr(formulas, "factorial", lambda k: factorial(k) + 1)
+    with pytest.raises(ArithmeticError, match="A\\(n\\) is not an integer"):
+        a_formula(3)
+    with pytest.raises(ArithmeticError, match="3-enumeration value"):
+        a3_formula(5)
 
 
 def test_two_enumeration_formula():

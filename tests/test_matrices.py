@@ -254,16 +254,18 @@ def test_block_factorization_multiplies_no_fractions(monkeypatch):
     assert seen <= {int}
 
 
-def test_primitive_rows_have_int_coefficients(monkeypatch):
-    # content 1 with Fraction coefficients, whose denominators are all 1
+def test_fraction_coefficient_rows_take_bareiss(monkeypatch):
+    # Fraction coefficients, even with denominator 1, are not packed: the
+    # matrix runs Bareiss as it stands, with no content split off a row
     row = [LaurentPoly(1, 2, {(-1,): Fraction(2), (3,): Fraction(-3)}),
            LaurentPoly.const(Fraction(5))]
-    content, out = matrices._primitive_row(row)
-    assert content == 1 and out == row
-    assert coefficient_types(out) == {int}
     m = RingMatrix([row, [qdiff(1), qdiff(2)]])
-    monkeypatch.setattr(matrices, "_det_bareiss", None)     # packed only
+    calls = []
+    bareiss = matrices._det_bareiss
+    monkeypatch.setattr(matrices, "_det_bareiss",
+                        lambda rows: calls.append(rows) or bareiss(rows))
     assert det_exact(m) == _det_cofactor(m)
+    assert calls == [m.rows]
 
 
 # ---------- the packed determinant against Bareiss and cofactors ----------
@@ -445,7 +447,7 @@ def test_seven_rows_go_through_bareiss(monkeypatch):
     assert calls == [1]
 
 
-def test_row_contents_multiply_back():
+def test_rational_coefficient_determinants_match_cofactors():
     rng = random.Random(19)
     for _ in range(4):
         m = RingMatrix.from_fn(
@@ -462,12 +464,11 @@ def test_row_contents_multiply_back():
     assert det_exact(zero_row) == 0
 
 
-def test_cyclotomic_row_contents_multiply_back():
-    # a row that is z^4 times rationals has the cyclotomic content z^4
+def test_cyclotomic_coefficient_determinants_match_cofactors():
+    # a row that is z^4 times rationals: Bareiss over Q(zeta_24)
     z4 = cyclotomic_embed(6)
     t = LaurentPoly.var_power(1)
     for m in (RingMatrix([[2 * z4, 3 * z4], [1, 5]]),
               RingMatrix([[t * z4 + z4, 3 * t * z4], [t + 1, 5 * t]])):
-        assert matrices._primitive_row(m.rows[0])[0] == z4
         assert det_exact(m) == _det_cofactor(m)
     assert det_exact(RingMatrix([[2 * z4, 3 * z4], [1, 5]])) == 7 * z4

@@ -1,6 +1,7 @@
 """The package's public names, resolved on first use, and the README's
 documented examples."""
 
+import ast
 import doctest
 import importlib
 import re
@@ -10,7 +11,8 @@ import pytest
 
 import asmice
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_public_name_is_its_modules_object():
@@ -55,3 +57,30 @@ def test_readme_examples():
             text, {}, f"README-{i}", str(README), 0)
         runner.run(test)
     assert runner.failures == 0 and runner.tries >= 4
+
+
+def _selftest_by_name():
+    """perfbench/selftest.py's BY_NAME, read from its source: {function:
+    modules whose by-name import the tracer must wrap}."""
+    tree = ast.parse((ROOT / "perfbench" / "selftest.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["BY_NAME"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/selftest.py defines no BY_NAME")
+
+
+def test_unused_imports_are_the_traced_by_name_ones():
+    # an import kept only for the benchmark's tracer names a function and
+    # a module that the self-test still lists, and none other is kept
+    by_name = _selftest_by_name()
+    kept = []
+    for path in sorted((ROOT / "src" / "asmice").glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "# noqa: F401" in line:
+                names = re.match(r"from \.\w+ import (\w+)\s+#", line)
+                assert names, f"{path.name}: {line}"
+                kept.append((names[1], path.stem))
+    assert kept
+    for name, module in kept:
+        assert module in by_name.get(name, ()), (name, module)

@@ -42,6 +42,12 @@ def test_max_n_caps_but_never_exceeds():
     assert len(build_suite("cauchy", max_n=3)) == 3
 
 
+def test_sdet_max_n_bounds_the_bivariate_items():
+    items = build_suite("sdet", 0, 1)
+    assert any(f.__name__ == "check_sdet_bivariate" for f, _ in items)
+    assert all(kw["n"] <= 1 for _, kw in items)
+
+
 def test_star_triangle_suite_passes():
     results = run_suite("ybe", seed=0)
     assert len(results) == 7
