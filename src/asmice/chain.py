@@ -72,8 +72,9 @@ def tau_poly(g, x):
     terms: tau(g) cleared of its denominator, with int coefficients."""
     x = Fraction(x)
     p, r = x.numerator, x.denominator
-    return (r * (LaurentPoly.var_power(g) + LaurentPoly.var_power(-g))
-            + (2 * r - p))
+    t = LaurentPoly.var_power(g) + LaurentPoly.var_power(-g)
+    # an integral x, as at every pinned root of unity, multiplies nothing
+    return (t if r == 1 else r * t) + (2 * r - p)
 
 
 def ik_eps_ratfunc(n, x, grid=None):
