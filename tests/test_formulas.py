@@ -5,8 +5,8 @@ from math import factorial, prod
 
 import pytest
 
-from asmice.asm import count_asms_brute
 from asmice import formulas
+from asmice.asm import count_asms_brute
 from asmice.formulas import (BChain, a2_formula, a3_formula, a_formula,
                              b_chain)
 from asmice.intpoly import IntPoly
