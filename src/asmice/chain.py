@@ -90,8 +90,11 @@ def ik_eps_ratfunc(n, x, grid=None):
     if beta_sq == 0:
         raise ValueError("x in {0, 4} degenerates the weights")
 
-    taus = [[tau_poly(grid.g(i, j), x) for j in range(n)]
-            for i in range(n)]
+    # one tau per distinct g (2n - 1 of them on the standard grid), so
+    # the packer reads each factor once
+    gs = [[grid.g(i, j) for j in range(n)] for i in range(n)]
+    tau = {g: tau_poly(g, x) for g in set().union(*gs)}
+    taus = [[tau[g] for g in row] for row in gs]
     for i in range(n):
         for j in range(n):
             if taus[i][j].is_zero:

@@ -109,7 +109,24 @@ bit length plus a sign bit rounded up to whole bytes, puts each strictly
 inside (-2^(W-1), 2^(W-1)), so it unpacks uniquely (see "Slot width of a
 product").  It also states its greatest exponent above the offset, top:
 unpacking reads exactly top/g + 1 slots, so a bit above the top slot
-raises ArithmeticError instead of reading as a coefficient.
+raises ArithmeticError instead of reading as a coefficient.  A caller
+that multiplies packed values by known polynomials lays each polynomial
+out once as the (bit offset, coefficient) pairs of its terms
+(_Layout.place); a _Shifts multiplies by a product of such factors, one
+factor at a time, as sum_k c_k (v << offset_k), so no factor and no
+product of them is ever packed as a whole.  The state sums' site weights
+(sixvertex) and the packed determinants' entries (matrices) multiply
+this way.
+
+Cross-multiplied equality.  RatFunc equality of univariate quotients
+a/b and c/d with int coefficients asks whether a*d == c*b.  The least
+and greatest exponents of each product are the sums of its factors'
+(Z[t] is a domain), so unequal sums answer no at once.  Equal sums give
+the two products one dense span on the lattice of all four, and one slot
+width that holds each product ("Slot width of a product") packs each to
+an int that no other in-range list packs to; so the products are equal
+exactly when the products of the packed ints are, and nothing is
+unpacked (_cross_equal).
 
 Difference products.  diff_product expands prod d(a)^e over rational
 arguments a and exponents e >= 0, d(a) = t^(a/2) - t^(-a/2).  Its factor
@@ -663,10 +680,16 @@ def _width(bits):
     return (bits + 7) & ~7
 
 
+def _mul_width(a, b):
+    """The slot width that holds a, b and a * b for integer coefficient
+    lists (see "Slot width of a product" in the module docstring)."""
+    pairs = min(len(a) - a.count(0), len(b) - b.count(0))
+    return _width(_bits(a) + _bits(b) + pairs.bit_length() + 1)
+
+
 def _mul_ints(a, b):
     """Product of integer coefficient lists by one bigint multiply."""
-    pairs = min(len(a) - a.count(0), len(b) - b.count(0))
-    width = _width(_bits(a) + _bits(b) + pairs.bit_length() + 1)
+    width = _mul_width(a, b)
     return _unpack(_pack(a, width) * _pack(b, width),
                    len(a) + len(b) - 1, width)
 
@@ -684,6 +707,24 @@ def _divide_ints(a, d):
     except ArithmeticError:
         return None
     return q if _mul_ints(d, q) == a else None
+
+
+def _cross_equal(a, d, c, b):
+    """a * d == c * b for univariate LaurentPolys with int coefficients, d
+    and b nonzero, on packed ints that nothing unpacks (see
+    "Cross-multiplied equality" in the module docstring)."""
+    if not a or not c:
+        return not a and not c
+    four = common_grid((a, d, c, b))
+    lo = [min(p.terms)[0] for p in four]
+    hi = [max(p.terms)[0] for p in four]
+    if lo[0] + lo[1] != lo[2] + lo[3] or hi[0] + hi[1] != hi[2] + hi[3]:
+        return False
+    g = _lattice_step(*four)
+    x, y, z, w = [p._dense1(g)[1] for p in four]
+    width = max(_mul_width(x, y), _mul_width(z, w))
+    return (_pack(x, width) * _pack(y, width)
+            == _pack(z, width) * _pack(w, width))
 
 
 def _pack(ints, width):
@@ -770,13 +811,6 @@ class _Layout:
         return [((k[0] * step - shift) // g * width, c)
                 for k, c in p.terms.items()]
 
-    def pack(self, p, shift):
-        """p * t^(-shift), univariate with int coefficients, as one int."""
-        if not p:
-            return 0
-        lo, cs = p.rescale(self.grid)._dense1(self.g)
-        return _pack(cs, self.width) << (lo - shift) // self.g * self.width
-
     def terms(self, v, rest=()):
         """{(exponent,) + rest: coefficient} over the nonzero slots of v."""
         offset, g = self.offset, self.g
@@ -785,6 +819,33 @@ class _Layout:
 
     def unpack(self, v):
         return LaurentPoly._clean(1, self.grid, self.terms(v))
+
+
+class _Shifts:
+    """A product of factors laid on a layout, each as the (bit offset,
+    coefficient) pairs of its terms (_Layout.place): v * w multiplies v by
+    one factor at a time, as the sum of c * (v << s) over its pairs, so a
+    factor of k terms costs k passes over v; a factor with no pairs is 0.
+    A coefficient of 1 or -1, as most are, adds or subtracts the shifted
+    v without a multiply."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors
+
+    def __rmul__(self, v):
+        for pairs in self.factors:
+            acc = 0
+            for s, c in pairs:
+                if c == 1:
+                    acc += v << s
+                elif c == -1:
+                    acc -= v << s
+                else:
+                    acc += c * (v << s)
+            v = acc
+        return v
 
 
 def _l1(p):
@@ -858,10 +919,11 @@ class RatFunc:
 
     Equality is decided exactly, on the numerators when the denominators
     are equal and by cross-multiplication otherwise, never by normal forms,
-    so no polynomial gcd is ever required.  A denominator that reduces to a
-    unit monomial is folded into the numerator so that polynomial values
-    are recognizable (is_poly / poly()); such a value keeps its Fraction
-    coefficients.  Any other quotient with a coefficient that is not an
+    so no polynomial gcd is ever required.  Univariate quotients with int
+    coefficients cross-multiply on packed ints and build neither product
+    (_cross_equal).  A denominator that reduces to a unit monomial is
+    folded into the numerator so that polynomial values are recognizable
+    (is_poly / poly()); such a value keeps its Fraction coefficients.  Any other quotient with a coefficient that is not an
     int is divided by the content of all its coefficients (_split), when
     they have one, so that num and den have int coefficients and their
     products run on the integer kernel: every quotient of ints and
@@ -990,6 +1052,10 @@ class RatFunc:
             return NotImplemented
         if self.den == o.den:           # a denominator is never zero
             return self.num == o.num
+        four = (self.num, o.den, o.num, self.den)
+        if all(p.nvars == 1 and all(type(c) is int for c in p.terms.values())
+               for p in four):
+            return _cross_equal(*four)
         return (self.num * o.den) == (o.num * self.den)
 
     def __hash__(self):

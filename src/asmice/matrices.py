@@ -24,15 +24,20 @@ Bareiss, as the oracles.
 Packed determinants.  _det_packed takes an n x n matrix A whose entry
 a_ij is given as a tuple of factors, Laurent polynomials in t with int
 coefficients whose product it is (the empty tuple is 1, and a zero factor
-makes the entry 0), lays every entry
-on one laurent._Layout and takes the determinant of the packed ints by
-_det_cofactor.  Packing is evaluation at 2^W, a ring map, so an entry packs
-to the product of its packed factors, and the determinant of the packed
-entries packs det A.  So no entry is expanded as a polynomial: its first
-factor is packed by laurent._pack and multiplied by each other one by
-shift-and-add, sum_k c_k (v << k*W), as diff_product and the state sums
-do.  Only the determinant's slots need to fit (and the first factors', see
-below).  The matrix states three things:
+makes the entry 0), and takes det A on one laurent._Layout by
+_det_cofactor.  Packing is evaluation at 2^W, a ring map, so the
+determinant of the packed entries packs det A, and the expansion may
+multiply and add packed ints and read no slot until the end.  No entry
+is packed or expanded as a polynomial: each distinct factor is laid on
+the layout once, as the (bit offset, coefficient) pairs of its terms,
+and an entry is a multiplier (laurent._Shifts) that shifts a minor to
+the entry's least exponent and multiplies in one factor at a time,
+sum_k c_k (v << k*W).  A factor of k terms costs k linear passes over
+the minor, where one multiply by the whole packed entry would be a
+Karatsuba product with an int as wide as the entry's span.  Row 0
+enters the expansion as ints (1 times its multipliers), the later rows
+as multipliers.  Only the determinant's slots need to fit.  The matrix
+states three things:
 - Shifts.  Z[t] is a domain, so the least and greatest exponent of a_ij
   are the sums of its factors' ones.  Let r_i be the least exponent in row
   i, and c_j the least over i of (the least exponent of a_ij) - r_i, with 0
@@ -47,9 +52,7 @@ below).  The matrix states three things:
   factors, as L1(fg) <= L1(f) L1(g).  So Hadamard's inequality, |det M| <=
   the product of the Euclidean lengths of M's rows, gives |d_k| <=
   sqrt(P), P = prod_i S_i with S_i = sum_j l_ij^2, and the bound is
-  isqrt(P) + 1.  Every coefficient of a first factor fits too: it is at
-  most its L1 <= l_ij <= sqrt(S_i) <= sqrt(P), as long as no S_i is 0; a
-  zero row counts 1 in P, which keeps this and still bounds det B = 0.
+  isqrt(P) + 1 (1 when a zero row makes P = 0 and det B = 0).
 - Slot count.  Each term of det B takes one entry from every row and
   every column, so deg det B is at most the sum over the rows of B of the
   largest degree in each, and likewise over the columns: top is the
@@ -90,7 +93,8 @@ from functools import reduce
 from math import isqrt, lcm, prod
 from operator import mul
 
-from .laurent import LaurentPoly, RatFunc, _l1, _Layout, divide_exact
+from .laurent import (LaurentPoly, RatFunc, _l1, _Layout, _Shifts,
+                      divide_exact)
 
 #: the most rows the packed path takes, measured (see the module docstring)
 _PACKED_MAX_N = 6
@@ -152,8 +156,15 @@ def cleared_det(dens, nums=None):
     det[num_ij / den_ij] * prod_{i,j} den_ij.  Each entry goes to the
     packer as its factors, the numerator first (see "Packed determinants"
     in the module docstring); when the packer refuses them, they are
-    multiplied out and the determinant taken by Bareiss.
+    multiplied out and the determinant taken by Bareiss.  ValueError on
+    an empty, ragged or non-square array, or nums of another shape.
     """
+    n = len(dens)
+    arrays = (dens,) if nums is None else (dens, nums)
+    if not n or any(len(a) != n or any(len(row) != n for row in a)
+                    for a in arrays):
+        raise ValueError("cleared_det needs nonempty square arrays of one "
+                         "size")
     rows = [[(() if nums is None else (nums[i][j],)) + row[:j] + row[j + 1:]
              for j in range(len(row))]
             for i, row in enumerate(map(tuple, dens))]
@@ -212,32 +223,30 @@ def _det_packed(rows):
              default=0) for j in range(len(rows))]
     tops = [[sum(f[2] for f in e) - ri - cj if e is not None else 0
              for e, cj in zip(row, c)] for row, ri in zip(rows, r)]
-    # a zero row counts 1, so that every first factor fits a slot too
-    hadamard = prod(max(sum(prod(f[3] for f in e) ** 2
-                            for e in row if e is not None), 1)
-                    for row in rows)
+    hadamard = prod(sum(prod(f[3] for f in e) ** 2
+                        for e in row if e is not None) for row in rows)
     exps = [lo - ri - cj for row, ri in zip(lows, r)
             for lo, cj in zip(row, c) if lo is not None]
     exps += [k - lo for q, lo, _, _ in spans.values() for k, in q.terms]
     layout = _Layout(grid, exps, isqrt(hadamard) + 1, sum(r) + sum(c),
                      min(sum(map(max, tops)), sum(map(max, zip(*tops)))))
-    ints = [[_packed_entry(layout, e, lo - ri - cj) if e is not None else 0
-             for e, lo, cj in zip(row, lrow, c)]
-            for row, lrow, ri in zip(rows, lows, r)]
-    return layout.unpack(_det_cofactor(RingMatrix(ints)))
+    # each factor laid on the layout once; an entry multiplies by its
+    # factors, the first one shifted to the entry's base exponent
+    placed = {id(f): layout.place(f[0], f[1]) for f in spans.values()}
+    entries = [[_entry(layout, [placed[id(f)] for f in e], lo - ri - cj)
+                if e is not None else 0
+                for e, lo, cj in zip(row, lrow, c)]
+               for row, lrow, ri in zip(rows, lows, r)]
+    entries[0] = [1 * e for e in entries[0]]
+    return layout.unpack(_det_cofactor(RingMatrix(entries)))
 
 
-def _packed_entry(layout, e, base):
-    """The product of the factors e, each (p, its least exponent, ...),
-    with its least exponent moved to base, packed on the layout: the first
-    factor by _pack, and each other one multiplied in by shift-and-add."""
-    if not e:
-        return 1 << base // layout.g * layout.width
-    (p, lo, *_), *rest = e
-    v = layout.pack(p, lo - base)
-    for p, lo, *_ in rest:
-        v = sum([c * (v << s) for s, c in layout.place(p, lo)])
-    return v
+def _entry(layout, factors, base):
+    """The multiplier by an entry t^base * prod(factors), each factor
+    placed on the layout with its least exponent at 0 (1 for none)."""
+    first, *rest = factors or [[(0, 1)]]
+    shift = base // layout.g * layout.width
+    return _Shifts([[(s + shift, c) for s, c in first], *rest])
 
 
 def _det_bareiss(rows):

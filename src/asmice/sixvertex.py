@@ -41,8 +41,9 @@ state's product by the same monomial; the start values have their least
 exponent taken out too.  Every product then has its exponents in
 [0, top], top the sum of the sites' and the start's spans, on the lattice
 of their shifted exponents.  A frontier entry is one int, and a weight
-sum_k c_k t^(g*k) multiplies it as sum_k c_k (v << k*W) (_Shifts): a
-shift and an add per term, and no slot is read until the end.
+sum_k c_k t^(g*k) multiplies it as sum_k c_k (v << k*W) (laurent._Shifts,
+the multiplier the packed determinants use too): a shift and an add per
+term, and no slot is read until the end.
 
 Slot width.  Along a row the sweep takes at most two of a site's weights
 from any key (entry 0, and +1 or -1 where the column and row bits allow),
@@ -69,8 +70,8 @@ from math import lcm
 
 from .brackets import BracketProduct, qdiff
 from .ice import ZERO_STATE
-from .laurent import (LaurentPoly, _l1, _Layout, common_grid, diff_product,
-                      reduced)
+from .laurent import (LaurentPoly, _l1, _Layout, _Shifts, common_grid,
+                      diff_product, reduced)
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 
 Z_BRUTE_BOUND = 6
@@ -185,19 +186,6 @@ def _site(p, rows):
             for i in rows]
 
 
-class _Shifts:
-    """A weight as the (bit offset, coefficient) pairs of its terms on a
-    layout: v * w is the sum of c * (v << s) over them, 0 for no pairs."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = pairs
-
-    def __rmul__(self, v):
-        return sum([c * (v << s) for s, c in self.pairs])
-
-
 def _packed_sweep(n, start, rows):
     """The all-ones entry of state_sweep(start, rows) for a start of
     nonzero LaurentPolys in t or in (t, u) and univariate int-coefficient
@@ -218,7 +206,7 @@ def _packed_sweep(n, start, rows):
     layout = _Layout(grid, [k - lo for e, lo in zip(exps, lows) for k in e],
                      bound, sum(lows),
                      sum(max(e, default=0) for e in exps) - sum(lows))
-    flat = [tuple(_Shifts(layout.place(w, lo)) for w in site)
+    flat = [tuple(_Shifts([layout.place(w, lo)]) for w in site)
             for site, lo in zip(sites, lows[1:])]
     packed = [flat[i:i + n] for i in range(0, len(flat), n)]
     frontiers = {}          # one packed frontier per u-exponent

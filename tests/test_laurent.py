@@ -545,14 +545,15 @@ def test_packed_site_weights_need_int_coefficients():
                        max_size=5))
 def test_layout_places_and_packs_on_its_lattice(g, shift, scale, coeffs):
     # p has exponents shift + g*k at its own scale; on the layout's grid 4
-    # each is step = 4 / scale times as many units, 9 slots of g*step
+    # each is step = 4 / scale times as many units, 9 slots of g*step, and
+    # its placed terms pack coefficient k into slot k
     step = 4 // scale
     p = LaurentPoly(1, scale, {(shift + g * k,): c for k, c in coeffs.items()})
     layout = laurent._Layout(4, [g * step],
                              max(map(abs, coeffs.values()), default=0),
                              shift * step, 8 * g * step)
-    v = layout.pack(p, shift * step)
-    assert v == sum(c << s for s, c in layout.place(p, shift * step))
+    v = sum(c << s for s, c in layout.place(p, shift * step))
+    assert v == _pack([coeffs.get(k, 0) for k in range(9)], layout.width)
     assert layout.unpack(v) == p
     assert layout.slots == 9
     for bad in (v + (1 << 9 * layout.width), v - (1 << 9 * layout.width)):
@@ -889,7 +890,31 @@ def test_ratfunc_equal_denominators_compare_numerators(monkeypatch):
     assert a == same and a != other
     assert products == []               # equal denominators multiply nothing
     assert a == scaled and a != plus_one
-    assert len(products) == 4           # unequal ones cross-multiply
+    assert products == []               # unequal ones compare packed ints
+
+
+@given(small_polys, small_polys, small_polys, small_polys, st.booleans())
+def test_cross_equal_matches_the_products(a, b, c, e, same):
+    # _cross_equal(a, d, c, b) asks a/b == c/d; with same, c/d is a/b
+    # times e/e (denominators are never zero)
+    b, e = b or lp({0: 1}), e or lp({0: 1})
+    if same:
+        c, d = a * e, b * e
+    else:
+        d = e
+    assert laurent._cross_equal(a, d, c, b) == (a * d == c * b)
+    assert laurent._cross_equal(a, d, c, b) or not same
+
+
+def test_cross_equal_reads_inside_equal_end_exponents():
+    # equal least and greatest exponent sums, unequal middle coefficients
+    one = lp({0: 1})
+    assert not laurent._cross_equal(lp({0: 1, 2: 1, 4: 1}), one,
+                                    lp({0: 1, 2: 2, 4: 1}), one)
+    assert laurent._cross_equal(lp({0: 1, 2: 2, 4: 1}), one,
+                                lp({0: 1, 2: 1}), lp({0: 1, 2: 1}))
+    assert laurent._cross_equal(lp({}), lp({1: 1, 0: 1}), lp({}), one)
+    assert not laurent._cross_equal(lp({}), one, lp({0: 1}), one)
 
 
 def test_reduced_divides_when_exact():

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from asmice import laurent, matrices
+from asmice import laurent, matrices, verify
 from asmice.brackets import qdiff
+from asmice.chain import tau_poly
 from asmice.cyclotomic import cyclotomic_embed
 from asmice.dets import (EpsilonGrid, antidiagonal_block_det,
                          general_x_matrix)
 from asmice.laurent import (LaurentPoly, RatFunc, _mul_terms, _pack,
-                            common_grid)
+                            common_grid, diff_product)
 from asmice.matrices import RingMatrix, _det_cofactor, cleared_det, det_exact
+from asmice.sixvertex import SpectralParams
 
 
 def ones(rows):
@@ -172,6 +174,46 @@ def test_cleared_det_matches_the_cofactor_oracle(array):
     assert cleared_det(dens, nums) == want
 
 
+def test_cleared_det_rejects_arrays_that_are_not_square():
+    one, t = LaurentPoly.one(), LaurentPoly.var_power(1)
+    for dens, nums in (([[t + one, t]], None), ([[t + one], [t]], None),
+                       ([[t, t], [t]], None), ([], None),
+                       ([[t]], [[t, t]]), ([[t, t], [t, t]], [[t, t]])):
+        with pytest.raises(ValueError, match="square"):
+            cleared_det(dens, nums)
+
+
+def multiplied_out(dens):
+    """The cleared matrix [prod_{k != j} den_ik], each entry multiplied
+    out on the schoolbook."""
+    return [[schoolbook(row[:j] + row[j + 1:]) for j in range(len(row))]
+            for row in dens]
+
+
+def test_cleared_izergin_korepin_draws_match_bareiss():
+    # two n = 5 draws of the verify suite's parameters: each entry is 4
+    # factors d(a) d(a - 1) of up to 4 terms, on grids up to 12
+    n = 5
+    for seed in (101, 102):
+        p = SpectralParams(*verify._draw_ik_params(random.Random(seed), n))
+        dens = [[diff_product({p.label(i, j): 1, p.label(i, j) - 1: 1})
+                 for j in range(n)] for i in range(n)]
+        assert cleared_det(dens) == matrices._det_bareiss(
+            multiplied_out(dens))
+
+
+def test_packed_seven_row_tau_matrix_matches_bareiss(monkeypatch):
+    # the chain's cleared tau matrix at n = 7, x = 3, with the cutoff
+    # moved so that the packer takes it
+    n = 7
+    grid = EpsilonGrid.standard(n)
+    dens = [[tau_poly(grid.g(i, j), 3) for j in range(n)] for i in range(n)]
+    want = matrices._det_bareiss(multiplied_out(dens))
+    monkeypatch.setattr(matrices, "_PACKED_MAX_N", n)
+    monkeypatch.setattr(matrices, "_det_bareiss", None)
+    assert cleared_det(dens) == want
+
+
 def test_cleared_det_beyond_the_packed_size_takes_bareiss(monkeypatch):
     rng = random.Random(37)
     n = 7
@@ -325,12 +367,14 @@ def test_packed_determinant_matches_bareiss_and_cofactor(rows):
 
 def packed_ints(rows):
     """(the packed ints, the determinant) of _det_packed on rows of factor
-    tuples."""
+    tuples; an entry that reaches the subset expansion as a multiplier is
+    read as the int 1 * entry."""
     seen = []
     cofactor = matrices._det_cofactor
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "_det_cofactor",
-                   lambda m: seen.append(m.rows) or cofactor(m))
+                   lambda m: seen.append([[1 * e for e in row]
+                                          for row in m.rows]) or cofactor(m))
         d = matrices._det_packed(rows)
     ints, = seen
     return ints, d
@@ -417,7 +461,10 @@ def test_packed_slots_one_byte_narrower_overflow(monkeypatch):
     def top_slot_overflows(rows):
         try:
             det_packed(rows)
-        except OverflowError:       # an entry wider than a slot
+        except OverflowError:
+            # an entry wider than a slot; this cannot occur since entries
+            # multiply as shifts of their factors and no entry is packed
+            # into slots, but the search still must not count it
             return False
         except ArithmeticError:
             return True
