@@ -16,11 +16,11 @@ coefficients times a fixed fourth-root prefactor:
 
 with tau(g) = s^g + s^(-g) - (x-2) and d(k) = s^(k/2) - s^(-k/2).  The
 factor prod tau * det[1/tau] is computed as one polynomial determinant,
-det[prod_{k != j} tau(g_ik)] (matrices.cleared_det, which packs each
-entry from its tau factors without expanding it), and both difference
-products are expanded together by one brackets.qdiff_product call (one
-packed laurent.diff_product), as in izergin.ik_z.  The key
-collapse is [v][v-1] = tau(g)/beta^2 at v = 1/2 + g*eps, which leaves
+det[prod_{k != j} tau(g_ik)] (matrices.cleared_det, which multiplies
+by each entry's tau factors without expanding it; each distinct tau is
+built once), and both difference products are expanded together by one
+brackets.qdiff_product call (one packed laurent.diff_product), as in
+izergin.ik_z.  The key collapse is [v][v-1] = tau(g)/beta^2 at v = 1/2 + g*eps, which leaves
 q only in the prefactor and in the rational constants x - 2 and
 beta^2 = x^2 - 4x.
 

@@ -15,8 +15,9 @@ b = q^(1/2)-q^(-1/2) collapses to b^(n^2-n) in the denominator, and
     Z = (-1)^n * q^(sum (y_i-x_i)/2) * det E'
         over b^(n^2-n) * prod_{j<i} d(x_i-x_j) * prod_{i<j} d(y_i-y_j).
 
-det E' is matrices.cleared_det of the e_{i,j}: each entry is packed from
-its n - 1 factors by shift-and-add and never expanded as a polynomial.
+det E' is matrices.cleared_det of the e_{i,j}: each entry multiplies the
+expansion's minors by its n - 1 factors by shift-and-add, and is never
+packed or expanded as a polynomial.
 Every difference product here is expanded once on packed ints by
 laurent.diff_product: each e_{i,j}, and the whole denominator, b^(n^2-n)
 and both pair products (the second over the y's reversed), as one

@@ -64,26 +64,27 @@ Bareiss, so it sees the same matrices whatever the entries' factors.
 
 The cutoff _PACKED_MAX_N is measured.  The subset expansion makes
 n * 2^(n-1) products, each of a minor by one entry, and no division;
-Bareiss makes about n^3 products and exact divisions.  det_exact was timed
-with the packed path forced on and forced off (one to three runs, Python
-3.11 on one core of an Intel Xeon) on Cauchy matrices [1/[x_i - y_j]],
-S(n; 1, 3), general_x_matrix at s = 7/5, and the cleared Izergin-Korepin
-matrices of ik_z, whose entries run to hundreds of terms, on several
-parameter draws per n.  Packed time over Bareiss time:
-- n = 5: 0.25, 0.11, 0.59, and 0.30 to 0.61 on four Izergin-Korepin
-  draws: packed wins everywhere;
-- n = 6: 0.34, 0.18, 0.53, and 0.49 to 0.78 on five of six
-  Izergin-Korepin draws, 1.24 to 1.32 on the sixth;
-- n = 7: 0.40, 0.38, 0.69, but 1.15 to 1.39 on four of five
-  Izergin-Korepin draws (0.92 on the fifth);
-- n = 8: 0.78, 0.78, 0.94, and 1.23 on the one Izergin-Korepin draw timed;
-- n = 9: 1.70 on Cauchy, 1.53 on S(n; 1, 3).
-So the packed path takes n <= 6, the largest n at which it wins on most
-draws of the Izergin-Korepin matrices the proof rests on.  Beyond that
-the 2^(n-1) factor, and a width fixed in advance that packs sparse
-entries densely, outweigh Bareiss's divisions.  No benchmark workload has
-a matrix of 7 or more rows, so these timings are the only measurement of
-that side.
+Bareiss makes about n^3 products and exact divisions.  The packed path
+was timed with the cutoff forced to 99 against the Bareiss path with it
+forced to 1 (so entries are still multiplied out on the packer), best
+of three under 0.5 s and else one run, Python 3.11 on one core of an
+Intel Xeon: det_exact on Cauchy matrices [1/[x_i - y_j]], S(n; 1, 3) and
+general_x_matrix at s = 7/5 on the symmetric grid, and cleared_det on
+the chain's tau matrix at x = 3 and on the cleared Izergin-Korepin
+matrices of ik_z (verify._draw_ik_params of random.Random(101) and
+(102)), whose entries have n - 1 factors of up to 4 terms.  Packed time over Bareiss time:
+- n = 5: 0.12, 0.15, 0.33, 0.08, and 0.04 to 0.05;
+- n = 6: 0.10, 0.10, 0.20, 0.11, and 0.04 to 0.06;
+- n = 7: 0.17, 0.13, 0.20, 0.16, and 0.05 to 0.06;
+- n = 8: 0.22, 0.20, 0.21, 0.31, and 0.07 on the one draw timed
+  (3.5 s against 48 s).
+So the packed path wins on every kind up to n = 8, and most on the
+Izergin-Korepin entries, whose spans are wide but whose factors have few
+terms, so that each product is a few linear passes.  The cutoff
+stays at n <= 6: no benchmark workload has a matrix of 7 or more rows,
+so these timings are the only measurement of that side, and the
+2^(n-1) factor outgrows Bareiss's n^3 at some larger n that no
+measurement has placed.
 """
 
 from __future__ import annotations

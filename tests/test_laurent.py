@@ -893,17 +893,20 @@ def test_ratfunc_equal_denominators_compare_numerators(monkeypatch):
     assert products == []               # unequal ones compare packed ints
 
 
-@given(small_polys, small_polys, small_polys, small_polys, st.booleans())
-def test_cross_equal_matches_the_products(a, b, c, e, same):
-    # _cross_equal(a, d, c, b) asks a/b == c/d; with same, c/d is a/b
-    # times e/e (denominators are never zero)
+@given(small_polys, small_polys, small_polys, small_polys,
+       st.sampled_from(["same", "nudged", "other"]))
+def test_cross_equal_matches_the_products(a, b, c, e, kind):
+    # _cross_equal(a, d, c, b) asks a/b == c/d, denominators never zero.
+    # "same": c/d is a/b times e/e; "nudged": c is a*e plus its lowest
+    # monomial, so the end exponents mostly agree while the values do not
     b, e = b or lp({0: 1}), e or lp({0: 1})
-    if same:
+    d = e
+    if kind != "other":
         c, d = a * e, b * e
-    else:
-        d = e
+    if kind == "nudged" and c:
+        c = c + LaurentPoly(1, c.scale, {min(c.terms): 1})
     assert laurent._cross_equal(a, d, c, b) == (a * d == c * b)
-    assert laurent._cross_equal(a, d, c, b) or not same
+    assert laurent._cross_equal(a, d, c, b) or kind != "same"
 
 
 def test_cross_equal_reads_inside_equal_end_exponents():
