@@ -80,6 +80,8 @@ def tau_poly(g, x):
 def ik_eps_ratfunc(n, x, grid=None):
     """W(n, x; s) from the exact determinant, any grid, any rational x
     with x^2 - 4x != 0; num and den have int coefficients."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if grid is None:
         grid = EpsilonGrid.standard(n)
     if grid.n != n:
@@ -192,9 +194,12 @@ def a_via_chain(n, x, route="auto"):
     """The weighted count A(n; x) through the full specialization chain.
 
     route "product" uses the factored form (x in {1, 2} only), "det" the
-    exact rational-function limit (any x in {1, 2, 3}), "auto" picks the
-    factored form when available.
+    exact rational-function limit (any rational x outside {0, 4}), "auto"
+    picks the factored form when available.  An integral x gives an int,
+    and a non-integral one the exact Fraction A(n; x).
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     if route == "auto":
         route = "product" if x in RATIO_EXPONENTS else "det"
     if route == "product":
@@ -206,7 +211,10 @@ def a_via_chain(n, x, route="auto"):
         lim = limit_at_one(ik_eps_ratfunc(n, x))
     else:
         raise ValueError(f"unknown route {route!r}")
-    val = lim * Fraction(x) ** ((n * n - n) // 2)
+    x = Fraction(x)
+    val = lim * x ** ((n * n - n) // 2)
+    if x.denominator != 1:
+        return val
     if val.denominator != 1:
         raise ArithmeticError("chain value is not an integer")
     return int(val)

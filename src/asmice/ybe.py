@@ -1,22 +1,29 @@
 """Star-triangle identity for the six-vertex weights, checked case by case.
 
 Three lines pairwise cross in two possible patterns (the middle line passes
-left or right of the triple point).  With crossing labels y, z and x = y + z
-assigned as below, the sums over internal edge orientations agree for every
-assignment of the six boundary orientations.  Each of the 64 boundary cases
-is checked as an exact Laurent-polynomial identity; 44 of them are 0 = 0
-because a nonzero crossing needs two arrows in and two out, forcing three of
-the six boundary arrows in and three out.
+left or right of the triple point).  With crossing labels y, z and x = y + z,
+the sums over internal edge orientations agree for every assignment of the
+six boundary orientations.  Each of the 64 boundary cases is checked as an
+exact Laurent-polynomial identity; 44 of them are 0 = 0 because a nonzero
+crossing needs two arrows in and two out, forcing three of the six boundary
+arrows in and three out.
 
-Geometry, frozen by verification: a crossing is read through the slots
-(bottom-left, bottom-right, top-left, top-right) of its strands, and an
-edge's boolean orientation means "arrow points upward".  The in-flags of
-the vertex state are then (bl, not tr, not tl, br) for (L, R, U, D).  Each
-side of the identity is a triangle of three crossings sharing three internal
-edges; the boundary edges B0, B1, B2 enter from below and T0, T1, T2 leave
-above.  Rotating the picture by 180 degrees maps an orientation assignment
-b to (not t2, not t1, not t0, not b2, not b1, not b0) and preserves each
-side's sum.
+Read from bottom to top, the identity is the braid relation
+
+    R23(z) R12(x) R23(y) = R12(y) R23(x) R12(z)
+
+on three strands 0, 1, 2, where Rij(v) is the crossing of label v acting on
+the orientations of strands i and j, with the rightmost factor applied
+first: the left side crosses strands 1-2 at y, then 0-1 at x, then 1-2 at z;
+the right side crosses 0-1 at z, then 1-2 at x, then 0-1 at y.  An edge's
+boolean orientation means "arrow points upward".  The crossing R(v) takes
+the bottom pair (bl, br) to the top pair (tl, tr) with the weight of the
+vertex state whose in-flags (L, R, U, D) are (bl, not tr, not tl, br), and
+with weight 0 where no state has those flags.  Summing over the internal
+edges is the product of the three crossings.  A boundary case is the bottom
+orientations (b0, b1, b2) and the top ones (t0, t1, t2); rotating the
+picture by 180 degrees maps it to (not t2, not t1, not t0, not b2, not b1,
+not b0) and preserves each side's value.
 """
 
 from __future__ import annotations
@@ -28,13 +35,7 @@ from .ice import STATE_OF_FLAGS
 from .laurent import LaurentPoly, common_grid
 from .sixvertex import _label_weights
 
-LHS_CROSSINGS = (("y", "B1", "B2", "I1", "I2"),
-                 ("x", "B0", "I1", "T0", "I3"),
-                 ("z", "I3", "I2", "T1", "T2"))
-RHS_CROSSINGS = (("z", "B0", "B1", "J1", "J2"),
-                 ("x", "J2", "B2", "J3", "T2"),
-                 ("y", "J1", "J3", "T0", "T1"))
-BOUNDARY = ("B0", "B1", "B2", "T0", "T1", "T2")
+_CASES = tuple(product((False, True), repeat=6))
 
 
 class YbeReport:
@@ -64,59 +65,48 @@ class YbeReport:
                 f"rotation_ok={self.rotation_pairing_ok})")
 
 
-def _crossing_weight(weights, bl, br, tl, tr):
-    """Scaled weight of one crossing given arrow-up booleans, or None when
-    the orientation pattern is not one of the six allowed states."""
-    flags = (int(bl), int(not tr), int(not tl), int(br))
-    state = STATE_OF_FLAGS.get(flags)
-    if state is None:
-        return None
-    return weights[state - 1]
+def _crossing(weights):
+    """R(v) as {(bl, br): [((tl, tr), weight), ...]}, its nonzero entries
+    by column, from the label's six weights indexed by state - 1."""
+    r = {}
+    for (left, right, up, down), state in STATE_OF_FLAGS.items():
+        r.setdefault((bool(left), bool(down)), []).append(
+            ((not up, not right), weights[state - 1]))
+    return r
 
 
-def _side_sum(crossings, weight_of, boundary_bits):
-    internal = sorted({e for c in crossings for e in c[1:] if e[0] in "IJ"})
-    orient = dict(zip(BOUNDARY, boundary_bits))
-    total = None
-    for bits in product((False, True), repeat=len(internal)):
-        orient.update(zip(internal, bits))
-        term = None
-        for label, bl, br, tl, tr in crossings:
-            w = _crossing_weight(weight_of[label], orient[bl], orient[br],
-                                 orient[tl], orient[tr])
-            if w is None:
-                term = None
-                break
-            term = w if term is None else term * w
-        if term is not None:
-            total = term if total is None else total + term
-    return LaurentPoly.zero() if total is None else total
+def _sides(y, z):
+    """Both sides of the braid relation at labels (y, z, x = y + z), as two
+    dicts from each boundary case to its value."""
+    weights = common_grid([w for v in (y + z, y, z)
+                           for w in _label_weights(v)])
+    x, ry, rz = (_crossing(weights[i:i + 6]) for i in (0, 6, 12))
+    one = LaurentPoly.one(1, weights[0].scale)
+    sides = []
+    for steps in (((ry, 1), (x, 0), (rz, 1)), ((rz, 0), (x, 1), (ry, 0))):
+        # key: the bottom orientations, then the current ones
+        column = {b + b: one for b in product((False, True), repeat=3)}
+        for r, i in steps:
+            out = {}
+            for key, v in column.items():
+                for pair, w in r[key[3 + i:5 + i]]:
+                    k = key[:3 + i] + pair + key[5 + i:]
+                    out[k] = out[k] + v * w if k in out else v * w
+            column = out
+        zero = LaurentPoly.zero(1, one.scale)
+        sides.append({b: column.get(b, zero) for b in _CASES})
+    return sides
 
 
 def ybe_check(y, z):
     """Run all 64 boundary cases at crossing labels (y, z, x = y + z)."""
     y = Fraction(y)
     z = Fraction(z)
-    weights = common_grid([w for v in (y + z, y, z)
-                           for w in _label_weights(v)])
-    weight_of = {"x": weights[:6], "y": weights[6:12], "z": weights[12:]}
-    trivial = 0
-    equal = 0
-    failures = []
-    lhs_by_bits = {}
-    for bits in product((False, True), repeat=6):
-        lhs = _side_sum(LHS_CROSSINGS, weight_of, bits)
-        rhs = _side_sum(RHS_CROSSINGS, weight_of, bits)
-        lhs_by_bits[bits] = lhs
-        if lhs == rhs:
-            equal += 1
-            if lhs.is_zero:
-                trivial += 1
-        else:
-            failures.append(bits)
-    pairing_ok = all(
-        lhs_by_bits[bits] == lhs_by_bits[_rotate(bits)] for bits in lhs_by_bits)
-    return YbeReport(y, z, trivial, equal, failures, pairing_ok)
+    lhs, rhs = _sides(y, z)
+    failures = [b for b in _CASES if lhs[b] != rhs[b]]
+    trivial = sum(1 for b in _CASES if lhs[b].is_zero and rhs[b].is_zero)
+    pairing_ok = all(lhs[b] == lhs[_rotate(b)] for b in _CASES)
+    return YbeReport(y, z, trivial, 64 - len(failures), failures, pairing_ok)
 
 
 def _rotate(bits):

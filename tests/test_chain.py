@@ -176,6 +176,27 @@ def test_counts_through_the_determinant_route():
         assert a_via_chain(n, 3, route="det") == transfer_count(n)(3)
 
 
+def test_counts_at_non_integral_x_are_exact_fractions():
+    # x^((n^2-n)/2) lim W is A(n; x) at every rational x, not only at ints
+    for x in (Fraction(5, 2), Fraction(7, 3), Fraction(-1, 2)):
+        for n in (1, 2, 3, 4):
+            assert a_via_chain(n, x) == transfer_count(n)(x), (n, x)
+    assert a_via_chain(3, Fraction(1, 2)) == Fraction(13, 2)   # 6 + x
+    assert type(a_via_chain(3, Fraction(6, 2))) is int
+
+
+def test_sizes_below_one_are_refused():
+    for x in (1, 2, 3):
+        with pytest.raises(ValueError, match="n must be positive"):
+            a_via_chain(0, x)
+    with pytest.raises(ValueError, match="n must be positive"):
+        a_via_chain(-1, 2)
+    with pytest.raises(ValueError, match="n must be positive"):
+        ik_eps_ratfunc(0, 3)
+    with pytest.raises(ValueError, match="n must be positive"):
+        half_spec_value(0, 1)
+
+
 def test_route_validation():
     with pytest.raises(ValueError, match="route"):
         a_via_chain(2, 1, route="guess")

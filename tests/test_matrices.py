@@ -203,18 +203,28 @@ def test_cleared_izergin_korepin_draws_match_bareiss():
 
 
 def test_packed_seven_row_tau_matrix_matches_bareiss(monkeypatch):
-    # the chain's cleared tau matrix at n = 7, x = 3, with the cutoff
-    # moved so that the packer takes it
-    n = 7
+    # the chain's cleared tau matrix at n = 7, x = 3
+    check_packed_tau_matrix(monkeypatch, 7)
+
+
+def test_packed_nine_row_tau_matrix_matches_bareiss(monkeypatch):
+    # nine rows: the most that the packer takes at its default cutoff
+    assert matrices._PACKED_MAX_N == 9
+    check_packed_tau_matrix(monkeypatch, 9)
+
+
+def check_packed_tau_matrix(monkeypatch, n):
     grid = EpsilonGrid.standard(n)
     dens = [[tau_poly(grid.g(i, j), 3) for j in range(n)] for i in range(n)]
     want = matrices._det_bareiss(multiplied_out(dens))
-    monkeypatch.setattr(matrices, "_PACKED_MAX_N", n)
     monkeypatch.setattr(matrices, "_det_bareiss", None)
     assert cleared_det(dens) == want
 
 
 def test_cleared_det_beyond_the_packed_size_takes_bareiss(monkeypatch):
+    # the cutoff is lowered so that seven rows cross it; one cleared
+    # Bareiss past the default cutoff takes seconds
+    monkeypatch.setattr(matrices, "_PACKED_MAX_N", 6)
     rng = random.Random(37)
     n = 7
     dens, nums = ([[LaurentPoly(1, rng.choice([1, 2]),
@@ -239,9 +249,10 @@ def coefficient_types(values):
 
 
 def test_bareiss_runs_over_the_integers(monkeypatch):
-    # the 5x5 matrix takes the packed path and the 7x7 one Bareiss; each
-    # sees int coefficients only, as does the 1x1 packed product of the
-    # denominators
+    # the 5x5 matrix takes the packed path and the 7x7 one, past the
+    # lowered cutoff, Bareiss; each sees int coefficients only, as does
+    # the 1x1 packed product of the denominators
+    monkeypatch.setattr(matrices, "_PACKED_MAX_N", 6)
     seen = {}
     pack, bareiss, mul = (matrices._det_packed, matrices._det_bareiss,
                           LaurentPoly.__mul__)
@@ -319,7 +330,7 @@ def packable_rows(draw):
     exponents r_i + c_j + g*k that leave a lattice step g, and now and
     then a zero row, a zero column, a repeated row, or orthogonal rows
     whose determinant meets the Hadamard bound."""
-    n = draw(st.integers(1, matrices._PACKED_MAX_N))
+    n = draw(st.integers(1, 6))
     g = draw(st.sampled_from([1, 2, 3]))
     span = draw(st.sampled_from([0, 1, 4]))
     scales = st.sampled_from([1, 2, 4, 12])
@@ -476,6 +487,8 @@ def test_packed_slots_one_byte_narrower_overflow(monkeypatch):
 
 
 def test_seven_rows_go_through_bareiss(monkeypatch):
+    # past a cutoff lowered to six rows
+    monkeypatch.setattr(matrices, "_PACKED_MAX_N", 6)
     rng = random.Random(29)
     rows = [[LaurentPoly(1, rng.choice([1, 2]),
                          {(rng.randrange(-3, 4),): rng.randrange(-9, 10)
@@ -484,7 +497,7 @@ def test_seven_rows_go_through_bareiss(monkeypatch):
     assert det_packed(rows) is None
     monkeypatch.setattr(matrices, "_PACKED_MAX_N", 7)
     packed = det_packed(rows)
-    monkeypatch.undo()
+    monkeypatch.setattr(matrices, "_PACKED_MAX_N", 6)
     calls = []
     bareiss = matrices._det_bareiss
     monkeypatch.setattr(matrices, "_det_bareiss",

@@ -70,10 +70,8 @@ def _selftest_by_name():
     raise AssertionError("perfbench/selftest.py defines no BY_NAME")
 
 
-def test_unused_imports_are_the_traced_by_name_ones():
-    # an import kept only for the benchmark's tracer names a function and
-    # a module that the self-test still lists, and none other is kept
-    by_name = _selftest_by_name()
+def _noqa_imports():
+    """(name, module) of each import kept with "# noqa: F401"."""
     kept = []
     for path in sorted((ROOT / "src" / "asmice").glob("*.py")):
         for line in path.read_text().splitlines():
@@ -81,5 +79,43 @@ def test_unused_imports_are_the_traced_by_name_ones():
                 names = re.match(r"from \.\w+ import (\w+)\s+#", line)
                 assert names, f"{path.name}: {line}"
                 kept.append((names[1], path.stem))
-    for name, module in kept:
+    return kept
+
+
+def test_unused_imports_are_the_traced_by_name_ones():
+    # an import kept only for the benchmark's tracer names a function and
+    # a module that the self-test still lists, and none other is kept
+    by_name = _selftest_by_name()
+    for name, module in _noqa_imports():
         assert module in by_name.get(name, ()), (name, module)
+
+
+def _unread_imports(tree):
+    """Names that the module's imports bind and that no expression of the
+    module reads (a bare name, or the base of an attribute)."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_every_import_is_read_but_the_traced_by_name_ones():
+    # no linter runs on the package: an AST scan stands in for pyflakes'
+    # unused-import check (F401), exempting only the noqa-kept imports
+    unread = set()
+    for path in sorted((ROOT / "src" / "asmice").glob("*.py")):
+        unread.update((name, path.stem)
+                      for name in _unread_imports(ast.parse(path.read_text())))
+    assert unread == set(_noqa_imports())
+
+
+def test_the_import_scan_sees_an_unread_import():
+    tree = ast.parse("from fractions import Fraction\nimport os.path\n"
+                     "from .laurent import LaurentPoly as L\nL.one()\n")
+    assert _unread_imports(tree) == {"Fraction", "os"}

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from asmice import ybe
+from asmice.sixvertex import _label_weights
+from asmice.verify import build_suite
 from asmice.ybe import ybe_check
+from ybe_pictures import picture_sides
 
 
 def test_integer_label_pair():
@@ -37,3 +41,41 @@ def test_nontrivial_case_count_is_constant():
 def test_report_repr_mentions_counts():
     r = ybe_check(1, 1)
     assert "64" in repr(r) and "trivial" in repr(r)
+
+
+# the 7 pairs of the seed-0 suite, then the other pairs of the tests above
+ORACLE_PAIRS = ([(kw["y"], kw["z"]) for _, kw in build_suite("ybe", seed=0)]
+                + [(-1, 4), (Fraction(5, 3), Fraction(1, 3)), (7, -2), (1, 1)])
+
+
+@pytest.mark.parametrize("y, z", ORACLE_PAIRS)
+def test_crossing_products_equal_the_picture_sums(y, z):
+    lhs, rhs = ybe._sides(Fraction(y), Fraction(z))
+    pic_lhs, pic_rhs = picture_sides(Fraction(y), Fraction(z))
+    assert len(lhs) == len(rhs) == len(pic_lhs) == 64
+    for bits, value in pic_lhs.items():
+        assert lhs[bits] == value, bits
+        assert rhs[bits] == pic_rhs[bits], bits
+
+
+def _doubled_state_1(v):
+    w = _label_weights(v)
+    return (w[0] * 2,) + w[1:]
+
+
+def _turn_and_side_swapped(v):
+    w = _label_weights(v)
+    return w[:2] + (w[4], w[5], w[2], w[3])
+
+
+@pytest.mark.parametrize("perturbed, equal", ((_doubled_state_1, 56),
+                                              (_turn_and_side_swapped, 52)))
+def test_perturbed_weights_fail(monkeypatch, perturbed, equal):
+    monkeypatch.setattr(ybe, "_label_weights", perturbed)
+    r = ybe_check(2, 3)
+    assert not r.passed
+    assert r.equal_count == equal and len(r.failures) == 64 - equal
+    assert not r.rotation_pairing_ok
+    # the oracle sees the same failures
+    lhs, rhs = picture_sides(Fraction(2), Fraction(3), perturbed)
+    assert r.failures == [b for b in lhs if lhs[b] != rhs[b]]
