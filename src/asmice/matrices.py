@@ -78,20 +78,14 @@ matrices of ik_z (verify._draw_ik_params of random.Random(101) and
 - n = 7: 0.17, 0.13, 0.20, 0.16, and 0.05 to 0.06;
 - n = 8: 0.22, 0.20, 0.21, 0.31, and 0.07 on the one draw timed
   (3.5 s against 48 s);
-- n = 9: 0.25, 0.33, 0.40, 0.39 (Izergin-Korepin not timed);
-- n = 10: 0.61, 0.46, 0.38, 0.70;
-- n = 11: Cauchy 1.35, tau 1.06;
-- n = 12: Cauchy 2.03, tau 1.68 (17 s against 10 s).
-(n = 9 to 12 in one run on an idle machine, Cauchy on the seed-0 draw of
-the verify suite; a run beside other work read 0.26 to 0.47 at n = 9 and
-0.35 to 0.79 at n = 10.)  So the packed path wins most on the
-Izergin-Korepin entries, whose spans are wide but whose factors have few
-terms, so that each product is a few linear passes, and its 2^(n-1)
-factor overtakes Bareiss's n^3 at n = 11.  The cutoff is n <= 9, the
-largest n at which every kind timed takes at most half of Bareiss's
-time, a margin that covers the machine's speed swings of about 25 %
-between runs.  No benchmark workload has a matrix of 7 or more rows, so
-these timings are the only measurement of that side.
+- n = 9 and 10 (Izergin-Korepin not timed): 0.25, 0.33, 0.40, 0.39 and
+  0.61, 0.46, 0.38, 0.70;
+- n = 11 and 12 (Cauchy and tau only): 1.35, 1.06 and 2.03, 1.68.
+The packed path wins most on the Izergin-Korepin entries, whose factors
+have few terms, so that each product is a few linear passes, but its
+2^(n-1) products overtake Bareiss's n^3 at n = 11.  The cutoff is the
+largest n at which every kind takes at most half of Bareiss's time, a
+margin for the machine's speed swings of about 25 % between runs.
 """
 
 from __future__ import annotations
