@@ -40,31 +40,53 @@ For x = 1 and x = 2 the matrix [1/tau] is a difference-ratio matrix with
 a fully factored determinant, so W itself factors and the limit is read
 off factor by factor.  For x = 3 no such factorization is used; the limit
 is taken on the exact rational function.
+
+z_half_eps_brute sums Z over the states instead, on the group ring
+Z[u^(+-1)][s^(+-1)], u = q^(1/4): at h = u^2 and m = u s^(g/2) the
+table's term c h^a m^b is c u^(2a+b) s^(b*g/2), one packed block per
+u-exponent (sixvertex._packed_sweep).  Only the sum enters Q(zeta_24),
+u^r folding to zeta_24^(e*r mod 24) for q^(1/4) = zeta_24^e.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 from .brackets import BracketProduct, qdiff_product
-from .cyclotomic import Cyclotomic, cyclotomic_embed
+from .cyclotomic import Cyclotomic, _fold, cyclotomic_embed
 from .dets import EpsilonGrid, s_det_product
 from .laurent import LaurentPoly, RatFunc, limit_at_one
 from .matrices import cleared_det
 from .matrices import det_exact  # noqa: F401  perfbench/selftest.py
-from .sixvertex import site_weights, state_sweep
+from .sixvertex import _packed_sweep, _weight_terms
 
 #: difference-ratio exponents (a, b) with 1/tau(m) = d(a*m)/d(b*m)
 RATIO_EXPONENTS = {1: (1, 3), 2: (2, 4)}
 
 
-def q_fourth_root(x):
-    """q^(1/4) in Q(zeta_24) for the root of unity solving
+def _q4_exponent(x):
+    """e with q^(1/4) = zeta_24^e at the root of unity solving
     q^(1/2) + q^(-1/2) = x - 2."""
     if x not in (1, 2, 3):
         raise ValueError(f"no pinned root of unity for x = {x}")
-    return cyclotomic_embed({1: 6, 2: 8, 3: 12}[x])
+    return {1: 4, 2: 3, 3: 2}[x]
+
+
+def q_fourth_root(x):
+    """q^(1/4) in Q(zeta_24) at the root of unity pinned for x."""
+    return cyclotomic_embed(24 // _q4_exponent(x))
+
+
+def _grid(n, grid):
+    """grid, the standard one when None, checked against a positive n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    grid = EpsilonGrid.standard(n) if grid is None else grid
+    if grid.n != n:
+        raise ValueError("grid size mismatch")
+    return grid
 
 
 def tau_poly(g, x):
@@ -80,12 +102,7 @@ def tau_poly(g, x):
 def ik_eps_ratfunc(n, x, grid=None):
     """W(n, x; s) from the exact determinant, any grid, any rational x
     with x^2 - 4x != 0; num and den have int coefficients."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if grid is None:
-        grid = EpsilonGrid.standard(n)
-    if grid.n != n:
-        raise ValueError("grid size mismatch")
+    grid = _grid(n, grid)
     x = Fraction(x)
     p, r = x.numerator, x.denominator
     beta_sq = p * p - 4 * p * r         # r^2 (x^2 - 4x)
@@ -112,6 +129,8 @@ def ik_eps_ratfunc(n, x, grid=None):
 
 def ik_eps_product(n, x):
     """W(n, x; s) in factored form on the standard grid; x in {1, 2}."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if x not in RATIO_EXPONENTS:
         raise ValueError("factored form only for x = 1 or x = 2")
     a, b = RATIO_EXPONENTS[x]
@@ -131,6 +150,8 @@ def z_half_eps_product(n):
     """The factored evaluation of Z on the standard grid at x = 1,
     including the fourth-root prefactor: (-1)^n q^(-n/4) s^(-n^2/2) times
     a balanced product of brackets [k] = d(k)/d(1)."""
+    if n < 1:
+        raise ValueError("n must be positive")
     diffs = Counter()
     for i in range(n):
         for k in range(1, i + 1):           # [3k]/(3[k]) for each j = i - k
@@ -147,18 +168,26 @@ def z_half_eps_product(n):
 
 def z_half_eps_brute(n, x, grid=None):
     """State-sum oracle for Z on an epsilon grid, exact in s with
-    coefficients in Q(zeta_24): sixvertex.site_weights at
-    m = q^(1/4) * s^(g/2) and the pinned scalar h = q^(1/2)."""
-    if grid is None:
-        grid = EpsilonGrid.standard(n)
-    if grid.n != n:
-        raise ValueError("grid size mismatch")
-    q4 = q_fourth_root(x)
-    h = q4 * q4
-    site = [[site_weights(LaurentPoly.var_power(grid.g(i, j) / 2) * q4, h)
-             for j in range(n)] for i in range(n)]
-    total = state_sweep({0: LaurentPoly.one()}, site)[(1 << n) - 1]
-    return RatFunc(total * (h - h ** -1) ** -(n * n))
+    coefficients in Q(zeta_24), summed on the group ring."""
+    grid = _grid(n, grid)
+    e = _q4_exponent(x)
+    gs = [grid.g(i, j) for i in range(n) for j in range(n)]
+    d = lcm(*[g.denominator for g in gs])
+    sites = [_weight_terms((0, 2), (g.numerator * d // g.denominator, 1))
+             for g in gs]
+    # 1/b^(n^2) = b^(n mod 2) / (x^2 - 4x)^ceil(n^2/2), as b^2 = x^2 - 4x;
+    # b = u^2 - u^(-2) multiplies in the group ring
+    factor = ((2, 1), (-2, -1)) if n % 2 else ((0, 1),)
+    folded = {}
+    for r, terms in _packed_sweep(n, d, {0: LaurentPoly.one()},
+                                  sites).items():
+        for k, c in terms.items():
+            v = folded.setdefault(k, [0] * 24)
+            for dr, sign in factor:
+                v[e * (r + dr) % 24] += sign * c
+    total = LaurentPoly(1, d, {k: Cyclotomic(_fold(v))
+                               for k, v in folded.items()})
+    return RatFunc(total, (x * x - 4 * x) ** ((n * n + 1) // 2))
 
 
 def half_spec_value(n, x):
@@ -196,10 +225,9 @@ def a_via_chain(n, x, route="auto"):
     route "product" uses the factored form (x in {1, 2} only), "det" the
     exact rational-function limit (any rational x outside {0, 4}), "auto"
     picks the factored form when available.  An integral x gives an int,
-    and a non-integral one the exact Fraction A(n; x).
+    and a non-integral one the exact Fraction A(n; x); n < 1 raises
+    ValueError in the route's own function.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if route == "auto":
         route = "product" if x in RATIO_EXPONENTS else "det"
     if route == "product":

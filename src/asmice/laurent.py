@@ -811,11 +811,15 @@ class _Layout:
         return [((k[0] * step - shift) // g * width, c)
                 for k, c in p.terms.items()]
 
-    def terms(self, v, rest=()):
-        """{(exponent,) + rest: coefficient} over the nonzero slots of v."""
+    def coefficients(self, v):
+        """The coefficient in each of the layout's slots of v."""
+        return _unpack(v, self.slots, self.width)
+
+    def terms(self, v):
+        """{(exponent,): coefficient} over the nonzero slots of v."""
         offset, g = self.offset, self.g
-        return {(offset + g * i,) + rest: c
-                for i, c in enumerate(_unpack(v, self.slots, self.width)) if c}
+        return {(offset + g * i,): c
+                for i, c in enumerate(self.coefficients(v)) if c}
 
     def unpack(self, v):
         return LaurentPoly._clean(1, self.grid, self.terms(v))
@@ -848,11 +852,13 @@ class _Shifts:
         return v
 
 
-def _l1(p):
-    """The sum of |c| over the coefficients of p, which must be ints."""
-    if any(type(c) is not int for c in p.terms.values()):
+def _l1(terms):
+    """The sum of |c| over the coefficients of a terms dict, which must be
+    ints."""
+    cs = terms.values()
+    if {*map(type, cs)} - {int}:
         raise TypeError("packed weights need int coefficients")
-    return sum(map(abs, p.terms.values()))
+    return sum(map(abs, cs))
 
 
 def diff_product(diffs):

@@ -213,7 +213,7 @@ def _det_packed(rows):
     for p in factors:
         if p and id(p) not in spans:
             q = p.rescale(grid)
-            spans[id(p)] = q, min(q.terms)[0], max(q.terms)[0], _l1(q)
+            spans[id(p)] = q, min(q.terms)[0], max(q.terms)[0], _l1(q.terms)
     rows = [[[spans[id(p)] for p in e] if all(e) else None for e in row]
             for row in rows]
     lows = [[sum(f[1] for f in e) if e is not None else None for e in row]

@@ -16,44 +16,46 @@ quotient is itself a Laurent polynomial and is returned in reduced
 (denominator-one) form.  The tests check the sweep against the sum over
 every enumerated state.
 
-The scaled weights are written once, in site_weights(m, h), m = q^(v/2),
-h = q^(1/2); its callers pass a generic label (z_brute, ybe.ybe_check),
-a label keeping w = q^(x_0/2) formal (the degree check), or a label
-pinned to a root of unity on the epsilon grid (chain.z_half_eps_brute).
-vertex_weights divides them back by b.  site_weights puts m and h on
-their common grid first (laurent.common_grid), so each weight sits on the
-exponent grid its own label needs and no operation promotes again; a
-caller that mixes labels (ybe.ybe_check) puts their weights on one grid
-the same way.
+The scaled weights are written once, as the table _WEIGHTS of terms
+c*h^a*m^b, h = q^(1/2), m = q^(v/2), two with c = +-1 per weight:
 
-state_sweep is ring-generic: it only multiplies a frontier entry by a
-weight and adds entries.  chain.z_half_eps_brute, with Q(zeta_24)
-coefficients, sweeps LaurentPoly values.  z_brute and the degree check
-have int coefficients and sweep packed ints (_packed_sweep).  The degree
-check sweeps its formal top row in (q, w) as LaurentPolys, then the other
-rows once per w-exponent, so only the n sites of that row multiply in two
-variables.
+    state:   1, -b/m         2, -b*m         3, 4            5, 6
+    terms:   -h/m + 1/(hm)   -hm + m/h       m/h - h/m       m - 1/m
 
-Packed site weights.  _packed_sweep lays every weight and start value on
-one laurent._Layout.  Each state takes exactly one weight per site, so
-taking each site's least exponent out of all its weights changes every
-state's product by the same monomial; the start values have their least
-exponent taken out too.  Every product then has its exponents in
-[0, top], top the sum of the sites' and the start's spans, on the lattice
-of their shifted exponents.  A frontier entry is one int, and a weight
-sum_k c_k t^(g*k) multiplies it as sum_k c_k (v << k*W) (laurent._Shifts,
-the multiplier the packed determinants use too): a shift and an add per
-term, and no slot is read until the end.
+_weight_terms reads it for h and m given as exponent pairs.
+_label_weights (for vertex_weights, which divides by b, and ybe) and the
+degree check's formal top row in (q, w), w = q^(x_0/2), build
+LaurentPolys from it; the packed sweep takes int exponents, h = t^grid
+and m = t^(v*grid) on t = q^(1/(2*grid)) for z_brute and the degree
+check's other rows, and h = u^2, m = u s^(g/2), u = q^(1/4), for
+chain.z_half_eps_brute.  state_sweep is ring-generic: it only multiplies
+a frontier entry by a weight and adds entries.
+
+Packed site weights.  _packed_sweep lays each site's weights, given as
+{(t, u): c}, and the start values on one laurent._Layout.  Each state
+takes one weight per site, so taking each site's least t- and u-exponent
+out of all its weights changes every state's product by one monomial;
+the start values have their least t-exponent taken out too.  Every
+product then has t-exponents in [0, T] and u-exponents in [0, U] (T, U
+the sums of the spans), on lattices of steps g_t and g_u, and slot
+i + (T/g_t + 1)*j holds t^(g_t*i) u^(g_u*j): the u-exponent is a block
+index, and no block spills into the next.  A frontier entry is one int
+that a weight multiplies by a shift and an add per term (laurent._Shifts,
+as the packed determinants do).  A start in (t, w), the degree check's
+top row, is split into one frontier per w-exponent; only the chain has
+U > 0.
 
 Slot width.  Along a row the sweep takes at most two of a site's weights
 from any key (entry 0, and +1 or -1 where the column and row bits allow),
 so from any start key at most 2^c fillings of c sites reach the end; as
 L1(fg) <= L1(f) L1(g), every coefficient of the sum is at most
-L1(start) * prod over sites (2 * the site's largest L1).  Each scaled
-weight has at most two terms, with coefficients +-1, so from the start 1
-the n^2 sites bound every coefficient of b^(n^2) Z by 4^(n^2).  A formal
-top row swept first and handed over as the start has L1 at most
-n 2^n < 4^n over its n masks, so the same bound holds.
+L1(start) * prod over sites (2 * the site's largest L1), read off the
+terms given.  Each weight of the table has at most two terms, with
+coefficients +-1, so L1 <= 2 in Z[t^(+-1)] and in Z[u^(+-1)][t^(+-1)]
+alike, and from the start 1 the n^2 sites bound every coefficient of
+b^(n^2) Z by 4^(n^2).  A formal top row swept first and handed over as
+the start has L1 at most n 2^n < 4^n over its n masks, so the same bound
+holds.
 
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
@@ -66,15 +68,20 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from .brackets import BracketProduct, qdiff
 from .ice import ZERO_STATE
-from .laurent import (LaurentPoly, _l1, _Layout, _Shifts, common_grid,
-                      diff_product, reduced)
+from .laurent import (LaurentPoly, _l1, _Layout, _Shifts, diff_product,
+                      reduced)
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 
 Z_BRUTE_BOUND = 6
+
+#: the scaled weights by state - 1, each as the terms (a, b, c) of c*h^a*m^b
+_WEIGHTS = (((1, -1, -1), (-1, -1, 1)), ((1, 1, -1), (-1, 1, 1)),
+            ((-1, 1, 1), (1, -1, -1)), ((-1, 1, 1), (1, -1, -1)),
+            ((0, 1, 1), (0, -1, -1)), ((0, 1, 1), (0, -1, -1)))
 
 
 class SpectralParams:
@@ -124,25 +131,23 @@ def vertex_weights(v):
             for state, w in enumerate(_label_weights(v), start=1)}
 
 
-def site_weights(m, h):
-    """The six weights at a site, multiplied by b = h - 1/h.
-
-    m = q^(v/2) for the site label v, a one-term LaurentPoly, and
-    h = q^(1/2), another or a scalar; the scaled weights are
-    (-b/m, -b*m, m/h - h/m, m/h - h/m, m - 1/m, m - 1/m).
-    """
-    m, h = common_grid((m, h))
-    mi, hi = m ** -1, h ** -1
-    b = h - hi
-    turn = m * hi - mi * h
-    side = m - mi
-    return (-(mi * b), -(m * b), turn, turn, side, side)
+def _weight_terms(h, m):
+    """The table's six weights as {exponents: coefficient} dicts, for h
+    and m given as exponent pairs.  The two terms of a weight have
+    opposite coefficients, so a weight whose terms meet is {}."""
+    (h0, h1), (m0, m1) = h, m
+    return [w if len(w) == 2 else {} for w in (
+        {(a * h0 + b * m0, a * h1 + b * m1): c for a, b, c in terms}
+        for terms in _WEIGHTS)]
 
 
 def _label_weights(v):
-    """site_weights at the label v."""
-    return site_weights(LaurentPoly.var_power(Fraction(v) / 2),
-                        LaurentPoly.var_power(Fraction(1, 2)))
+    """The six scaled weights at the label v, LaurentPolys on its grid."""
+    v = Fraction(v)
+    weights = _weight_terms((v.denominator, 0), (v.numerator, 0))
+    return tuple(LaurentPoly._clean(1, v.denominator,
+                                    {k[:1]: c for k, c in w.items()})
+                 for w in weights)
 
 
 def state_sweep(frontier, rows):
@@ -177,56 +182,70 @@ def state_sweep(frontier, rows):
     return frontier
 
 
-def _site(p, rows):
-    """Scaled site weights of the given rows, within the size bound."""
+def _packed_sweep(n, grid, start, sites):
+    """The all-ones entry of state_sweep(start, rows) on packed ints, as
+    {u: {(t,) + rest: coefficient}}: start maps masks to LaurentPolys in t
+    or in (t, rest) with int coefficients, and sites lists the rows'
+    sites in order, each as its six weights {(t, u): int} on the grid."""
+    start = {key: p.rescale(grid) for key, p in start.items()}
+    # the (t, u) exponents of the start, u = 0, and of each site; per
+    # group the least ones, and per variable the lattice step and top
+    groups = [[(k[0], 0) for p in start.values() for k in p.terms]]
+    groups += [[k for w in site for k in w] for site in sites]
+    lows = [tuple(map(min, zip(*group))) or (0, 0) for group in groups]
+    highs = [tuple(map(max, zip(*group))) or (0, 0) for group in groups]
+    steps = [gcd(*[k[i] - lo[i] for group, lo in zip(groups, lows)
+                   for k in group]) or 1 for i in (0, 1)]
+    top, top_u = [sum(hi[i] - lo[i] for hi, lo in zip(highs, lows))
+                  // steps[i] for i in (0, 1)]
+    block = top + 1         # the t-slots of one u-exponent
+    # the slot indices are dense, so the layout's lattice step is 1
+    layout = _Layout(grid, (), sum(_l1(p.terms) for p in start.values())
+                     * prod(2 * max(map(_l1, site)) for site in sites),
+                     0, top + block * top_u)
+
+    def shift(k, lo):       # the bit offset of t^k[0] u^k[1] over lo
+        return layout.width * ((k[0] - lo[0]) // steps[0]
+                               + block * ((k[1] - lo[1]) // steps[1]))
+    flat = [tuple(_Shifts([[(shift(k, lo), c) for k, c in w.items()]])
+                  for w in site) for site, lo in zip(sites, lows[1:])]
+    rows = [flat[i:i + n] for i in range(0, len(flat), n)]
+    frontiers = {}          # one packed frontier per w-exponent
+    for key, p in start.items():
+        for k, c in p.terms.items():
+            f = frontiers.setdefault(k[1:], {})
+            f[key] = f.get(key, 0) + (c << shift((k[0], 0), lows[0]))
+    low = [sum(lo[i] for lo in lows) for i in (0, 1)]
+    out = {}                # u-exponent -> {(t,) + rest: coefficient}
+    for rest, f in frontiers.items():
+        cs = layout.coefficients(state_sweep(f, rows)[(1 << n) - 1])
+        for j in range(top_u + 1):
+            out.setdefault(low[1] + steps[1] * j, {}).update(
+                {(low[0] + steps[0] * i,) + rest: c
+                 for i, c in enumerate(cs[j * block:(j + 1) * block]) if c})
+    return out
+
+
+def _state_sum(p, start, rows):
+    """The packed sweep of p's given rows from start, a LaurentPoly like
+    the start's on the least grid of the start and the labels."""
     if p.n > Z_BRUTE_BOUND:
         raise ValueError(
             f"n={p.n} exceeds the state-sum bound {Z_BRUTE_BOUND}")
-    return [[_label_weights(p.label(i, j)) for j in range(p.n)]
-            for i in rows]
-
-
-def _packed_sweep(n, start, rows):
-    """The all-ones entry of state_sweep(start, rows) for a start of
-    nonzero LaurentPolys in t or in (t, u) and univariate int-coefficient
-    weights, swept on packed ints (see "Packed site weights" in the module
-    docstring)."""
-    sites = [site for row in rows for site in row]
-    grid = lcm(*[w.scale for site in sites for w in site],
-               *[p.scale for p in start.values()])
-    start = {key: p.rescale(grid) for key, p in start.items()}
-    # the start values, then each site: grid exponents and the least one
-    groups = [tuple(start.values())] + sites
-    exps = [[k[0] * (grid // p.scale) for p in group for k in p.terms]
-            for group in groups]
-    lows = [min(e, default=0) for e in exps]
-    bound = sum(map(_l1, start.values()))
-    for site in sites:
-        bound *= 2 * max(map(_l1, site))
-    layout = _Layout(grid, [k - lo for e, lo in zip(exps, lows) for k in e],
-                     bound, sum(lows),
-                     sum(max(e, default=0) for e in exps) - sum(lows))
-    flat = [tuple(_Shifts([layout.place(w, lo)]) for w in site)
-            for site, lo in zip(sites, lows[1:])]
-    packed = [flat[i:i + n] for i in range(0, len(flat), n)]
-    frontiers = {}          # one packed frontier per u-exponent
-    for key, p in start.items():
-        for (s, c), k in zip(layout.place(p, lows[0]), p.terms):
-            frontier = frontiers.setdefault(k[1:], {})
-            frontier[key] = frontier.get(key, 0) + (c << s)
-    full = (1 << n) - 1
-    terms = {}
-    for rest, frontier in frontiers.items():
-        terms.update(layout.terms(state_sweep(frontier, packed)[full], rest))
-    return LaurentPoly._clean(groups[0][0].nvars, grid, terms)
+    labels = [p.label(i, j) for i in rows for j in range(p.n)]
+    grid = lcm(*[q.scale for q in start.values()],
+               *[v.denominator for v in labels])
+    sites = [_weight_terms((grid, 0), (v.numerator * grid // v.denominator, 0))
+             for v in labels]
+    return LaurentPoly._clean(next(iter(start.values())).nvars, grid,
+                              _packed_sweep(p.n, grid, start, sites)[0])
 
 
 def z_brute(p):
     """The state sum Z(n; X, Y) as a RatFunc in q, summed by the domain-wall
     sweep over the scaled site weights."""
-    n = p.n
-    total = _packed_sweep(n, {0: LaurentPoly.one()}, _site(p, range(n)))
-    return reduced(total, diff_product({1: n * n}))
+    total = _state_sum(p, {0: LaurentPoly.one()}, range(p.n))
+    return reduced(total, diff_product({1: p.n * p.n}))
 
 
 def _z_formal(p):
@@ -237,13 +256,11 @@ def _z_formal(p):
     its +1, and the other rows, which do not involve w, are swept from
     there in q alone, once for each w-exponent of the top row's weights.
     """
-    n = p.n
-    h = LaurentPoly.var_power(Fraction(1, 2), 0, 2)
-    w = LaurentPoly.var_power(1, 1, 2)
-    row = [site_weights(LaurentPoly.var_power(-y / 2, 0, 2) * w, h)
-           for y in p.ys]
+    d = lcm(*[y.denominator for y in p.ys])
+    row = [[LaurentPoly._clean(2, d, w) for w in _weight_terms(
+        (d, 0), (-y.numerator * (d // y.denominator), 2 * d))] for y in p.ys]
     top = state_sweep({0: LaurentPoly.one(2)}, [row])
-    return _packed_sweep(n, top, _site(p, range(1, n)))
+    return _state_sum(p, top, range(1, p.n))
 
 
 def lemma_recursion_check(n, p, i, j):

@@ -79,7 +79,7 @@ def test_chain_at_non_integral_x_packs_and_matches_transfer(monkeypatch):
 
 
 def test_state_sum_equals_determinant_evaluation():
-    for n in (1, 2):
+    for n in (1, 2, 3, 4, 5):
         for x in (1, 2, 3):
             q4 = q_fourth_root(x)
             pref = (Fraction(-1) ** n) * q4.inverse() ** n
@@ -87,13 +87,16 @@ def test_state_sum_equals_determinant_evaluation():
 
 
 def test_grid_state_sum_matches_enumeration():
-    # the sum over every state of the site products, u = s^(g/2) per site
-    for n in (1, 2, 3):
+    # the sum over every state of the site products, u = s^(g/2) per site;
+    # the symmetric grid has the s-exponents g/2 in (1/3)Z
+    grids = [EpsilonGrid.standard(n) for n in (1, 2, 3)]
+    grids.append(EpsilonGrid.symmetric([Fraction(-2, 3), 0, Fraction(2, 3)]))
+    for grid in grids:
+        n = grid.n
         for x in (1, 2, 3):
             q4 = q_fourth_root(x)
             q4i = q4.inverse()
             beta = q4 * q4 - q4i * q4i
-            grid = EpsilonGrid.standard(n)
             total = LaurentPoly.zero()
             for ice in (to_ice(a) for a in enumerate_asms(n)):
                 term = LaurentPoly.one()
@@ -108,7 +111,7 @@ def test_grid_state_sum_matches_enumeration():
                                        6: q4 * u - q4i * ui}[ice[i, j]]
                 total = total + term
             want = RatFunc(total * beta.inverse() ** (n * n))
-            assert z_half_eps_brute(n, x) == want
+            assert z_half_eps_brute(n, x, grid) == want
 
 
 def test_state_sum_on_a_symmetric_grid():
@@ -195,6 +198,14 @@ def test_sizes_below_one_are_refused():
         ik_eps_ratfunc(0, 3)
     with pytest.raises(ValueError, match="n must be positive"):
         half_spec_value(0, 1)
+    for n in (0, -1):
+        for refused in (lambda: ik_eps_product(n, 1),
+                        lambda: z_half_eps_product(n),
+                        lambda: z_half_eps_brute(n, 1)):
+            with pytest.raises(ValueError, match="n must be positive"):
+                refused()
+    with pytest.raises(ValueError, match="n must be positive"):
+        ik_eps_product(-2, 1)
 
 
 def test_route_validation():

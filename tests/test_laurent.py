@@ -6,7 +6,7 @@ import inspect
 import pkgutil
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -488,8 +488,9 @@ def test_unpack_rejects_bits_above_the_top_slot():
 
 # ---------- packed site weights against the schoolbook ----------
 
-unit_weights = st.dictionaries(st.integers(-9, 9), st.sampled_from([1, -1]),
-                               max_size=2)
+unit_weights = st.dictionaries(st.tuples(st.integers(-9, 9),
+                                         st.integers(-3, 3)),
+                               st.sampled_from([1, -1]), max_size=2)
 
 
 @given(st.integers(1, 3),
@@ -498,16 +499,27 @@ unit_weights = st.dictionaries(st.integers(-9, 9), st.sampled_from([1, -1]),
        st.sampled_from([1, 3]))
 def test_packed_site_product_round_trips(n, weights, start_scale):
     # the six weights of a site are equal, so each of the A(n) domain-wall
-    # states of n x n sites takes the same product, one weight per site
-    sites = [(LaurentPoly(1, scale, {(k,): c for k, c in terms.items()}),) * 6
-             for terms, scale in weights[:n * n]]
-    rows = [sites[i:i + n] for i in range(0, n * n, n)]
+    # states of n x n sites takes the same product, one weight per site;
+    # a weight's terms are (t, u) exponents, its t-exponents drawn on the
+    # grid 1/(2*scale) and laid on the common grid, its u-exponents as
+    # drawn, so the product is checked in Z[t, u] by the schoolbook
+    grid = lcm(start_scale, *[scale for _, scale in weights[:n * n]])
+    sites = [({(t * (grid // scale), u): c for (t, u), c in terms.items()},)
+             * 6 for terms, scale in weights[:n * n]]
     start = LaurentPoly(1, start_scale, {(-1,): 1, (2,): -1})
-    expected = start
+    expected = start.rescale(grid).terms
+    expected = {(t, 0): c for (t,), c in expected.items()}
     for w, *_ in sites:
-        a, b = expected._matched(w)
-        expected = LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
-    assert _packed_sweep(n, {0: start}, rows) == (1, 2, 7)[n - 1] * expected
+        product = {}
+        for (t, u), c in expected.items():
+            for (t2, u2), c2 in w.items():
+                k = (t + t2, u + u2)
+                product[k] = product.get(k, 0) + c * c2
+        expected = {k: c for k, c in product.items() if c}
+    packed = _packed_sweep(n, grid, {0: start}, sites)
+    assert {(t, u): c for u, terms in packed.items()
+            for (t,), c in terms.items()} == {
+        k: (1, 2, 7)[n - 1] * c for k, c in expected.items()}
 
 
 def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
@@ -516,13 +528,14 @@ def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
     # 3 signed bits, one byte per slot, and its grid exponents -g, 0, g
     # fill 3 slots of the lattice gZ
     seen = []
-    terms = laurent._Layout.terms
-    monkeypatch.setattr(laurent._Layout, "terms", lambda layout, v, rest=():
-                        seen.append((layout, v)) or terms(layout, v, rest))
+    coefficients = laurent._Layout.coefficients
+    monkeypatch.setattr(laurent._Layout, "coefficients", lambda layout, v:
+                        seen.append((layout, v)) or coefficients(layout, v))
     for g in (1, 2):
         seen.clear()
-        site = (lp({g: 1, -g: -1}),) + (lp({0: 1}),) * 5
-        assert _packed_sweep(1, {0: LaurentPoly.one()}, [[site]]) == site[0]
+        site = ({(g, 0): 1, (-g, 0): -1},) + ({(0, 0): 1},) * 5
+        assert _packed_sweep(1, 1, {0: LaurentPoly.one()}, [site]) == {
+            0: {(g,): 1, (-g,): -1}}
         (layout, v), = seen
         assert v == _pack([-1, 0, 1], 8)
         # a slot count read off the bit length would take these as 4 slots
@@ -533,8 +546,8 @@ def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
 
 def test_packed_site_weights_need_int_coefficients():
     with pytest.raises(TypeError):
-        _packed_sweep(1, {0: LaurentPoly.one()},
-                      [[(lp({0: Fraction(1, 2)}),) * 6]])
+        _packed_sweep(1, 1, {0: LaurentPoly.one()},
+                      [({(0, 0): Fraction(1, 2)},) * 6])
 
 
 # ---------- packed layouts ----------

@@ -142,7 +142,12 @@ def test_packed_sweep_matches_the_laurent_sweep():
             for i in range(n)]
     one = {0: LaurentPoly.one()}
     total = state_sweep(one, site)[(1 << n) - 1]
-    assert _packed_sweep(n, one, site) == total
+    # the same weights for the packer: their terms on the grid 1/8, no u
+    grid = 4
+    packed = _packed_sweep(n, grid, one, [
+        [{(k * (grid // w.scale), 0): c for (k,), c in w.terms.items()}
+         for w in weights] for row in site for weights in row])
+    assert LaurentPoly(1, grid, packed[0]) == total
     assert z_brute(p) == RatFunc(total, qdiff(1) ** (n * n))
 
 

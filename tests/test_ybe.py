@@ -38,6 +38,36 @@ def test_nontrivial_case_count_is_constant():
         assert r.cases - r.trivial_count == 20
 
 
+def test_labels_that_silence_more_cases_pass():
+    # at label 1 the turn weight vanishes, so more than the 44 cases that
+    # change the number of upward arrows are 0 = 0
+    for (y, z), trivial in (((1, 1), 64), ((1, 2), 56), ((2, 1), 56),
+                            ((1, 5), 56)):
+        r = ybe_check(y, z)
+        assert r.passed, r
+        assert r.equal_count == 64 and r.trivial_count == trivial
+
+
+def test_a_nonzero_case_that_changes_the_arrow_count_fails(monkeypatch):
+    # both sides agree and the rotation pairing holds, but a case whose
+    # bottom and top differ in upward arrows carries a value
+    sides = ybe._sides
+
+    def leaky(y, z):
+        lhs, rhs = sides(y, z)
+        case = (True, False, False, False, False, False)
+        for side in (lhs, rhs):
+            for b in (case, ybe._rotate(case)):
+                side[b] = side[b] + 1
+        return lhs, rhs
+
+    monkeypatch.setattr(ybe, "_sides", leaky)
+    r = ybe_check(2, 3)
+    assert r.equal_count == 64 and r.rotation_pairing_ok
+    assert r.trivial_count == 42
+    assert not r.passed
+
+
 def test_report_repr_mentions_counts():
     r = ybe_check(1, 1)
     assert "64" in repr(r) and "trivial" in repr(r)
