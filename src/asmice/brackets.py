@@ -35,10 +35,15 @@ from .laurent import (LaurentPoly, NonDivisible, RatFunc, _diff_factors,
 
 def qdiff(a, nvars=1, var=0):
     """The two-term Laurent polynomial t^(a/2) - t^(-a/2), for any
-    rational a."""
-    half = Fraction(a) / 2
-    return (LaurentPoly.var_power(half, var, nvars)
-            - LaurentPoly.var_power(-half, var, nvars))
+    rational a, built directly on the coarsest grid that holds it: scale
+    a.denominator, where t^(a/2) has the key a.numerator."""
+    a = Fraction(a)
+    if not a:
+        return LaurentPoly.zero(nvars)
+    hi, lo = [0] * nvars, [0] * nvars
+    hi[var], lo[var] = a.numerator, -a.numerator
+    return LaurentPoly._clean(nvars, a.denominator,
+                              {tuple(hi): 1, tuple(lo): -1})
 
 
 def qdiff_product(*value_lists, beta_power=0):

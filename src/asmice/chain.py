@@ -206,6 +206,8 @@ def ean_normalize(n, zvalue, x):
     Raises ArithmeticError when the result is not a rational integer,
     which signals an upstream convention error.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     q4 = q_fourth_root(x)
     val = (q4 ** n) * (Fraction(-1) ** n) * zvalue
     val = val * (Fraction(x) ** ((n * n - n) // 2))

@@ -22,6 +22,11 @@ determinants:
   g = f_i - f_j' over an epsilon-multiplier grid, including the symmetric
   grids (f reversed = -f) whose M commutes with the antidiagonal
   permutation and splits into two blocks.
+
+S depends on i + j only, and M on g only, so each distinct entry is built
+once and shared by every (i, j) that holds it; the packed determinant
+(matrices) then reads each distinct factor once.  The Cauchy matrix
+shares its numerator d(1).
 """
 
 from __future__ import annotations
@@ -48,11 +53,13 @@ def cauchy_matrix(xs, ys):
     _require_distinct(xs, "x")
     _require_distinct(ys, "y")
 
+    one = qdiff(1)
+
     def entry(i, j):
         d = qdiff(xs[i] - ys[j])
         if d.is_zero:
             raise ValueError(f"x_{i} - y_{j} = 0: entry pole")
-        return RatFunc(qdiff(1), d)
+        return RatFunc(one, d)
 
     return RingMatrix.from_fn(n, n, entry)
 
@@ -78,15 +85,12 @@ def _require_distinct(vals, name):
 # ---------- the ratio matrix S and its closed determinant ----------
 
 def s_matrix(n, a, b):
-    """S_{i,j} = d(a*(i+j+1))/d(b*(i+j+1)) in one formal variable."""
+    """S_{i,j} = d(a*(i+j+1))/d(b*(i+j+1)) in one formal variable; each
+    of the 2n - 1 distinct entries is built once and shared."""
     if b == 0:
         raise ValueError("b must be nonzero")
-
-    def entry(i, j):
-        m = i + j + 1
-        return RatFunc(qdiff(a * m), qdiff(b * m))
-
-    return RingMatrix.from_fn(n, n, entry)
+    ratios = [RatFunc(qdiff(a * m), qdiff(b * m)) for m in range(1, 2 * n)]
+    return RingMatrix.from_fn(n, n, lambda i, j: ratios[i + j])
 
 
 def s_det_product(n, a, b):
@@ -112,12 +116,10 @@ def s_det_closed(n, a, b):
 
 
 def s_matrix_bivariate(n):
-    """S(n;s,t) with both variables formal (small-n cross-check mode)."""
-    def entry(i, j):
-        m = i + j + 1
-        return RatFunc(qdiff(m, 2, 0), qdiff(m, 2, 1))
-
-    return RingMatrix.from_fn(n, n, entry)
+    """S(n;s,t) with both variables formal (small-n cross-check mode),
+    each distinct entry built once, as in s_matrix."""
+    ratios = [RatFunc(qdiff(m, 2, 0), qdiff(m, 2, 1)) for m in range(1, 2 * n)]
+    return RingMatrix.from_fn(n, n, lambda i, j: ratios[i + j])
 
 
 def s_det_closed_bivariate(n):
@@ -194,7 +196,8 @@ def general_x_matrix(grid, x=FORMAL, s=FORMAL):
 
     Either or both of x and s may be left formal.  With both formal the
     entries are bivariate (variable 0 is s, variable 1 is x); with one
-    rational value substituted they are univariate in the other.
+    rational value substituted they are univariate in the other.  Each
+    distinct g gives one entry, built once and shared by its (i, j).
     """
     nvars = 2 if x is FORMAL and s is FORMAL else 1
     if s is FORMAL:
@@ -208,15 +211,17 @@ def general_x_matrix(grid, x=FORMAL, s=FORMAL):
     x = LaurentPoly.var_power(1, nvars - 1, nvars) if x is FORMAL \
         else Fraction(x)
     num = x * x - 4 * x
+    entries = {}
 
     def entry(i, j):
         g = grid.g(i, j)
-        den = spow(g) + spow(-g) + 2 - x
-        if not den:
-            raise ValueError(f"zero denominator at entry ({i},{j})")
-        if isinstance(den, Fraction):
-            return num / den
-        return RatFunc(num, den)
+        if g not in entries:
+            den = spow(g) + spow(-g) + 2 - x
+            if not den:
+                raise ValueError(f"zero denominator at entry ({i},{j})")
+            entries[g] = (num / den if isinstance(den, Fraction)
+                          else RatFunc(num, den))
+        return entries[g]
 
     return RingMatrix.from_fn(grid.n, grid.n, entry)
 

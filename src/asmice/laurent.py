@@ -6,12 +6,14 @@ monomial t^(1/2) has exponent key 1 and t^(-3) has key -6.  One or two
 variables are supported; keys are exponent tuples of length nvars.
 
 The grid is this module's business.  A constructor that takes a rational
-exponent (var_power, and the brackets module's qdiff through it) picks the
-coarsest grid that holds it, and every binary operation promotes its
-operands to the least common grid (_matched).  A caller that combines many
-polynomials on mixed grids puts them on their least common grid once, by
-common_grid, so that no operation promotes again.  Callers never choose D;
-only the raw-key constructor LaurentPoly(nvars, scale, terms) takes one.
+exponent (var_power) picks the coarsest grid that holds it, and every
+binary operation promotes its operands to the least common grid
+(_matched).  A caller that combines many polynomials on mixed grids puts
+them on their least common grid once, by common_grid, so that no
+operation promotes again.  Only the raw-key constructors
+LaurentPoly(nvars, scale, terms) and _clean take a D from the caller; the
+brackets module's qdiff builds t^(a/2) - t^(-a/2) with _clean directly,
+on the grid that var_power picks for t^(a/2).
 
 Coefficients are exact scalars: int, fractions.Fraction or Cyclotomic.
 Zero coefficients are never stored.
@@ -145,7 +147,10 @@ by 2^E; d(1)^E has the central binomial coefficient C(E, E/2) at its
 middle.
 
 The schoolbook multiply (_mul_terms) and long division (_long_divide) also
-serve sparse operands and the tests, as the oracle.
+serve sparse operands and the tests, as the oracle.  A schoolbook product
+with a one-term operand c*t^e is a shift: every key of the other operand
+moves by e, so no two keys meet, and its coefficients are multiplied by c,
+which leaves them nonzero (Z, Q and Q(zeta_24) have no zero divisors).
 """
 
 from __future__ import annotations
@@ -241,6 +246,8 @@ class LaurentPoly:
         return len(self.terms) == 1
 
     def min_exponents(self):
+        if self.nvars == 1:
+            return min(self.terms)
         return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
 
     def rescale(self, new_scale):
@@ -566,9 +573,14 @@ def _mul1(a, b):
 
 
 def _mul_terms(a, b):
-    """Schoolbook product of univariate term dicts, over nonzero pairs."""
+    """Schoolbook product of univariate term dicts, over nonzero pairs.
+    A one-term operand shifts the other: no two keys meet, and a product
+    of nonzero coefficients is nonzero."""
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        ((e,), cb), = b.items()
+        return {(k + e,): c * cb for (k,), c in a.items()}
     out = {}
     get = out.get
     for (e,), cb in b.items():
@@ -966,8 +978,7 @@ class RatFunc:
                 den = LaurentPoly.one(num.nvars, num.scale)
             else:
                 cs = [*num.terms.values(), *den.terms.values()]
-                split = (None if all(type(c) is int for c in cs)
-                         else _split(cs))
+                split = None if {*map(type, cs)} == {int} else _split(cs)
                 if split is not None:
                     ints = iter(split[1])
                     num, den = [LaurentPoly._clean(p.nvars, p.scale, {

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from asmice.brackets import (BracketProduct, beta, bracket, bracket_ratio,
                              qdiff, qdiff_product)
@@ -41,6 +41,20 @@ def test_qdiff_basic_values():
     # each on the coarsest grid that holds t^(a/2): D = a.denominator
     for a in (0, 1, -3, Fraction(1, 2), Fraction(5, 4), Fraction(-7, 6)):
         assert qdiff(a).scale == Fraction(a).denominator
+
+
+@given(st.fractions(-12, 12, max_denominator=12),
+       st.sampled_from([(1, 0), (2, 0), (2, 1)]))
+@example(Fraction(0), (1, 0))
+@example(Fraction(0), (2, 1))
+@example(Fraction(-5, 12), (2, 1))
+def test_qdiff_is_the_difference_of_its_monomials(a, place):
+    nvars, var = place
+    direct = qdiff(a, nvars, var)
+    want = (LaurentPoly.var_power(a / 2, var, nvars)
+            - LaurentPoly.var_power(-a / 2, var, nvars))
+    assert (direct.nvars, direct.scale) == (want.nvars, want.scale)
+    assert list(direct.terms.items()) == list(want.terms.items())
 
 
 def test_beta_is_the_unit_difference():

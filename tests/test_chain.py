@@ -201,7 +201,8 @@ def test_sizes_below_one_are_refused():
     for n in (0, -1):
         for refused in (lambda: ik_eps_product(n, 1),
                         lambda: z_half_eps_product(n),
-                        lambda: z_half_eps_brute(n, 1)):
+                        lambda: z_half_eps_brute(n, 1),
+                        lambda: ean_normalize(n, q_fourth_root(1), 1)):
             with pytest.raises(ValueError, match="n must be positive"):
                 refused()
     with pytest.raises(ValueError, match="n must be positive"):

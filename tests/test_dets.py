@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from asmice.brackets import qdiff
 from asmice.dets import (EpsilonGrid, antidiagonal_block_det, cauchy_det_closed,
                          cauchy_matrix, general_x_matrix, s_det_closed,
                          s_det_closed_bivariate, s_det_product, s_matrix,
@@ -169,6 +170,79 @@ def test_all_parameter_modes_agree_at_sample_points():
                 m_num[i, j]
             assert m_s2[i, j].eval_units(Fraction(1)) == \
                 general_x_matrix(grid, x=1, s=2)[i, j]
+
+
+# ---------- each distinct entry built once ----------
+
+def same_entry(got, want):
+    """got and want are equal scalars, or RatFuncs with the same num and
+    den terms in the same order on the same grid."""
+    if not isinstance(want, RatFunc):
+        return type(got) is type(want) and got == want
+    return all((p.nvars, p.scale, list(p.terms.items()))
+               == (q.nvars, q.scale, list(q.terms.items()))
+               for p, q in ((got.num, want.num), (got.den, want.den)))
+
+
+def assert_shared(m, key):
+    """Entries with equal key(i, j) are one object, others are not."""
+    n = m.nrows
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in cells:
+        for k, l in cells:
+            assert (m[i, j] is m[k, l]) == (key(i, j) == key(k, l))
+
+
+def test_ratio_matrix_entries_are_built_once_per_sum():
+    n = 4
+    cases = ((s_matrix(n, 2, 3), lambda m: RatFunc(qdiff(2 * m), qdiff(3 * m))),
+             (s_matrix(n, Fraction(1, 2), -1),
+              lambda m: RatFunc(qdiff(Fraction(m, 2)), qdiff(-m))),
+             (s_matrix_bivariate(n),
+              lambda m: RatFunc(qdiff(m, 2, 0), qdiff(m, 2, 1))))
+    for matrix, entry in cases:
+        for i in range(n):
+            for j in range(n):
+                assert same_entry(matrix[i, j], entry(i + j + 1))
+        assert_shared(matrix, lambda i, j: i + j)
+
+
+def general_x_entry(grid, i, j, x, s):
+    """Entry (i, j) of general_x_matrix built on its own."""
+    g = grid.g(i, j)
+    nvars = 2 if x is None and s is None else 1
+    if s is None:
+        sg, sm = (LaurentPoly.var_power(e, 0, nvars) for e in (g, -g))
+    else:
+        sg, sm = Fraction(s) ** g, Fraction(s) ** -g
+    if x is None:           # s is variable 0 when both are formal
+        x = LaurentPoly.var_power(1, nvars - 1, nvars)
+    else:
+        x = Fraction(x)
+    den = sg + sm + 2 - x
+    num = x * x - 4 * x
+    return num / den if isinstance(den, Fraction) else RatFunc(num, den)
+
+
+def test_general_x_entries_are_built_once_per_difference():
+    grid = EpsilonGrid.symmetric([-3, -1, 1, 3])
+    for x, s in ((None, Fraction(7, 5)), (3, None), (None, None),
+                 (Fraction(1, 2), Fraction(7, 5))):
+        m = general_x_matrix(grid, x=x, s=s)
+        for i in range(grid.n):
+            for j in range(grid.n):
+                assert same_entry(m[i, j], general_x_entry(grid, i, j, x, s))
+        assert_shared(m, grid.g)
+
+
+def test_general_x_zero_denominator_names_its_first_entry():
+    # g = f_i - f'_j vanishes first at (1, 1) and again at (2, 2); at
+    # x = 4 exactly those entries have the denominator 4 - x = 0
+    grid = EpsilonGrid((1, 2, 3), (0, 2, 3))
+    for s in (None, Fraction(7, 5)):
+        with pytest.raises(ValueError,
+                           match=r"^zero denominator at entry \(1,1\)$"):
+            general_x_matrix(grid, x=4, s=s)
 
 
 # ---------- antidiagonal block splitting ----------

@@ -574,6 +574,56 @@ def test_layout_places_and_packs_on_its_lattice(g, shift, scale, coeffs):
             layout.unpack(bad)
 
 
+# ---------- the schoolbook's one-term shortcut ----------
+
+def accumulated(a, b):
+    """The schoolbook's accumulation loop over every pair of terms, with no
+    shortcut: the oracle for the one-term product."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for (e,), cb in b.items():
+        for (k,), c in a.items():
+            s = out.get((k + e,), 0) + c * cb
+            if s:
+                out[(k + e,)] = s
+            else:
+                out.pop((k + e,), None)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction", "Cyclotomic"])
+def test_one_term_products_match_the_accumulation_loop(kind):
+    rng = random.Random(30)
+
+    def coefficient():
+        c = rng.choice([k for k in range(-9, 10) if k])
+        if kind == "Fraction":
+            return Fraction(c, rng.randint(1, 7))
+        if kind == "Cyclotomic":
+            return Cyclotomic([c, *rng.choices(range(-3, 4), k=7)])
+        return c
+
+    for size in (1, 2, 5, 12):
+        poly = {(k,): coefficient()
+                for k in rng.sample(range(-20, 21), size)}
+        mono = {(rng.randint(-9, 9),): coefficient()}
+        for a, b in ((poly, mono), (mono, poly)):
+            got, want = _mul_terms(a, b), accumulated(a, b)
+            assert list(got.items()) == list(want.items())
+
+
+def test_one_term_bivariate_products_through_the_kronecker_map():
+    rng = random.Random(31)
+    p = LaurentPoly(2, 2, {(rng.randint(-6, 6), rng.randint(-6, 6)):
+                           rng.choice([-3, -1, 2, Fraction(1, 3)])
+                           for _ in range(8)})
+    for c in (5, Fraction(-2, 7), q_fourth_root(3)):
+        m = LaurentPoly(2, 2, {(3, -5): c})
+        want = {(e + 3, f - 5): v * c for (e, f), v in p.terms.items()}
+        assert (p * m).terms == want == (m * p).terms
+
+
 # ---------- difference products against the schoolbook ----------
 
 def schoolbook_diff_product(diffs):
