@@ -38,7 +38,7 @@ def qdiff(a, nvars=1, var=0):
     rational a, built directly on the coarsest grid that holds it: scale
     a.denominator, where t^(a/2) has the key a.numerator."""
     a = Fraction(a)
-    if not a:
+    if not a or nvars not in (1, 2):     # zero() refuses any other nvars
         return LaurentPoly.zero(nvars)
     hi, lo = [0] * nvars, [0] * nvars
     hi[var], lo[var] = a.numerator, -a.numerator

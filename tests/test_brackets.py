@@ -41,6 +41,9 @@ def test_qdiff_basic_values():
     # each on the coarsest grid that holds t^(a/2): D = a.denominator
     for a in (0, 1, -3, Fraction(1, 2), Fraction(5, 4), Fraction(-7, 6)):
         assert qdiff(a).scale == Fraction(a).denominator
+    for nvars in (0, 3):
+        with pytest.raises(ValueError, match="only 1 or 2 variables"):
+            qdiff(1, nvars)
 
 
 @given(st.fractions(-12, 12, max_denominator=12),
