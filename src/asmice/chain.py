@@ -38,8 +38,29 @@ As eps -> 0 (s -> 1) the grid merges into the single point 1/2 and
 
 For x = 1 and x = 2 the matrix [1/tau] is a difference-ratio matrix with
 a fully factored determinant, so W itself factors and the limit is read
-off factor by factor.  For x = 3 no such factorization is used; the limit
-is taken on the exact rational function.
+off factor by factor.  At every other x the limit is taken inside the
+determinant, as Izergin, Coker and Korepin take the homogeneous limit
+("Determinant formula for the six-vertex model", J. Phys. A 25 (1992)
+4315).  Write s = e^h.  On the standard grid g_ij = a_i + b_j with
+a_i = i + 1 and b_j = j, so the entries of [1/tau] are phi(h(a_i + b_j)),
+phi(z) = 1/(2 cosh z - (x-2)), analytic at 0 for x != 4, and
+
+    det[phi(h(a_i + b_j))] = h^(n^2-n) V(a) V(b) det[phi^(i+j)(0)/(i! j!)]
+                             + O(h^(n^2-n+1)),
+
+V the Vandermonde product.  As d(k) = 2 sinh(k h/2) ~ k h, the two
+difference products are h^(n^2-n) V(a) V(b) to leading order and cancel
+that factor.  Each of the n^2 taus tends to 4 - x, the power of s to 1,
+and x^((n^2-n)/2) over (x^2-4x)^((n^2-n)/2) leaves (x-4)^(-(n^2-n)/2).
+So
+
+    A(n; x) = (4-x)^(n^2) (x-4)^(-(n^2-n)/2) det[C(i+j, i) a_(i+j)],
+
+a_k = [z^k] phi(z), a determinant of plain rationals.  phi is even, so
+a_k = 0 for odd k and the matrix is a checkerboard: its determinant is
+the product of those of its even-index and odd-index blocks.  Both
+sides are rational in x with no pole at 0, so the identity also holds
+at x = 0, where W's beta^2 power vanishes, and gives A(n; 0) = n!.
 
 z_half_eps_brute sums Z over the states instead, on the group ring
 Z[u^(+-1)][s^(+-1)], u = q^(1/4): at h = u^2 and m = u s^(g/2) the
@@ -52,14 +73,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm, prod
 
 from .brackets import BracketProduct, qdiff_product
 from .cyclotomic import Cyclotomic, _fold, cyclotomic_embed
 from .dets import EpsilonGrid, s_det_product
 from .laurent import LaurentPoly, RatFunc, limit_at_one
-from .matrices import cleared_det
-from .matrices import det_exact  # noqa: F401  perfbench/selftest.py
+from .matrices import RingMatrix, cleared_det, det_exact
 from .sixvertex import _packed_sweep, _weight_terms
 
 #: difference-ratio exponents (a, b) with 1/tau(m) = d(a*m)/d(b*m)
@@ -221,29 +241,56 @@ def ean_normalize(n, zvalue, x):
     return int(val)
 
 
+def _merged_count(n, x):
+    """A(n; x) by the s -> 1 limit taken inside the determinant (see the
+    module docstring), for any rational x != 4: an exact Fraction."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    x = Fraction(x)
+    b0 = 4 - x
+    if not b0:
+        raise ValueError("x = 4 puts a pole of phi at the merged point")
+    # a[m] = a_(2m): the reciprocal of b(z) = b0 + sum_m 2 z^(2m)/(2m)!
+    a = []
+    for m in range(n):
+        tail = sum(Fraction(2, factorial(2 * k)) * a[m - k]
+                   for k in range(1, m + 1))
+        a.append(((m == 0) - tail) / b0)
+    det = prod(det_exact(RingMatrix([[comb(i + j, i) * a[(i + j) // 2]
+                                      for j in range(p, n, 2)]
+                                     for i in range(p, n, 2)]))
+               for p in range(min(n, 2)))
+    # (4-x)^(n^2) (x-4)^(-(n^2-n)/2)
+    return (-1) ** ((n * n - n) // 2) * b0 ** ((n * n + n) // 2) * det
+
+
 def a_via_chain(n, x, route="auto"):
     """The weighted count A(n; x) through the full specialization chain.
 
     route "product" uses the factored form (x in {1, 2} only), "det" the
-    exact rational-function limit (any rational x outside {0, 4}), "auto"
-    picks the factored form when available.  An integral x gives an int,
-    and a non-integral one the exact Fraction A(n; x); n < 1 raises
-    ValueError in the route's own function.
+    exact rational-function limit on the epsilon grid (any rational x
+    outside {0, 4}), "merged" the limit taken inside the determinant (any
+    rational x other than 4; see the module docstring), and "auto" the factored
+    form at x in {1, 2} and the merged one at every other x.  An integral
+    x gives an int, and a non-integral one the exact Fraction A(n; x);
+    n < 1 raises ValueError in the route's own function.
     """
     if route == "auto":
-        route = "product" if x in RATIO_EXPONENTS else "det"
-    if route == "product":
-        w = ik_eps_product(n, x)
-        if w.net_diff_power != 0:
-            raise ArithmeticError("grid limit degenerates")
-        lim = w.limit_at_one()
-    elif route == "det":
-        lim = limit_at_one(ik_eps_ratfunc(n, x))
+        route = "product" if x in RATIO_EXPONENTS else "merged"
+    if route == "merged":
+        val = _merged_count(n, x)
     else:
-        raise ValueError(f"unknown route {route!r}")
-    x = Fraction(x)
-    val = lim * x ** ((n * n - n) // 2)
-    if x.denominator != 1:
+        if route == "product":
+            w = ik_eps_product(n, x)
+            if w.net_diff_power != 0:
+                raise ArithmeticError("grid limit degenerates")
+            lim = w.limit_at_one()
+        elif route == "det":
+            lim = limit_at_one(ik_eps_ratfunc(n, x))
+        else:
+            raise ValueError(f"unknown route {route!r}")
+        val = lim * Fraction(x) ** ((n * n - n) // 2)
+    if Fraction(x).denominator != 1:
         return val
     if val.denominator != 1:
         raise ArithmeticError("chain value is not an integer")

@@ -72,12 +72,6 @@ class Cyclotomic:
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0]
 
-    def as_integer(self):
-        r = self.as_rational()
-        if r.denominator != 1:
-            raise ValueError(f"{self!r} is not an integer")
-        return int(r)
-
     def _scale(self, r):
         return _make([_integral(c * r) if c else 0 for c in self.coeffs])
 

@@ -200,18 +200,21 @@ def _det_packed(rows):
     "Packed determinants" in the module docstring); None unless n <=
     _PACKED_MAX_N and every factor of every entry is a univariate
     LaurentPoly with int coefficients."""
-    factors = [p for row in rows for e in row for p in e]
-    if len(rows) > _PACKED_MAX_N or not all(
-            type(p) is LaurentPoly and p.nvars == 1
-            and all(type(c) is int for c in p.terms.values())
-            for p in factors):
+    if len(rows) > _PACKED_MAX_N:
+        return None
+    # each distinct factor once, checked before any of its attributes is
+    # read
+    factors = {id(p): p for row in rows for e in row for p in e}.values()
+    if not all(type(p) is LaurentPoly and p.nvars == 1
+               and all(type(c) is int for c in p.terms.values())
+               for p in factors):
         return None
     grid = lcm(*[p.scale for p in factors])
-    # each nonzero factor once: on the grid, its least and greatest
-    # exponent and its L1 norm
+    # each nonzero factor: on the grid, its least and greatest exponent
+    # and its L1 norm
     spans = {}
     for p in factors:
-        if p and id(p) not in spans:
+        if p:
             q = p.rescale(grid)
             spans[id(p)] = q, min(q.terms)[0], max(q.terms)[0], _l1(q.terms)
     rows = [[[spans[id(p)] for p in e] if all(e) else None for e in row]

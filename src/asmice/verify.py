@@ -261,8 +261,6 @@ def _build_chain(rng, max_n):
     items = []
     for n in range(1, max_n + 1):
         for x in (1, 2, 3):
-            if x == 3 and n > 5:
-                continue
             items.append((check_chain_count, {"n": n, "x": x}))
     for n in range(1, min(max_n, 6) + 1):
         items.append((check_chain_displayed, {"n": n}))

@@ -137,6 +137,7 @@ def test_criterion_8_specialization_chain(capsys):
         for n in range(1, 6):
             assert a_via_chain(n, 2) == a2_formula(n)
             assert a_via_chain(n, 3) == a3_formula(n)
+            assert a_via_chain(n, 3, route="det") == a3_formula(n)
 
 
 def test_criterion_9_block_factorization(capsys):

@@ -1,6 +1,7 @@
 """The merged-parameter limit chain from the determinant formula to counts."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -12,6 +13,7 @@ from asmice.chain import (RATIO_EXPONENTS, a_via_chain, ean_normalize, half_spec
 from asmice.asm import enumerate_asms
 from asmice.cyclotomic import Cyclotomic
 from asmice.dets import EpsilonGrid, s_det_product
+from asmice.formulas import a2_formula, a3_formula, a_formula
 from asmice.ice import to_ice
 from asmice.laurent import LaurentPoly, RatFunc
 from asmice.transfer import transfer_count
@@ -181,11 +183,58 @@ def test_counts_through_the_determinant_route():
 
 def test_counts_at_non_integral_x_are_exact_fractions():
     # x^((n^2-n)/2) lim W is A(n; x) at every rational x, not only at ints
-    for x in (Fraction(5, 2), Fraction(7, 3), Fraction(-1, 2)):
-        for n in (1, 2, 3, 4):
-            assert a_via_chain(n, x) == transfer_count(n)(x), (n, x)
-    assert a_via_chain(3, Fraction(1, 2)) == Fraction(13, 2)   # 6 + x
-    assert type(a_via_chain(3, Fraction(6, 2))) is int
+    for route in ("det", "merged"):
+        for x in (Fraction(5, 2), Fraction(7, 3), Fraction(-1, 2)):
+            for n in (1, 2, 3, 4):
+                assert (a_via_chain(n, x, route=route)
+                        == transfer_count(n)(x)), (n, x, route)
+        assert a_via_chain(3, Fraction(1, 2), route=route) == Fraction(13, 2)
+        assert type(a_via_chain(3, Fraction(6, 2), route=route)) is int
+
+
+def test_merged_route_equals_the_closed_forms():
+    for n in range(1, 41):
+        for x, formula in ((1, a_formula), (2, a2_formula), (3, a3_formula)):
+            got = a_via_chain(n, x, route="merged")
+            assert got == formula(n) and type(got) is int, (n, x)
+
+
+def test_merged_route_equals_transfer_at_non_integral_x():
+    xs = (Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3), Fraction(5, 2),
+          Fraction(9, 2), Fraction(-7, 5))
+    for n in range(1, 13):
+        poly = transfer_count(n)
+        for x in xs:
+            assert a_via_chain(n, x, route="merged") == poly(x), (n, x)
+
+
+def test_merged_route_equals_the_grid_limit():
+    for n in range(1, 9):
+        for x in (3, Fraction(7, 3)):
+            assert (a_via_chain(n, x, route="merged")
+                    == a_via_chain(n, x, route="det")), (n, x)
+
+
+def test_auto_takes_the_merged_route_off_the_factored_cases(monkeypatch):
+    # the grid's rational function is not built at x = 3 or at a
+    # non-integral x
+    monkeypatch.setattr("asmice.chain.ik_eps_ratfunc", None)
+    assert a_via_chain(6, 3) == a3_formula(6)
+    assert a_via_chain(4, Fraction(5, 2)) == transfer_count(4)(Fraction(5, 2))
+
+
+def test_merged_route_at_zero_and_four():
+    # A(n; 0) = n! (permutation matrices), where the grid limit divides
+    # by beta^2 = 0; x = 4 puts a pole at the merged point
+    for n in range(1, 9):
+        assert a_via_chain(n, 0) == factorial(n)
+    with pytest.raises(ValueError, match="degenerates"):
+        a_via_chain(2, 0, route="det")
+    for route in ("auto", "merged"):
+        with pytest.raises(ValueError, match="x = 4"):
+            a_via_chain(3, 4, route=route)
+        with pytest.raises(ValueError, match="n must be positive"):
+            a_via_chain(0, Fraction(7, 3), route=route)
 
 
 def test_sizes_below_one_are_refused():

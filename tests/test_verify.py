@@ -68,6 +68,16 @@ def test_chain_suite_small_passes():
     assert all(r.passed for r in results)
 
 
+def test_chain_counts_at_three_grow_with_max_n():
+    items = build_suite("chain", 0, 8)
+    threes = [kw["n"] for f, kw in items
+              if f.__name__ == "check_chain_count" and kw["x"] == 3]
+    assert threes == list(range(1, 9))
+    for f, kw in items:
+        if f.__name__ == "check_chain_count":
+            assert f(**kw).passed, kw
+
+
 def test_process_pool_matches_serial():
     serial = run_suite("cauchy", seed=3, max_n=3)
     parallel = run_suite("cauchy", seed=3, max_n=3, workers=2)
