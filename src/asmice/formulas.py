@@ -109,6 +109,9 @@ def b_chain(max_n, a_polys=None):
         if max_n - 1 > DEFAULT_BOUND:
             raise ValueError(f"maxN {max_n} beyond the transfer bound")
         a_polys = [transfer_count(k) for k in range(1, max_n)]
+    elif len(a_polys) < max_n - 1:
+        raise ValueError(f"b_chain({max_n}) needs A(1;x)..A({max_n - 1};x), "
+                         f"{max_n - 1} polynomials, got {len(a_polys)}")
     one = IntPoly.const(1)
     polys = [one]
     for n in range(1, max_n):

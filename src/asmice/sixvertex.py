@@ -45,17 +45,17 @@ as the packed determinants do).  A start in (t, w), the degree check's
 top row, is split into one frontier per w-exponent; only the chain has
 U > 0.
 
-Slot width.  Along a row the sweep takes at most two of a site's weights
-from any key (entry 0, and +1 or -1 where the column and row bits allow),
-so from any start key at most 2^c fillings of c sites reach the end; as
-L1(fg) <= L1(f) L1(g), every coefficient of the sum is at most
-L1(start) * prod over sites (2 * the site's largest L1), read off the
-terms given.  Each weight of the table has at most two terms, with
-coefficients +-1, so L1 <= 2 in Z[t^(+-1)] and in Z[u^(+-1)][t^(+-1)]
-alike, and from the start 1 the n^2 sites bound every coefficient of
-b^(n^2) Z by 4^(n^2).  A formal top row swept first and handed over as
-the start has L1 at most n 2^n < 4^n over its n masks, so the same bound
-holds.
+Slot width.  Packing is a ring map: t and u go to powers of 2, so every
+sum and product of packed ints is exactly the packed sum and product,
+and no value inside the sweep needs to fit its slots.  Only the
+coefficients of the final sum are read back, and each is at most the
+same state sum taken over L1 norms: state_sweep run on plain ints, from
+each start value's L1 and with each weight's L1 in its place, since
+L1(fg) <= L1(f) L1(g) and L1(f + g) <= L1(f) + L1(g).  That sum is the
+layout's bound.  A start split by w-exponent has L1 at most the whole
+start's at every mask, so the one bound holds for each of its parts.
+With sites whose six weights are all 1, every L1 is 1 and the bound is
+the number of states, A(n), which is also the sum's one coefficient.
 
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .brackets import BracketProduct, qdiff
 from .ice import ZERO_STATE
@@ -199,10 +199,11 @@ def _packed_sweep(n, grid, start, sites):
     top, top_u = [sum(hi[i] - lo[i] for hi, lo in zip(highs, lows))
                   // steps[i] for i in (0, 1)]
     block = top + 1         # the t-slots of one u-exponent
+    l1_rows = [[_l1(w) for w in site] for site in sites]
+    bound = state_sweep({key: _l1(p.terms) for key, p in start.items()},
+                        [l1_rows[i:i + n] for i in range(0, len(sites), n)])
     # the slot indices are dense, so the layout's lattice step is 1
-    layout = _Layout(grid, (), sum(_l1(p.terms) for p in start.values())
-                     * prod(2 * max(map(_l1, site)) for site in sites),
-                     0, top + block * top_u)
+    layout = _Layout(grid, (), bound[(1 << n) - 1], 0, top + block * top_u)
 
     def shift(k, lo):       # the bit offset of t^k[0] u^k[1] over lo
         return layout.width * ((k[0] - lo[0]) // steps[0]

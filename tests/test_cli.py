@@ -264,6 +264,14 @@ def loaded_after(code):
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "asmice", "count", "--n", "3"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["7"]
+
+
 def test_counting_commands_load_no_verify_machinery():
     loaded = loaded_after(
         "from asmice import cli\n"

@@ -106,6 +106,13 @@ def test_chain_bound_and_validation():
         BChain(3, [IntPoly.const(1)])          # length mismatch
 
 
+def test_chain_names_the_enumerations_it_needs():
+    with pytest.raises(ValueError, match=r"needs A\(1;x\)\.\.A\(4;x\), 4 "
+                       r"polynomials, got 1"):
+        b_chain(5, [transfer_count(1)])
+    assert b_chain(2, [transfer_count(1)])[2] == IntPoly.const(1)
+
+
 def test_chain_rejects_inexact_division():
     bad = [IntPoly.const(1), IntPoly.const(4), IntPoly([1, 1])]
     with pytest.raises(ArithmeticError):

@@ -524,9 +524,9 @@ def test_packed_site_product_round_trips(n, weights, start_scale):
 
 def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
     # at n = 1 the state sum is the start times the site's first weight,
-    # t^(g/2) - t^(-g/2), the others 1: L1(start) * 2 * L1(site) = 4 needs
-    # 3 signed bits, one byte per slot, and its grid exponents -g, 0, g
-    # fill 3 slots of the lattice gZ
+    # t^(g/2) - t^(-g/2), the others 1: its L1 bound 2 needs 3 signed
+    # bits, one byte per slot, and its grid exponents -g, 0, g fill 3
+    # slots of the lattice gZ
     seen = []
     coefficients = laurent._Layout.coefficients
     monkeypatch.setattr(laurent._Layout, "coefficients", lambda layout, v:

@@ -8,6 +8,7 @@ import pytest
 
 from asmice.asm import count_asms_brute, enumerate_asms
 from asmice.brackets import bracket, bracket_ratio, qdiff
+from asmice.formulas import a_formula
 from asmice.ice import from_ice, to_ice
 from asmice import laurent, sixvertex
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
@@ -149,6 +150,21 @@ def test_packed_sweep_matches_the_laurent_sweep():
          for w in weights] for row in site for weights in row])
     assert LaurentPoly(1, grid, packed[0]) == total
     assert z_brute(p) == RatFunc(total, qdiff(1) ** (n * n))
+
+
+def test_packed_sweep_bound_is_reached_by_all_ones_weights(monkeypatch):
+    # every weight the constant 1: each of the A(n) states weighs 1, so
+    # the L1 sweep's bound is A(n) and so is the sum's one coefficient
+    bounds = []
+    layout = sixvertex._Layout
+    monkeypatch.setattr(sixvertex, "_Layout", lambda grid, exps, bound, *a:
+                        bounds.append(bound) or layout(grid, exps, bound, *a))
+    for n in range(1, Z_BRUTE_BOUND + 1):
+        bounds.clear()
+        sites = [({(0, 0): 1},) * 6] * (n * n)
+        assert _packed_sweep(n, 1, {0: LaurentPoly.one()}, sites) == {
+            0: {(0,): a_formula(n)}}, n
+        assert bounds == [a_formula(n)], n
 
 
 def test_scaled_weights_are_the_weights_times_b():

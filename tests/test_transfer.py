@@ -7,8 +7,10 @@ import pytest
 from asmice.asm import x_enumerate_brute
 from asmice.formulas import a2_formula, a3_formula, a_formula
 from asmice.intpoly import IntPoly
-from asmice.transfer import (DEFAULT_BOUND, _folded_sweep, _pair, _reversals,
-                             _slot_width, _sweep, _unpack, coeff_count,
+from asmice import formulas, transfer
+from asmice.transfer import (DEFAULT_BOUND, _block_count, _folded_sweep,
+                             _halves, _pair, _reversals, _slot_width, _sweep,
+                             _sweep_width, _unpack, coeff_count,
                              transfer_count)
 
 
@@ -41,6 +43,80 @@ def test_slot_width_bounds_every_count():
     for n in range(1, DEFAULT_BOUND + 1):
         assert max(transfer_count(n).ascending()) < 1 << _slot_width(n), n
     assert [_slot_width(n) for n in (13, 14, 16)] == [98, 115, 153]
+
+
+def block_bits(n):
+    """The bit length of prod_{0<i<=ceil(n/2)} C(n, i), which bounds every
+    frontier count of the meet-in-the-middle sweep."""
+    return math.prod(math.comb(n, i)
+                     for i in range(1, (n + 1) // 2 + 1)).bit_length()
+
+
+def sweep_widths(monkeypatch):
+    """The widths transfer_count sweeps at, one per _folded_sweep call."""
+    widths = []
+    folded = transfer._folded_sweep
+    monkeypatch.setattr(transfer, "_folded_sweep", lambda n, width, *a:
+                        widths.append(width) or folded(n, width, *a))
+    return widths
+
+
+def test_proposed_width_is_narrower_than_the_slot_width(monkeypatch):
+    widths = sweep_widths(monkeypatch)
+    for n in range(1, DEFAULT_BOUND + 1):
+        width = min(_sweep_width(n), _slot_width(n))
+        assert (width < _slot_width(n)) == (n >= 5), n
+        widths.clear()
+        transfer_count(n)
+        assert widths == [width, width], n      # no second sweep
+    assert [_sweep_width(n) for n in (4, 13, 14, 16)] == [7, 64, 75, 97]
+
+
+def test_block_count_is_the_exact_count():
+    """Frontier values mod 2^w - 1 give A(n) exactly once w is one bit
+    above the block bound, however far A(n) overflows the slots."""
+    for n in range(1, DEFAULT_BOUND + 1):
+        rev = _reversals(n)
+        for width in (block_bits(n) + 1, _sweep_width(n)):
+            top, bottom = _halves(n, width, rev)
+            assert _block_count(n, top, bottom, rev, width) == a_formula(n), n
+    assert a_formula(14).bit_length() > block_bits(14) + 1
+
+
+def test_too_narrow_a_proposal_falls_back_to_the_slot_width(monkeypatch):
+    """With the formula patched to 0, the proposal is one bit above the
+    block bound, too narrow for A(n) from n = 6 on; the sweep's own count
+    sends it to _slot_width(n), and every answer stays right."""
+    monkeypatch.setattr(formulas, "a_formula", lambda n: 0)
+    widths = sweep_widths(monkeypatch)
+    for n in range(1, 7):
+        assert transfer_count(n) == x_enumerate_brute(n), n
+    for n in range(1, 14):
+        width = _slot_width(n)
+        full = _sweep(n, width, n, {0: 1}).get((1 << n) - 1, 0)
+        assert transfer_count(n) == IntPoly(
+            _unpack(full, coeff_count(n), width)), n
+    for n in range(1, DEFAULT_BOUND + 1):
+        widths.clear()
+        p = transfer_count(n)
+        assert p(1) == a_formula(n) == formula_count(n), n
+        assert p(2) == a2_formula(n) and p(3) == a3_formula(n), n
+        narrow = min(block_bits(n) + 1, _slot_width(n))
+        if a_formula(n) >> narrow:
+            assert widths == [narrow, narrow, _slot_width(n),
+                              _slot_width(n)], n
+        else:
+            assert widths == [narrow, narrow], n
+    assert a_formula(6) >> block_bits(6) + 1
+
+
+def test_too_wide_a_proposal_stops_at_the_slot_width(monkeypatch):
+    monkeypatch.setattr(formulas, "a_formula", lambda n: 1 << 400)
+    widths = sweep_widths(monkeypatch)
+    for n in (1, 7, 14):
+        widths.clear()
+        assert transfer_count(n)(1) == formula_count(n), n
+        assert widths == [_slot_width(n)] * 2, n
 
 
 def test_reversals_read_each_mask_right_to_left():
