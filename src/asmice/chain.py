@@ -199,8 +199,7 @@ def z_half_eps_brute(n, x, grid=None):
     # b = u^2 - u^(-2) multiplies in the group ring
     factor = ((2, 1), (-2, -1)) if n % 2 else ((0, 1),)
     folded = {}
-    for r, terms in _packed_sweep(n, d, {0: LaurentPoly.one()},
-                                  sites).items():
+    for r, terms in _packed_sweep(n, sites).items():
         for k, c in terms.items():
             v = folded.setdefault(k, [0] * 24)
             for dr, sign in factor:
@@ -264,32 +263,20 @@ def _merged_count(n, x):
     return (-1) ** ((n * n - n) // 2) * b0 ** ((n * n + n) // 2) * det
 
 
-def a_via_chain(n, x, route="auto"):
-    """The weighted count A(n; x) through the full specialization chain.
-
-    route "product" uses the factored form (x in {1, 2} only), "det" the
-    exact rational-function limit on the epsilon grid (any rational x
-    outside {0, 4}), "merged" the limit taken inside the determinant (any
-    rational x other than 4; see the module docstring), and "auto" the factored
-    form at x in {1, 2} and the merged one at every other x.  An integral
-    x gives an int, and a non-integral one the exact Fraction A(n; x);
-    n < 1 raises ValueError in the route's own function.
+def a_via_chain(n, x):
+    """The weighted count A(n; x) through the full specialization chain:
+    the factored form's limit at x in {1, 2}, and the limit taken inside
+    the determinant (see the module docstring) at every other rational x
+    but 4.  An integral x gives an int, and a non-integral one the exact
+    Fraction A(n; x); n < 1 raises ValueError.
     """
-    if route == "auto":
-        route = "product" if x in RATIO_EXPONENTS else "merged"
-    if route == "merged":
-        val = _merged_count(n, x)
+    if x in RATIO_EXPONENTS:
+        w = ik_eps_product(n, x)
+        if w.net_diff_power != 0:
+            raise ArithmeticError("grid limit degenerates")
+        val = w.limit_at_one() * Fraction(x) ** ((n * n - n) // 2)
     else:
-        if route == "product":
-            w = ik_eps_product(n, x)
-            if w.net_diff_power != 0:
-                raise ArithmeticError("grid limit degenerates")
-            lim = w.limit_at_one()
-        elif route == "det":
-            lim = limit_at_one(ik_eps_ratfunc(n, x))
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        val = lim * Fraction(x) ** ((n * n - n) // 2)
+        val = _merged_count(n, x)
     if Fraction(x).denominator != 1:
         return val
     if val.denominator != 1:

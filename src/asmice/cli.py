@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .asm import ENUM_BOUND, count_asms_brute
 from .formulas import a2_formula, a3_formula, a_formula, b_chain
-from .transfer import DEFAULT_BOUND, transfer_count
+from .transfer import DEFAULT_BOUND, coeff_count, transfer_count
 
 
 class RunReport:
@@ -59,8 +59,11 @@ def _print_report(report, stream):
 
 # ---------- subcommands ----------
 
+#: the digits of an int that CPython prints by default
+PRINT_DIGITS = 4300
+
 #: largest n each counting method accepts; A(194) has 4,276 digits, the
-#: last A(n) under the 4,300 digits that CPython prints by default
+#: last A(n) under PRINT_DIGITS
 COUNT_BOUNDS = {"brute": ENUM_BOUND, "transfer": DEFAULT_BOUND,
                 "formula": 194}
 
@@ -161,6 +164,14 @@ def _format_rational(v):
 
 
 def _parse_rational(text):
+    # Fraction builds 10**e for an exponent e, so the digits of its
+    # numerator and denominator are bounded first by the text's length
+    # plus |e|; six digits of e already pass the limit
+    m = re.search(r"e[-+]?([\d_]+)\s*$", text, re.I)
+    exponent = m[1].replace("_", "").lstrip("0")[:6] if m else ""
+    if len(text) + int(exponent or 0) > PRINT_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} may exceed the {PRINT_DIGITS}-digit print limit")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -222,7 +233,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+            r"^-\d+/\d+$|^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -245,7 +256,7 @@ def build_parser():
     p = sub.add_parser("xenum", help="the x-enumeration polynomial A(n;x)")
     p.add_argument("--n", type=_size(DEFAULT_BOUND), required=True)
     p.add_argument("--at", type=_parse_rational, default=None,
-                   help="evaluate at a rational x given as p/q")
+                   help="evaluate at a rational x given as p/q or a decimal")
 
     # B(n+1;x) needs A(n;x) only, so the chain reaches one past the bound
     p = sub.add_parser("bseq", help="the B(n;x) factorization chain")
@@ -257,7 +268,11 @@ def build_parser():
     p.add_argument("suite", choices=_Suites(), metavar="suite",
                    help="one of %(choices)s")
     p.add_argument("--n", type=_verify_n, default=None,
-                   help="size bound override for the suite")
+                   help="largest size N, 5 by default: ybe ignores it; ik "
+                        "and lemmas stop at 4; chain grows only its count "
+                        "items (displayed stops at 6, grid match at 3, ean "
+                        "at 4); cauchy and sdet grow to N (bivariate stops "
+                        "at 3)")
     p.add_argument("--workers", type=_size(os.cpu_count() or 1), default=1,
                    help="process count, at most the CPU count")
     p.add_argument("--seed", type=_size(low=0), default=0,
@@ -284,6 +299,16 @@ def run(argv=None):
                              f"{COUNT_BOUNDS[m]}")
         report = cmd_count(args.n, args.method)
     elif args.command == "xenum":
+        # the value's numerator is at most A(n) max(|p|, q)^degree, and
+        # its denominator q^degree
+        if args.at is not None:
+            digits = len(str(max(abs(args.at.numerator),
+                                 args.at.denominator)))
+            if ((coeff_count(args.n) - 1) * digits
+                    + len(str(a_formula(args.n))) > PRINT_DIGITS):
+                parser.error(f"xenum: --at has {digits} digits, so its "
+                             f"value at n = {args.n} may exceed the "
+                             f"{PRINT_DIGITS}-digit print limit")
         report = cmd_xenum(args.n, args.at)
     elif args.command == "bseq":
         report = cmd_bseq(args.max_n)

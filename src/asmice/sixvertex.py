@@ -23,39 +23,35 @@ c*h^a*m^b, h = q^(1/2), m = q^(v/2), two with c = +-1 per weight:
     terms:   -h/m + 1/(hm)   -hm + m/h       m/h - h/m       m - 1/m
 
 _weight_terms reads it for h and m given as exponent pairs.
-_label_weights (for vertex_weights, which divides by b, and ybe) and the
-degree check's formal top row in (q, w), w = q^(x_0/2), build
+_label_weights (for vertex_weights, which divides by b, and ybe) builds
 LaurentPolys from it; the packed sweep takes int exponents, h = t^grid
-and m = t^(v*grid) on t = q^(1/(2*grid)) for z_brute and the degree
-check's other rows, and h = u^2, m = u s^(g/2), u = q^(1/4), for
+and m = t^(v*grid) on t = q^(1/(2*grid)) for z_brute, the same with
+m = t^(v*grid) u^(2*grid) on row 0 for the degree check, whose
+w = q^(x_0/2) rides as u, and h = u^2, m = u s^(g/2), u = q^(1/4), for
 chain.z_half_eps_brute.  state_sweep is ring-generic: it only multiplies
 a frontier entry by a weight and adds entries.
 
 Packed site weights.  _packed_sweep lays each site's weights, given as
-{(t, u): c}, and the start values on one laurent._Layout.  Each state
+{(t, u): c}, on one laurent._Layout, and sweeps from {0: 1}.  Each state
 takes one weight per site, so taking each site's least t- and u-exponent
-out of all its weights changes every state's product by one monomial;
-the start values have their least t-exponent taken out too.  Every
-product then has t-exponents in [0, T] and u-exponents in [0, U] (T, U
-the sums of the spans), on lattices of steps g_t and g_u, and slot
+out of all its weights changes every state's product by one monomial.
+Every product then has t-exponents in [0, T] and u-exponents in [0, U]
+(T, U the sums of the spans), on lattices of steps g_t and g_u, and slot
 i + (T/g_t + 1)*j holds t^(g_t*i) u^(g_u*j): the u-exponent is a block
 index, and no block spills into the next.  A frontier entry is one int
 that a weight multiplies by a shift and an add per term (laurent._Shifts,
-as the packed determinants do).  A start in (t, w), the degree check's
-top row, is split into one frontier per w-exponent; only the chain has
-U > 0.
+as the packed determinants do).  The degree check's w rides as u, so
+one sweep carries every w-exponent as a block.
 
 Slot width.  Packing is a ring map: t and u go to powers of 2, so every
 sum and product of packed ints is exactly the packed sum and product,
 and no value inside the sweep needs to fit its slots.  Only the
 coefficients of the final sum are read back, and each is at most the
-same state sum taken over L1 norms: state_sweep run on plain ints, from
-each start value's L1 and with each weight's L1 in its place, since
-L1(fg) <= L1(f) L1(g) and L1(f + g) <= L1(f) + L1(g).  That sum is the
-layout's bound.  A start split by w-exponent has L1 at most the whole
-start's at every mask, so the one bound holds for each of its parts.
-With sites whose six weights are all 1, every L1 is 1 and the bound is
-the number of states, A(n), which is also the sum's one coefficient.
+same state sum taken over L1 norms: state_sweep run on plain ints,
+with each weight's L1 in its place, since L1(fg) <= L1(f) L1(g) and
+L1(f + g) <= L1(f) + L1(g).  That sum is the layout's bound.  With
+sites whose six weights are all 1, every L1 is 1 and the bound is the
+number of states, A(n), which is also the sum's one coefficient.
 
 The module also exposes the exact functional checks that pin the state sum
 down: the deletion recursion at x_i = y_j + 1 and the degree bound in
@@ -182,16 +178,13 @@ def state_sweep(frontier, rows):
     return frontier
 
 
-def _packed_sweep(n, grid, start, sites):
-    """The all-ones entry of state_sweep(start, rows) on packed ints, as
-    {u: {(t,) + rest: coefficient}}: start maps masks to LaurentPolys in t
-    or in (t, rest) with int coefficients, and sites lists the rows'
-    sites in order, each as its six weights {(t, u): int} on the grid."""
-    start = {key: p.rescale(grid) for key, p in start.items()}
-    # the (t, u) exponents of the start, u = 0, and of each site; per
-    # group the least ones, and per variable the lattice step and top
-    groups = [[(k[0], 0) for p in start.values() for k in p.terms]]
-    groups += [[k for w in site for k in w] for site in sites]
+def _packed_sweep(n, sites):
+    """The all-ones entry of state_sweep({0: 1}, rows) on packed ints, as
+    {u: {(t,): coefficient}}: sites lists the rows' sites in order, each
+    as its six weights {(t, u): int}."""
+    # per site the least (t, u) exponents, and per variable the lattice
+    # step and top
+    groups = [[k for w in site for k in w] for site in sites]
     lows = [tuple(map(min, zip(*group))) or (0, 0) for group in groups]
     highs = [tuple(map(max, zip(*group))) or (0, 0) for group in groups]
     steps = [gcd(*[k[i] - lo[i] for group, lo in zip(groups, lows)
@@ -200,68 +193,56 @@ def _packed_sweep(n, grid, start, sites):
                   // steps[i] for i in (0, 1)]
     block = top + 1         # the t-slots of one u-exponent
     l1_rows = [[_l1(w) for w in site] for site in sites]
-    bound = state_sweep({key: _l1(p.terms) for key, p in start.items()},
-                        [l1_rows[i:i + n] for i in range(0, len(sites), n)])
-    # the slot indices are dense, so the layout's lattice step is 1
-    layout = _Layout(grid, (), bound[(1 << n) - 1], 0, top + block * top_u)
+    bound = state_sweep({0: 1}, [l1_rows[i:i + n]
+                                 for i in range(0, len(sites), n)])
+    # the slot indices are dense, so the layout's lattice step is 1; only
+    # its slots are read, never its grid
+    layout = _Layout(1, (), bound[(1 << n) - 1], 0, top + block * top_u)
 
     def shift(k, lo):       # the bit offset of t^k[0] u^k[1] over lo
         return layout.width * ((k[0] - lo[0]) // steps[0]
                                + block * ((k[1] - lo[1]) // steps[1]))
     flat = [tuple(_Shifts([[(shift(k, lo), c) for k, c in w.items()]])
-                  for w in site) for site, lo in zip(sites, lows[1:])]
+                  for w in site) for site, lo in zip(sites, lows)]
     rows = [flat[i:i + n] for i in range(0, len(flat), n)]
-    frontiers = {}          # one packed frontier per w-exponent
-    for key, p in start.items():
-        for k, c in p.terms.items():
-            f = frontiers.setdefault(k[1:], {})
-            f[key] = f.get(key, 0) + (c << shift((k[0], 0), lows[0]))
+    cs = layout.coefficients(state_sweep({0: 1}, rows)[(1 << n) - 1])
     low = [sum(lo[i] for lo in lows) for i in (0, 1)]
-    out = {}                # u-exponent -> {(t,) + rest: coefficient}
-    for rest, f in frontiers.items():
-        cs = layout.coefficients(state_sweep(f, rows)[(1 << n) - 1])
-        for j in range(top_u + 1):
-            out.setdefault(low[1] + steps[1] * j, {}).update(
-                {(low[0] + steps[0] * i,) + rest: c
-                 for i, c in enumerate(cs[j * block:(j + 1) * block]) if c})
-    return out
+    return {low[1] + steps[1] * j:
+            {(low[0] + steps[0] * i,): c
+             for i, c in enumerate(cs[j * block:(j + 1) * block]) if c}
+            for j in range(top_u + 1)}
 
 
-def _state_sum(p, start, rows):
-    """The packed sweep of p's given rows from start, a LaurentPoly like
-    the start's on the least grid of the start and the labels."""
+def _state_sum(p, formal):
+    """The packed sweep of p's sites on the least grid of its labels, as
+    (grid, {u: {(t,): coefficient}}); when formal, row 0's m also carries
+    u^(2*grid), so that u stands for w = q^(x_0/2) (see _z_formal)."""
     if p.n > Z_BRUTE_BOUND:
         raise ValueError(
             f"n={p.n} exceeds the state-sum bound {Z_BRUTE_BOUND}")
-    labels = [p.label(i, j) for i in rows for j in range(p.n)]
-    grid = lcm(*[q.scale for q in start.values()],
-               *[v.denominator for v in labels])
-    sites = [_weight_terms((grid, 0), (v.numerator * grid // v.denominator, 0))
-             for v in labels]
-    return LaurentPoly._clean(next(iter(start.values())).nvars, grid,
-                              _packed_sweep(p.n, grid, start, sites)[0])
+    labels = [p.label(i, j) for i in range(p.n) for j in range(p.n)]
+    grid = lcm(*[v.denominator for v in labels])
+    sites = [_weight_terms((grid, 0), (v.numerator * grid // v.denominator,
+                                       2 * grid if formal and k < p.n else 0))
+             for k, v in enumerate(labels)]
+    return grid, _packed_sweep(p.n, sites)
 
 
 def z_brute(p):
     """The state sum Z(n; X, Y) as a RatFunc in q, summed by the domain-wall
     sweep over the scaled site weights."""
-    total = _state_sum(p, {0: LaurentPoly.one()}, range(p.n))
-    return reduced(total, diff_product({1: p.n * p.n}))
+    grid, total = _state_sum(p, False)
+    return reduced(LaurentPoly._clean(1, grid, total[0]),
+                   diff_product({1: p.n * p.n}))
 
 
 def _z_formal(p):
     """b^(n^2) * Z with row 0 formal, a LaurentPoly in q and w = q^(x_0/2);
-    x_0 is ignored.
-
-    By linearity in the top row: that row alone ends at the n masks of
-    its +1, and the other rows, which do not involve w, are swept from
-    there in q alone, once for each w-exponent of the top row's weights.
-    """
-    d = lcm(*[y.denominator for y in p.ys])
-    row = [[LaurentPoly._clean(2, d, w) for w in _weight_terms(
-        (d, 0), (-y.numerator * (d // y.denominator), 2 * d))] for y in p.ys]
-    top = state_sweep({0: LaurentPoly.one(2)}, [row])
-    return _state_sum(p, top, range(1, p.n))
+    x_0 is ignored: p is swept with x_0 = 0, and w rides as u."""
+    grid, total = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
+    return LaurentPoly._clean(2, grid, {(t, u): c
+                                        for u, terms in total.items()
+                                        for (t,), c in terms.items()})
 
 
 def lemma_recursion_check(n, p, i, j):

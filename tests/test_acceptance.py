@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from asmice.asm import count_asms_brute
-from asmice.chain import (a_via_chain, ik_eps_ratfunc, q_fourth_root,
-                          z_half_eps_product)
+from asmice.chain import (a_via_chain, ean_normalize, half_spec_value,
+                          ik_eps_ratfunc, q_fourth_root, z_half_eps_product)
 from asmice.dets import EpsilonGrid, antidiagonal_block_det, general_x_matrix
 from asmice.formulas import a2_formula, a3_formula, a_formula, b_chain
 from asmice.intpoly import IntPoly
@@ -137,7 +137,8 @@ def test_criterion_8_specialization_chain(capsys):
         for n in range(1, 6):
             assert a_via_chain(n, 2) == a2_formula(n)
             assert a_via_chain(n, 3) == a3_formula(n)
-            assert a_via_chain(n, 3, route="det") == a3_formula(n)
+            assert (ean_normalize(n, half_spec_value(n, 3), 3)
+                    == a3_formula(n))
 
 
 def test_criterion_9_block_factorization(capsys):

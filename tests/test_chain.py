@@ -7,15 +7,16 @@ import pytest
 
 from asmice import laurent, matrices
 from asmice.brackets import BracketProduct
-from asmice.chain import (RATIO_EXPONENTS, a_via_chain, ean_normalize, half_spec_value,
-                          ik_eps_product, ik_eps_ratfunc, q_fourth_root,
-                          tau_poly, z_half_eps_brute, z_half_eps_product)
+from asmice.chain import (RATIO_EXPONENTS, _merged_count, a_via_chain,
+                          ean_normalize, half_spec_value, ik_eps_product,
+                          ik_eps_ratfunc, q_fourth_root, tau_poly,
+                          z_half_eps_brute, z_half_eps_product)
 from asmice.asm import enumerate_asms
 from asmice.cyclotomic import Cyclotomic
 from asmice.dets import EpsilonGrid, s_det_product
 from asmice.formulas import a2_formula, a3_formula, a_formula
 from asmice.ice import to_ice
-from asmice.laurent import LaurentPoly, RatFunc
+from asmice.laurent import LaurentPoly, RatFunc, limit_at_one
 from asmice.transfer import transfer_count
 
 
@@ -175,27 +176,36 @@ def test_counts_through_the_product_route():
         assert a_via_chain(n, 2) == 2 ** (n * (n - 1) // 2)
 
 
+def grid_limit(n, x):
+    """A(n; x) as x^((n^2-n)/2) times the s -> 1 limit of the exact
+    rational function on the epsilon grid, any rational x outside {0, 4}."""
+    return (limit_at_one(ik_eps_ratfunc(n, x))
+            * Fraction(x) ** ((n * n - n) // 2))
+
+
 def test_counts_through_the_determinant_route():
     for n in (1, 2, 3):
-        assert a_via_chain(n, 1, route="det") == [1, 2, 7][n - 1]
-        assert a_via_chain(n, 3, route="det") == transfer_count(n)(3)
+        assert grid_limit(n, 1) == [1, 2, 7][n - 1]
+        assert grid_limit(n, 3) == transfer_count(n)(3)
 
 
 def test_counts_at_non_integral_x_are_exact_fractions():
     # x^((n^2-n)/2) lim W is A(n; x) at every rational x, not only at ints
-    for route in ("det", "merged"):
+    for count in (grid_limit, a_via_chain):
         for x in (Fraction(5, 2), Fraction(7, 3), Fraction(-1, 2)):
             for n in (1, 2, 3, 4):
-                assert (a_via_chain(n, x, route=route)
-                        == transfer_count(n)(x)), (n, x, route)
-        assert a_via_chain(3, Fraction(1, 2), route=route) == Fraction(13, 2)
-        assert type(a_via_chain(3, Fraction(6, 2), route=route)) is int
+                assert count(n, x) == transfer_count(n)(x), (n, x, count)
+        assert count(3, Fraction(1, 2)) == Fraction(13, 2)
+    assert type(a_via_chain(3, Fraction(6, 2))) is int
 
 
 def test_merged_route_equals_the_closed_forms():
+    # the merged limit is also right at x = 1 and 2, where a_via_chain
+    # takes the factored form
     for n in range(1, 41):
         for x, formula in ((1, a_formula), (2, a2_formula), (3, a3_formula)):
-            got = a_via_chain(n, x, route="merged")
+            assert _merged_count(n, x) == formula(n), (n, x)
+            got = a_via_chain(n, x)
             assert got == formula(n) and type(got) is int, (n, x)
 
 
@@ -205,14 +215,13 @@ def test_merged_route_equals_transfer_at_non_integral_x():
     for n in range(1, 13):
         poly = transfer_count(n)
         for x in xs:
-            assert a_via_chain(n, x, route="merged") == poly(x), (n, x)
+            assert a_via_chain(n, x) == poly(x), (n, x)
 
 
 def test_merged_route_equals_the_grid_limit():
     for n in range(1, 9):
         for x in (3, Fraction(7, 3)):
-            assert (a_via_chain(n, x, route="merged")
-                    == a_via_chain(n, x, route="det")), (n, x)
+            assert a_via_chain(n, x) == grid_limit(n, x), (n, x)
 
 
 def test_auto_takes_the_merged_route_off_the_factored_cases(monkeypatch):
@@ -229,12 +238,12 @@ def test_merged_route_at_zero_and_four():
     for n in range(1, 9):
         assert a_via_chain(n, 0) == factorial(n)
     with pytest.raises(ValueError, match="degenerates"):
-        a_via_chain(2, 0, route="det")
-    for route in ("auto", "merged"):
+        ik_eps_ratfunc(2, 0)
+    for count in (a_via_chain, _merged_count):
         with pytest.raises(ValueError, match="x = 4"):
-            a_via_chain(3, 4, route=route)
+            count(3, 4)
         with pytest.raises(ValueError, match="n must be positive"):
-            a_via_chain(0, Fraction(7, 3), route=route)
+            count(0, Fraction(7, 3))
 
 
 def test_sizes_below_one_are_refused():
@@ -259,10 +268,8 @@ def test_sizes_below_one_are_refused():
 
 
 def test_route_validation():
-    with pytest.raises(ValueError, match="route"):
-        a_via_chain(2, 1, route="guess")
     with pytest.raises(ValueError, match="factored"):
-        a_via_chain(2, 3, route="product")
+        ik_eps_product(2, 3)
 
 
 def test_merged_point_normalization():

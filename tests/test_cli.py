@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,8 @@ def test_xenum_negative_rational_point(capsys):
     """A spaced negative rational is a value, not an option flag."""
     assert cli.main(["xenum", "--n", "3", "--at", "-1/2"]) == 0
     assert lines_of(capsys) == ["11/2"]
+    assert cli.main(["xenum", "--n", "3", "--at", "-1e2"]) == 0
+    assert lines_of(capsys) == ["-94"]
 
 
 def test_xenum_bad_rational():
@@ -83,6 +86,32 @@ def test_xenum_bad_rational():
 def test_xenum_bound():
     with pytest.raises(SystemExit):
         cli.main(["xenum", "--n", "99"])
+
+
+def test_xenum_at_bound_is_the_print_limit(capsys):
+    # A(4; x) = 2x^2 + 16x + 24: a point of d digits gives a value of at
+    # most 2d + 2, so 2149 digits is the first that may pass 4300
+    for e in (70, 2148):
+        assert cli.main(["xenum", "--n", "4", "--at", f"1e{e}"]) == 0
+        out = lines_of(capsys)
+        assert out == [str(transfer_count(4)(10 ** e))]
+        assert len(out[0]) <= cli.PRINT_DIGITS
+    for at in ("1e2149", "1e-2149", "-1e2149"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["xenum", "--n", "4", "--at", at])
+        assert exc.value.code == 2
+        assert "2150 digits" in capsys.readouterr().err
+
+
+def test_xenum_refuses_a_huge_exponent_before_building_it(monkeypatch,
+                                                          capsys):
+    # Fraction would build 10**|e| before any bound on its value could run
+    monkeypatch.setattr(cli, "Fraction", None)
+    for at in ("1e100000000", "1E+1_000_000", "1e-0000100000"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["xenum", "--n", "4", "--at", at])
+        assert exc.value.code == 2
+        assert "4300-digit print limit" in capsys.readouterr().err
 
 
 # ---------- bseq ----------
@@ -157,6 +186,21 @@ def test_verify_help_names_every_suite(capsys):
         assert name in out
 
 
+def test_verify_n_help_names_each_suites_sizes(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    out = capsys.readouterr().out
+    n_help = " ".join(out[out.index("  --n N"):out.index("  --workers")]
+                      .split())
+    for name in verify.SUITE_NAMES:
+        assert re.search(rf"\b{name}\b", n_help), name
+    # ik and lemmas stop at 4 whatever --n asks, as the help says
+    assert "ik and lemmas stop at 4" in n_help
+    for name in ("ik", "lemmas"):
+        items = verify.build_suite(name, 0, verify.MAX_N)
+        assert max(kw["n"] for _, kw in items) == 4, name
+
+
 # ---------- table ----------
 
 def test_table_json(capsys):
@@ -215,6 +259,9 @@ def test_cmd_table_unknown_format_raises_value_error():
     ["verify", "ybe", "--seed", "one"],
     ["verify", "cauchy", "--n", "40"],
     ["verify", "all", "--n", "40"],
+    ["xenum", "--n", "4", "--at", "1e3000"],
+    ["xenum", "--n", "1", "--at", "1e5000"],
+    ["xenum", "--n", "3", "--at", "1" * 4301],
 ])
 def test_bad_size_exits_2_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

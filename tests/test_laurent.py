@@ -497,18 +497,17 @@ unit_weights = st.dictionaries(st.tuples(st.integers(-9, 9),
        st.lists(st.tuples(unit_weights, st.sampled_from([1, 2, 4])),
                 min_size=9, max_size=9),
        st.sampled_from([1, 3]))
-def test_packed_site_product_round_trips(n, weights, start_scale):
+def test_packed_site_product_round_trips(n, weights, grid_scale):
     # the six weights of a site are equal, so each of the A(n) domain-wall
     # states of n x n sites takes the same product, one weight per site;
     # a weight's terms are (t, u) exponents, its t-exponents drawn on the
-    # grid 1/(2*scale) and laid on the common grid, its u-exponents as
-    # drawn, so the product is checked in Z[t, u] by the schoolbook
-    grid = lcm(start_scale, *[scale for _, scale in weights[:n * n]])
+    # grid 1/(2*scale) and laid on the common grid, which grid_scale may
+    # make finer than every weight's, its u-exponents as drawn, so the
+    # product is checked in Z[t, u] by the schoolbook
+    grid = lcm(grid_scale, *[scale for _, scale in weights[:n * n]])
     sites = [({(t * (grid // scale), u): c for (t, u), c in terms.items()},)
              * 6 for terms, scale in weights[:n * n]]
-    start = LaurentPoly(1, start_scale, {(-1,): 1, (2,): -1})
-    expected = start.rescale(grid).terms
-    expected = {(t, 0): c for (t,), c in expected.items()}
+    expected = {(0, 0): 1}
     for w, *_ in sites:
         product = {}
         for (t, u), c in expected.items():
@@ -516,14 +515,14 @@ def test_packed_site_product_round_trips(n, weights, start_scale):
                 k = (t + t2, u + u2)
                 product[k] = product.get(k, 0) + c * c2
         expected = {k: c for k, c in product.items() if c}
-    packed = _packed_sweep(n, grid, {0: start}, sites)
+    packed = _packed_sweep(n, sites)
     assert {(t, u): c for u, terms in packed.items()
             for (t,), c in terms.items()} == {
         k: (1, 2, 7)[n - 1] * c for k, c in expected.items()}
 
 
 def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
-    # at n = 1 the state sum is the start times the site's first weight,
+    # at n = 1 the state sum is the site's first weight,
     # t^(g/2) - t^(-g/2), the others 1: its L1 bound 2 needs 3 signed
     # bits, one byte per slot, and its grid exponents -g, 0, g fill 3
     # slots of the lattice gZ
@@ -534,8 +533,7 @@ def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
     for g in (1, 2):
         seen.clear()
         site = ({(g, 0): 1, (-g, 0): -1},) + ({(0, 0): 1},) * 5
-        assert _packed_sweep(1, 1, {0: LaurentPoly.one()}, [site]) == {
-            0: {(g,): 1, (-g,): -1}}
+        assert _packed_sweep(1, [site]) == {0: {(g,): 1, (-g,): -1}}
         (layout, v), = seen
         assert v == _pack([-1, 0, 1], 8)
         # a slot count read off the bit length would take these as 4 slots
@@ -545,9 +543,8 @@ def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
 
 
 def test_packed_site_weights_need_int_coefficients():
-    with pytest.raises(TypeError):
-        _packed_sweep(1, 1, {0: LaurentPoly.one()},
-                      [({(0, 0): Fraction(1, 2)},) * 6])
+    with pytest.raises(TypeError, match="int coefficients"):
+        _packed_sweep(1, [({(0, 0): Fraction(1, 2)},) * 6])
 
 
 # ---------- packed layouts ----------

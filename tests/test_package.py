@@ -119,3 +119,49 @@ def test_the_import_scan_sees_an_unread_import():
     tree = ast.parse("from fractions import Fraction\nimport os.path\n"
                      "from .laurent import LaurentPoly as L\nL.one()\n")
     assert _unread_imports(tree) == {"Fraction", "os"}
+
+
+def _unread_privates(trees):
+    """(name, module) of each module-level private name, a _x function,
+    class or assignment but no dunder, that no module of trees ({module:
+    ast}) reads: by a bare name in its own module, by `from .module import
+    _x`, or as an attribute."""
+    defined, read, attrs = set(), set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                names = []
+            defined.update((name, module) for name in names
+                           if name[0] == "_" and name[:2] != "__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((node.id, module))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((alias.name, node.module) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return {(name, module) for name, module in defined - read
+            if name not in attrs}
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper that only tests or nothing reads is dead code
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "asmice").glob("*.py"))}
+    assert _unread_privates(trees) == set()
+
+
+def test_the_private_scan_sees_an_unread_name():
+    trees = {"a": ast.parse("_kept = 1\n_orphan: int = 2\n__dunder__ = 3\n"
+                            "def _used():\n    return _kept\n"
+                            "class _Lone:\n    pass\n"
+                            "def _by_attribute():\n    pass\n"),
+             "b": ast.parse("from . import a\nfrom .a import _used\n"
+                            "_used()\na._by_attribute()\n")}
+    assert _unread_privates(trees) == {("_orphan", "a"), ("_Lone", "a")}

@@ -145,7 +145,7 @@ def test_packed_sweep_matches_the_laurent_sweep():
     total = state_sweep(one, site)[(1 << n) - 1]
     # the same weights for the packer: their terms on the grid 1/8, no u
     grid = 4
-    packed = _packed_sweep(n, grid, one, [
+    packed = _packed_sweep(n, [
         [{(k * (grid // w.scale), 0): c for (k,), c in w.terms.items()}
          for w in weights] for row in site for weights in row])
     assert LaurentPoly(1, grid, packed[0]) == total
@@ -162,8 +162,7 @@ def test_packed_sweep_bound_is_reached_by_all_ones_weights(monkeypatch):
     for n in range(1, Z_BRUTE_BOUND + 1):
         bounds.clear()
         sites = [({(0, 0): 1},) * 6] * (n * n)
-        assert _packed_sweep(n, 1, {0: LaurentPoly.one()}, sites) == {
-            0: {(0,): a_formula(n)}}, n
+        assert _packed_sweep(n, sites) == {0: {(0,): a_formula(n)}}, n
         assert bounds == [a_formula(n)], n
 
 
@@ -212,7 +211,7 @@ def test_formal_row_sum_matches_enumeration():
 def test_formal_row_sum_when_top_row_terms_cancel():
     # with equal column parameters, terms of the top row's weights cancel at
     # its two inner masks, in several w-exponents, and at its outer masks
-    # none do; the lower rows are swept once per w-exponent from those
+    # none do; the packed sweep carries each w-exponent as a block
     p = SpectralParams([0, 3, Fraction(7, 2), 2], [0, 0, 0, 0])
     top = state_sweep({0: LaurentPoly.one(2)},
                       [[formal_row_weights(y, 1) for y in p.ys]])
