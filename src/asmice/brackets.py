@@ -57,11 +57,6 @@ def qdiff_product(*value_lists, beta_power=0):
     return diff_product(diffs)
 
 
-def beta(nvars=1, var=0):
-    """t^(1/2) - t^(-1/2), the bracket denominator."""
-    return qdiff(1, nvars, var)
-
-
 def bracket(a, nvars=1, var=0):
     """The bracket [a] as a LaurentPoly; a must be an integer.
 
@@ -84,7 +79,7 @@ def bracket(a, nvars=1, var=0):
 
 def bracket_ratio(a, nvars=1, var=0):
     """[a] as an exact RatFunc, valid for any rational a."""
-    return RatFunc(qdiff(a, nvars, var), beta(nvars, var))
+    return RatFunc(qdiff(a, nvars, var), qdiff(1, nvars, var))
 
 
 class BracketProduct:

@@ -134,10 +134,6 @@ def ik_eps_ratfunc(n, x, grid=None):
     gs = [[grid.g(i, j) for j in range(n)] for i in range(n)]
     tau = {g: tau_poly(g, x) for g in set().union(*gs)}
     taus = [[tau[g] for g in row] for row in gs]
-    for i in range(n):
-        for j in range(n):
-            if taus[i][j].is_zero:
-                raise ValueError(f"tau vanishes at entry ({i},{j})")
     # the determinant and the beta_sq power carry the same r^(n^2-n)
     det = cleared_det(taus)
     num = LaurentPoly.var_power(

@@ -45,11 +45,8 @@ FORMAL = None
 
 def cauchy_matrix(xs, ys):
     """T_{i,j} = 1/[x_i - y_j] over the formal q-variable."""
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
+    xs, ys = _cauchy_params(xs, ys)
     n = len(xs)
-    if len(ys) != n:
-        raise ValueError("parameter count mismatch")
     _require_distinct(xs, "x")
     _require_distinct(ys, "y")
 
@@ -67,14 +64,21 @@ def cauchy_matrix(xs, ys):
 def cauchy_det_closed(xs, ys):
     """Closed form (prod [x_i-x_j])(prod [y_i-y_j]) / prod [x_i-y_j],
     assembled as b^n * prod d(x_i-x_j) prod d(y_i-y_j) / prod d(x_i-y_j)."""
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
-    n = len(xs)
-    if len(ys) != n:
-        raise ValueError("parameter count mismatch")
-    num = qdiff_product(xs, ys[::-1], beta_power=n)
+    xs, ys = _cauchy_params(xs, ys)
+    num = qdiff_product(xs, ys[::-1], beta_power=len(xs))
     den = diff_product(Counter(x - y for x in xs for y in ys))
     return RatFunc(num, den)
+
+
+def _cauchy_params(xs, ys):
+    """xs and ys as Fractions; ValueError unless both hold n >= 1 values."""
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    if len(ys) != len(xs):
+        raise ValueError("parameter count mismatch")
+    if not xs:
+        raise ValueError("need at least one x and one y parameter")
+    return xs, ys
 
 
 def _require_distinct(vals, name):
@@ -84,19 +88,24 @@ def _require_distinct(vals, name):
 
 # ---------- the ratio matrix S and its closed determinant ----------
 
+def _require_size(n, b=1):
+    if n < 1:
+        raise ValueError("n must be positive")
+    if b == 0:
+        raise ValueError("b must be nonzero")
+
+
 def s_matrix(n, a, b):
     """S_{i,j} = d(a*(i+j+1))/d(b*(i+j+1)) in one formal variable; each
     of the 2n - 1 distinct entries is built once and shared."""
-    if b == 0:
-        raise ValueError("b must be nonzero")
+    _require_size(n, b)
     ratios = [RatFunc(qdiff(a * m), qdiff(b * m)) for m in range(1, 2 * n)]
     return RingMatrix.from_fn(n, n, lambda i, j: ratios[i + j])
 
 
 def s_det_product(n, a, b):
     """det s_matrix(n,a,b) in factored BracketProduct form."""
-    if b == 0:
-        raise ValueError("b must be nonzero")
+    _require_size(n, b)
     diffs = Counter()
     for i in range(n):
         for j in range(i):
@@ -118,6 +127,7 @@ def s_det_closed(n, a, b):
 def s_matrix_bivariate(n):
     """S(n;s,t) with both variables formal (small-n cross-check mode),
     each distinct entry built once, as in s_matrix."""
+    _require_size(n)
     ratios = [RatFunc(qdiff(m, 2, 0), qdiff(m, 2, 1)) for m in range(1, 2 * n)]
     return RingMatrix.from_fn(n, n, lambda i, j: ratios[i + j])
 
@@ -129,6 +139,8 @@ def s_det_closed_bivariate(n):
     d(a - bk) under u^a -> s, u^b -> t; up to a unit monomial each equals
     s - t^k.
     """
+    _require_size(n)
+
     def mixed(k):
         return LaurentPoly(2, 1, {(1, -k): 1, (-1, k): -1})
 

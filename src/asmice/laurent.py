@@ -16,7 +16,11 @@ brackets module's qdiff builds t^(a/2) - t^(-a/2) with _clean directly,
 on the grid that var_power picks for t^(a/2).
 
 Coefficients are exact scalars: int, fractions.Fraction or Cyclotomic.
-Zero coefficients are never stored.
+Zero coefficients are never stored.  A scalar joins a polynomial by one
+rule, _lift: it becomes the constant on the polynomial's variables and
+grid.  Sums, differences, equality, divide_exact (on either side) and
+RatFunc all lift by it; a product with a scalar scales the coefficients
+instead.
 
 Division follows the Laurent convention that monomials are units: t divides 1,
 with quotient t^(-1).  divide_exact raises NonDivisible when the quotient is
@@ -174,6 +178,13 @@ def _is_scalar(x):
     return isinstance(x, (int, Fraction, Cyclotomic))
 
 
+def _lift(x, like):
+    """The one rule by which a scalar joins a polynomial: a scalar x
+    becomes the constant polynomial on like's variables and grid; anything
+    else is returned unchanged."""
+    return LaurentPoly.const(x, like.nvars, like.scale) if _is_scalar(x) else x
+
+
 class LaurentPoly:
     __slots__ = ("nvars", "scale", "terms")
 
@@ -275,8 +286,7 @@ class LaurentPoly:
     # ---------- ring operations ----------
 
     def __add__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly.const(other, self.nvars, self.scale)
+        other = _lift(other, self)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._matched(other)
@@ -296,8 +306,7 @@ class LaurentPoly:
                                   {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly.const(other, self.nvars, self.scale)
+        other = _lift(other, self)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
@@ -359,8 +368,7 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly.const(other, self.nvars, self.scale)
+        other = _lift(other, self)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.nvars != other.nvars:
@@ -456,12 +464,20 @@ def _int_pow(base, e):
 def divide_exact(num, den):
     """Exact Laurent quotient num/den, or raise NonDivisible.
 
-    Unit monomials are invertible, so only the dense coefficient lists are
-    divided; two variables are first mapped to one (see the module
-    docstring).
+    Either operand may be a scalar (int, Fraction or Cyclotomic) when the
+    other is a LaurentPoly: the scalar is lifted to a constant on the
+    polynomial's variables and grid (_lift).  Any other operand, or two
+    scalars, raise TypeError.  Unit monomials are invertible, so only the
+    dense coefficient lists are divided; two variables are first mapped to
+    one (see the module docstring).
     """
-    if _is_scalar(num):
-        num = LaurentPoly.const(num, den.nvars, den.scale)
+    like = num if isinstance(num, LaurentPoly) else den
+    if isinstance(like, LaurentPoly):
+        num, den = _lift(num, like), _lift(den, like)
+    if not (isinstance(num, LaurentPoly) and isinstance(den, LaurentPoly)):
+        raise TypeError("divide_exact needs a LaurentPoly and a LaurentPoly "
+                        f"or scalar, got {type(num).__name__} / "
+                        f"{type(den).__name__}")
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
@@ -951,14 +967,11 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if _is_scalar(num):
-            like = den if isinstance(den, LaurentPoly) else LaurentPoly.one()
-            num = LaurentPoly.const(num, like.nvars, like.scale)
-        if den is None:
-            den = LaurentPoly.one(num.nvars, num.scale)
-        if _is_scalar(den):
-            den = LaurentPoly.const(den, num.nvars, num.scale)
+    def __init__(self, num, den=1):
+        if not isinstance(num, LaurentPoly):
+            num = _lift(num, den if isinstance(den, LaurentPoly)
+                        else LaurentPoly.one())
+        den = _lift(den, num)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         num, den = num._matched(den)
@@ -1005,11 +1018,8 @@ class RatFunc:
     def _coerced(self, other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, LaurentPoly):
-            return RatFunc(other)
-        if _is_scalar(other):
-            return RatFunc(LaurentPoly.const(other, self.num.nvars, self.num.scale))
-        return None
+        other = _lift(other, self.num)
+        return RatFunc(other) if isinstance(other, LaurentPoly) else None
 
     def __add__(self, other):
         o = self._coerced(other)

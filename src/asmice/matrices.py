@@ -1,20 +1,26 @@
 """Exact determinants over the rings used in this package.
 
 Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
-det_exact clears RatFunc denominators row by row, by cleared_det.  A
-matrix of at most _PACKED_MAX_N rows whose entries are univariate
-LaurentPolys with int coefficients, or products of such, takes one
-determinant over Z (packed determinants, below).  Every other matrix
-(plain numbers, Cyclotomic or Fraction coefficients, two variables, or
-more rows) runs fraction-free Bareiss elimination over its entries' ring,
-where every division is exact, and the cleared denominators are divided
-out.  No content is split off a row: the callers build their polynomial
-determinants over Z (the chain module clears the tau matrix of the
-denominator of x, and RatFunc keeps int coefficients), so a polynomial
-determinant that the packer refuses is refused for its size or its
-second variable, which no scaling of the rows changes.  The determinant sides of the state-sum identity
-call the clearing step, cleared_det, directly on their polynomial
-denominators.
+Entries may be mixed: det_exact first lifts the matrix into one ring.
+When any entry is a RatFunc, every entry becomes a RatFunc; otherwise,
+when any entry is a LaurentPoly, every scalar becomes a constant
+(laurent._lift), on the variables of the first polynomial entry (a
+RatFunc's numerator).  A matrix with no polynomial entry, or with no
+scalar one, is taken as it stands.  det_exact clears RatFunc
+denominators row by row, by cleared_det.  A matrix of at most
+_PACKED_MAX_N rows whose entries are univariate LaurentPolys with int
+coefficients, or products of such, takes one determinant over Z (packed
+determinants, below).  Every other matrix (plain numbers, Cyclotomic or
+Fraction coefficients, two variables, or more rows) runs fraction-free
+Bareiss elimination over its entries' ring, where every division is
+exact, and the cleared denominators are divided out.  No content is
+split off a row: the callers build their polynomial determinants over Z
+(the chain module clears the tau matrix of the denominator of x, and
+RatFunc keeps int coefficients), so a polynomial determinant that the
+packer refuses is refused for its size or its second variable, which no
+scaling of the rows changes.  The determinant sides of the state-sum
+identity call the clearing step, cleared_det, directly on their
+polynomial denominators.
 
 The cofactor (bitmask subset DP) expansion _det_cofactor divides nothing,
 so it works over any commutative ring.  It takes the packed path's
@@ -90,12 +96,11 @@ margin for the machine's speed swings of about 25 % between runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import isqrt, lcm, prod
 from operator import mul
 
-from .laurent import (LaurentPoly, RatFunc, _l1, _Layout, _Shifts,
+from .laurent import (LaurentPoly, RatFunc, _l1, _Layout, _lift, _Shifts,
                       divide_exact)
 
 #: the most rows the packed path takes, measured (see the module docstring)
@@ -144,10 +149,16 @@ def det_exact(matrix):
     the module docstring)."""
     if not matrix.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if any(isinstance(x, RatFunc) for row in matrix.rows for x in row):
-        return _det_cleared(matrix)
-    d = _det_packed([[(x,) for x in row] for row in matrix.rows])
-    return _det_bareiss(matrix.rows) if d is None else d
+    rows = matrix.rows
+    polys = [x for row in rows for x in row
+             if isinstance(x, (LaurentPoly, RatFunc))]
+    if polys and len(polys) < len(rows) ** 2:
+        like = polys[0].num if isinstance(polys[0], RatFunc) else polys[0]
+        rows = [[_lift(x, like) for x in row] for row in rows]
+    if any(isinstance(x, RatFunc) for x in polys):
+        return _det_cleared(rows)
+    d = _det_packed([[(x,) for x in row] for row in rows])
+    return _det_bareiss(rows) if d is None else d
 
 
 def cleared_det(dens, nums=None):
@@ -176,11 +187,12 @@ def cleared_det(dens, nums=None):
     return d
 
 
-def _det_cleared(matrix):
+def _det_cleared(rows):
     """Clear RatFunc denominators by rows, then take the determinant:
     det(M) = cleared_det(dens, nums) / prod_{i,j} den_ij, returned
     unreduced as a RatFunc."""
-    entries = [[_as_ratfunc(x) for x in row] for row in matrix.rows]
+    entries = [[x if isinstance(x, RatFunc) else RatFunc(x) for x in row]
+               for row in rows]
     dens = [[x.den for x in row] for row in entries]
     nums = [[x.num for x in row] for row in entries]
     every = tuple(d for row in dens for d in row)
@@ -264,7 +276,7 @@ def _det_bareiss(rows):
         if not a[k][k]:
             swap = next((r for r in range(k + 1, n) if a[r][k]), None)
             if swap is None:
-                return _ring_zero(a[k][k])
+                return a[k][k]
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -313,19 +325,3 @@ def _exact_div(value, divisor):
             raise ArithmeticError("inexact integer division in Bareiss step")
         return q
     return value / divisor
-
-
-def _ring_zero(sample):
-    if isinstance(sample, LaurentPoly):
-        return LaurentPoly.zero(sample.nvars)
-    if isinstance(sample, Fraction):
-        return Fraction(0)
-    return 0
-
-
-def _as_ratfunc(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc(x)
-    raise TypeError(f"cannot clear denominators of {type(x).__name__}")

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from asmice.brackets import (BracketProduct, beta, bracket, bracket_ratio,
-                             qdiff, qdiff_product)
+from asmice.brackets import (BracketProduct, bracket, bracket_ratio, qdiff,
+                             qdiff_product)
 from asmice.chain import q_fourth_root
 from asmice.laurent import LaurentPoly, NonDivisible, RatFunc, diff_product
 
@@ -61,8 +61,8 @@ def test_qdiff_is_the_difference_of_its_monomials(a, place):
 
 
 def test_beta_is_the_unit_difference():
-    assert beta() == qdiff(1) == lp({1: 1, -1: -1})
-    assert beta(2, 1) == LaurentPoly(2, 1, {(0, 1): 1, (0, -1): -1})
+    assert qdiff(1) == lp({1: 1, -1: -1})
+    assert qdiff(1, 2, 1) == LaurentPoly(2, 1, {(0, 1): 1, (0, -1): -1})
 
 
 def test_bracket_values():

@@ -49,6 +49,19 @@ def test_cauchy_validation():
         cauchy_det_closed([5], [1, 2])          # length mismatch
 
 
+def test_closed_forms_refuse_the_sizes_their_matrices_refuse():
+    for call in (lambda: s_det_product(-2, 1, 3),
+                 lambda: s_det_closed(0, 1, 3), lambda: s_matrix(0, 1, 3),
+                 lambda: s_matrix_bivariate(0),
+                 lambda: s_det_closed_bivariate(-1),
+                 lambda: s_det_closed_bivariate(0)):
+        with pytest.raises(ValueError, match="n must be positive"):
+            call()
+    for call in (cauchy_det_closed, cauchy_matrix):
+        with pytest.raises(ValueError, match="at least one x and one y"):
+            call([], [])
+
+
 # ---------- ratio matrices ----------
 
 def test_ratio_det_closed_form():

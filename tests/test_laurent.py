@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import asmice
 from asmice import laurent
-from asmice.brackets import qdiff
+from asmice.brackets import BracketProduct, qdiff
 from asmice.chain import q_fourth_root
 from asmice.cyclotomic import Cyclotomic, cyclotomic_embed
 from asmice.laurent import (GridViolation, LaurentPoly, NonDivisible, RatFunc,
@@ -231,6 +231,41 @@ def test_divide_scalar_numerator_of_any_ring():
     assert divide_exact(z, LaurentPoly.const(2)) == LaurentPoly.const(z / 2)
     assert divide_exact(z, LaurentPoly.unit_power(2)) == lp({-2: z})
     assert divide_exact(Fraction(1, 2), lp({0: 3})) == lp({0: Fraction(1, 6)})
+
+
+def test_divide_by_a_scalar_of_any_ring():
+    t = LaurentPoly.var_power(1)
+    z = cyclotomic_embed(8)
+    assert divide_exact(2 * t, 2) == t
+    assert divide_exact(t, Fraction(2, 3)) == lp({2: Fraction(3, 2)})
+    assert divide_exact(z * t + z, z) == t + 1
+    two = LaurentPoly(2, 3, {(6, 0): 4, (0, 3): 2})
+    assert divide_exact(two, 2) == LaurentPoly(2, 3, {(6, 0): 2, (0, 3): 1})
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(t, 0)
+
+
+def test_divide_exact_operand_types():
+    # a LaurentPoly over a LaurentPoly or a scalar, or a scalar over a
+    # LaurentPoly; every other pair is a TypeError naming both types
+    t = LaurentPoly.var_power(1)
+    kinds = [("scalar", x)
+             for x in (0, 3, Fraction(1, 2), cyclotomic_embed(8))]
+    kinds += [("poly", p) for p in (LaurentPoly.zero(), 2 * t + 4, t * t - 1,
+                                    LaurentPoly(2, 1, {(2, 0): 2, (0, 2): 2}))]
+    kinds += [("other", x) for x in (RatFunc(t, qdiff(1)), RatFunc(3),
+                                     BracketProduct(2, 1, {1: 1}))]
+    for a, num in kinds:
+        for b, den in kinds:
+            pair = (type(num).__name__, type(den).__name__)
+            if "other" not in (a, b) and "poly" in (a, b):
+                try:
+                    assert isinstance(divide_exact(num, den), LaurentPoly)
+                except (NonDivisible, ZeroDivisionError, ValueError):
+                    pass
+            else:
+                with pytest.raises(TypeError, match=" / ".join(pair)):
+                    divide_exact(num, den)
 
 
 def counting_inverse(monkeypatch):

@@ -532,3 +532,73 @@ def test_cyclotomic_coefficient_determinants_match_cofactors():
               RingMatrix([[t * z4 + z4, 3 * t * z4], [t + 1, 5 * t]])):
         assert det_exact(m) == _det_cofactor(m)
     assert det_exact(RingMatrix([[2 * z4, 3 * z4], [1, 5]])) == 7 * z4
+
+
+# ---------- mixed entries, lifted into one ring ----------
+
+def lifted(m):
+    """m with its entries in one ring, lifted apart from det_exact: every
+    entry a RatFunc beside a RatFunc, else every scalar a constant beside
+    a LaurentPoly (the polynomials drawn here have one variable)."""
+    entries = [x for row in m.rows for x in row]
+    ring = next((r for r in (RatFunc, LaurentPoly)
+                 if any(isinstance(x, r) for x in entries)), None)
+    if ring is None:
+        return m
+    lift = RatFunc if ring is RatFunc else LaurentPoly.const
+    return RingMatrix([[x if isinstance(x, ring) else lift(x) for x in row]
+                       for row in m.rows])
+
+
+mixed_polys = st.builds(
+    lambda terms, scale: LaurentPoly(1, scale, {(k,): c
+                                                for k, c in terms.items()}),
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=3),
+    st.sampled_from([1, 2]))
+
+MIXED_KINDS = {
+    "int": st.integers(-3, 3),
+    "Fraction": st.fractions(-3, 3, max_denominator=4),
+    "Cyclotomic": st.builds(lambda c, k: c * cyclotomic_embed(k),
+                            st.integers(-2, 2), st.sampled_from([3, 4, 8])),
+    "LaurentPoly": mixed_polys,
+    "RatFunc": st.builds(lambda p, a: RatFunc(p, qdiff(a)), mixed_polys,
+                         st.integers(1, 3)),
+}
+
+
+@st.composite
+def mixed_matrices(draw):
+    """1 to 4 rows whose entries mix the kinds drawn, ints, Fractions,
+    Cyclotomics, one-variable LaurentPolys and RatFuncs, zeros included."""
+    kinds = draw(st.lists(st.sampled_from(sorted(MIXED_KINDS)), min_size=1,
+                          max_size=3, unique=True))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of([MIXED_KINDS[k] for k in kinds])
+    return RingMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=120)
+@given(mixed_matrices())
+def test_mixed_entries_match_the_cofactors_of_the_lifted_matrix(m):
+    d = det_exact(m)
+    oracle = lifted(m)
+    assert d == _det_cofactor(oracle)
+    if oracle is not m:
+        assert isinstance(d, type(oracle[0, 0]))
+
+
+def test_mixed_entries_are_lifted_into_one_ring():
+    t = LaurentPoly.var_power(1)
+    assert det_exact(RingMatrix([[1, t, 0], [t, 1, t], [0, t, 1]])) \
+        == 1 - 2 * t * t
+    r = RatFunc(1, qdiff(1))
+    assert det_exact(RingMatrix([[r, 1], [0, r]])) == r * r
+    # a two-variable RatFunc beside an int lifts the int to two variables
+    s = RatFunc(qdiff(1, 2, 0), qdiff(1, 2, 1))
+    d = det_exact(RingMatrix([[s, 1], [3, s]]))
+    assert d == s * s - 3
+    assert d.num.nvars == 2
+    # a zero pivot with no row to swap in is the ring's zero
+    zero = det_exact(RingMatrix([[0, Fraction(1, 2)], [0, t]]))
+    assert isinstance(zero, LaurentPoly) and zero.is_zero
