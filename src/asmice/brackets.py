@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .cyclotomic import _integral
 from .laurent import (LaurentPoly, NonDivisible, RatFunc, _diff_factors,
-                      _inv_scalar, diff_product)
+                      _inv_scalar, diff_product, divide_exact)
 
 
 def qdiff(a, nvars=1, var=0):
@@ -57,29 +57,23 @@ def qdiff_product(*value_lists, beta_power=0):
     return diff_product(diffs)
 
 
-def bracket(a, nvars=1, var=0):
-    """The bracket [a] as a LaurentPoly; a must be an integer.
+def bracket(a):
+    """The bracket [a] = d(a)/d(1) as a LaurentPoly, by exact division; a
+    must be an integer.
 
-    For non-integral rational a the quotient d(a)/d(1) is not a Laurent
-    polynomial on any grid (e.g. [1/2] = 1/(t^(1/4)+t^(-1/4))); callers that
-    need those values work with RatFunc via bracket_ratio.
+    For non-integral rational a the quotient is not a Laurent polynomial
+    on any grid (e.g. [1/2] = 1/(t^(1/4)+t^(-1/4))); callers that need
+    those values work with RatFunc via bracket_ratio.
     """
     a = Fraction(a)
     if a.denominator != 1:
         raise NonDivisible(f"[{a}] is not a Laurent polynomial")
-    sign = 1 if a > 0 else -1
-    n = abs(a.numerator)
-    terms = {}
-    for j in range(n):
-        exps = [0] * nvars
-        exps[var] = n - 1 - 2 * j
-        terms[tuple(exps)] = sign
-    return LaurentPoly(nvars, 1, terms)
+    return divide_exact(qdiff(a), qdiff(1))
 
 
-def bracket_ratio(a, nvars=1, var=0):
+def bracket_ratio(a):
     """[a] as an exact RatFunc, valid for any rational a."""
-    return RatFunc(qdiff(a, nvars, var), qdiff(1, nvars, var))
+    return RatFunc(qdiff(a), qdiff(1))
 
 
 class BracketProduct:

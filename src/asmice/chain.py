@@ -14,7 +14,10 @@ coefficients times a fixed fourth-root prefactor:
         / ((x^2-4x)^((n^2-n)/2) * prod_{j<i} d(f_i-f_j)
                                 * prod_{i<j} d(f'_i-f'_j)),
 
-with tau(g) = s^g + s^(-g) - (x-2) and d(k) = s^(k/2) - s^(-k/2).  The
+with tau(g) = s^g + s^(-g) - (x-2) and d(k) = s^(k/2) - s^(-k/2).
+z_prefactor is the one statement of the prefactor.  q^(1/4) is a 24th
+root of unity, so (-1)^n q^(-n/4) is a power of zeta_24 with an
+exponent taken mod 24, and nothing is inverted.  The
 factor prod tau * det[1/tau] is computed as one polynomial determinant,
 det[prod_{k != j} tau(g_ik)] (matrices.cleared_det, which multiplies
 by each entry's tau factors without expanding it; each distinct tau is
@@ -99,6 +102,13 @@ def q_fourth_root(x):
     return cyclotomic_embed(24 // _q4_exponent(x))
 
 
+def z_prefactor(n, x):
+    """(-1)^n q^(-n/4) at the root of unity pinned for x, for any int n:
+    with q^(1/4) = zeta_24^e and -1 = zeta_24^12 it is the power
+    zeta_24^((12 - e) n mod 24), built as z_half_eps_brute folds u^r."""
+    return Cyclotomic(_fold([0] * ((12 - _q4_exponent(x)) * n % 24) + [1]))
+
+
 def _grid(n, grid):
     """grid, the standard one when None, checked against a positive n."""
     if n < 1:
@@ -177,8 +187,7 @@ def z_half_eps_product(n):
         # factors multiply to d(1)^0 over the rows
         diffs.update(range(1, 3 * i + 2))
         diffs.subtract(range(1, n + i + 1))
-    coeff = (Fraction(-1) ** n * Fraction(1, 3) ** ((n * n - n) // 2)
-             * q_fourth_root(1).inverse() ** n)
+    coeff = z_prefactor(n, 1) * Fraction(1, 3) ** ((n * n - n) // 2)
     return BracketProduct(coeff, -n * n, diffs)
 
 
@@ -208,10 +217,7 @@ def z_half_eps_brute(n, x, grid=None):
 def half_spec_value(n, x):
     """Z at the merged point (all rows 1/2, all columns 0): the s -> 1
     limit of the grid evaluation, a number in Q(zeta_24)."""
-    w = ik_eps_ratfunc(n, x)
-    lim = limit_at_one(w)
-    q4 = q_fourth_root(x)
-    return (q4.inverse() ** n) * (Fraction(-1) ** n) * lim
+    return z_prefactor(n, x) * limit_at_one(ik_eps_ratfunc(n, x))
 
 
 def ean_normalize(n, zvalue, x):
@@ -223,14 +229,10 @@ def ean_normalize(n, zvalue, x):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    q4 = q_fourth_root(x)
-    val = (q4 ** n) * (Fraction(-1) ** n) * zvalue
-    val = val * (Fraction(x) ** ((n * n - n) // 2))
-    if isinstance(val, Cyclotomic):
-        if not val.is_rational():
-            raise ArithmeticError("normalized count is not rational")
-        val = val.as_rational()
-    val = Fraction(val)
+    val = z_prefactor(-n, x) * zvalue * Fraction(x) ** ((n * n - n) // 2)
+    if not val.is_rational():
+        raise ArithmeticError("normalized count is not rational")
+    val = Fraction(val.as_rational())
     if val.denominator != 1:
         raise ArithmeticError("normalized count is not an integer")
     return int(val)

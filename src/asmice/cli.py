@@ -95,7 +95,7 @@ def cmd_xenum(n, at=None):
     if at is None:
         report.emit(poly)
     else:
-        report.emit(_format_rational(poly(Fraction(at))))
+        report.emit(poly(Fraction(at)))
     return report
 
 
@@ -156,11 +156,6 @@ def cmd_table(max_n, fmt="text"):
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     return report
-
-
-def _format_rational(v):
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v}"
 
 
 def _parse_rational(text):

@@ -219,7 +219,9 @@ def general_x_matrix(grid, x=FORMAL, s=FORMAL):
         s = Fraction(s)
 
         def spow(g):
-            return _rat_pow(s, g)
+            if g.denominator != 1:
+                raise ValueError("rational s requires integer grid exponents")
+            return s ** g
     x = LaurentPoly.var_power(1, nvars - 1, nvars) if x is FORMAL \
         else Fraction(x)
     num = x * x - 4 * x
@@ -236,16 +238,6 @@ def general_x_matrix(grid, x=FORMAL, s=FORMAL):
         return entries[g]
 
     return RingMatrix.from_fn(grid.n, grid.n, entry)
-
-
-def _rat_pow(base, e):
-    e = Fraction(e)
-    if e.denominator != 1:
-        raise ValueError("rational s requires integer grid exponents")
-    e = int(e)
-    if e >= 0:
-        return Fraction(base) ** e
-    return 1 / Fraction(base) ** (-e)
 
 
 # ---------- antidiagonal block decomposition ----------

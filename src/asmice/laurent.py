@@ -161,7 +161,8 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm, prod
 
 from .cyclotomic import Cyclotomic, _integral, _make
 
@@ -185,6 +186,21 @@ def _lift(x, like):
     return LaurentPoly.const(x, like.nvars, like.scale) if _is_scalar(x) else x
 
 
+def _lifted(num, den, name):
+    """num and den as LaurentPolys, a scalar on either side lifted onto
+    the other's variables and grid (_lift).  Any other operand, or two
+    scalars, raise TypeError naming both types, which are the ones passed
+    in: a scalar is lifted only beside a LaurentPoly."""
+    like = num if isinstance(num, LaurentPoly) else den
+    if isinstance(like, LaurentPoly):
+        num, den = _lift(num, like), _lift(den, like)
+    if not (isinstance(num, LaurentPoly) and isinstance(den, LaurentPoly)):
+        raise TypeError(f"{name} needs a LaurentPoly and a LaurentPoly or "
+                        f"scalar, got {type(num).__name__} / "
+                        f"{type(den).__name__}")
+    return num, den
+
+
 class LaurentPoly:
     __slots__ = ("nvars", "scale", "terms")
 
@@ -200,6 +216,9 @@ class LaurentPoly:
             key = tuple(int(e) for e in exps)
             if key != exps:
                 raise GridViolation(f"exponent {exps} is not integral")
+            if not _is_scalar(c):
+                raise TypeError(f"coefficient {c!r} is not an int, "
+                                "Fraction or Cyclotomic")
             if c:
                 clean[key] = c
         self.nvars = nvars
@@ -386,21 +405,14 @@ class LaurentPoly:
         i.e. variable i becomes unit_values[i]^(2*scale)."""
         if len(unit_values) != self.nvars:
             raise ValueError("need one value per variable")
-        total = 0
-        for k, c in self.terms.items():
-            term = c
-            for u, e in zip(unit_values, k):
-                if e:
-                    term = term * _int_pow(u, e)
-            total = total + term
-        return total
+        # an int unit becomes a Fraction, whose negative powers are exact
+        units = [Fraction(u) if isinstance(u, int) else u for u in unit_values]
+        return sum(c * prod(u ** e for u, e in zip(units, k))
+                   for k, c in self.terms.items())
 
     def subs_all_one(self):
         """Sum of coefficients: the value with every variable set to 1."""
-        total = 0
-        for c in self.terms.values():
-            total = total + c
-        return total
+        return sum(self.terms.values())
 
     # ---------- division ----------
 
@@ -453,31 +465,17 @@ class LaurentPoly:
         return f"LaurentPoly({self.format()})"
 
 
-def _int_pow(base, e):
-    if e >= 0:
-        return base ** e
-    if isinstance(base, int):
-        return Fraction(1, base ** -e)
-    return base ** e
-
-
 def divide_exact(num, den):
     """Exact Laurent quotient num/den, or raise NonDivisible.
 
     Either operand may be a scalar (int, Fraction or Cyclotomic) when the
     other is a LaurentPoly: the scalar is lifted to a constant on the
-    polynomial's variables and grid (_lift).  Any other operand, or two
+    polynomial's variables and grid (_lifted).  Any other operand, or two
     scalars, raise TypeError.  Unit monomials are invertible, so only the
     dense coefficient lists are divided; two variables are first mapped to
     one (see the module docstring).
     """
-    like = num if isinstance(num, LaurentPoly) else den
-    if isinstance(like, LaurentPoly):
-        num, den = _lift(num, like), _lift(den, like)
-    if not (isinstance(num, LaurentPoly) and isinstance(den, LaurentPoly)):
-        raise TypeError("divide_exact needs a LaurentPoly and a LaurentPoly "
-                        f"or scalar, got {type(num).__name__} / "
-                        f"{type(den).__name__}")
+    num, den = _lifted(num, den, "divide_exact")
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
@@ -490,8 +488,8 @@ def divide_exact(num, den):
 
 def reduced(num, den):
     """num/den as a RatFunc: the exact quotient when den divides num, else
-    the unreduced fraction."""
-    num, den = num._matched(den)        # once, for both outcomes
+    the unreduced fraction.  Scalars and other operands are taken as
+    divide_exact takes them."""
     try:
         return RatFunc(divide_exact(num, den))
     except NonDivisible:
@@ -637,10 +635,9 @@ def _split(cs):
     """(content, ints) with cs[i] == content * ints[i] and ints primitive.
     The content is a positive Fraction when every coefficient is an int or
     a Fraction, and u times a Fraction when every coefficient is a rational
-    multiple of one Cyclotomic u; None for any other list."""
+    multiple of one Cyclotomic u; None for Cyclotomic coefficients with no
+    such u."""
     kinds = set(map(type, cs))
-    if not kinds <= {int, Fraction, Cyclotomic}:
-        return None
     unit = 1
     if Cyclotomic in kinds:
         parts = _rational_parts(cs)
@@ -968,10 +965,10 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        if not isinstance(num, LaurentPoly):
-            num = _lift(num, den if isinstance(den, LaurentPoly)
-                        else LaurentPoly.one())
-        den = _lift(den, num)
+        if not (isinstance(num, LaurentPoly) and isinstance(den, LaurentPoly)):
+            if _is_scalar(num) and _is_scalar(den):
+                num = LaurentPoly.const(num)
+            num, den = _lifted(num, den, "RatFunc")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         num, den = num._matched(den)
@@ -1112,48 +1109,45 @@ def _inv_scalar(c):
 
 
 def _scalar_quot(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    if isinstance(b, int):
-        b = Fraction(b)
-    return a / b
+    return (a if isinstance(a, Cyclotomic) else Fraction(a)) / b
 
 
 def vanishing_order_at_one(p):
     """(order, deflated) for a univariate Laurent polynomial at unit = 1:
     p = (unit - 1)^order * deflated with deflated(1) != 0.  Exact synthetic
-    division; the unit monomial content is immaterial and dropped."""
+    division; the unit monomial content is immaterial and dropped.  A
+    scalar is a constant polynomial."""
+    if _is_scalar(p):
+        p = LaurentPoly.const(p)
+    if not isinstance(p, LaurentPoly):
+        raise TypeError("vanishing order needs a LaurentPoly or a scalar, "
+                        f"got {type(p).__name__}")
     if p.nvars != 1:
         raise ValueError("vanishing order only defined for univariate values")
     if p.is_zero:
         raise ValueError("zero polynomial has no finite vanishing order")
     _, cs = p._dense1()
     order = 0
-    while True:
-        total = 0
-        for c in cs:
-            total = total + c
-        if total:
-            break
-        # divide by (unit - 1): synthetic division from the top
-        out = [0] * (len(cs) - 1)
-        acc = 0
-        for i in range(len(cs) - 1, 0, -1):
-            acc = acc + cs[i]
-            out[i - 1] = acc
-        cs = out
+    while not sum(cs):
+        # divide by (unit - 1): synthetic division from the top, whose
+        # coefficients are the sums of cs's tails
+        cs = list(accumulate(reversed(cs[1:])))[::-1]
         order += 1
     return order, LaurentPoly._from_dense1(0, cs, p.scale)
 
 
 def limit_at_one(rf):
-    """Exact limit of a univariate RatFunc as the variable goes to 1.
+    """Exact limit of a univariate RatFunc as the variable goes to 1; a
+    LaurentPoly or a scalar is taken as RatFunc(rf), so a polynomial's
+    limit is its coefficient sum.
 
     Both numerator and denominator are deflated by their exact power of
     (unit - 1); equal orders give the ratio of the nonvanishing cofactors,
     a larger numerator order gives 0, and a larger denominator order is a
     pole (raised as NonDivisible).  No 0/0 evaluation ever happens.
     """
+    if not isinstance(rf, RatFunc):
+        rf = RatFunc(rf)
     od, pd = vanishing_order_at_one(rf.den)
     if rf.is_zero:
         return Fraction(0)

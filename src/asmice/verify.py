@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 
 from .chain import (a_via_chain, ean_normalize, half_spec_value,
-                    ik_eps_product, ik_eps_ratfunc, q_fourth_root,
-                    z_half_eps_brute, z_half_eps_product)
+                    ik_eps_product, ik_eps_ratfunc, z_half_eps_brute,
+                    z_half_eps_product, z_prefactor)
 from .dets import (cauchy_det_closed, cauchy_matrix, s_det_closed,
                    s_det_closed_bivariate, s_matrix, s_matrix_bivariate)
 from .formulas import a2_formula, a3_formula, a_formula
@@ -132,9 +132,7 @@ def check_chain_count(n, x):
 
 
 def check_chain_displayed(n):
-    q4 = q_fourth_root(1)
-    pref = (Fraction(-1) ** n) * q4.inverse() ** n
-    ok = z_half_eps_product(n) == ik_eps_product(n, 1) * pref
+    ok = z_half_eps_product(n) == ik_eps_product(n, 1) * z_prefactor(n, 1)
     return CheckResult("chain-displayed-product", ok,
                        f"n={n} bracket product == determinant evaluation")
 
@@ -147,17 +145,15 @@ def check_chain_ean(n, x):
 
 
 def check_chain_grid_match(n, x):
-    q4 = q_fourth_root(x)
-    pref = (Fraction(-1) ** n) * q4.inverse() ** n
-    ok = z_half_eps_brute(n, x) == ik_eps_ratfunc(n, x) * pref
+    ok = z_half_eps_brute(n, x) == ik_eps_ratfunc(n, x) * z_prefactor(n, x)
     return CheckResult("chain-state-sum", ok,
                        f"n={n} x={x}: grid state sum == determinant form")
 
 
 # ---------- random parameter drawing ----------
 
-def _draw_fraction(rng, lo=1, hi=30, dens=(1, 2, 3, 4)):
-    return Fraction(rng.randint(lo, hi), rng.choice(dens))
+def _draw_fraction(rng, lo=1, hi=30):
+    return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 4)))
 
 
 def _draw_ik_params(rng, n):

@@ -70,7 +70,7 @@ def test_bracket_values():
     assert bracket(1) == LaurentPoly.one()
     assert bracket(2) == lp({1: 1, -1: 1})
     assert bracket(3) == lp({2: 1, 0: 1, -2: 1})
-    with pytest.raises(NonDivisible):
+    with pytest.raises(NonDivisible, match=r"\[1/2\]"):
         bracket(Fraction(1, 2))
 
 

@@ -10,7 +10,7 @@ from asmice.brackets import BracketProduct
 from asmice.chain import (RATIO_EXPONENTS, _merged_count, a_via_chain,
                           ean_normalize, half_spec_value, ik_eps_product,
                           ik_eps_ratfunc, q_fourth_root, tau_poly,
-                          z_half_eps_brute, z_half_eps_product)
+                          z_half_eps_brute, z_half_eps_product, z_prefactor)
 from asmice.asm import enumerate_asms
 from asmice.cyclotomic import Cyclotomic
 from asmice.dets import EpsilonGrid, s_det_product
@@ -282,6 +282,36 @@ def test_merged_point_normalization():
 def test_normalize_rejects_irrational_values():
     with pytest.raises((ArithmeticError, ValueError)):
         ean_normalize(1, q_fourth_root(1), 1)
+
+
+def test_normalize_rejects_non_integral_values():
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        ean_normalize(1, z_prefactor(1, 1) / 2, 1)
+
+
+def test_prefactor_is_the_inverted_fourth_root_power(monkeypatch):
+    # the oracle inverts q^(1/4); z_prefactor takes a positive power
+    for x in (1, 2, 3):
+        for n in range(-30, 31):
+            want = Fraction(-1) ** n * q_fourth_root(x).inverse() ** n
+            assert z_prefactor(n, x) == want
+            assert z_prefactor(n, x) * z_prefactor(-n, x) == 1
+    inverted = []
+    monkeypatch.setattr(Cyclotomic, "inverse", inverted.append)
+    for x in (1, 2, 3):
+        for n in range(-30, 31):
+            z_prefactor(n, x)
+    assert inverted == []
+
+
+def test_chain_refuses_a_non_integral_count_at_integral_x(monkeypatch):
+    # the merged limit is an integer at an integral x; a value that is not
+    # one signals a broken invariant and raises, never truncates
+    monkeypatch.setattr("asmice.chain._merged_count",
+                        lambda n, x: Fraction(7, 2))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        a_via_chain(2, 3)
+    assert a_via_chain(2, Fraction(1, 3)) == Fraction(7, 2)
 
 
 # ---------- closed forms against their factor-by-factor products ----------

@@ -245,16 +245,23 @@ def test_divide_by_a_scalar_of_any_ring():
         divide_exact(t, 0)
 
 
-def test_divide_exact_operand_types():
-    # a LaurentPoly over a LaurentPoly or a scalar, or a scalar over a
-    # LaurentPoly; every other pair is a TypeError naming both types
+def operand_kinds():
+    """(kind, operand) pairs for the type guards of the laurent entry
+    points: scalars, LaurentPolys in one and two variables, and others."""
     t = LaurentPoly.var_power(1)
     kinds = [("scalar", x)
              for x in (0, 3, Fraction(1, 2), cyclotomic_embed(8))]
     kinds += [("poly", p) for p in (LaurentPoly.zero(), 2 * t + 4, t * t - 1,
                                     LaurentPoly(2, 1, {(2, 0): 2, (0, 2): 2}))]
     kinds += [("other", x) for x in (RatFunc(t, qdiff(1)), RatFunc(3),
-                                     BracketProduct(2, 1, {1: 1}))]
+                                     BracketProduct(2, 1, {1: 1}), 0.5)]
+    return kinds
+
+
+def test_divide_exact_operand_types():
+    # a LaurentPoly over a LaurentPoly or a scalar, or a scalar over a
+    # LaurentPoly; every other pair is a TypeError naming both types
+    kinds = operand_kinds()
     for a, num in kinds:
         for b, den in kinds:
             pair = (type(num).__name__, type(den).__name__)
@@ -266,6 +273,65 @@ def test_divide_exact_operand_types():
             else:
                 with pytest.raises(TypeError, match=" / ".join(pair)):
                     divide_exact(num, den)
+
+
+def test_ratfunc_and_reduced_operand_types():
+    # RatFunc takes LaurentPolys and scalars on both sides, reduced what
+    # divide_exact takes; every other pair is a TypeError naming both
+    # types, before any lift of the other operand
+    kinds = operand_kinds()
+    for a, num in kinds:
+        for b, den in kinds:
+            pair = " / ".join((type(num).__name__, type(den).__name__))
+            for make, ok in ((RatFunc, "other" not in (a, b)),
+                             (reduced, "other" not in (a, b)
+                              and "poly" in (a, b))):
+                if ok:
+                    try:
+                        assert isinstance(make(num, den), RatFunc)
+                    except (ZeroDivisionError, ValueError):
+                        pass
+                else:
+                    with pytest.raises(TypeError, match=pair):
+                        make(num, den)
+    t = LaurentPoly.var_power(1)
+    with pytest.raises(TypeError, match="RatFunc / int"):
+        RatFunc(RatFunc(t, qdiff(1)))
+    assert reduced(2, t) == RatFunc(2 * t ** -1)
+    assert reduced(t, 2) == RatFunc(Fraction(1, 2) * t)
+
+
+def test_limits_take_polynomials_and_scalars():
+    # a polynomial's limit at 1 is its coefficient sum, a scalar's is
+    # itself; a two-variable value has no such limit
+    for kind, x in operand_kinds():
+        if kind == "scalar":
+            assert limit_at_one(x) == x
+            if x:
+                order, cof = vanishing_order_at_one(x)
+                assert order == 0 and cof == LaurentPoly.const(x)
+            else:
+                with pytest.raises(ValueError):
+                    vanishing_order_at_one(x)
+        elif kind == "other":
+            with pytest.raises(TypeError, match=type(x).__name__):
+                vanishing_order_at_one(x)
+            if not isinstance(x, RatFunc):
+                with pytest.raises(TypeError, match=type(x).__name__):
+                    limit_at_one(x)
+        elif x.nvars == 2:
+            for f in (limit_at_one, vanishing_order_at_one):
+                with pytest.raises(ValueError):
+                    f(x)
+        else:
+            assert limit_at_one(x) == x.subs_all_one()
+
+
+def test_constructor_rejects_non_scalar_coefficients():
+    for c in (0.5, 0.0, 1j, "1", None, RatFunc(3)):
+        with pytest.raises(TypeError, match="coefficient"):
+            LaurentPoly(1, 1, {(0,): c})
+    assert LaurentPoly(1, 1, {(0,): True}).terms == {(0,): True}
 
 
 def counting_inverse(monkeypatch):
@@ -479,6 +545,27 @@ def test_packed_divide_falls_back_to_the_schoolbook():
         assert _bits(q) + 1 > _width(max(_bits(a), _bits(d)) + 1)
         assert _divide_ints(a, d) is None
         assert divide_exact(dense(a), dense(d)) == dense(q)
+
+
+def test_quotient_past_its_top_slot_falls_back_to_the_schoolbook(
+        monkeypatch):
+    # (t - 1)(110 + 227t + 127t^2): the dividend and the divisor set 8-bit
+    # slots, which hold every quotient coefficient but 227, whose carry
+    # takes the top slot past 127: the unpack fails before the multiply-back
+    a, d, q = [-110, -117, 100, 127], [-1, 1], [110, 227, 127]
+    assert _width(max(_bits(a), _bits(d)) + 1) == 8
+    with pytest.raises(ArithmeticError, match="top slot"):
+        _unpack(_pack(a, 8) // _pack(d, 8), len(q), 8)
+    seen = []
+
+    def spy(a, d):
+        seen.append(_divide_ints(a, d))
+        return seen[-1]
+
+    monkeypatch.setattr(laurent, "_divide_ints", spy)
+    monkeypatch.setattr(laurent, "_worth_packing", lambda pairs, slots: True)
+    assert divide_exact(dense(a), dense(d)) == dense(q)
+    assert seen == [None]
 
 
 def test_pack_round_trips_balanced_slots():

@@ -4,6 +4,7 @@ documented examples."""
 import ast
 import doctest
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -165,3 +166,97 @@ def test_the_private_scan_sees_an_unread_name():
              "b": ast.parse("from . import a\nfrom .a import _used\n"
                             "_used()\na._by_attribute()\n")}
     assert _unread_privates(trees) == {("_orphan", "a"), ("_Lone", "a")}
+
+
+def _options(tree):
+    """(function, parameter, position) of each optional parameter of the
+    functions and methods in tree.  position is the index of the
+    positional argument that passes it, a method's self or cls not
+    counted, and None for a keyword-only parameter.  An __init__ is named
+    by its class, whose call calls it."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and "staticmethod" not in [
+                    d.id for d in child.decorator_list
+                    if isinstance(d, ast.Name)]
+                name = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((name, p.arg, i - bound)
+                             for i, p in enumerate(positional) if i >= first)
+                found.extend((name, p.arg, None) for p, d in
+                             zip(args.kwonlyargs, args.kw_defaults) if d)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def _calls(trees):
+    """{called name: [(positional count, keyword names)]} over every call
+    in trees, by the bare name or the attribute called.  A *args makes
+    the count unbounded; a **kwargs puts None among the names."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute) else None)
+                count = (math.inf if any(isinstance(a, ast.Starred)
+                                         for a in node.args)
+                         else len(node.args))
+                calls.setdefault(name, []).append(
+                    (count, {k.arg for k in node.keywords}))
+    return calls
+
+
+def _unset_options(defined, calling):
+    """(module, function, parameter) of each optional parameter of a
+    function in defined ({module: ast}) that no call in calling (asts)
+    passes, by position or by keyword.  A call is matched to every
+    function of its name."""
+    calls = _calls(calling)
+    return {(module, name, param) for module, tree in defined.items()
+            for name, param, position in _options(tree)
+            if not any(position is not None and position < count
+                       or param in keys or None in keys
+                       for count, keys in calls.get(name, ()))}
+
+
+def test_every_option_is_set_by_some_call():
+    # an option that no call in the package, its tests or its benchmark
+    # sets is surface with no caller
+    defined = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "asmice").glob("*.py"))}
+    calling = [ast.parse(path.read_text())
+               for part in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / part).rglob("*.py"))]
+    assert _unset_options(defined, calling) == set()
+
+
+def test_the_option_scan_sees_an_orphan():
+    defined = {"a": ast.parse(
+        "def f(x, by_position=1, by_keyword=2, orphan=3, *, kw=4, lone=5):\n"
+        "    def inner(y=1):\n        pass\n"
+        "def starred(a=1):\n    pass\n"
+        "def spread(a=1):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, given=1, unset=2):\n        pass\n"
+        "    def method(self, a=1, b=2):\n        pass\n"
+        "    @staticmethod\n"
+        "    def static(a=1, b=2):\n        pass\n")}
+    calling = [ast.parse("f(0, 1, by_keyword=2, kw=4)\nC(1)\n"
+                         "obj.method(1)\nC.static(1)\n"
+                         "starred(*args)\nspread(**kwargs)\n")]
+    assert _unset_options(defined, calling) == {
+        ("a", "f", "orphan"), ("a", "f", "lone"), ("a", "inner", "y"),
+        ("a", "C", "unset"), ("a", "method", "b"), ("a", "static", "b")}
