@@ -49,9 +49,6 @@ class Asm:
     def neg_count(self):
         return sum(1 for row in self.rows for x in row if x == -1)
 
-    def __repr__(self):
-        return f"Asm({[list(r) for r in self.rows]})"
-
 
 def validate(rows):
     """Check the defining constraints, reporting the first violation.

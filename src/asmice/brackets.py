@@ -163,19 +163,18 @@ class BracketProduct:
         return RatFunc(*self._expanded())
 
     def __eq__(self, other):
-        """Equality as functions, decided on the quotient self / other,
-        whose common factors have cancelled: it is 1 exactly when its
-        numerator and denominator expand to the same polynomial."""
+        """Equality as functions, decided on the quotient self / other
+        without other's coefficient, whose common factors have cancelled:
+        self equals other exactly when its numerator expands to its
+        denominator times other's coefficient, so no coefficient is
+        inverted."""
         if not isinstance(other, BracketProduct):
             return NotImplemented
         if not (self.coeff and other.coeff):
             return not (self.coeff or other.coeff)
-        num, den = (self / other)._expanded()
-        return num == den
-
-    def __repr__(self):
-        if not self.coeff:
-            return "BracketProduct(0)"
-        fs = " * ".join(f"d({a})^{e}" for a, e in sorted(self.diffs.items()))
-        return f"BracketProduct({self.coeff} * u^{self.unit_expo}{' * ' + fs if fs else ''})"
+        diffs = Counter(self.diffs)
+        diffs.subtract(other.diffs)
+        num, den = BracketProduct(self.coeff, self.unit_expo - other.unit_expo,
+                                  diffs)._expanded()
+        return num == den * other.coeff
 

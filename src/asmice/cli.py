@@ -319,7 +319,3 @@ def main(argv=None):
     report = run(argv)
     _print_report(report, sys.stdout)
     return report.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

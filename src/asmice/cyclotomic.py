@@ -171,16 +171,12 @@ class Cyclotomic:
         return hash(self.coeffs)
 
     def __repr__(self):
-        if self.is_rational():
-            return f"Cyclotomic({self.coeffs[0]})"
         parts = []
         for k, c in enumerate(self.coeffs):
             if not c:
                 continue
             if k == 0:
                 parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*z")
             else:
                 parts.append(f"{c}*z^{k}")
         return f"Cyclotomic({' + '.join(parts)})"

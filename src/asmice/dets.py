@@ -199,9 +199,6 @@ class EpsilonGrid:
     def g(self, i, j):
         return self.row_f[i] - self.col_f[j]
 
-    def __repr__(self):
-        return f"EpsilonGrid(rows={list(self.row_f)}, cols={list(self.col_f)})"
-
 
 def general_x_matrix(grid, x=FORMAL, s=FORMAL):
     """M_{i,j} = (x^2-4x) / (s^g + 2 - x + s^(-g)), g = grid.g(i,j).

@@ -91,9 +91,6 @@ class BChain:
     def __iter__(self):
         return iter(self.polys)
 
-    def __repr__(self):
-        return f"BChain(max_n={self.max_n})"
-
 
 def b_chain(max_n, a_polys=None):
     """Compute the B chain up to B(maxN;x) by exact division.

@@ -75,9 +75,6 @@ class IceState:
     def __hash__(self):
         return hash(self.grid)
 
-    def __repr__(self):
-        return f"IceState({[list(r) for r in self.grid]})"
-
 
 def _check(grid):
     n = len(grid)

@@ -32,7 +32,6 @@ from .laurent import LaurentPoly, diff_product, reduced
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 from .matrices import RingMatrix, cleared_det
 from .matrices import det_exact  # noqa: F401  perfbench/selftest.py
-from .sixvertex import SpectralParams
 
 
 class IkInstance:
@@ -41,8 +40,6 @@ class IkInstance:
     __slots__ = ("params",)
 
     def __init__(self, params):
-        if not isinstance(params, SpectralParams):
-            params = SpectralParams(*params)
         n = params.n
         for i in range(n):
             for j in range(n):

@@ -395,9 +395,6 @@ class LaurentPoly:
         a, b = self._matched(other)
         return a.terms == b.terms
 
-    def __hash__(self):
-        raise TypeError("LaurentPoly is not hashable")
-
     # ---------- evaluation ----------
 
     def eval_units(self, *unit_values):
@@ -434,14 +431,14 @@ class LaurentPoly:
 
     # ---------- display ----------
 
-    def format(self, names=("t", "u")):
+    def format(self):
         if self.is_zero:
             return "0"
         parts = []
         for k in sorted(self.terms, reverse=True):
             c = self.terms[k]
             mono = []
-            for name, e in zip(names, k):
+            for name, e in zip("tu", k):
                 if e == 0:
                     continue
                 ex = Fraction(e, 2 * self.scale)
@@ -1035,9 +1032,6 @@ class RatFunc:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerced(other)
         if o is None:
@@ -1082,19 +1076,16 @@ class RatFunc:
             return _cross_equal(*four)
         return (self.num * o.den) == (o.num * self.den)
 
-    def __hash__(self):
-        raise TypeError("RatFunc is not hashable")
-
     def eval_units(self, *unit_values):
         dv = self.den.eval_units(*unit_values)
         if not dv:
             raise ZeroDivisionError("denominator vanishes at the given point")
         return _scalar_quot(self.num.eval_units(*unit_values), dv)
 
-    def format(self, names=("t", "u")):
+    def format(self):
         if self.is_poly:
-            return self.num.format(names)
-        return f"({self.num.format(names)}) / ({self.den.format(names)})"
+            return self.num.format()
+        return f"({self.num.format()}) / ({self.den.format()})"
 
     def __repr__(self):
         return f"RatFunc({self.format()})"

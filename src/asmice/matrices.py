@@ -140,9 +140,6 @@ class RingMatrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def __repr__(self):
-        return f"RingMatrix({self.nrows}x{self.ncols})"
-
 
 def det_exact(matrix):
     """Exact determinant: packed over Z, or by fraction-free Bareiss (see

@@ -115,9 +115,6 @@ class SpectralParams:
         ys[i], ys[k] = ys[k], ys[i]
         return SpectralParams(self.xs, ys)
 
-    def __repr__(self):
-        return f"SpectralParams(X={list(self.xs)}, Y={list(self.ys)})"
-
 
 def vertex_weights(v):
     """The six weights at label v as a map state -> RatFunc in q: the

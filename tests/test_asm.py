@@ -78,6 +78,20 @@ def test_rejections():
         Asm([[1, 0, 0], [0, 1, 0]])           # not square
     with pytest.raises(AsmInvalid):
         Asm([[1, 1], [0, 0]])                 # row sum 2
+    with pytest.raises(AsmInvalid, match="matrix is empty"):
+        Asm([])
+
+
+@pytest.mark.parametrize("refused", [lambda: list(enumerate_asms(0)),
+                                     lambda: count_asms_brute(0),
+                                     lambda: x_enumerate_brute(-1)])
+def test_sizes_below_one_are_refused(refused):
+    with pytest.raises(ValueError, match="n must be positive"):
+        refused()
+
+
+def test_equal_matrices_hash_alike():
+    assert len(set(enumerate_asms(4)) | set(enumerate_asms(4))) == 42
 
 
 def test_weighted_enumeration_polynomials():

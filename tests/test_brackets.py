@@ -276,6 +276,32 @@ def test_equality_with_the_zero_product():
         assert not cross_multiplied_equal(p, zero)
 
 
+def test_equality_with_cyclotomic_coefficients_inverts_nothing(monkeypatch):
+    # the quotient keeps the other coefficient as a factor of its
+    # denominator, so no Cyclotomic is inverted
+    w = q_fourth_root(1)
+    equal = [(BracketProduct(w, 1, {2: 1}), BracketProduct(-w, 1, {-2: 1})),
+             (BracketProduct(w * w, 0, {3: 2}),
+              BracketProduct(w ** 2, 0, {3: 1}) * d(3)),
+             (BracketProduct(w * 3, 2, {4: 1, 2: -1}),
+              BracketProduct(3 * w, 2, {4: 1, 2: -1})),
+             (BracketProduct(w ** 3, 1, {1: 1}),       # w = zeta_6
+              BracketProduct(-1, 1, {1: 1}))]
+    unequal = [(BracketProduct(w, 1, {2: 1}),
+                BracketProduct(w * w, 1, {2: 1})),
+               (BracketProduct(w, 1, {2: 1}), BracketProduct(w, 3, {2: 1})),
+               (BracketProduct(w, 0, {2: 1}),
+                BracketProduct(w, 0, {2: 1, 1: 1})),
+               (BracketProduct(w), ONE)]
+    for pairs, same in ((equal, True), (unequal, False)):
+        for p, q in pairs:
+            assert cross_multiplied_equal(p, q) is same
+    monkeypatch.setattr(type(w), "inverse", None)
+    for pairs, same in ((equal, True), (unequal, False)):
+        for p, q in pairs:
+            assert (p == q) is same and (q == p) is same
+
+
 def test_integral_coefficients_stay_ints():
     assert type(BracketProduct(3).coeff) is int
     assert type(BracketProduct(Fraction(6, 2)).coeff) is int

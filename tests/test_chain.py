@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from asmice import laurent, matrices
+from asmice import laurent, matrices, transfer
 from asmice.brackets import BracketProduct
 from asmice.chain import (RATIO_EXPONENTS, _merged_count, a_via_chain,
                           ean_normalize, half_spec_value, ik_eps_product,
@@ -267,6 +267,14 @@ def test_sizes_below_one_are_refused():
         ik_eps_product(-2, 1)
 
 
+@pytest.mark.parametrize("refused", [
+    lambda grid: ik_eps_ratfunc(2, 3, grid),
+    lambda grid: z_half_eps_brute(2, 1, grid)])
+def test_grid_of_another_size_is_refused(refused):
+    with pytest.raises(ValueError, match="grid size mismatch"):
+        refused(EpsilonGrid.standard(3))
+
+
 def test_route_validation():
     with pytest.raises(ValueError, match="factored"):
         ik_eps_product(2, 3)
@@ -312,6 +320,31 @@ def test_chain_refuses_a_non_integral_count_at_integral_x(monkeypatch):
     with pytest.raises(ArithmeticError, match="not an integer"):
         a_via_chain(2, 3)
     assert a_via_chain(2, Fraction(1, 3)) == Fraction(7, 2)
+
+
+def test_chain_refuses_a_grid_limit_with_a_pole(monkeypatch):
+    # the factored product balances its difference factors at x = 1, 2;
+    # an unbalanced one would vanish or blow up at s = 1
+    monkeypatch.setattr("asmice.chain.ik_eps_product",
+                        lambda n, x: BracketProduct(1, 0, {1: 1}))
+    with pytest.raises(ArithmeticError, match="grid limit degenerates"):
+        a_via_chain(2, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_merged_count_holds_every_coefficient_of_the_x_enumeration(n):
+    # the coefficients of A(n; x) are nonnegative and sum to A(n) <=
+    # prod_{0<i<n} C(n, i) < 2^(B-1) (transfer's docstring), so at
+    # x = 2^B they are the base-2^B digits of A(n; x); B >= 3 keeps x off
+    # the pole at 4
+    width = max(transfer._slot_width(n) + 1, 3)
+    value = _merged_count(n, 2 ** width)
+    assert value.denominator == 1
+    digits, rest = [], value.numerator
+    while rest:
+        rest, digit = divmod(rest, 1 << width)
+        digits.append(digit)
+    assert tuple(digits) == transfer_count(n).coeffs
 
 
 # ---------- closed forms against their factor-by-factor products ----------

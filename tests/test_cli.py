@@ -51,6 +51,8 @@ def test_count_prints_the_largest_formula_size(capsys):
 def test_count_unknown_method():
     with pytest.raises(SystemExit):
         cli.main(["count", "--n", "3", "--method", "magic"])
+    with pytest.raises(ValueError, match="unknown counting method 'magic'"):
+        cli.cmd_count(3, ("magic",))
 
 
 # ---------- xenum ----------

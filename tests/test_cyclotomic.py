@@ -121,6 +121,15 @@ def test_inverse():
         z / 0
 
 
+def test_inverse_refuses_a_norm_that_is_not_rational(monkeypatch):
+    # the product over all seven nontrivial automorphisms is rational; one
+    # of them alone leaves z * z^5 = z^6 = i
+    monkeypatch.setattr("asmice.cyclotomic._GALOIS", (5,))
+    with pytest.raises(ArithmeticError, match="norm of a cyclotomic number "
+                                              "is not rational"):
+        cyclotomic_embed(24).inverse()
+
+
 def test_pow_supports_negative_exponents():
     z = cyclotomic_embed(12)
     assert z ** -5 == z.inverse() ** 5

@@ -283,6 +283,19 @@ def test_split_factorizes_symmetric_instances():
         assert even * odd == det_exact(m), f
 
 
+@pytest.mark.parametrize("refused, cause", [
+    (lambda: EpsilonGrid([1, 2], [0]),
+     "row and column grids must have equal length"),
+    (lambda: general_x_matrix(EpsilonGrid([Fraction(1, 2)], [0]), s=2),
+     "rational s requires integer grid exponents"),
+    (lambda: antidiagonal_block_det(RingMatrix([[1, 2]])),
+     "matrix must be square"),
+])
+def test_refusals_name_their_cause(refused, cause):
+    with pytest.raises(ValueError, match=cause):
+        refused()
+
+
 def test_split_requires_flip_symmetry():
     with pytest.raises(ValueError):
         antidiagonal_block_det(general_x_matrix(EpsilonGrid.standard(2), x=1))

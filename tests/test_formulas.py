@@ -44,6 +44,12 @@ def test_inexact_steps_raise(monkeypatch):
         a3_formula(5)
 
 
+@pytest.mark.parametrize("formula", [a_formula, a2_formula, a3_formula])
+def test_formulas_refuse_sizes_below_one(formula):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        formula(0)
+
+
 def test_two_enumeration_formula():
     for n in range(1, 10):
         assert a2_formula(n) == 2 ** (n * (n - 1) // 2)

@@ -69,3 +69,19 @@ def test_valid_literal_state_accepted():
     s = to_ice(a)
     grid = [[s[i, j] for j in range(2)] for i in range(2)]
     assert IceState(grid) == s
+
+
+@pytest.mark.parametrize("grid, cause", [
+    ([], "grid is empty"),
+    ([[1, 1], [1]], "row 1 has length 1, expected 2"),
+    ([[7]], r"site \(0,0\) has state 7, not 1..6"),
+    ([[2]], r"left boundary edge at \(0,0\) points out"),
+    ([[3]], r"right boundary edge at \(0,0\) points out"),
+    ([[1, 4], [2, 1]], r"top boundary edge at \(0,1\) points in"),
+    ([[3, 1], [3, 2]], r"bottom boundary edge at \(1,0\) points in"),
+    ([[1, 1], [1, 1]], r"horizontal edge between \(0,0\) and \(0,1\)"),
+    ([[1, 2], [1, 1]], r"vertical edge between \(0,0\) and \(1,0\)"),
+])
+def test_each_broken_rule_is_named(grid, cause):
+    with pytest.raises(IceInvalid, match=cause):
+        IceState(grid)

@@ -29,6 +29,7 @@ def test_arithmetic():
     assert (x + IntPoly.const(6)) * (x + IntPoly.const(2)) == \
         IntPoly([12, 8, 1])
     assert (x + IntPoly.const(1)) - x == IntPoly.const(1)
+    assert IntPoly.const(1) + x * x == IntPoly([1, 0, 1])   # shorter first
     assert x * 3 == IntPoly([0, 3])
     assert x ** 3 == IntPoly([0, 0, 0, 1])
     assert x ** 0 == IntPoly.const(1)
@@ -79,6 +80,19 @@ def test_fraction_operand_is_not_implemented():
                lambda a, b: b + a, lambda a, b: b - a, lambda a, b: b * a):
         with pytest.raises(TypeError):
             op(x, Fraction(1, 2))
+
+
+def test_ints_only_scale():
+    # an int scales a polynomial; it is not one, so sums and equality
+    # with ints are refused and equal polynomials hash alike
+    x = IntPoly.x()
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: b + a, lambda a, b: b - a):
+        with pytest.raises(TypeError):
+            op(x, 1)
+    assert IntPoly.const(3) != 3
+    assert 2 * x == x * 2 == IntPoly([0, 2])
+    assert {IntPoly([1, 2]): "p"}[IntPoly([1, 2, 0])] == "p"
 
 
 def test_divide_alias():

@@ -1174,5 +1174,36 @@ def test_limit_pole_is_detected():
 def test_format():
     assert LaurentPoly.zero().format() == "0"
     assert lp({2: 1, 0: -3}).format() == "t - 3"
+    assert lp({2: -1, 0: 1}).format() == "-t + 1"
+    assert RatFunc(lp({2: 1}), lp({2: 1, 0: 1})).format() == "(t) / (t + 1)"
     assert lp({1: 1}).format() == "t^(1/2)"
     assert LaurentPoly(2, 1, {(2, -1): 4}).format() == "4*t*u^(-1/2)"
+
+
+@pytest.mark.parametrize("refused, error, cause", [
+    (lambda: LaurentPoly(1, 1, {(1, 2): 1}), ValueError,
+     "exponent tuple length != nvars"),
+    (lambda: (lp({2: 1}) + 1) ** -1, NonDivisible,
+     "negative power of a non-unit"),
+    (lambda: LaurentPoly.one().eval_units(1, 2), ValueError,
+     "need one value per variable"),
+    (lambda: RatFunc(LaurentPoly.zero()).reciprocal(), ZeroDivisionError,
+     "reciprocal of zero"),
+])
+def test_refusals_name_their_cause(refused, error, cause):
+    with pytest.raises(error, match=cause):
+        refused()
+
+
+def test_equality_and_truth_across_kinds():
+    assert LaurentPoly.one(1) != LaurentPoly.one(2)
+    assert not RatFunc(LaurentPoly.zero())
+    assert RatFunc(lp({1: 1}), qdiff(1))
+
+
+@pytest.mark.parametrize("value", [LaurentPoly.one(),
+                                   RatFunc(lp({1: 1}), qdiff(1))])
+def test_polynomials_and_quotients_are_unhashable(value):
+    # they compare equal across grids, where their terms differ
+    with pytest.raises(TypeError):
+        hash(value)

@@ -89,6 +89,24 @@ def test_singular_and_zero_pivot_cases():
     assert det_exact(zero_col) == 0
 
 
+class _OffInt(int):
+    """An int whose products are wrong by the left factor."""
+
+    def __mul__(self, other):
+        return int(self) * int(other) + int(self)
+
+
+def test_bareiss_refuses_an_inexact_integer_step(monkeypatch):
+    # Bareiss divides each step by the previous pivot exactly over Z; a
+    # wrong product surfaces as a remainder, which raises, never truncates
+    monkeypatch.setattr(matrices, "_det_packed", lambda rows: None)
+    assert det_exact(RingMatrix([[2, 1, 1], [1, 3, 1], [1, 1, 4]])) == 17
+    off = RingMatrix([[_OffInt(v) for v in row]
+                      for row in ([2, 1, 1], [1, 3, 1], [1, 1, 4])])
+    with pytest.raises(ArithmeticError, match="inexact integer division"):
+        det_exact(off)
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         det_exact(RingMatrix([[1, 2, 3], [4, 5, 6]]))

@@ -8,9 +8,18 @@ import math
 import re
 from pathlib import Path
 
+import operator
+
 import pytest
 
 import asmice
+from asmice.asm import Asm
+from asmice.brackets import BracketProduct, qdiff
+from asmice.cyclotomic import cyclotomic_embed
+from asmice.ice import IceState
+from asmice.intpoly import IntPoly
+from asmice.laurent import LaurentPoly, RatFunc
+from asmice.matrices import RingMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -260,3 +269,20 @@ def test_the_option_scan_sees_an_orphan():
     assert _unset_options(defined, calling) == {
         ("a", "f", "orphan"), ("a", "f", "lone"), ("a", "inner", "y"),
         ("a", "C", "unset"), ("a", "method", "b"), ("a", "static", "b")}
+
+
+@pytest.mark.parametrize("value", [
+    Asm([[1]]), BracketProduct(2, 1, {1: 1}), cyclotomic_embed(24),
+    IceState([[1]]), IntPoly.x(), LaurentPoly.var_power(1),
+    RatFunc(LaurentPoly.var_power(1), qdiff(1)), RingMatrix([[1]])],
+    ids=lambda value: type(value).__name__)
+def test_a_foreign_operand_is_refused(value):
+    # each operator declines an operand it cannot take, so Python raises
+    # TypeError for arithmetic and falls back to identity for ==
+    foreign = object()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((value, foreign), (foreign, value)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert value != foreign and foreign != value
+    assert not (value == foreign or foreign == value)

@@ -357,6 +357,19 @@ def test_uniform_label_two_collapses_to_plain_count():
         divide_exact(diff.poly(), phi)        # raises if the identity failed
 
 
+@pytest.mark.parametrize("refused, cause", [
+    (lambda p: lemma_recursion_check(3, p, 0, 0),
+     "n does not match the parameter count"),
+    (lambda p: lemma_recursion_check(2, p, 0, 0),
+     r"precondition x_0 = y_0 \+ 1 violated"),
+    (lambda p: lemma_degree_check(1, p),
+     "n does not match the parameter count"),
+])
+def test_lemma_checks_refuse_parameters_they_do_not_fit(refused, cause):
+    with pytest.raises(ValueError, match=cause):
+        refused(SpectralParams([3, 5], [0, 1]))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         SpectralParams([1, 2], [0])
