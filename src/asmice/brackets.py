@@ -33,17 +33,15 @@ from .laurent import (LaurentPoly, NonDivisible, RatFunc, _diff_factors,
                       _inv_scalar, diff_product, divide_exact)
 
 
-def qdiff(a, nvars=1, var=0):
+def qdiff(a):
     """The two-term Laurent polynomial t^(a/2) - t^(-a/2), for any
     rational a, built directly on the coarsest grid that holds it: scale
     a.denominator, where t^(a/2) has the key a.numerator."""
     a = Fraction(a)
-    if not a or nvars not in (1, 2):     # zero() refuses any other nvars
-        return LaurentPoly.zero(nvars)
-    hi, lo = [0] * nvars, [0] * nvars
-    hi[var], lo[var] = a.numerator, -a.numerator
-    return LaurentPoly._clean(nvars, a.denominator,
-                              {tuple(hi): 1, tuple(lo): -1})
+    if not a:
+        return LaurentPoly.zero()
+    return LaurentPoly._clean(a.denominator,
+                              {a.numerator: 1, -a.numerator: -1})
 
 
 def qdiff_product(*value_lists, beta_power=0):

@@ -209,8 +209,8 @@ def z_half_eps_brute(n, x, grid=None):
             v = folded.setdefault(k, [0] * 24)
             for dr, sign in factor:
                 v[e * (r + dr) % 24] += sign * c
-    total = LaurentPoly(1, d, {k: Cyclotomic(_fold(v))
-                               for k, v in folded.items()})
+    total = LaurentPoly(d, {k: Cyclotomic(_fold(v))
+                            for k, v in folded.items()})
     return RatFunc(total, (x * x - 4 * x) ** ((n * n + 1) // 2))
 
 

@@ -16,7 +16,8 @@ determinants:
 
   derived from the divisibility/degree argument and pinned against the
   direct determinant (the leading constant is not trusted from any printed
-  form).  A true bivariate (s,t) mode cross-checks small n;
+  form).  The identity in two formal variables s, t is checked at small
+  n through one exact image (below);
 
 * the shifted matrices M_{i,j} = (x^2-4x)/(s^g + 2 - x + s^(-g)) with
   g = f_i - f_j' over an epsilon-multiplier grid, including the symmetric
@@ -27,6 +28,22 @@ S depends on i + j only, and M on g only, so each distinct entry is built
 once and shared by every (i, j) that holds it; the packed determinant
 (matrices) then reads each distinct factor once.  The Cauchy matrix
 shares its numerator d(1).
+
+S(n; s, t) through one Kronecker image.  Write d_s(m) = s^(m/2) - s^(-m/2)
+and d_t likewise, so S(n; s, t)_{i,j} = d_s(m_ij) / d_t(m_ij) with
+m_ij = i + j + 1.  The map phi: s -> u^K, t -> u with K = 2n^3 + 1 is a
+ring map, which sends S(n; s, t) to s_matrix(n, K, 1) and the closed
+form, whose mixed factors s^(1/2) t^(-k/2) - s^(-1/2) t^(k/2) go to
+d(K - k), to s_det_closed(n, K, 1).  It is exact on this identity.
+Clear each row i by prod_k d_t(m_ik).  Then det * R and closed * R are
+Laurent polynomials, with R = prod_{i,j} d_t(m_ij), and their
+t-exponents lie in [-n^3/2, n^3/2]: a term of det * R takes from row i
+at most the factors d_t(m_ik), and sum_{i,k} m_ik = n^3, while
+closed * R, the closed form's numerator, spans only
+[-(n^3 - n)/3, (n^3 - n)/3].  Two monomials s^a t^b with a in Z/2
+collide under phi only if their t-exponents differ by at least
+K/2 > n^3.  So phi is one-to-one on their difference, and phi(R) != 0:
+det = closed exactly when their images are equal.
 """
 
 from __future__ import annotations
@@ -124,42 +141,21 @@ def s_det_closed(n, a, b):
     return s_det_product(n, a, b).expand_ratfunc()
 
 
+def kronecker_exponent(n):
+    """K = 2n^3 + 1, the s-exponent of the image s -> u^K, t -> u on
+    which S(n; s, t) is checked (see the module docstring)."""
+    return 2 * n ** 3 + 1
+
+
 def s_matrix_bivariate(n):
-    """S(n;s,t) with both variables formal (small-n cross-check mode),
-    each distinct entry built once, as in s_matrix."""
-    _require_size(n)
-    ratios = [RatFunc(qdiff(m, 2, 0), qdiff(m, 2, 1)) for m in range(1, 2 * n)]
-    return RingMatrix.from_fn(n, n, lambda i, j: ratios[i + j])
+    """The image of S(n; s, t) under s -> u^K, t -> u."""
+    return s_matrix(n, kronecker_exponent(n), 1)
 
 
 def s_det_closed_bivariate(n):
-    """Closed form of det S(n;s,t) in the two formal variables.
-
-    Mixed factors s^(1/2) t^(-k/2) - s^(-1/2) t^(k/2) are the images of
-    d(a - bk) under u^a -> s, u^b -> t; up to a unit monomial each equals
-    s - t^k.
-    """
-    _require_size(n)
-
-    def mixed(k):
-        return LaurentPoly(2, 1, {(1, -k): 1, (-1, k): -1})
-
-    def dt(m):
-        return qdiff(m, 2, 1)
-
-    num = LaurentPoly.one(2)
-    for i in range(n):
-        for j in range(i):
-            num = num * dt(i - j) ** 2
-    for k in range(n):
-        num = num * mixed(k) ** (n - k)
-    for k in range(1, n):
-        num = num * mixed(-k) ** (n - k)
-    den = LaurentPoly.one(2)
-    for i in range(n):
-        for j in range(n):
-            den = den * dt(i + j + 1)
-    return RatFunc(num, den)
+    """The image of the closed form of det S(n; s, t) under s -> u^K,
+    t -> u; its mixed factor s - t^k goes to d(K - k) up to a unit."""
+    return s_det_closed(n, kronecker_exponent(n), 1)
 
 
 # ---------- epsilon grids and the general-x matrix ----------
@@ -203,15 +199,17 @@ class EpsilonGrid:
 def general_x_matrix(grid, x=FORMAL, s=FORMAL):
     """M_{i,j} = (x^2-4x) / (s^g + 2 - x + s^(-g)), g = grid.g(i,j).
 
-    Either or both of x and s may be left formal.  With both formal the
-    entries are bivariate (variable 0 is s, variable 1 is x); with one
-    rational value substituted they are univariate in the other.  Each
-    distinct g gives one entry, built once and shared by its (i, j).
+    Either x or s, or neither, may be left formal; the entries are
+    Laurent polynomials in the one formal variable, so both formal is a
+    ValueError.  Each distinct g gives one entry, built once and shared by
+    its (i, j).
     """
-    nvars = 2 if x is FORMAL and s is FORMAL else 1
+    if x is FORMAL and s is FORMAL:
+        raise ValueError("x and s cannot both be formal: the entries have "
+                         "one variable")
     if s is FORMAL:
         def spow(g):
-            return LaurentPoly.var_power(g, 0, nvars)
+            return LaurentPoly.var_power(g)
     else:
         s = Fraction(s)
 
@@ -219,8 +217,7 @@ def general_x_matrix(grid, x=FORMAL, s=FORMAL):
             if g.denominator != 1:
                 raise ValueError("rational s requires integer grid exponents")
             return s ** g
-    x = LaurentPoly.var_power(1, nvars - 1, nvars) if x is FORMAL \
-        else Fraction(x)
+    x = LaurentPoly.var_power(1) if x is FORMAL else Fraction(x)
     num = x * x - 4 * x
     entries = {}
 

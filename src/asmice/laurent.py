@@ -2,8 +2,8 @@
 
 Exponents live on the grid (1/(2*D))*Z for a per-polynomial positive integer
 scale D, stored as integer multiples of the grid unit.  So at scale D=1 the
-monomial t^(1/2) has exponent key 1 and t^(-3) has key -6.  One or two
-variables are supported; keys are exponent tuples of length nvars.
+monomial t^(1/2) has exponent key 1 and t^(-3) has key -6.  There is one
+variable, and a term's key is its int exponent in grid units.
 
 The grid is this module's business.  A constructor that takes a rational
 exponent (var_power) picks the coarsest grid that holds it, and every
@@ -11,24 +11,23 @@ binary operation promotes its operands to the least common grid
 (_matched).  A caller that combines many polynomials on mixed grids puts
 them on their least common grid once, by common_grid, so that no
 operation promotes again.  Only the raw-key constructors
-LaurentPoly(nvars, scale, terms) and _clean take a D from the caller; the
+LaurentPoly(scale, terms) and _clean take a D from the caller; the
 brackets module's qdiff builds t^(a/2) - t^(-a/2) with _clean directly,
 on the grid that var_power picks for t^(a/2).
 
 Coefficients are exact scalars: int, fractions.Fraction or Cyclotomic.
 Zero coefficients are never stored.  A scalar joins a polynomial by one
-rule, _lift: it becomes the constant on the polynomial's variables and
-grid.  Sums, differences, equality, divide_exact (on either side) and
-RatFunc all lift by it; a product with a scalar scales the coefficients
-instead.
+rule, _lift: it becomes the constant on the polynomial's grid.  Sums,
+differences, equality, divide_exact (on either side) and RatFunc all lift
+by it; a product with a scalar scales the coefficients instead.
 
 Division follows the Laurent convention that monomials are units: t divides 1,
 with quotient t^(-1).  divide_exact raises NonDivisible when the quotient is
 not itself a Laurent polynomial on the grid.
 
-Packed-integer kernel.  A univariate multiply or exact divide whose operands
-have more pairs of nonzero terms than a few per slot of their dense spans
-runs as one bigint operation (Kronecker substitution), when each operand's
+Packed-integer kernel.  A multiply or exact divide whose operands have
+more pairs of nonzero terms than a few per slot of their dense spans runs
+as one bigint operation (Kronecker substitution), when each operand's
 coefficient list splits as content * v with v a primitive integer vector.
 The content is a positive rational when every coefficient is an int or a
 Fraction, and a Cyclotomic u times a rational when every coefficient is a
@@ -90,23 +89,10 @@ quotient is t^(lo1-lo2) (N/D)(t^g): dividing the compacted lists decides
 NonDivisible exactly as the full grid does.  Packing is judged on the
 compacted lengths.
 
-Two variables.  Each operand is shifted so that its least t- and
-u-exponents are 0 (monomials are units), then mapped by the Kronecker map
-K_B: t^e u^f -> s^(e + B*f), a ring map of Laurent polynomials that is
-one-to-one on those with every t-exponent in [0, B).  Multiply:
-B = deg_t a + deg_t b + 1 exceeds every t-exponent of the shifted product,
-so K_B(a) K_B(b) decodes by s^k -> t^(k mod B) u^(k div B).  Divide:
-B = deg_t num + 1.  If num = q den, then K_B(num) = K_B(q) K_B(den), so
-NonDivisible from the images is exact; and as t-degrees add (the
-coefficients form a domain), the image quotient K_B(q) decodes to
-t-exponents in [0, deg_t num - deg_t den].  A decoded quotient outside that
-range proves NonDivisible; for one inside it, q den has t-exponents in
-[0, B), and K_B(q den) = K_B(num) gives q den = num by injectivity.
-
 Packed layouts.  A _Layout is the one format that the packers outside the
-kernel share: a univariate polynomial whose grid exponents are
-offset + g*i, i = 0..slots-1, is the int P_W(v) of its coefficient list
-v.  P_W is a ring map, so a caller may multiply, add and shift packed
+kernel share: a polynomial whose grid exponents are offset + g*i,
+i = 0..slots-1, is the int P_W(v) of its coefficient list v.  P_W is a
+ring map, so a caller may multiply, add and shift packed
 values and read no slot until the end; t -> t^g is one too, so with g the
 gcd of the exponents the caller can produce, less the offset, the lists
 hold only the lattice offset + g*Z (as for the kernel's lattice).  The
@@ -124,12 +110,12 @@ product of them is ever packed as a whole.  The state sums' site weights
 (sixvertex) and the packed determinants' entries (matrices) multiply
 this way.
 
-Cross-multiplied equality.  RatFunc equality of univariate quotients
-a/b and c/d with int coefficients asks whether a*d == c*b.  The least
-and greatest exponents of each product are the sums of its factors'
-(Z[t] is a domain), so unequal sums answer no at once.  Equal sums give
-the two products one dense span on the lattice of all four, and one slot
-width that holds each product ("Slot width of a product") packs each to
+Cross-multiplied equality.  RatFunc equality of quotients a/b and c/d
+with int coefficients asks whether a*d == c*b.  The least and greatest
+exponents of each product are the sums of its factors' (Z[t] is a
+domain), so unequal sums answer no at once.  Equal sums give the two
+products one dense span on the lattice of all four, and one slot width
+that holds each product ("Slot width of a product") packs each to
 an int that no other in-range list packs to; so the products are equal
 exactly when the products of the packed ints are, and nothing is
 unpacked (_cross_equal).
@@ -162,7 +148,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic, _integral, _make
 
@@ -181,16 +167,16 @@ def _is_scalar(x):
 
 def _lift(x, like):
     """The one rule by which a scalar joins a polynomial: a scalar x
-    becomes the constant polynomial on like's variables and grid; anything
-    else is returned unchanged."""
-    return LaurentPoly.const(x, like.nvars, like.scale) if _is_scalar(x) else x
+    becomes the constant polynomial on like's grid; anything else is
+    returned unchanged."""
+    return LaurentPoly.const(x, like.scale) if _is_scalar(x) else x
 
 
 def _lifted(num, den, name):
     """num and den as LaurentPolys, a scalar on either side lifted onto
-    the other's variables and grid (_lift).  Any other operand, or two
-    scalars, raise TypeError naming both types, which are the ones passed
-    in: a scalar is lifted only beside a LaurentPoly."""
+    the other's grid (_lift).  Any other operand, or two scalars, raise
+    TypeError naming both types, which are the ones passed in: a scalar
+    is lifted only beside a LaurentPoly."""
     like = num if isinstance(num, LaurentPoly) else den
     if isinstance(like, LaurentPoly):
         num, den = _lift(num, like), _lift(den, like)
@@ -202,35 +188,29 @@ def _lifted(num, den, name):
 
 
 class LaurentPoly:
-    __slots__ = ("nvars", "scale", "terms")
+    __slots__ = ("scale", "terms")
 
-    def __init__(self, nvars, scale, terms):
-        if nvars not in (1, 2):
-            raise ValueError("only 1 or 2 variables supported")
+    def __init__(self, scale, terms):
         if type(scale) is not int or scale < 1:
             raise ValueError("scale must be a positive integer")
         clean = {}
-        for exps, c in terms.items():
-            if len(exps) != nvars:
-                raise ValueError("exponent tuple length != nvars")
-            key = tuple(int(e) for e in exps)
-            if key != exps:
-                raise GridViolation(f"exponent {exps} is not integral")
+        for e, c in terms.items():
+            key = int(e)
+            if key != e:
+                raise GridViolation(f"exponent {e} is not integral")
             if not _is_scalar(c):
                 raise TypeError(f"coefficient {c!r} is not an int, "
                                 "Fraction or Cyclotomic")
             if c:
                 clean[key] = c
-        self.nvars = nvars
         self.scale = scale
         self.terms = clean
 
     @classmethod
-    def _clean(cls, nvars, scale, terms):
+    def _clean(cls, scale, terms):
         """A polynomial from terms that need none of __init__'s checks:
-        integral keys of length nvars and no zero coefficient."""
+        int keys and no zero coefficient."""
         p = cls.__new__(cls)
-        p.nvars = nvars
         p.scale = scale
         p.terms = terms
         return p
@@ -238,30 +218,28 @@ class LaurentPoly:
     # ---------- constructors ----------
 
     @classmethod
-    def zero(cls, nvars=1, scale=1):
-        return cls(nvars, scale, {})
+    def zero(cls, scale=1):
+        return cls(scale, {})
 
     @classmethod
-    def one(cls, nvars=1, scale=1):
-        return cls(nvars, scale, {(0,) * nvars: 1})
+    def one(cls, scale=1):
+        return cls(scale, {0: 1})
 
     @classmethod
-    def const(cls, c, nvars=1, scale=1):
-        return cls(nvars, scale, {(0,) * nvars: c})
+    def const(cls, c, scale=1):
+        return cls(scale, {0: c})
 
     @classmethod
-    def unit_power(cls, k, scale=1, var=0, nvars=1):
-        """The monomial t_var^(k/(2*scale))."""
-        exps = [0] * nvars
-        exps[var] = k
-        return cls(nvars, scale, {tuple(exps): 1})
+    def unit_power(cls, k, scale=1):
+        """The monomial t^(k/(2*scale))."""
+        return cls(scale, {k: 1})
 
     @classmethod
-    def var_power(cls, a, var=0, nvars=1):
-        """The monomial t_var^a for rational a, on the coarsest grid that
-        holds it: scale (2a).denominator."""
+    def var_power(cls, a):
+        """The monomial t^a for rational a, on the coarsest grid that holds
+        it: scale (2a).denominator."""
         k = Fraction(a) * 2
-        return cls.unit_power(k.numerator, k.denominator, var, nvars)
+        return cls.unit_power(k.numerator, k.denominator)
 
     # ---------- structure ----------
 
@@ -275,11 +253,6 @@ class LaurentPoly:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def min_exponents(self):
-        if self.nvars == 1:
-            return min(self.terms)
-        return tuple(min(e[i] for e in self.terms) for i in range(self.nvars))
-
     def rescale(self, new_scale):
         if type(new_scale) is not int or new_scale < 1:
             raise ValueError("scale must be a positive integer")
@@ -288,15 +261,10 @@ class LaurentPoly:
         if new_scale % self.scale:
             raise GridViolation("new scale must be a multiple of the old one")
         m = new_scale // self.scale
-        if self.nvars == 1:
-            terms = {(e * m,): c for (e,), c in self.terms.items()}
-        else:
-            terms = {(e * m, f * m): c for (e, f), c in self.terms.items()}
-        return LaurentPoly._clean(self.nvars, new_scale, terms)
+        return LaurentPoly._clean(new_scale,
+                                  {e * m: c for e, c in self.terms.items()})
 
     def _matched(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
         if self.scale == other.scale:
             return self, other
         s = self.scale * other.scale // gcd(self.scale, other.scale)
@@ -316,12 +284,12 @@ class LaurentPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return LaurentPoly._clean(a.nvars, a.scale, out)
+        return LaurentPoly._clean(a.scale, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._clean(self.nvars, self.scale,
+        return LaurentPoly._clean(self.scale,
                                   {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -336,48 +304,59 @@ class LaurentPoly:
     def __mul__(self, other):
         if _is_scalar(other):
             if not other:
-                return LaurentPoly.zero(self.nvars, self.scale)
+                return LaurentPoly.zero(self.scale)
             return LaurentPoly._clean(
-                self.nvars, self.scale,
-                {k: c * other for k, c in self.terms.items()})
+                self.scale, {k: c * other for k, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._matched(other)
         if a.is_zero or b.is_zero:
-            return LaurentPoly.zero(a.nvars, a.scale)
-        if a.nvars == 2:
-            return _mul_bivariate(a, b)
-        return _mul1(a, b)
+            return LaurentPoly.zero(a.scale)
+        # the packed kernel on the lattice of the exponents, unless the
+        # schoolbook is cheaper or an operand's coefficients have no
+        # content split (_split); a dense list is never shorter than its
+        # term count, so operands this sparse stay on the schoolbook
+        # whatever their lattice step
+        pairs = len(a.terms) * len(b.terms)
+        if _worth_packing(pairs, len(a.terms) + len(b.terms)):
+            g = _lattice_step(a, b)
+            if _worth_packing(pairs, a._span(g) + b._span(g)):
+                lo1, x = a._dense(g)
+                lo2, y = b._dense(g)
+                sx, sy = _split(x), _split(y)
+                if sx and sy:
+                    out = _scaled(sx[0] * sy[0], _mul_ints(sx[1], sy[1]))
+                    return LaurentPoly._from_dense(lo1 + lo2, out, a.scale, g)
+        return LaurentPoly._clean(a.scale, _mul_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
 
-    def _span1(self, g):
-        """Length of the dense univariate coefficient list on lo + g*Z."""
-        return (max(self.terms)[0] - min(self.terms)[0]) // g + 1
+    def _span(self, g):
+        """Length of the dense coefficient list on lo + g*Z."""
+        return (max(self.terms) - min(self.terms)) // g + 1
 
-    def _dense1(self, g=1):
-        """Univariate terms as (offset, coefficient list) on the lattice
-        offset + g*Z; list[i] is the coefficient of unit^(offset+g*i)."""
-        lo = min(self.terms)[0]
-        cs = [0] * ((max(self.terms)[0] - lo) // g + 1)
+    def _dense(self, g=1):
+        """The terms as (offset, coefficient list) on the lattice offset +
+        g*Z; list[i] is the coefficient of unit^(offset+g*i)."""
+        lo = min(self.terms)
+        cs = [0] * ((max(self.terms) - lo) // g + 1)
         for k, c in self.terms.items():
-            cs[(k[0] - lo) // g] = c
+            cs[(k - lo) // g] = c
         return lo, cs
 
     @classmethod
-    def _from_dense1(cls, lo, cs, scale, g=1):
-        return cls._clean(1, scale,
-                          {(lo + g * i,): c for i, c in enumerate(cs) if c})
+    def _from_dense(cls, lo, cs, scale, g=1):
+        return cls._clean(scale,
+                          {lo + g * i: c for i, c in enumerate(cs) if c})
 
     def __pow__(self, n):
         if n < 0:
             if self.is_monomial():
                 (k, c), = self.terms.items()
-                inv = LaurentPoly(self.nvars, self.scale,
-                                  {tuple(-e for e in k): _inv_scalar(c)})
+                inv = LaurentPoly(self.scale, {-k: _inv_scalar(c)})
                 return inv ** (-n)
             raise NonDivisible("negative power of a non-unit")
-        result = LaurentPoly.one(self.nvars, self.scale)
+        result = LaurentPoly.one(self.scale)
         base = self
         while n:
             if n & 1:
@@ -390,44 +369,32 @@ class LaurentPoly:
         other = _lift(other, self)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
         a, b = self._matched(other)
         return a.terms == b.terms
 
     # ---------- evaluation ----------
 
-    def eval_units(self, *unit_values):
-        """Evaluate with the grid unit of each variable set to the given value,
-        i.e. variable i becomes unit_values[i]^(2*scale)."""
-        if len(unit_values) != self.nvars:
-            raise ValueError("need one value per variable")
+    def eval_units(self, unit):
+        """Evaluate with the grid unit set to unit, i.e. the variable
+        becomes unit^(2*scale)."""
         # an int unit becomes a Fraction, whose negative powers are exact
-        units = [Fraction(u) if isinstance(u, int) else u for u in unit_values]
-        return sum(c * prod(u ** e for u, e in zip(units, k))
-                   for k, c in self.terms.items())
+        if isinstance(unit, int):
+            unit = Fraction(unit)
+        return sum(c * unit ** e for e, c in self.terms.items())
 
     def subs_all_one(self):
-        """Sum of coefficients: the value with every variable set to 1."""
+        """Sum of coefficients: the value with the variable set to 1."""
         return sum(self.terms.values())
 
     # ---------- division ----------
 
-    def shift_unit(self, deltas):
-        """Multiply by the unit monomial with the given exponent offsets."""
-        deltas = tuple(deltas)
-        if len(deltas) != self.nvars:
-            raise ValueError("offset tuple length != nvars")
-        steps = tuple(int(d) for d in deltas)
-        if steps != deltas:
-            raise GridViolation(f"offset {deltas} is not integral")
-        if self.nvars == 1:
-            (d,) = steps
-            terms = {(e + d,): c for (e,), c in self.terms.items()}
-        else:
-            d, f = steps
-            terms = {(e + d, g + f): c for (e, g), c in self.terms.items()}
-        return LaurentPoly._clean(self.nvars, self.scale, terms)
+    def shift_unit(self, d):
+        """Multiply by the unit monomial whose exponent is d grid units."""
+        step = int(d)
+        if step != d:
+            raise GridViolation(f"offset {d} is not integral")
+        return LaurentPoly._clean(
+            self.scale, {e + step: c for e, c in self.terms.items()})
 
     # ---------- display ----------
 
@@ -437,16 +404,8 @@ class LaurentPoly:
         parts = []
         for k in sorted(self.terms, reverse=True):
             c = self.terms[k]
-            mono = []
-            for name, e in zip("tu", k):
-                if e == 0:
-                    continue
-                ex = Fraction(e, 2 * self.scale)
-                if ex == 1:
-                    mono.append(name)
-                else:
-                    mono.append(f"{name}^({ex})")
-            body = "*".join(mono)
+            ex = Fraction(k, 2 * self.scale)
+            body = "" if not k else "t" if ex == 1 else f"t^({ex})"
             if not body:
                 parts.append(f"{c}")
             elif c == 1:
@@ -467,20 +426,29 @@ def divide_exact(num, den):
 
     Either operand may be a scalar (int, Fraction or Cyclotomic) when the
     other is a LaurentPoly: the scalar is lifted to a constant on the
-    polynomial's variables and grid (_lifted).  Any other operand, or two
-    scalars, raise TypeError.  Unit monomials are invertible, so only the
-    dense coefficient lists are divided; two variables are first mapped to
-    one (see the module docstring).
+    polynomial's grid (_lifted).  Any other operand, or two scalars, raise
+    TypeError.  Unit monomials are invertible, so only the dense
+    coefficient lists on the lattice of both operands are divided, packed
+    when that pays (see the module docstring).
     """
     num, den = _lifted(num, den, "divide_exact")
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
-        return LaurentPoly.zero(den.nvars, den.scale)
+        return LaurentPoly.zero(den.scale)
     num, den = num._matched(den)
-    if num.nvars == 1:
-        return _divide_dense1(num, den)
-    return _divide_bivariate(num, den)
+    g = _lattice_step(num, den)
+    nlo, a = num._dense(g)
+    dlo, b = den._dense(g)
+    if len(a) < len(b):
+        raise NonDivisible("quotient support would be empty")
+    if _worth_packing((len(a) - len(b) + 1) * len(den.terms), len(a) + len(b)):
+        sa, sb = _split(a), _split(b)
+        q = sa and sb and _divide_ints(sa[1], sb[1])
+        if q:
+            return LaurentPoly._from_dense(
+                nlo - dlo, _scaled(sa[0] / sb[0], q), num.scale, g)
+    return LaurentPoly._from_dense(nlo - dlo, _long_divide(a, b), num.scale, g)
 
 
 def reduced(num, den):
@@ -491,55 +459,6 @@ def reduced(num, den):
         return RatFunc(divide_exact(num, den))
     except NonDivisible:
         return RatFunc(num, den)
-
-
-def _divide_dense1(num, den):
-    g = _lattice_step(num, den)
-    nlo, a = num._dense1(g)
-    dlo, b = den._dense1(g)
-    if len(a) < len(b):
-        raise NonDivisible("quotient support would be empty")
-    if _worth_packing((len(a) - len(b) + 1) * len(den.terms), len(a) + len(b)):
-        sa, sb = _split(a), _split(b)
-        q = sa and sb and _divide_ints(sa[1], sb[1])
-        if q:
-            return LaurentPoly._from_dense1(
-                nlo - dlo, _scaled(sa[0] / sb[0], q), num.scale, g)
-    return LaurentPoly._from_dense1(nlo - dlo, _long_divide(a, b), num.scale, g)
-
-
-def _divide_bivariate(num, den):
-    """Two-variable num / den by _divide_dense1 on the Kronecker images."""
-    ln, ld = num.min_exponents(), den.min_exponents()
-    base = max(num.terms)[0] - ln[0] + 1
-    top = (base - 1) - (max(den.terms)[0] - ld[0])
-    if top < 0:
-        raise NonDivisible("divisor has the larger t-degree")
-    q = _divide_dense1(_kronecker(num, ln, base), _kronecker(den, ld, base))
-    if any(k % base > top for k, in q.terms):
-        raise NonDivisible("quotient image decodes outside the t-range")
-    return _decoded(q, (ln[0] - ld[0], ln[1] - ld[1]), base, num.scale)
-
-
-def _mul_bivariate(a, b):
-    """Two-variable a * b by _mul1 on the Kronecker images."""
-    la, lb = a.min_exponents(), b.min_exponents()
-    base = max(a.terms)[0] - la[0] + max(b.terms)[0] - lb[0] + 1
-    out = _mul1(_kronecker(a, la, base), _kronecker(b, lb, base))
-    return _decoded(out, (la[0] + lb[0], la[1] + lb[1]), base, a.scale)
-
-
-def _kronecker(p, lo, base):
-    """p shifted by t^(-lo[0]) u^(-lo[1]), then t^e u^f -> s^(e + base*f)."""
-    return LaurentPoly._clean(1, p.scale, {
-        (e - lo[0] + base * (f - lo[1]),): c for (e, f), c in p.terms.items()})
-
-
-def _decoded(image, lo, base, scale):
-    """Inverse of _kronecker on t-exponents in [0, base), shifted by lo."""
-    return LaurentPoly._clean(2, scale, {
-        (lo[0] + k % base, lo[1] + k // base): c
-        for (k,), c in image.terms.items()})
 
 
 def _long_divide(a, b):
@@ -564,38 +483,19 @@ def _long_divide(a, b):
     return q
 
 
-def _mul1(a, b):
-    """Univariate a * b: the packed kernel on the lattice of their
-    exponents, unless the schoolbook is cheaper or an operand's
-    coefficients have no content split (_split)."""
-    pairs = len(a.terms) * len(b.terms)
-    # a dense list is never shorter than its term count, so operands this
-    # sparse stay on the schoolbook whatever their lattice step
-    if _worth_packing(pairs, len(a.terms) + len(b.terms)):
-        g = _lattice_step(a, b)
-        if _worth_packing(pairs, a._span1(g) + b._span1(g)):
-            lo1, x = a._dense1(g)
-            lo2, y = b._dense1(g)
-            sx, sy = _split(x), _split(y)
-            if sx and sy:
-                out = _scaled(sx[0] * sy[0], _mul_ints(sx[1], sy[1]))
-                return LaurentPoly._from_dense1(lo1 + lo2, out, a.scale, g)
-    return LaurentPoly._clean(1, a.scale, _mul_terms(a.terms, b.terms))
-
-
 def _mul_terms(a, b):
-    """Schoolbook product of univariate term dicts, over nonzero pairs.
-    A one-term operand shifts the other: no two keys meet, and a product
-    of nonzero coefficients is nonzero."""
+    """Schoolbook product of term dicts, over nonzero pairs.  A one-term
+    operand shifts the other: no two keys meet, and a product of nonzero
+    coefficients is nonzero."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
-        ((e,), cb), = b.items()
-        return {(k + e,): c * cb for (k,), c in a.items()}
+        (e, cb), = b.items()
+        return {k + e: c * cb for k, c in a.items()}
     out = {}
     get = out.get
-    for (e,), cb in b.items():
-        shifted = [((k + e,), c * cb) for (k,), c in a.items()]
+    for e, cb in b.items():
+        shifted = [(k + e, c * cb) for k, c in a.items()]
         for k, c in shifted:
             s = get(k, 0) + c
             if s:
@@ -619,12 +519,12 @@ def _worth_packing(pairs, slots):
 
 
 def _lattice_step(*polys):
-    """The largest g with every exponent of each univariate polynomial on
-    its own lo + g*Z, lo its least exponent; 1 when all are monomials."""
+    """The largest g with every exponent of each polynomial on its own
+    lo + g*Z, lo its least exponent; 1 when all are monomials."""
     g = 0
     for p in polys:
-        lo = min(p.terms)[0]
-        g = gcd(g, *[k - lo for k, in p.terms])
+        lo = min(p.terms)
+        g = gcd(g, *[k - lo for k in p.terms])
     return g or 1
 
 
@@ -732,18 +632,18 @@ def _divide_ints(a, d):
 
 
 def _cross_equal(a, d, c, b):
-    """a * d == c * b for univariate LaurentPolys with int coefficients, d
-    and b nonzero, on packed ints that nothing unpacks (see
-    "Cross-multiplied equality" in the module docstring)."""
+    """a * d == c * b for LaurentPolys with int coefficients, d and b
+    nonzero, on packed ints that nothing unpacks (see "Cross-multiplied
+    equality" in the module docstring)."""
     if not a or not c:
         return not a and not c
     four = common_grid((a, d, c, b))
-    lo = [min(p.terms)[0] for p in four]
-    hi = [max(p.terms)[0] for p in four]
+    lo = [min(p.terms) for p in four]
+    hi = [max(p.terms) for p in four]
     if lo[0] + lo[1] != lo[2] + lo[3] or hi[0] + hi[1] != hi[2] + hi[3]:
         return False
     g = _lattice_step(*four)
-    x, y, z, w = [p._dense1(g)[1] for p in four]
+    x, y, z, w = [p._dense(g)[1] for p in four]
     width = max(_mul_width(x, y), _mul_width(z, w))
     return (_pack(x, width) * _pack(y, width)
             == _pack(z, width) * _pack(w, width))
@@ -827,10 +727,9 @@ class _Layout:
 
     def place(self, p, shift):
         """The (bit offset, coefficient) pairs of p * t^(-shift), in the
-        order of p.terms; only the first exponent of each key is read, on
-        the layout's grid."""
+        order of p.terms, on the layout's grid."""
         step, g, width = self.grid // p.scale, self.g, self.width
-        return [((k[0] * step - shift) // g * width, c)
+        return [((k * step - shift) // g * width, c)
                 for k, c in p.terms.items()]
 
     def coefficients(self, v):
@@ -838,13 +737,13 @@ class _Layout:
         return _unpack(v, self.slots, self.width)
 
     def terms(self, v):
-        """{(exponent,): coefficient} over the nonzero slots of v."""
+        """{exponent: coefficient} over the nonzero slots of v."""
         offset, g = self.offset, self.g
-        return {(offset + g * i,): c
+        return {offset + g * i: c
                 for i, c in enumerate(self.coefficients(v)) if c}
 
     def unpack(self, v):
-        return LaurentPoly._clean(1, self.grid, self.terms(v))
+        return LaurentPoly._clean(self.grid, self.terms(v))
 
 
 class _Shifts:
@@ -885,9 +784,8 @@ def _l1(terms):
 
 def diff_product(diffs):
     """prod d(a)^e over {a: e}, d(a) = t^(a/2) - t^(-a/2) for rational a
-    and e >= 0, as a univariate LaurentPoly with int coefficients expanded
-    on one packed int (see "Difference products" in the module
-    docstring)."""
+    and e >= 0, as a LaurentPoly with int coefficients expanded on one
+    packed int (see "Difference products" in the module docstring)."""
     for a, e in diffs.items():
         if e < 0:
             raise ValueError(f"d({a}) has the negative exponent {e}")
@@ -947,16 +845,17 @@ class RatFunc:
 
     Equality is decided exactly, on the numerators when the denominators
     are equal and by cross-multiplication otherwise, never by normal forms,
-    so no polynomial gcd is ever required.  Univariate quotients with int
+    so no polynomial gcd is ever required.  Quotients with int
     coefficients cross-multiply on packed ints and build neither product
     (_cross_equal).  A denominator that reduces to a unit monomial is
     folded into the numerator so that polynomial values are recognizable
-    (is_poly / poly()); such a value keeps its Fraction coefficients.  Any other quotient with a coefficient that is not an
-    int is divided by the content of all its coefficients (_split), when
-    they have one, so that num and den have int coefficients and their
-    products run on the integer kernel: every quotient of ints and
-    Fractions, and every one whose coefficients are rational multiples of
-    one Cyclotomic.  Other Cyclotomic coefficients are left as they are.
+    (is_poly / poly()); such a value keeps its Fraction coefficients.
+    Any other quotient with a coefficient that is not an int is divided
+    by the content of all its coefficients (_split), when they have one,
+    so that num and den have int coefficients and their products run on
+    the integer kernel: every quotient of ints and Fractions, and every
+    one whose coefficients are rational multiples of one Cyclotomic.
+    Other Cyclotomic coefficients are left as they are.
     """
 
     __slots__ = ("num", "den")
@@ -970,25 +869,22 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         num, den = num._matched(den)
         if num.is_zero:
-            den = LaurentPoly.one(num.nvars, num.scale)
+            den = LaurentPoly.one(num.scale)
         else:
-            nmin = num.min_exponents()
-            dmin = den.min_exponents()
-            common = tuple(min(a, b) for a, b in zip(nmin, dmin))
-            if any(common):
-                neg = tuple(-c for c in common)
-                num = num.shift_unit(neg)
-                den = den.shift_unit(neg)
+            common = min(min(num.terms), min(den.terms))
+            if common:
+                num = num.shift_unit(-common)
+                den = den.shift_unit(-common)
             if den.is_monomial():
                 (k, c), = den.terms.items()
-                num = num.shift_unit(tuple(-e for e in k)) * _inv_scalar(c)
-                den = LaurentPoly.one(num.nvars, num.scale)
+                num = num.shift_unit(-k) * _inv_scalar(c)
+                den = LaurentPoly.one(num.scale)
             else:
                 cs = [*num.terms.values(), *den.terms.values()]
                 split = None if {*map(type, cs)} == {int} else _split(cs)
                 if split is not None:
                     ints = iter(split[1])
-                    num, den = [LaurentPoly._clean(p.nvars, p.scale, {
+                    num, den = [LaurentPoly._clean(p.scale, {
                         k: next(ints) for k in p.terms}) for p in (num, den)]
         self.num = num
         self.den = den
@@ -1002,7 +898,7 @@ class RatFunc:
 
     @property
     def is_poly(self):
-        return self.den == LaurentPoly.one(self.den.nvars, self.den.scale)
+        return self.den == 1
 
     def poly(self):
         if not self.is_poly:
@@ -1071,16 +967,15 @@ class RatFunc:
         if self.den == o.den:           # a denominator is never zero
             return self.num == o.num
         four = (self.num, o.den, o.num, self.den)
-        if all(p.nvars == 1 and all(type(c) is int for c in p.terms.values())
-               for p in four):
+        if all(type(c) is int for p in four for c in p.terms.values()):
             return _cross_equal(*four)
         return (self.num * o.den) == (o.num * self.den)
 
-    def eval_units(self, *unit_values):
-        dv = self.den.eval_units(*unit_values)
+    def eval_units(self, unit):
+        dv = self.den.eval_units(unit)
         if not dv:
             raise ZeroDivisionError("denominator vanishes at the given point")
-        return _scalar_quot(self.num.eval_units(*unit_values), dv)
+        return _scalar_quot(self.num.eval_units(unit), dv)
 
     def format(self):
         if self.is_poly:
@@ -1104,7 +999,7 @@ def _scalar_quot(a, b):
 
 
 def vanishing_order_at_one(p):
-    """(order, deflated) for a univariate Laurent polynomial at unit = 1:
+    """(order, deflated) for a Laurent polynomial at unit = 1:
     p = (unit - 1)^order * deflated with deflated(1) != 0.  Exact synthetic
     division; the unit monomial content is immaterial and dropped.  A
     scalar is a constant polynomial."""
@@ -1113,22 +1008,20 @@ def vanishing_order_at_one(p):
     if not isinstance(p, LaurentPoly):
         raise TypeError("vanishing order needs a LaurentPoly or a scalar, "
                         f"got {type(p).__name__}")
-    if p.nvars != 1:
-        raise ValueError("vanishing order only defined for univariate values")
     if p.is_zero:
         raise ValueError("zero polynomial has no finite vanishing order")
-    _, cs = p._dense1()
+    _, cs = p._dense()
     order = 0
     while not sum(cs):
         # divide by (unit - 1): synthetic division from the top, whose
         # coefficients are the sums of cs's tails
         cs = list(accumulate(reversed(cs[1:])))[::-1]
         order += 1
-    return order, LaurentPoly._from_dense1(0, cs, p.scale)
+    return order, LaurentPoly._from_dense(0, cs, p.scale)
 
 
 def limit_at_one(rf):
-    """Exact limit of a univariate RatFunc as the variable goes to 1; a
+    """Exact limit of a RatFunc as the variable goes to 1; a
     LaurentPoly or a scalar is taken as RatFunc(rf), so a polynomial's
     limit is its coefficient sum.
 

@@ -4,21 +4,21 @@ Supported entry types: int, Fraction, Cyclotomic, LaurentPoly, RatFunc.
 Entries may be mixed: det_exact first lifts the matrix into one ring.
 When any entry is a RatFunc, every entry becomes a RatFunc; otherwise,
 when any entry is a LaurentPoly, every scalar becomes a constant
-(laurent._lift), on the variables of the first polynomial entry (a
-RatFunc's numerator).  A matrix with no polynomial entry, or with no
+(laurent._lift), on the grid of the first polynomial entry (a RatFunc's
+numerator).  A matrix with no polynomial entry, or with no
 scalar one, is taken as it stands.  det_exact clears RatFunc
 denominators row by row, by cleared_det.  A matrix of at most
-_PACKED_MAX_N rows whose entries are univariate LaurentPolys with int
-coefficients, or products of such, takes one determinant over Z (packed
-determinants, below).  Every other matrix (plain numbers, Cyclotomic or
-Fraction coefficients, two variables, or more rows) runs fraction-free
+_PACKED_MAX_N rows whose entries are LaurentPolys with int coefficients,
+or products of such, takes one determinant over Z (packed determinants,
+below).  Every other matrix (plain numbers, Cyclotomic or Fraction
+coefficients, or more rows) runs fraction-free
 Bareiss elimination over its entries' ring, where every division is
 exact, and the cleared denominators are divided out.  No content is
 split off a row: the callers build their polynomial determinants over Z
 (the chain module clears the tau matrix of the denominator of x, and
 RatFunc keeps int coefficients), so a polynomial determinant that the
-packer refuses is refused for its size or its second variable, which no
-scaling of the rows changes.  The determinant sides of the state-sum
+packer refuses is refused for its size, which no scaling of the rows
+changes.  The determinant sides of the state-sum
 identity call the clearing step, cleared_det, directly on their
 polynomial denominators.
 
@@ -207,14 +207,14 @@ def _product(factors):
 def _det_packed(rows):
     """The subset expansion over Z of the packed rows, unpacked (see
     "Packed determinants" in the module docstring); None unless n <=
-    _PACKED_MAX_N and every factor of every entry is a univariate
-    LaurentPoly with int coefficients."""
+    _PACKED_MAX_N and every factor of every entry is a LaurentPoly with
+    int coefficients."""
     if len(rows) > _PACKED_MAX_N:
         return None
     # each distinct factor once, checked before any of its attributes is
     # read
     factors = {id(p): p for row in rows for e in row for p in e}.values()
-    if not all(type(p) is LaurentPoly and p.nvars == 1
+    if not all(type(p) is LaurentPoly
                and all(type(c) is int for c in p.terms.values())
                for p in factors):
         return None
@@ -225,7 +225,7 @@ def _det_packed(rows):
     for p in factors:
         if p:
             q = p.rescale(grid)
-            spans[id(p)] = q, min(q.terms)[0], max(q.terms)[0], _l1(q.terms)
+            spans[id(p)] = q, min(q.terms), max(q.terms), _l1(q.terms)
     rows = [[[spans[id(p)] for p in e] if all(e) else None for e in row]
             for row in rows]
     lows = [[sum(f[1] for f in e) if e is not None else None for e in row]
@@ -241,7 +241,7 @@ def _det_packed(rows):
                         for e in row if e is not None) for row in rows)
     exps = [lo - ri - cj for row, ri in zip(lows, r)
             for lo, cj in zip(row, c) if lo is not None]
-    exps += [k - lo for q, lo, _, _ in spans.values() for k, in q.terms]
+    exps += [k - lo for q, lo, _, _ in spans.values() for k in q.terms]
     layout = _Layout(grid, exps, isqrt(hadamard) + 1, sum(r) + sum(c),
                      min(sum(map(max, tops)), sum(map(max, zip(*tops)))))
     # each factor laid on the layout once; an entry multiplies by its

@@ -138,8 +138,8 @@ def _label_weights(v):
     """The six scaled weights at the label v, LaurentPolys on its grid."""
     v = Fraction(v)
     weights = _weight_terms((v.denominator, 0), (v.numerator, 0))
-    return tuple(LaurentPoly._clean(1, v.denominator,
-                                    {k[:1]: c for k, c in w.items()})
+    return tuple(LaurentPoly._clean(v.denominator,
+                                    {k[0]: c for k, c in w.items()})
                  for w in weights)
 
 
@@ -177,8 +177,8 @@ def state_sweep(frontier, rows):
 
 def _packed_sweep(n, sites):
     """The all-ones entry of state_sweep({0: 1}, rows) on packed ints, as
-    {u: {(t,): coefficient}}: sites lists the rows' sites in order, each
-    as its six weights {(t, u): int}."""
+    {u: {t: coefficient}}: sites lists the rows' sites in order, each as
+    its six weights {(t, u): int}."""
     # per site the least (t, u) exponents, and per variable the lattice
     # step and top
     groups = [[k for w in site for k in w] for site in sites]
@@ -205,15 +205,16 @@ def _packed_sweep(n, sites):
     cs = layout.coefficients(state_sweep({0: 1}, rows)[(1 << n) - 1])
     low = [sum(lo[i] for lo in lows) for i in (0, 1)]
     return {low[1] + steps[1] * j:
-            {(low[0] + steps[0] * i,): c
+            {low[0] + steps[0] * i: c
              for i, c in enumerate(cs[j * block:(j + 1) * block]) if c}
             for j in range(top_u + 1)}
 
 
 def _state_sum(p, formal):
     """The packed sweep of p's sites on the least grid of its labels, as
-    (grid, {u: {(t,): coefficient}}); when formal, row 0's m also carries
-    u^(2*grid), so that u stands for w = q^(x_0/2) (see _z_formal)."""
+    (grid, {u: {t: coefficient}}); when formal, row 0's m also carries
+    u^(2*grid), so that u stands for w = q^(x_0/2) (see
+    lemma_degree_check)."""
     if p.n > Z_BRUTE_BOUND:
         raise ValueError(
             f"n={p.n} exceeds the state-sum bound {Z_BRUTE_BOUND}")
@@ -229,17 +230,8 @@ def z_brute(p):
     """The state sum Z(n; X, Y) as a RatFunc in q, summed by the domain-wall
     sweep over the scaled site weights."""
     grid, total = _state_sum(p, False)
-    return reduced(LaurentPoly._clean(1, grid, total[0]),
+    return reduced(LaurentPoly._clean(grid, total[0]),
                    diff_product({1: p.n * p.n}))
-
-
-def _z_formal(p):
-    """b^(n^2) * Z with row 0 formal, a LaurentPoly in q and w = q^(x_0/2);
-    x_0 is ignored: p is swept with x_0 = 0, and w rides as u."""
-    grid, total = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
-    return LaurentPoly._clean(2, grid, {(t, u): c
-                                        for u, terms in total.items()
-                                        for (t,), c in terms.items()})
 
 
 def lemma_recursion_check(n, p, i, j):
@@ -267,13 +259,14 @@ def lemma_recursion_check(n, p, i, j):
 def lemma_degree_check(n, p):
     """Degree bound: q^(n*x_0/2) * Z is polynomial in q^(x_0), degree < n.
 
-    Z is computed with w = q^(x_0/2) formal and scaled by b^(n^2), which
-    does not involve w; the check is that every w-exponent e of that
-    numerator has n + e in {0, 2, ..., 2(n-1)}.
+    Z is summed with w = q^(x_0/2) formal and scaled by b^(n^2), which
+    does not involve w: p is swept with x_0 = 0, and w rides as u.  The
+    check is that every w-exponent e of that sum with a nonzero q-part
+    has n + e in {0, 2, ..., 2(n-1)}.
     """
     if n != p.n:
         raise ValueError("n does not match the parameter count")
-    z = _z_formal(p)
-    half = 2 * z.scale                      # grid units per w-exponent 1
-    return ({k[1] for k in z.terms}
+    grid, total = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
+    half = 2 * grid                         # grid units per w-exponent 1
+    return ({u for u, ts in total.items() if ts}
             <= {(2 * j - n) * half for j in range(n)})

@@ -10,14 +10,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .brackets import qdiff
 from .chain import (a_via_chain, ean_normalize, half_spec_value,
                     ik_eps_product, ik_eps_ratfunc, z_half_eps_brute,
                     z_half_eps_product, z_prefactor)
-from .dets import (cauchy_det_closed, cauchy_matrix, s_det_closed,
-                   s_det_closed_bivariate, s_matrix, s_matrix_bivariate)
+from .dets import (cauchy_det_closed, cauchy_matrix, kronecker_exponent,
+                   s_det_closed, s_det_closed_bivariate, s_matrix,
+                   s_matrix_bivariate)
 from .formulas import a2_formula, a3_formula, a_formula
 from .izergin import IkInstance, ik_z
-from .laurent import LaurentPoly, NonDivisible, divide_exact
+from .laurent import NonDivisible, divide_exact
 from .matrices import det_exact
 from .sixvertex import (SpectralParams, lemma_degree_check,
                         lemma_recursion_check, z_brute)
@@ -96,17 +98,18 @@ def check_sdet_pair(n, a, b):
 
 
 def check_sdet_bivariate(n):
+    """S(n; s, t) against its closed form, and the cleared determinant's
+    divisibility by (s - t^k)^(n-k), all on the exact image s -> u^K,
+    t -> u (see the dets module docstring), where s - t^k is d(K - k) up
+    to a unit."""
     direct = det_exact(s_matrix_bivariate(n))
     ok = direct == s_det_closed_bivariate(n)
     details = f"n={n} closed form"
     if ok:
-        num = direct.num
+        big = kronecker_exponent(n)
         try:
             for k in range(n):
-                factor = LaurentPoly(2, 1, {(2, 0): 1, (0, 2 * k): -1})
-                q = num
-                for _ in range(n - k):
-                    q = divide_exact(q, factor)
+                divide_exact(direct.num, qdiff(big - k) ** (n - k))
         except NonDivisible:
             ok = False
             details = f"n={n} divisibility by (s-t^k)^(n-k) fails at k={k}"

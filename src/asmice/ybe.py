@@ -85,7 +85,7 @@ def _sides(y, z):
     weights = common_grid([w for v in (y + z, y, z)
                            for w in _label_weights(v)])
     x, ry, rz = (_crossing(weights[i:i + 6]) for i in (0, 6, 12))
-    one = LaurentPoly.one(1, weights[0].scale)
+    one = LaurentPoly.one(weights[0].scale)
     sides = []
     for steps in (((ry, 1), (x, 0), (rz, 1)), ((rz, 0), (x, 1), (ry, 0))):
         # key: the bottom orientations, then the current ones
@@ -97,7 +97,7 @@ def _sides(y, z):
                     k = key[:3 + i] + pair + key[5 + i:]
                     out[k] = out[k] + v * w if k in out else v * w
             column = out
-        zero = LaurentPoly.zero(1, one.scale)
+        zero = LaurentPoly.zero(one.scale)
         sides.append({b: column.get(b, zero) for b in _CASES})
     return sides
 

@@ -7,15 +7,15 @@ import pytest
 
 from asmice.brackets import qdiff
 from asmice.dets import (EpsilonGrid, antidiagonal_block_det, cauchy_det_closed,
-                         cauchy_matrix, general_x_matrix, s_det_closed,
-                         s_det_closed_bivariate, s_det_product, s_matrix,
-                         s_matrix_bivariate)
+                         cauchy_matrix, general_x_matrix, kronecker_exponent,
+                         s_det_closed, s_det_closed_bivariate, s_det_product,
+                         s_matrix, s_matrix_bivariate)
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
 from asmice.matrices import RingMatrix, det_exact
 
 
 def lp(terms, scale=1):
-    return LaurentPoly(1, scale, {(k,): c for k, c in terms.items()})
+    return LaurentPoly(scale, terms)
 
 
 # ---------- reciprocal-bracket determinant ----------
@@ -103,11 +103,49 @@ def test_bivariate_vanishing_orders():
     n = 3
     num = det_exact(s_matrix_bivariate(n)).num
     for k in range(n):
-        factor = LaurentPoly(2, 1, {(2, 0): 1, (0, 2 * k): -1})   # s - t^k
+        # s - t^k under s -> u^K, t -> u, up to a unit
+        factor = qdiff(kronecker_exponent(n) - k)
         q = num
         for _ in range(n - k):
             q = divide_exact(q, factor)       # raises if the order is short
 
+
+def d_at(root, m):
+    """d(m) = x^(m/2) - x^(-m/2) at the point x^(1/2) = root."""
+    return root ** m - root ** -m
+
+
+def closed_at(n, s_root, t_root, drop=None):
+    """The closed form of det S(n; s, t) at s^(1/2) = s_root and
+    t^(1/2) = t_root, each mixed factor s^(1/2) t^(-k/2) - s^(-1/2) t^(k/2)
+    taken to the power n - |k|, one power fewer for k = drop."""
+    value = Fraction(1)
+    for i in range(n):
+        for j in range(i):
+            value *= d_at(t_root, i - j) ** 2
+        for j in range(n):
+            value /= d_at(t_root, i + j + 1)
+    for k in range(1 - n, n):
+        mixed = s_root * t_root ** -k - s_root ** -1 * t_root ** k
+        value *= mixed ** (n - abs(k) - (k == drop))
+    return value
+
+
+def test_bivariate_identity_at_rational_points():
+    # an oracle apart from the Kronecker image: S(n; s, t) as a Fraction
+    # matrix at points with s^(1/2) and t^(1/2) rational, against the
+    # closed product there; dropping one factor s - t^k breaks it
+    points = [(Fraction(a), Fraction(b)) for a, b in
+              ((2, Fraction(3, 2)), (Fraction(3, 2), Fraction(5, 3)),
+               (Fraction(5, 3), 2), (Fraction(1, 3), Fraction(7, 2)))]
+    for n in (1, 2, 3, 4):
+        for s_root, t_root in points:
+            m = RingMatrix.from_fn(n, n, lambda i, j: d_at(s_root, i + j + 1)
+                                   / d_at(t_root, i + j + 1))
+            assert det_exact(m) == closed_at(n, s_root, t_root), (n, s_root)
+        for k in range(n):
+            assert any(closed_at(n, *p, drop=k) != closed_at(n, *p)
+                       for p in points)
 
 def test_variation_relates_to_general_x_matrix():
     # (-1/3) M(x=3)_{ij} equals t^(i+j+1) times the plus-one ratio
@@ -172,15 +210,12 @@ def test_x_zero_gives_zero_matrix():
 
 def test_all_parameter_modes_agree_at_sample_points():
     grid = EpsilonGrid.standard(2)
-    m_biv = general_x_matrix(grid)                 # both formal
     m_x1 = general_x_matrix(grid, x=1)             # s formal
     m_s2 = general_x_matrix(grid, s=2)             # x formal
     m_num = general_x_matrix(grid, x=1, s=4)       # both numeric
     for i in range(2):
         for j in range(2):
             assert m_x1[i, j].eval_units(Fraction(2)) == m_num[i, j]
-            assert m_biv[i, j].eval_units(Fraction(2), Fraction(1)) == \
-                m_num[i, j]
             assert m_s2[i, j].eval_units(Fraction(1)) == \
                 general_x_matrix(grid, x=1, s=2)[i, j]
 
@@ -192,8 +227,8 @@ def same_entry(got, want):
     den terms in the same order on the same grid."""
     if not isinstance(want, RatFunc):
         return type(got) is type(want) and got == want
-    return all((p.nvars, p.scale, list(p.terms.items()))
-               == (q.nvars, q.scale, list(q.terms.items()))
+    return all((p.scale, list(p.terms.items()))
+               == (q.scale, list(q.terms.items()))
                for p, q in ((got.num, want.num), (got.den, want.den)))
 
 
@@ -212,7 +247,7 @@ def test_ratio_matrix_entries_are_built_once_per_sum():
              (s_matrix(n, Fraction(1, 2), -1),
               lambda m: RatFunc(qdiff(Fraction(m, 2)), qdiff(-m))),
              (s_matrix_bivariate(n),
-              lambda m: RatFunc(qdiff(m, 2, 0), qdiff(m, 2, 1))))
+              lambda m: RatFunc(qdiff(kronecker_exponent(n) * m), qdiff(m))))
     for matrix, entry in cases:
         for i in range(n):
             for j in range(n):
@@ -223,15 +258,11 @@ def test_ratio_matrix_entries_are_built_once_per_sum():
 def general_x_entry(grid, i, j, x, s):
     """Entry (i, j) of general_x_matrix built on its own."""
     g = grid.g(i, j)
-    nvars = 2 if x is None and s is None else 1
     if s is None:
-        sg, sm = (LaurentPoly.var_power(e, 0, nvars) for e in (g, -g))
+        sg, sm = LaurentPoly.var_power(g), LaurentPoly.var_power(-g)
     else:
         sg, sm = Fraction(s) ** g, Fraction(s) ** -g
-    if x is None:           # s is variable 0 when both are formal
-        x = LaurentPoly.var_power(1, nvars - 1, nvars)
-    else:
-        x = Fraction(x)
+    x = LaurentPoly.var_power(1) if x is None else Fraction(x)
     den = sg + sm + 2 - x
     num = x * x - 4 * x
     return num / den if isinstance(den, Fraction) else RatFunc(num, den)
@@ -239,7 +270,7 @@ def general_x_entry(grid, i, j, x, s):
 
 def test_general_x_entries_are_built_once_per_difference():
     grid = EpsilonGrid.symmetric([-3, -1, 1, 3])
-    for x, s in ((None, Fraction(7, 5)), (3, None), (None, None),
+    for x, s in ((None, Fraction(7, 5)), (3, None),
                  (Fraction(1, 2), Fraction(7, 5))):
         m = general_x_matrix(grid, x=x, s=s)
         for i in range(grid.n):
@@ -288,6 +319,8 @@ def test_split_factorizes_symmetric_instances():
      "row and column grids must have equal length"),
     (lambda: general_x_matrix(EpsilonGrid([Fraction(1, 2)], [0]), s=2),
      "rational s requires integer grid exponents"),
+    (lambda: general_x_matrix(EpsilonGrid.standard(2)),
+     "x and s cannot both be formal: the entries have one variable"),
     (lambda: antidiagonal_block_det(RingMatrix([[1, 2]])),
      "matrix must be square"),
 ])

@@ -12,7 +12,7 @@ from asmice.sixvertex import SpectralParams, z_brute
 
 
 def lp(terms, scale=1):
-    return LaurentPoly(1, scale, {(k,): c for k, c in terms.items()})
+    return LaurentPoly(scale, terms)
 
 
 def test_single_entry_matrix():

@@ -178,11 +178,12 @@ def test_the_private_scan_sees_an_unread_name():
 
 
 def _options(tree):
-    """(function, parameter, position) of each optional parameter of the
-    functions and methods in tree.  position is the index of the
-    positional argument that passes it, a method's self or cls not
-    counted, and None for a keyword-only parameter.  An __init__ is named
-    by its class, whose call calls it."""
+    """(owner, function, parameter, position) of each optional parameter
+    of the functions and methods in tree.  owner is the class of a method
+    and None for a function.  position is the index of the positional
+    argument that passes it, a method's self or cls not counted, and None
+    for a keyword-only parameter.  An __init__ is named by its class,
+    whose call calls it, and has no owner."""
     found = []
 
     def visit(node, cls):
@@ -195,11 +196,13 @@ def _options(tree):
                 bound = cls is not None and "staticmethod" not in [
                     d.id for d in child.decorator_list
                     if isinstance(d, ast.Name)]
-                name = cls if child.name == "__init__" else child.name
+                owner, name = cls, child.name
+                if name == "__init__":
+                    owner, name = None, cls
                 first = len(positional) - len(args.defaults)
-                found.extend((name, p.arg, i - bound)
+                found.extend((owner, name, p.arg, i - bound)
                              for i, p in enumerate(positional) if i >= first)
-                found.extend((name, p.arg, None) for p, d in
+                found.extend((owner, name, p.arg, None) for p, d in
                              zip(args.kwonlyargs, args.kw_defaults) if d)
                 visit(child, None)
             else:
@@ -209,36 +212,54 @@ def _options(tree):
     return found
 
 
-def _calls(trees):
-    """{called name: [(positional count, keyword names)]} over every call
-    in trees, by the bare name or the attribute called.  A *args makes
-    the count unbounded; a **kwargs puts None among the names."""
+def _calls(trees, classes):
+    """{called name: [(positional count, keyword names, receiver)]} over
+    every call in trees, by the bare name or the attribute called.  A
+    *args makes the count unbounded; a **kwargs puts None among the
+    names.  receiver is the class, one of classes, that an attribute call
+    names as its base (C.f(...), or cls.f(...) or self.f(...) inside the
+    body of C), and None for any other call."""
     calls = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                f = node.func
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
                 name = (f.id if isinstance(f, ast.Name)
                         else f.attr if isinstance(f, ast.Attribute) else None)
+                base = getattr(getattr(f, "value", None), "id", None)
+                base = cls if base in ("cls", "self") else base
                 count = (math.inf if any(isinstance(a, ast.Starred)
-                                         for a in node.args)
-                         else len(node.args))
+                                         for a in child.args)
+                         else len(child.args))
                 calls.setdefault(name, []).append(
-                    (count, {k.arg for k in node.keywords}))
+                    (count, {k.arg for k in child.keywords},
+                     base if base in classes else None))
+            visit(child, child.name if isinstance(child, ast.ClassDef)
+                  else cls)
+
+    for tree in trees:
+        visit(tree, None)
     return calls
 
 
 def _unset_options(defined, calling):
     """(module, function, parameter) of each optional parameter of a
     function in defined ({module: ast}) that no call in calling (asts)
-    passes, by position or by keyword.  A call is matched to every
-    function of its name."""
-    calls = _calls(calling)
-    return {(module, name, param) for module, tree in defined.items()
-            for name, param, position in _options(tree)
-            if not any(position is not None and position < count
-                       or param in keys or None in keys
-                       for count, keys in calls.get(name, ()))}
+    passes, by position or by keyword; a method f of class C is named
+    C.f.  A call is matched to every function of its name, but a call
+    whose receiver is a class defined in defined only to that class's
+    method (_calls)."""
+    classes = {node.name for tree in defined.values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    calls = _calls(calling, classes)
+    return {(module, f"{owner}.{name}" if owner else name, param)
+            for module, tree in defined.items()
+            for owner, name, param, position in _options(tree)
+            if not any((position is not None and position < count
+                        or param in keys or None in keys)
+                       and receiver in (None, owner)
+                       for count, keys, receiver in calls.get(name, ()))}
 
 
 def test_every_option_is_set_by_some_call():
@@ -262,13 +283,27 @@ def test_the_option_scan_sees_an_orphan():
         "    def __init__(self, given=1, unset=2):\n        pass\n"
         "    def method(self, a=1, b=2):\n        pass\n"
         "    @staticmethod\n"
-        "    def static(a=1, b=2):\n        pass\n")}
+        "    def static(a=1, b=2):\n        pass\n"
+        "    def build(self, size=1):\n        pass\n"
+        "    def grow(self, step=1):\n        pass\n"
+        "    def shrink(self, by=1):\n        pass\n"
+        "class D:\n"
+        "    def build(self, size=1):\n        pass\n"
+        "    def grow(self, step=1):\n        pass\n"
+        "    def shrink(self, by=1):\n        pass\n"
+        "    @classmethod\n"
+        "    def make(cls):\n        return cls.grow(2)\n"
+        "    def again(self):\n        return self.shrink(3)\n")}
+    # a call on a class, or on cls or self inside it, sets only that
+    # class's method: D.build, C.grow and C.shrink stay unset
     calling = [ast.parse("f(0, 1, by_keyword=2, kw=4)\nC(1)\n"
-                         "obj.method(1)\nC.static(1)\n"
+                         "obj.method(1)\nC.static(1)\nC.build(2)\n"
                          "starred(*args)\nspread(**kwargs)\n")]
-    assert _unset_options(defined, calling) == {
+    assert _unset_options(defined, calling + [defined["a"]]) == {
         ("a", "f", "orphan"), ("a", "f", "lone"), ("a", "inner", "y"),
-        ("a", "C", "unset"), ("a", "method", "b"), ("a", "static", "b")}
+        ("a", "C", "unset"), ("a", "C.method", "b"), ("a", "C.static", "b"),
+        ("a", "D.build", "size"), ("a", "C.grow", "step"),
+        ("a", "C.shrink", "by")}
 
 
 @pytest.mark.parametrize("value", [

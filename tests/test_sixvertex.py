@@ -10,17 +10,17 @@ from asmice.asm import count_asms_brute, enumerate_asms
 from asmice.brackets import bracket, bracket_ratio, qdiff
 from asmice.formulas import a_formula
 from asmice.ice import from_ice, to_ice
-from asmice import laurent, sixvertex
+from asmice import sixvertex
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
 from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND, _label_weights,
-                              _packed_sweep, _z_formal, lemma_degree_check,
+                              _packed_sweep, _state_sum, lemma_degree_check,
                               lemma_recursion_check, state_sweep,
                               vertex_weights, z_brute)
 from dwbc_search import search_dwbc_states
 
 
 def lp(terms, scale=1):
-    return LaurentPoly(1, scale, {(k,): c for k, c in terms.items()})
+    return LaurentPoly(scale, terms)
 
 
 def enumerated_states(n):
@@ -47,12 +47,48 @@ def common_scale(p):
     return lcm(*(v.denominator for v in p.xs + p.ys))
 
 
-def written_weights(v, scale, nvars=1):
+class TW:
+    """A polynomial in t = q^(1/(2*scale)) and w as its terms {(t, w): c}
+    in grid units, multiplied term by term: the test's own ring for the
+    state sum with row 0 formal."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return TW(out)
+
+    def __radd__(self, other):          # the 0 that enumerated_sum starts at
+        return self
+
+    def __neg__(self):
+        return TW({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for (a, b), c in self.terms.items():
+            for (e, f), d in other.terms.items():
+                out[a + e, b + f] = out.get((a + e, b + f), 0) + c * d
+        return TW(out)
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+def written_weights(v, scale, mono=None):
     """The six weights at label v times b = q^(1/2)-q^(-1/2), written out
     on the 1/(2*scale) grid: -b q^(-v/2), -b q^(v/2), then d(v-1) twice
-    and d(v) twice, d(a) = q^(a/2) - q^(-a/2)."""
-    def mono(a):                    # q^(a/2): the key a*scale
-        return LaurentPoly(nvars, scale, {(a * scale,) + (0,) * (nvars - 1): 1})
+    and d(v) twice, d(a) = q^(a/2) - q^(-a/2); mono(a) is q^(a/2), a
+    LaurentPoly with the key a*scale when None."""
+    mono = mono or (lambda a: LaurentPoly(scale, {a * scale: 1}))
 
     def d(a):
         return mono(a) - mono(-a)
@@ -64,7 +100,7 @@ def formal_row_weights(y, scale):
     """written_weights at the label x0 - y with w = q^(x0/2) carried as the
     second variable: t^(a/2) w^e has the key (a*scale, 2*e*scale)."""
     def mono(a, e):
-        return LaurentPoly(2, scale, {(a * scale, 2 * e * scale): 1})
+        return TW({(a * scale, 2 * e * scale): 1})
     b = mono(1, 0) - mono(-1, 0)
     d_minus_one = mono(-y - 1, 1) - mono(y + 1, -1)
     d = mono(-y, 1) - mono(y, -1)
@@ -146,9 +182,9 @@ def test_packed_sweep_matches_the_laurent_sweep():
     # the same weights for the packer: their terms on the grid 1/8, no u
     grid = 4
     packed = _packed_sweep(n, [
-        [{(k * (grid // w.scale), 0): c for (k,), c in w.terms.items()}
+        [{(k * (grid // w.scale), 0): c for k, c in w.terms.items()}
          for w in weights] for row in site for weights in row])
-    assert LaurentPoly(1, grid, packed[0]) == total
+    assert LaurentPoly(grid, packed[0]) == total
     assert z_brute(p) == RatFunc(total, qdiff(1) ** (n * n))
 
 
@@ -162,7 +198,7 @@ def test_packed_sweep_bound_is_reached_by_all_ones_weights(monkeypatch):
     for n in range(1, Z_BRUTE_BOUND + 1):
         bounds.clear()
         sites = [({(0, 0): 1},) * 6] * (n * n)
-        assert _packed_sweep(n, sites) == {0: {(0,): a_formula(n)}}, n
+        assert _packed_sweep(n, sites) == {0: {0: a_formula(n)}}, n
         assert bounds == [a_formula(n)], n
 
 
@@ -184,7 +220,7 @@ def test_state_sum_matches_enumeration():
         site = [[written_weights(p.label(i, j), scale) for j in range(n)]
                 for i in range(n)]
         total = enumerated_sum(site, enumerated_states(n),
-                               LaurentPoly.one(1, scale))
+                               LaurentPoly.one(scale))
         assert z_brute(p) == RatFunc(total, qdiff(1) ** (n * n))
 
 
@@ -193,19 +229,29 @@ def formal_row_sum(p):
     the common grid of p."""
     n, scale = p.n, common_scale(p)
     site = [[formal_row_weights(y, scale) for y in p.ys]]
-    site += [[written_weights(p.label(i, j), scale, 2)
+    site += [[written_weights(p.label(i, j), scale,
+                              lambda a: TW({(a * scale, 0): 1}))
               for j in range(n)] for i in range(1, n)]
-    return enumerated_sum(site, enumerated_states(n),
-                          LaurentPoly.one(2, scale))
+    return enumerated_sum(site, enumerated_states(n), TW({(0, 0): 1}))
+
+
+def formal_state_sum(p, scale=None):
+    """The packed state sum with row 0 formal that lemma_degree_check
+    reads, swept with x0 = 0, as a TW on the grid 1/(2*scale) (the sum's
+    own grid when None), and that grid."""
+    grid, total = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
+    m = (scale or grid) // grid
+    return TW({(t * m, u * m): c for u, ts in total.items()
+               for t, c in ts.items()}), grid
 
 
 def test_formal_row_sum_matches_enumeration():
-    # _z_formal is the scaled sum b^(n^2) Z itself, undivided; n = 4 is the
-    # largest the verify suite runs
+    # the formal state sum is the scaled sum b^(n^2) Z itself, undivided;
+    # n = 4 is the largest the verify suite runs
     rng = random.Random(6)
     for n in range(1, 5):
         p = random_params(rng, n)
-        assert _z_formal(p) == formal_row_sum(p)
+        assert formal_state_sum(p, common_scale(p))[0] == formal_row_sum(p)
 
 
 def test_formal_row_sum_when_top_row_terms_cancel():
@@ -213,41 +259,44 @@ def test_formal_row_sum_when_top_row_terms_cancel():
     # its two inner masks, in several w-exponents, and at its outer masks
     # none do; the packed sweep carries each w-exponent as a block
     p = SpectralParams([0, 3, Fraction(7, 2), 2], [0, 0, 0, 0])
-    top = state_sweep({0: LaurentPoly.one(2)},
+    top = state_sweep({0: TW({(0, 0): 1})},
                       [[formal_row_weights(y, 1) for y in p.ys]])
     lost = {mask: 2 ** 4 - sum(map(abs, w.terms.values()))
             for mask, w in top.items()}
     assert lost == {1: 0, 2: 4, 4: 4, 8: 0}
     assert all(len({f for _, f in w.terms}) == 4 for w in top.values())
-    assert _z_formal(p) == formal_row_sum(p)
+    assert formal_state_sum(p, common_scale(p))[0] == formal_row_sum(p)
     assert lemma_degree_check(4, p)
 
 
 @pytest.mark.parametrize("bad_key, scale", [(6, 1), (4, 1), (2, 2)])
 def test_degree_check_rejects_a_bad_w_exponent(monkeypatch, bad_key, scale):
     # n = 3 allows the w-exponents -3, -1 and 1, each 2*scale grid units;
-    # the bad keys are the w-exponents n, the even 2 and the half 1/2
+    # the bad keys are the w-exponents n, the even 2 and the half 1/2; a
+    # w-exponent whose q-part is empty is no term
     p = SpectralParams([1, 2, 3], [0, 0, 0])
-    good = {(0, -6 * scale): 1, (1, -2 * scale): 2, (-1, 2 * scale): -1}
-    monkeypatch.setattr(sixvertex, "_z_formal",
-                        lambda _: LaurentPoly(2, scale, good))
-    assert lemma_degree_check(3, p)
-    monkeypatch.setattr(sixvertex, "_z_formal", lambda _: LaurentPoly(
-        2, scale, {**good, (3, bad_key): 5}))
-    assert not lemma_degree_check(3, p)
+    good = {-6 * scale: {0: 1}, -2 * scale: {1: 2}, 2 * scale: {-1: -1}}
+    for total, ok in ((good, True), ({**good, bad_key: {}}, True),
+                      ({**good, bad_key: {3: 5}}, False)):
+        monkeypatch.setattr(sixvertex, "_state_sum",
+                            lambda params, formal, total=total:
+                            (scale, total))
+        assert lemma_degree_check(3, p) is ok
 
 
 def test_formal_row_sum_when_x0_has_the_finest_grid():
-    # _z_formal ignores x0, so its grid can be coarser than the common one;
+    # the formal sum ignores x0, so its grid can be coarser than the common
+    # one;
     # in the first case the other rows sit on a finer grid than some top-row
     # weights, in the second on a coarser one than some
     for xs, ys in (([Fraction(1, 4), 3, 5], [0, Fraction(1, 2), 1]),
                    ([Fraction(1, 4), Fraction(11, 2), Fraction(17, 2)],
                     [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2)])):
         p = SpectralParams(xs, ys)
-        z = _z_formal(p)
-        assert z.scale < common_scale(p)
-        assert z and z == formal_row_sum(p)
+        grid = formal_state_sum(p)[1]
+        assert grid < common_scale(p)
+        z = formal_state_sum(p, common_scale(p))[0]
+        assert z.terms and z == formal_row_sum(p)
         assert lemma_degree_check(3, p)
 
 
@@ -258,11 +307,10 @@ def test_formal_row_at_a_value_is_the_state_sum():
         p = random_params(rng, n)
         scale = common_scale(p)
         at = {}
-        for (k, kw), c in _z_formal(p).rescale(scale).terms.items():
-            key = (k + kw * p.xs[0] / 2,)
+        for (k, kw), c in formal_state_sum(p, scale)[0].terms.items():
+            key = k + kw * p.xs[0] / 2
             at[key] = at.get(key, 0) + c
-        scaled = RatFunc(LaurentPoly(1, scale, at),
-                         qdiff(1) ** (n * n))
+        scaled = RatFunc(LaurentPoly(scale, at), qdiff(1) ** (n * n))
         assert scaled == z_brute(p)
 
 
@@ -313,15 +361,6 @@ def test_degree_bound_in_first_row_parameter():
         xs = [Fraction(0)] + [Fraction(7 * k + 1, 2) for k in range(1, n)]
         ys = [Fraction(k, 2) for k in range(n)]
         assert lemma_degree_check(n, SpectralParams(xs, ys))
-
-
-def test_degree_check_divides_no_two_variable_polynomial(monkeypatch):
-    def refuse(num, den):
-        raise AssertionError("two-variable division")
-    monkeypatch.setattr(laurent, "_divide_bivariate", refuse)
-    p = SpectralParams([0, Fraction(9, 2), Fraction(15, 2)],
-                       [0, Fraction(1, 2), 1])
-    assert lemma_degree_check(3, p)
 
 
 def test_contributing_states_at_unit_corner_label():

@@ -157,6 +157,14 @@ def _doubled_right_side(sides):
     return broken
 
 
+def _w_shifted(sums):
+    # every w-exponent of the formal state sum one grid unit up
+    def broken(p, formal):
+        grid, total = sums(p, formal)
+        return grid, {u + 1 if formal else u: ts for u, ts in total.items()}
+    return broken
+
+
 def _undivisible(*args):
     raise NonDivisible("planted")
 
@@ -173,8 +181,7 @@ PLANTED = {
     "check_lemma_recursion": (
         sixvertex, "z_brute", lambda f: lambda p: f(p) * p.n, "n={n} ("),
     "check_lemma_degree": (
-        sixvertex, "_z_formal", lambda f: lambda p: f(p).shift_unit((0, 1)),
-        "n={n} ys="),
+        sixvertex, "_state_sum", _w_shifted, "n={n} ys="),
     "check_cauchy": (verify, "cauchy_det_closed", _plus_one, "n={n} xs="),
     "check_sdet_pair": (verify, "s_det_closed", _plus_one, "n={n} (a,b)"),
     "check_sdet_bivariate": (
