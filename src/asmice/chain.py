@@ -204,11 +204,13 @@ def z_half_eps_brute(n, x, grid=None):
     # b = u^2 - u^(-2) multiplies in the group ring
     factor = ((2, 1), (-2, -1)) if n % 2 else ((0, 1),)
     folded = {}
-    for r, terms in _packed_sweep(n, sites).items():
-        for k, c in terms.items():
-            v = folded.setdefault(k, [0] * 24)
-            for dr, sign in factor:
-                v[e * (r + dr) % 24] += sign * c
+    ts, blocks = _packed_sweep(n, sites)
+    for r, cs in blocks.items():
+        for k, c in zip(ts, cs):
+            if c:
+                v = folded.setdefault(k, [0] * 24)
+                for dr, sign in factor:
+                    v[e * (r + dr) % 24] += sign * c
     total = LaurentPoly(d, {k: Cyclotomic(_fold(v))
                             for k, v in folded.items()})
     return RatFunc(total, (x * x - 4 * x) ** ((n * n + 1) // 2))

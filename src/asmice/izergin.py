@@ -21,17 +21,21 @@ packed or expanded as a polynomial.
 Every difference product here is expanded once on packed ints by
 laurent.diff_product: each e_{i,j}, and the whole denominator, b^(n^2-n)
 and both pair products (the second over the y's reversed), as one
-brackets.qdiff_product call.  The result is reduced to a genuine Laurent
-polynomial whenever it is one (laurent.reduced, as for sixvertex.z_brute).
+brackets.qdiff_product call.  The quotient is divided out by the rule
+that sixvertex.z_brute follows (sixvertex._z_quotient): only where the
+weights make Z a Laurent polynomial, with every label integral or
+n = 1, and the denominator is no monomial.  Elsewhere it is returned
+unreduced, the same RatFunc, since == cross-multiplies.
 """
 
 from __future__ import annotations
 
 from .brackets import bracket_ratio, qdiff_product
-from .laurent import LaurentPoly, diff_product, reduced
+from .laurent import LaurentPoly, diff_product
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 from .matrices import RingMatrix, cleared_det
 from .matrices import det_exact  # noqa: F401  perfbench/selftest.py
+from .sixvertex import _z_quotient
 
 
 class IkInstance:
@@ -84,4 +88,4 @@ def ik_z(inst):
     if n % 2:
         num = -num
     den = qdiff_product(p.xs, p.ys[::-1], beta_power=n * n - n)
-    return reduced(num, den)
+    return _z_quotient(p, num, den)

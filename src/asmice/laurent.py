@@ -195,6 +195,8 @@ class LaurentPoly:
             raise ValueError("scale must be a positive integer")
         clean = {}
         for e, c in terms.items():
+            if not isinstance(e, (int, Fraction, float)):
+                raise TypeError(f"exponent {e!r} is a {type(e).__name__}")
             key = int(e)
             if key != e:
                 raise GridViolation(f"exponent {e} is not integral")

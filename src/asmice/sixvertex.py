@@ -11,9 +11,13 @@ The state sum over all domain-wall configurations is assembled exactly: each
 weight is scaled by b = q^(1/2)-q^(-1/2) so that every site contributes a
 genuine Laurent polynomial, the states are summed row by row by a sweep
 over column masks (the transfer sweep's rules, carrying weights instead of
-counts), and the sum is divided back by b^(n^2).  For integral labels the
-quotient is itself a Laurent polynomial and is returned in reduced
-(denominator-one) form.  The tests check the sweep against the sum over
+counts), and the sum is divided back by b^(n^2).  The division is
+attempted only where the weights make Z a Laurent polynomial: every label
+integral (SpectralParams.grid is 1), or n = 1, where the one state's
+weight is a monomial.  There, and only there, the quotient is returned
+in reduced (denominator-one) form; elsewhere the fraction is returned as
+it is, the same RatFunc, since == cross-multiplies (_z_quotient, which
+izergin.ik_z shares).  The tests check the sweep against the sum over
 every enumerated state.
 
 The scaled weights are written once, as the table _WEIGHTS of terms
@@ -41,7 +45,23 @@ i + (T/g_t + 1)*j holds t^(g_t*i) u^(g_u*j): the u-exponent is a block
 index, and no block spills into the next.  A frontier entry is one int
 that a weight multiplies by a shift and an add per term (laurent._Shifts,
 as the packed determinants do).  The degree check's w rides as u, so
-one sweep carries every w-exponent as a block.
+one sweep carries every w-exponent as a block.  _packed_sweep hands the
+sum back as a range ts of t-exponents and one coefficient list per
+u-block, cs[i] the coefficient of t^ts[i], so that each caller builds
+only what it reads: z_brute one terms dict, chain.z_half_eps_brute
+every block's, and the degree check none, only whether a block is
+nonzero.
+
+Bottom-up rows.  _state_sum sums the rows bottom to top, so that the
+formal row 0 comes last and the frontier ints stay one u-block wide for
+n - 1 rows.  Read upward, a mask bit is the sum c of the entries below
+in its column, and the sum above a zero entry is 1 - c; the +-1 entries
+keep their rules (+1 needs (c, r) = (0, 0), -1 needs (1, 1)).  So
+state_sweep runs unchanged on the reversed rows once each site's weights
+are relabelled by _UPWARD: ZERO_STATE[(c, r)] takes the weight of
+ZERO_STATE[(1 - c, r)], which swaps states 3 <-> 6 and 4 <-> 5.  This is
+the reflection that the transfer sweep's meet in the middle uses (its
+bottom rows turned over).
 
 Slot width.  Packing is a ring map: t and u go to powers of 2, so every
 sum and product of packed ints is exactly the packed sum and product,
@@ -68,8 +88,8 @@ from math import gcd, lcm
 
 from .brackets import BracketProduct, qdiff
 from .ice import ZERO_STATE
-from .laurent import (LaurentPoly, _l1, _Layout, _Shifts, diff_product,
-                      reduced)
+from .laurent import (LaurentPoly, RatFunc, _l1, _Layout, _Shifts,
+                      diff_product, reduced)
 from .laurent import divide_exact  # noqa: F401  perfbench/selftest.py
 
 Z_BRUTE_BOUND = 6
@@ -81,9 +101,11 @@ _WEIGHTS = (((1, -1, -1), (-1, -1, 1)), ((1, 1, -1), (-1, 1, 1)),
 
 
 class SpectralParams:
-    """Row parameters x_i and column parameters y_j, all rational."""
+    """Row parameters x_i and column parameters y_j, all rational; grid
+    is the least grid of the labels x_i - y_j, the lcm of their
+    denominators."""
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "grid")
 
     def __init__(self, xs, ys):
         self.xs = tuple(Fraction(x) for x in xs)
@@ -91,6 +113,8 @@ class SpectralParams:
         if len(self.xs) != len(self.ys) or not self.xs:
             raise ValueError(
                 "need equally many row and column parameters, at least one")
+        self.grid = lcm(*[(x - y).denominator
+                          for x in self.xs for y in self.ys])
 
     @property
     def n(self):
@@ -177,8 +201,8 @@ def state_sweep(frontier, rows):
 
 def _packed_sweep(n, sites):
     """The all-ones entry of state_sweep({0: 1}, rows) on packed ints, as
-    {u: {t: coefficient}}: sites lists the rows' sites in order, each as
-    its six weights {(t, u): int}."""
+    (ts, {u: cs}): sites lists the rows' sites in order, each as its six
+    weights {(t, u): int}, and cs[i] is the coefficient of t^ts[i] u^u."""
     # per site the least (t, u) exponents, and per variable the lattice
     # step and top
     groups = [[k for w in site for k in w] for site in sites]
@@ -204,34 +228,49 @@ def _packed_sweep(n, sites):
     rows = [flat[i:i + n] for i in range(0, len(flat), n)]
     cs = layout.coefficients(state_sweep({0: 1}, rows)[(1 << n) - 1])
     low = [sum(lo[i] for lo in lows) for i in (0, 1)]
-    return {low[1] + steps[1] * j:
-            {low[0] + steps[0] * i: c
-             for i, c in enumerate(cs[j * block:(j + 1) * block]) if c}
-            for j in range(top_u + 1)}
+    return (range(low[0], low[0] + steps[0] * block, steps[0]),
+            {low[1] + steps[1] * j: cs[j * block:(j + 1) * block]
+             for j in range(top_u + 1)})
+
+
+#: the weight index of each state - 1 in a row read upward: 3 <-> 6 and
+#: 4 <-> 5 (see "Bottom-up rows" in the module docstring)
+_UPWARD = (0, 1, 5, 4, 3, 2)
 
 
 def _state_sum(p, formal):
     """The packed sweep of p's sites on the least grid of its labels, as
-    (grid, {u: {t: coefficient}}); when formal, row 0's m also carries
-    u^(2*grid), so that u stands for w = q^(x_0/2) (see
-    lemma_degree_check)."""
+    (grid, ts, {u: cs}), its rows summed bottom to top; when formal, row
+    0's m also carries u^(2*grid), so that u stands for w = q^(x_0/2)
+    (see lemma_degree_check)."""
     if p.n > Z_BRUTE_BOUND:
         raise ValueError(
             f"n={p.n} exceeds the state-sum bound {Z_BRUTE_BOUND}")
-    labels = [p.label(i, j) for i in range(p.n) for j in range(p.n)]
-    grid = lcm(*[v.denominator for v in labels])
+    grid, n = p.grid, p.n
+    labels = [p.label(i, j) for i in reversed(range(n)) for j in range(n)]
+    # row 0, formal or not, is the last n sites
     sites = [_weight_terms((grid, 0), (v.numerator * grid // v.denominator,
-                                       2 * grid if formal and k < p.n else 0))
+                                       2 * grid * (formal and k >= n * n - n)))
              for k, v in enumerate(labels)]
-    return grid, _packed_sweep(p.n, sites)
+    return (grid, *_packed_sweep(n, [[w[s] for s in _UPWARD] for w in sites]))
+
+
+def _z_quotient(p, num, den):
+    """num/den as a RatFunc for Z at p, divided out only where the weights
+    make Z a Laurent polynomial: every label integral (grid 1), or n = 1,
+    one site whose weight is a monomial.  Elsewhere the fraction stays
+    unreduced; it is the same RatFunc, and == cross-multiplies.  A
+    monomial den needs no division: RatFunc folds it into num."""
+    divide = (p.grid == 1 or p.n == 1) and not den.is_monomial()
+    return reduced(num, den) if divide else RatFunc(num, den)
 
 
 def z_brute(p):
     """The state sum Z(n; X, Y) as a RatFunc in q, summed by the domain-wall
     sweep over the scaled site weights."""
-    grid, total = _state_sum(p, False)
-    return reduced(LaurentPoly._clean(grid, total[0]),
-                   diff_product({1: p.n * p.n}))
+    grid, ts, blocks = _state_sum(p, False)
+    num = LaurentPoly._clean(grid, {t: c for t, c in zip(ts, blocks[0]) if c})
+    return _z_quotient(p, num, diff_product({1: p.n * p.n}))
 
 
 def lemma_recursion_check(n, p, i, j):
@@ -266,7 +305,7 @@ def lemma_degree_check(n, p):
     """
     if n != p.n:
         raise ValueError("n does not match the parameter count")
-    grid, total = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
+    grid, _, blocks = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
     half = 2 * grid                         # grid units per w-exponent 1
-    return ({u for u, ts in total.items() if ts}
+    return ({u for u, cs in blocks.items() if any(cs)}
             <= {(2 * j - n) * half for j in range(n)})

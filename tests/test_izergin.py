@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from asmice import izergin, sixvertex
 from asmice.brackets import bracket_ratio
 from asmice.izergin import IkInstance, ik_matrix, ik_z
-from asmice.laurent import LaurentPoly, RatFunc
+from asmice.laurent import LaurentPoly, RatFunc, reduced
 from asmice.sixvertex import SpectralParams, z_brute
+from asmice.verify import _draw_ik_params
 
 
 def lp(terms, scale=1):
@@ -68,3 +70,39 @@ def test_instance_size():
     inst = IkInstance(SpectralParams([3, 4], [0, 1]))
     assert inst.n == 2
     assert ik_matrix(inst).nrows == 2
+
+
+def both_sides(p):
+    return z_brute(p), ik_z(IkInstance(p))
+
+
+def test_integral_labels_and_one_site_give_laurent_polynomials():
+    # the weights make Z a Laurent polynomial on the integer grid and at
+    # n = 1, where its one state weighs a monomial; both sides divide out
+    rng = random.Random(38)
+    for n in range(1, 5):
+        p = SpectralParams(rng.sample(range(2, 40), n),
+                           rng.sample(range(-20, 1), n))
+        assert p.grid == 1
+        assert all(z.is_poly for z in both_sides(p)), n
+    p = SpectralParams([Fraction(7, 3)], [Fraction(-1, 2)])
+    assert p.grid == 6
+    assert all(z.is_poly for z in both_sides(p))
+
+
+def test_fractional_labels_keep_their_values(monkeypatch):
+    # off the integer grid the quotient is left unreduced; it equals the
+    # value that always attempts the division, which never succeeds here
+    rng = random.Random(39)
+    draws = [SpectralParams(*_draw_ik_params(rng, n))
+             for n in (2, 3, 4) for _ in range(5)]
+    draws = [p for p in draws if p.grid > 1]
+    assert len(draws) >= 12
+    kept = [both_sides(p) for p in draws]
+    for module in (sixvertex, izergin):
+        monkeypatch.setattr(module, "_z_quotient",
+                            lambda p, num, den: reduced(num, den))
+    divided = [both_sides(p) for p in draws]
+    assert kept == divided
+    assert [[z.is_poly for z in zs] for zs in kept] == [
+        [z.is_poly for z in zs] for zs in divided]

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 from pathlib import Path
@@ -112,6 +113,10 @@ def test_constructor_rejects_non_integral_exponent_keys():
     assert LaurentPoly(1, {2.0: 3}).terms == {2: 3}
     assert type(next(iter(LaurentPoly(1, {2.0: 3}).terms))) is int
     assert LaurentPoly(1, {Fraction(4, 2): 3}) == lp({2: 3})
+    # a key that is no number is refused by its type, not by its value
+    for key, name in (("3", "str"), ((1,), "tuple"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=re.escape(f"{key!r} is a {name}")):
+            LaurentPoly(1, {key: 1})
 
 
 def test_rescale_refines_but_never_coarsens():
@@ -569,9 +574,9 @@ def test_packed_site_product_round_trips(n, weights, grid_scale):
                 k = (t + t2, u + u2)
                 product[k] = product.get(k, 0) + c * c2
         expected = {k: c for k, c in product.items() if c}
-    packed = _packed_sweep(n, sites)
-    assert {(t, u): c for u, terms in packed.items()
-            for t, c in terms.items()} == {
+    ts, blocks = _packed_sweep(n, sites)
+    assert {(t, u): c for u, cs in blocks.items()
+            for t, c in zip(ts, cs) if c} == {
         k: (1, 2, 7)[n - 1] * c for k, c in expected.items()}
 
 
@@ -587,7 +592,9 @@ def test_packed_site_weights_reject_bits_above_the_top_slot(monkeypatch):
     for g in (1, 2):
         seen.clear()
         site = ({(g, 0): 1, (-g, 0): -1},) + ({(0, 0): 1},) * 5
-        assert _packed_sweep(1, [site]) == {0: {g: 1, -g: -1}}
+        ts, blocks = _packed_sweep(1, [site])
+        assert {u: {t: c for t, c in zip(ts, cs) if c}
+                for u, cs in blocks.items()} == {0: {g: 1, -g: -1}}
         (layout, v), = seen
         assert v == _pack([-1, 0, 1], 8)
         # a slot count read off the bit length would take these as 4 slots

@@ -13,7 +13,8 @@ from asmice.ice import from_ice, to_ice
 from asmice import sixvertex
 from asmice.laurent import LaurentPoly, RatFunc, divide_exact
 from asmice.sixvertex import (SpectralParams, Z_BRUTE_BOUND, _label_weights,
-                              _packed_sweep, _state_sum, lemma_degree_check,
+                              _packed_sweep, _state_sum,
+                              _weight_terms, lemma_degree_check,
                               lemma_recursion_check, state_sweep,
                               vertex_weights, z_brute)
 from dwbc_search import search_dwbc_states
@@ -108,6 +109,11 @@ def formal_row_weights(y, scale):
             d_minus_one, d_minus_one, d, d)
 
 
+def sweep_terms(ts, blocks):
+    """A packed sweep's blocks {u: cs} as {u: {t: c}}."""
+    return {u: {t: c for t, c in zip(ts, cs) if c} for u, cs in blocks.items()}
+
+
 def random_params(rng, n):
     xs = [Fraction(rng.randrange(2, 40), rng.choice([1, 2])) for _ in range(n)]
     ys = [Fraction(rng.randrange(-20, 1), rng.choice([1, 2, 3]))
@@ -181,11 +187,65 @@ def test_packed_sweep_matches_the_laurent_sweep():
     total = state_sweep(one, site)[(1 << n) - 1]
     # the same weights for the packer: their terms on the grid 1/8, no u
     grid = 4
-    packed = _packed_sweep(n, [
+    packed = sweep_terms(*_packed_sweep(n, [
         [{(k * (grid // w.scale), 0): c for k, c in w.terms.items()}
-         for w in weights] for row in site for weights in row])
+         for w in weights] for row in site for weights in row]))
     assert LaurentPoly(grid, packed[0]) == total
     assert z_brute(p) == RatFunc(total, qdiff(1) ** (n * n))
+
+
+def test_rows_read_upward_sum_the_same_states():
+    # six distinct weights per site: the rows in reverse order, each
+    # site's weights taken through _UPWARD, sum what the rows sum top down
+    rng = random.Random(13)
+    for n in range(1, 6):
+        site = [[tuple(rng.sample(range(2, 1000), 6)) for _ in range(n)]
+                for _ in range(n)]
+        upward = [[tuple(w[s] for s in sixvertex._UPWARD) for w in row]
+                  for row in reversed(site)]
+        assert state_sweep({0: 1}, upward) == state_sweep({0: 1}, site)
+
+
+def integral_params(rng, n):
+    return SpectralParams(rng.sample(range(2, 40), n),
+                          rng.sample(range(-20, 1), n))
+
+
+def top_down_sum(p, formal):
+    """The state sum _state_sum takes, as {(t, u): c}, by state_sweep top
+    down over p's rows in their own order and their weights' own states:
+    the table's terms on the grid of p's labels, row 0's m times
+    u^(2*grid) when formal."""
+    n, grid = p.n, p.grid
+    rows = [[tuple(map(TW, _weight_terms(
+        (grid, 0), (int(p.label(i, j) * grid), 2 * grid * (formal and not i)))))
+        for j in range(n)] for i in range(n)]
+    return state_sweep({0: TW({(0, 0): 1})}, rows)[(1 << n) - 1].terms
+
+
+def bottom_up_sum(p, formal):
+    _, ts, blocks = _state_sum(p, formal)
+    return {(t, u): c for u, cs in blocks.items()
+            for t, c in zip(ts, cs) if c}
+
+
+def test_state_sum_reads_the_rows_bottom_up(monkeypatch):
+    # every u-block of the bottom-up sum, on integral and fractional
+    # labels, with row 0 plain and formal; weights 3 and 4 are equal, as
+    # are 5 and 6, so a wrong swap shows where it mixes the two pairs
+    rng = random.Random(14)
+    cases = [(draw(rng, n), formal) for n in range(1, 6)
+             for draw in (integral_params, random_params)
+             for formal in (False, True)]
+
+    want = [top_down_sum(p, formal) for p, formal in cases]
+
+    def wrong():
+        return [(p.n, formal) for (p, formal), terms in zip(cases, want)
+                if bottom_up_sum(p, formal) != terms]
+    assert wrong() == []
+    monkeypatch.setattr(sixvertex, "_UPWARD", (0, 1, 4, 3, 2, 5))   # 3 <-> 5
+    assert {n for n, _ in wrong()} == {2, 3, 4, 5}
 
 
 def test_packed_sweep_bound_is_reached_by_all_ones_weights(monkeypatch):
@@ -198,7 +258,8 @@ def test_packed_sweep_bound_is_reached_by_all_ones_weights(monkeypatch):
     for n in range(1, Z_BRUTE_BOUND + 1):
         bounds.clear()
         sites = [({(0, 0): 1},) * 6] * (n * n)
-        assert _packed_sweep(n, sites) == {0: {0: a_formula(n)}}, n
+        assert sweep_terms(*_packed_sweep(n, sites)) == {
+            0: {0: a_formula(n)}}, n
         assert bounds == [a_formula(n)], n
 
 
@@ -239,7 +300,8 @@ def formal_state_sum(p, scale=None):
     """The packed state sum with row 0 formal that lemma_degree_check
     reads, swept with x0 = 0, as a TW on the grid 1/(2*scale) (the sum's
     own grid when None), and that grid."""
-    grid, total = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
+    grid, *sweep = _state_sum(SpectralParams((0,) + p.xs[1:], p.ys), True)
+    total = sweep_terms(*sweep)
     m = (scale or grid) // grid
     return TW({(t * m, u * m): c for u, ts in total.items()
                for t, c in ts.items()}), grid
@@ -276,11 +338,14 @@ def test_degree_check_rejects_a_bad_w_exponent(monkeypatch, bad_key, scale):
     # w-exponent whose q-part is empty is no term
     p = SpectralParams([1, 2, 3], [0, 0, 0])
     good = {-6 * scale: {0: 1}, -2 * scale: {1: 2}, 2 * scale: {-1: -1}}
+    ts = range(-1, 4)
     for total, ok in ((good, True), ({**good, bad_key: {}}, True),
                       ({**good, bad_key: {3: 5}}, False)):
+        blocks = {u: [terms.get(t, 0) for t in ts]
+                  for u, terms in total.items()}
         monkeypatch.setattr(sixvertex, "_state_sum",
-                            lambda params, formal, total=total:
-                            (scale, total))
+                            lambda params, formal, blocks=blocks:
+                            (scale, ts, blocks))
         assert lemma_degree_check(3, p) is ok
 
 

@@ -2,12 +2,13 @@
 each check seen to fail on a planted wrong identity."""
 
 import inspect
+import sys
 
 import pytest
 
 from asmice import sixvertex, verify, ybe
 from asmice.cyclotomic import Cyclotomic
-from asmice.laurent import LaurentPoly, NonDivisible
+from asmice.laurent import LaurentPoly, NonDivisible, divide_exact
 from asmice.verify import (SUITE_NAMES, CheckResult, build_suite, run_suite)
 
 EXPECTED_SIZES = {"ybe": 7, "ik": 11, "cauchy": 5,
@@ -134,6 +135,32 @@ def test_one_pass_of_the_suite_inverts_no_cyclotomic(monkeypatch):
     assert inverted == []
 
 
+def test_one_pass_of_the_suite_divides_only_where_a_quotient_exists(
+        monkeypatch):
+    # z_brute and ik_z attempt the division only where Z is a Laurent
+    # polynomial and den is no monomial (sixvertex._z_quotient), so no
+    # divide_exact fails, and none divides by a monomial
+    calls, raised = [], []
+
+    def counted(num, den):
+        calls.append(den)
+        try:
+            return divide_exact(num, den)
+        except NonDivisible:
+            raised.append((num, den))
+            raise
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("asmice")
+                and getattr(module, "divide_exact", None) is divide_exact):
+            monkeypatch.setattr(module, "divide_exact", counted)
+    for func, kwargs in build_suite("all", seed=0):
+        assert func(**kwargs).passed
+    assert calls and raised == []
+    assert not [den for den in calls
+                if isinstance(den, LaurentPoly) and den.is_monomial()]
+
+
 def test_recursion_draw_redraws_a_repeated_row_parameter(monkeypatch):
     # x_0 = y_1 + 1 = 1 repeats x_1 in the first draw, not in the second
     draws = iter([([5, 1], [-3, 0]), ([5, 2], [-3, 0])])
@@ -160,8 +187,9 @@ def _doubled_right_side(sides):
 def _w_shifted(sums):
     # every w-exponent of the formal state sum one grid unit up
     def broken(p, formal):
-        grid, total = sums(p, formal)
-        return grid, {u + 1 if formal else u: ts for u, ts in total.items()}
+        grid, ts, blocks = sums(p, formal)
+        return grid, ts, {u + 1 if formal else u: cs
+                          for u, cs in blocks.items()}
     return broken
 
 
