@@ -14,6 +14,12 @@ coefficients, and 1/a = prod_{k != 1} sigma_k(a) / N(a) with N(a) rational.
 Scaling by a rational, and so every quotient and inverse, stores an
 integral coefficient as an int, so integral elements stay on int
 arithmetic.
+
+Internally the components may be polynomials: the laurent module holds a
+polynomial with Q(zeta_24) coefficients as the element (built by _make)
+whose eight components are LaurentPolys with rational coefficients, and
+multiplies two such elements by __mul__'s convolution and _fold, which
+only add, subtract and multiply components and test them for zero.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ def _integral(x):
 
 
 def _make(coeffs):
-    """An element from a trusted length-8 sequence of int/Fraction."""
+    """An element from a trusted length-8 sequence of int/Fraction, or of
+    LaurentPolys and zeros for the laurent module's component products."""
     out = object.__new__(Cyclotomic)
     out.coeffs = tuple(coeffs)
     return out

@@ -88,4 +88,4 @@ def ik_z(inst):
     if n % 2:
         num = -num
     den = qdiff_product(p.xs, p.ys[::-1], beta_power=n * n - n)
-    return _z_quotient(p, num, den)
+    return _z_quotient(p.grid, n, num, den)

@@ -27,12 +27,10 @@ not itself a Laurent polynomial on the grid.
 
 Packed-integer kernel.  A multiply or exact divide whose operands have
 more pairs of nonzero terms than a few per slot of their dense spans runs
-as one bigint operation (Kronecker substitution), when each operand's
-coefficient list splits as content * v with v a primitive integer vector.
-The content is a positive rational when every coefficient is an int or a
-Fraction, and a Cyclotomic u times a rational when every coefficient is a
-rational multiple of one u (as the root-of-unity prefactor q^(-n/4) makes
-them); other lists with Cyclotomic coefficients take the schoolbook.  The
+as one bigint operation (Kronecker substitution) on rational coefficient
+lists: ints, Fractions, and Cyclotomics with no z^1..z^7 component, taken
+as their rationals.  Such a list splits as content * v, with the content
+a positive rational and v a primitive integer vector (_split).  The
 contents are scalars, so they multiply or divide apart from the vectors,
 and v is packed into the integer P_B(v) = sum v_i 2^(i*B).  P_B is
 evaluation at 2^B, a ring map Z[t] -> Z, so P_B(v) * P_B(w) = P_B(v*w)
@@ -58,10 +56,23 @@ word, whose pad bytes extend the sign of the slot's top byte (a pad byte
 that does not is a coefficient out of range, and packing raises
 OverflowError); wider slots convert one at a time.
 
-Exact divide.  The contents divide apart, and the dividend and divisor
-become integer vectors a and d, d primitive.  Long division of rational
-vectors stays rational, so d divides a over Q(zeta_24) exactly when it does
-over Q.  If d divides a over Q, the quotient is in Z[t] by Gauss's lemma, so
+Q(zeta_24) coefficients reach the kernel by their z-components.  An
+operand with a coefficient that is not rational is p = sum_j z^j p_j
+over the power basis of Q(zeta_24), each p_j a LaurentPoly with rational
+coefficients (_components).  Held as the components of a Cyclotomic, the
+p_j multiply by Cyclotomic's own convolution and fold, so each component
+product is an ordinary rational product, packed when that pays, and the
+coefficients are read back from the components (_from_components).  This
+route is chosen from the coefficient types, never because a split failed,
+so no rational list enters it and it recurses at most once.
+
+Exact divide.  A divisor with a coefficient that is not rational takes the
+schoolbook long division.  A rational divisor d divides a dividend
+sum_j z^j a_j exactly when it divides every a_j, the quotient's
+components being the a_j / d, so such a dividend is divided one
+z-component at a time.  For rational lists the contents divide apart, and
+the dividend and divisor become integer vectors a and d, d primitive.
+If d divides a over Q, the quotient is in Z[t] by Gauss's lemma, so
 P_B(a) = P_B(d) * P_B(a/d) for every B, and a nonzero remainder of P_B(a) by
 P_B(d) (nonzero, since its slots are in range) proves NonDivisible.  A zero
 remainder is only evidence: the quotient is unpacked and multiplied back
@@ -150,7 +161,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, _integral, _make
+from .cyclotomic import DEGREE, Cyclotomic, _integral, _make
 
 
 class GridViolation(ValueError):
@@ -315,20 +326,21 @@ class LaurentPoly:
         if a.is_zero or b.is_zero:
             return LaurentPoly.zero(a.scale)
         # the packed kernel on the lattice of the exponents, unless the
-        # schoolbook is cheaper or an operand's coefficients have no
-        # content split (_split); a dense list is never shorter than its
+        # schoolbook is cheaper; a dense list is never shorter than its
         # term count, so operands this sparse stay on the schoolbook
         # whatever their lattice step
         pairs = len(a.terms) * len(b.terms)
         if _worth_packing(pairs, len(a.terms) + len(b.terms)):
             g = _lattice_step(a, b)
             if _worth_packing(pairs, a._span(g) + b._span(g)):
+                if _irrational(a, b):
+                    product = _components(a) * _components(b)
+                    return _from_components(product.coeffs, a.scale)
                 lo1, x = a._dense(g)
                 lo2, y = b._dense(g)
-                sx, sy = _split(x), _split(y)
-                if sx and sy:
-                    out = _scaled(sx[0] * sy[0], _mul_ints(sx[1], sy[1]))
-                    return LaurentPoly._from_dense(lo1 + lo2, out, a.scale, g)
+                (cx, x), (cy, y) = _split(x), _split(y)
+                return LaurentPoly._from_dense(
+                    lo1 + lo2, _scaled(cx * cy, _mul_ints(x, y)), a.scale, g)
         return LaurentPoly._clean(a.scale, _mul_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
@@ -444,12 +456,16 @@ def divide_exact(num, den):
     dlo, b = den._dense(g)
     if len(a) < len(b):
         raise NonDivisible("quotient support would be empty")
-    if _worth_packing((len(a) - len(b) + 1) * len(den.terms), len(a) + len(b)):
-        sa, sb = _split(a), _split(b)
-        q = sa and sb and _divide_ints(sa[1], sb[1])
+    if (_worth_packing((len(a) - len(b) + 1) * len(den.terms), len(a) + len(b))
+            and not _irrational(den)):
+        if _irrational(num):
+            parts = [p and divide_exact(p, den) for p in _components(num).coeffs]
+            return _from_components(parts, num.scale)
+        (ca, ia), (cb, ib) = _split(a), _split(b)
+        q = _divide_ints(ia, ib)
         if q:
             return LaurentPoly._from_dense(
-                nlo - dlo, _scaled(sa[0] / sb[0], q), num.scale, g)
+                nlo - dlo, _scaled(ca / cb, q), num.scale, g)
     return LaurentPoly._from_dense(nlo - dlo, _long_divide(a, b), num.scale, g)
 
 
@@ -531,18 +547,13 @@ def _lattice_step(*polys):
 
 
 def _split(cs):
-    """(content, ints) with cs[i] == content * ints[i] and ints primitive.
-    The content is a positive Fraction when every coefficient is an int or
-    a Fraction, and u times a Fraction when every coefficient is a rational
-    multiple of one Cyclotomic u; None for Cyclotomic coefficients with no
-    such u."""
+    """(content, ints) with cs[i] == content * ints[i], content a positive
+    Fraction and ints primitive, for rational coefficients: ints,
+    Fractions and Cyclotomics with no z^1..z^7 component, each of which is
+    taken as its rational."""
     kinds = set(map(type, cs))
-    unit = 1
     if Cyclotomic in kinds:
-        parts = _rational_parts(cs)
-        if parts is None:
-            return None
-        unit, cs = parts
+        cs = [c.coeffs[0] if type(c) is Cyclotomic else c for c in cs]
         kinds = set(map(type, cs))
     den = 1
     if Fraction in kinds:
@@ -551,43 +562,42 @@ def _split(cs):
     g = gcd(*cs)
     if g != 1:
         cs = [c // g for c in cs]
-    return unit * Fraction(g, den), cs
+    return Fraction(g, den), cs
 
 
-#: the z-components of a rational coefficient, after component 0
-_RATIONAL_TAIL = Cyclotomic([0]).coeffs[1:]
+def _irrational(*polys):
+    """Whether a coefficient of the polys has a nonzero z^1..z^7
+    component."""
+    return any(type(c) is Cyclotomic and not c.is_rational()
+               for p in polys for c in p.terms.values())
 
 
-def _rational_parts(cs):
-    """(u, rs) with cs[i] == u * rs[i], rs rational and u a Cyclotomic
-    whose first nonzero z-component is 1; None when there is no such u.
-    Compared a z-component at a time: component j of cs must be u_j times
-    the rs, which are component k, u's first nonzero one."""
-    rows = [c.coeffs if type(c) is Cyclotomic else (c,) + _RATIONAL_TAIL
-            for c in cs]
-    columns = list(zip(*rows))
-    pivot = next(filter(any, rows))
-    k = next(j for j, c in enumerate(pivot) if c)
-    u = [_integral(Fraction(c, pivot[k])) for c in pivot]
-    rs = columns[k]
-    for j, (column, uj) in enumerate(zip(columns, u)):
-        if not uj:
-            if any(column):
-                return None
-        elif j != k and list(column) != [r * uj for r in rs]:
-            return None
-    return Cyclotomic(u), list(rs)
+def _components(p):
+    """p = sum_j z^j p_j as the Cyclotomic (cyclotomic._make) whose
+    components are the rational LaurentPolys p_j."""
+    parts = [{} for _ in range(DEGREE)]
+    for k, c in p.terms.items():
+        for part, x in zip(parts, c.coeffs if type(c) is Cyclotomic else (c,)):
+            if x:
+                part[k] = x
+    return _make([LaurentPoly._clean(p.scale, part) for part in parts])
+
+
+def _from_components(parts, scale):
+    """sum_j z^j parts[j] for parts that are rational LaurentPolys on the
+    grid scale, or 0: Cyclotomic coefficients whose integral components
+    are ints, as Cyclotomic keeps them."""
+    rows = {}
+    for j, part in enumerate(parts):
+        if part:
+            for k, c in part.terms.items():
+                rows.setdefault(k, [0] * DEGREE)[j] = _integral(c)
+    return LaurentPoly._clean(scale, {k: _make(row) for k, row in rows.items()})
 
 
 def _scaled(content, ints):
-    """content * ints: Cyclotomic coefficients for a Cyclotomic content
-    (built straight from its components times the int when they are all
-    ints), int ones for an integral Fraction content."""
-    if type(content) is Cyclotomic:
-        u = content.coeffs
-        if all(type(x) is int for x in u):
-            return [_make([x * c for x in u]) if c else 0 for c in ints]
-        return [content * c if c else 0 for c in ints]
+    """content * ints for a positive Fraction content: int coefficients
+    when the content is integral."""
     n, d = content.numerator, content.denominator
     if d == 1:
         return ints if n == 1 else [n * c for c in ints]
@@ -852,12 +862,12 @@ class RatFunc:
     (_cross_equal).  A denominator that reduces to a unit monomial is
     folded into the numerator so that polynomial values are recognizable
     (is_poly / poly()); such a value keeps its Fraction coefficients.
-    Any other quotient with a coefficient that is not an int is divided
-    by the content of all its coefficients (_split), when they have one,
-    so that num and den have int coefficients and their products run on
-    the integer kernel: every quotient of ints and Fractions, and every
-    one whose coefficients are rational multiples of one Cyclotomic.
-    Other Cyclotomic coefficients are left as they are.
+    Any other quotient whose coefficients are all rational, some of them
+    Fractions or Cyclotomics with no z^1..z^7 component, is divided by the
+    content of all its coefficients (_split), so that num and den have
+    int coefficients and their products run on the integer kernel.  A
+    quotient with a coefficient that is not rational is left as it is;
+    its products reach the kernel by their z-components.
     """
 
     __slots__ = ("num", "den")
@@ -883,9 +893,8 @@ class RatFunc:
                 den = LaurentPoly.one(num.scale)
             else:
                 cs = [*num.terms.values(), *den.terms.values()]
-                split = None if {*map(type, cs)} == {int} else _split(cs)
-                if split is not None:
-                    ints = iter(split[1])
+                if {*map(type, cs)} != {int} and not _irrational(num, den):
+                    ints = iter(_split(cs)[1])
                     num, den = [LaurentPoly._clean(p.scale, {
                         k: next(ints) for k in p.terms}) for p in (num, den)]
         self.num = num

@@ -101,11 +101,9 @@ _WEIGHTS = (((1, -1, -1), (-1, -1, 1)), ((1, 1, -1), (-1, 1, 1)),
 
 
 class SpectralParams:
-    """Row parameters x_i and column parameters y_j, all rational; grid
-    is the least grid of the labels x_i - y_j, the lcm of their
-    denominators."""
+    """Row parameters x_i and column parameters y_j, all rational."""
 
-    __slots__ = ("xs", "ys", "grid")
+    __slots__ = ("xs", "ys")
 
     def __init__(self, xs, ys):
         self.xs = tuple(Fraction(x) for x in xs)
@@ -113,12 +111,16 @@ class SpectralParams:
         if len(self.xs) != len(self.ys) or not self.xs:
             raise ValueError(
                 "need equally many row and column parameters, at least one")
-        self.grid = lcm(*[(x - y).denominator
-                          for x in self.xs for y in self.ys])
 
     @property
     def n(self):
         return len(self.xs)
+
+    @property
+    def grid(self):
+        """The least grid of the labels x_i - y_j, the lcm of their
+        denominators, computed on each read."""
+        return lcm(*[(x - y).denominator for x in self.xs for y in self.ys])
 
     def label(self, i, j):
         return self.xs[i] - self.ys[j]
@@ -255,13 +257,14 @@ def _state_sum(p, formal):
     return (grid, *_packed_sweep(n, [[w[s] for s in _UPWARD] for w in sites]))
 
 
-def _z_quotient(p, num, den):
-    """num/den as a RatFunc for Z at p, divided out only where the weights
-    make Z a Laurent polynomial: every label integral (grid 1), or n = 1,
-    one site whose weight is a monomial.  Elsewhere the fraction stays
-    unreduced; it is the same RatFunc, and == cross-multiplies.  A
-    monomial den needs no division: RatFunc folds it into num."""
-    divide = (p.grid == 1 or p.n == 1) and not den.is_monomial()
+def _z_quotient(grid, n, num, den):
+    """num/den as a RatFunc for Z on n rows whose labels have the least
+    grid `grid`, divided out only where the weights make Z a Laurent
+    polynomial: every label integral (grid 1), or n = 1, one site whose
+    weight is a monomial.  Elsewhere the fraction stays unreduced; it is
+    the same RatFunc, and == cross-multiplies.  A monomial den needs no
+    division: RatFunc folds it into num."""
+    divide = (grid == 1 or n == 1) and not den.is_monomial()
     return reduced(num, den) if divide else RatFunc(num, den)
 
 
@@ -270,7 +273,7 @@ def z_brute(p):
     sweep over the scaled site weights."""
     grid, ts, blocks = _state_sum(p, False)
     num = LaurentPoly._clean(grid, {t: c for t, c in zip(ts, blocks[0]) if c})
-    return _z_quotient(p, num, diff_product({1: p.n * p.n}))
+    return _z_quotient(grid, p.n, num, diff_product({1: p.n * p.n}))
 
 
 def lemma_recursion_check(n, p, i, j):

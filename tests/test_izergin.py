@@ -101,7 +101,7 @@ def test_fractional_labels_keep_their_values(monkeypatch):
     kept = [both_sides(p) for p in draws]
     for module in (sixvertex, izergin):
         monkeypatch.setattr(module, "_z_quotient",
-                            lambda p, num, den: reduced(num, den))
+                            lambda grid, n, num, den: reduced(num, den))
     divided = [both_sides(p) for p in draws]
     assert kept == divided
     assert [[z.is_poly for z in zs] for zs in kept] == [

@@ -751,7 +751,7 @@ def test_common_grid_promotes_once_and_keeps_scalars():
     assert c == 5
 
 
-# ---------- Q(zeta_24) coefficients: one scalar content ----------
+# ---------- Q(zeta_24) coefficients: the kernel by z-components ----------
 
 rationals = st.integers(-10 ** 6, 10 ** 6) | st.fractions(max_denominator=30)
 dense_rational = st.lists(rationals, min_size=1, max_size=40) \
@@ -760,34 +760,32 @@ z4 = cyclotomic_embed(6)
 scalars = st.sampled_from([z4, z4 - 1]) | st.builds(
     lambda x, n: q_fourth_root(x).inverse() ** n,
     st.sampled_from([1, 2, 3]), st.integers(1, 6))
+# z4 * p + q, which no single Cyclotomic u divides when p and q are not
+# proportional
+general = st.builds(lambda p, q: p * z4 + q, dense_rational, dense_rational) \
+    .filter(lambda p: not p.is_zero)
 
 
-@given(scalars, st.lists(rationals, min_size=1, max_size=30).filter(any))
-def test_split_takes_out_a_cyclotomic_content(c, rs):
-    cs = [c * r for r in rs]
-    content, ints = _split(cs)
-    assert [content * v for v in ints] == cs
-    assert all(type(v) is int for v in ints) and gcd(*ints) == 1
+def rational_splits_only(monkeypatch):
+    """Make _split refuse a list with a coefficient outside Q."""
+    split = laurent._split
+
+    def checked(cs):
+        assert not laurent._irrational(lp(dict(enumerate(cs)))), cs
+        return split(cs)
+
+    monkeypatch.setattr(laurent, "_split", checked)
 
 
-def test_split_refuses_lists_with_no_common_scalar():
-    assert _split([z4, 2 * z4, z4 - 1]) is None         # not proportional
-    assert _split([3, 0, z4]) is None                   # int beside z^4
+def test_split_takes_a_rational_cyclotomic_as_its_rational():
     content, ints = _split([Cyclotomic([3]), 2, 0])     # z^0 beside ints
     assert [content * v for v in ints] == [3, 2, 0]
-
-
-@given(scalars, st.sampled_from([1, -2, Fraction(1, 3), Fraction(5, 2)]),
-       st.lists(st.integers(-50, 50), max_size=8))
-def test_scaled_builds_what_cyclotomic_multiply_builds(c, r, ints):
-    # int components are multiplied out directly, others by __mul__; the
-    # coefficients must come out equal and of the same types either way
-    content = c * r
-    out = laurent._scaled(content, ints)
-    want = [content * v if v else 0 for v in ints]
-    assert out == want
-    assert [tuple(map(type, x.coeffs)) for x in out if x] == \
-        [tuple(map(type, x.coeffs)) for x in want if x]
+    assert all(type(v) is int for v in ints)
+    content, ints = _split([Cyclotomic([Fraction(1, 2)]), Fraction(3, 4)])
+    assert (content, ints) == (Fraction(1, 4), [2, 3])
+    assert laurent._irrational(dense([z4, 2 * z4, z4 - 1]))
+    assert laurent._irrational(dense([3]), dense([3, 0, z4]))
+    assert not laurent._irrational(dense([Cyclotomic([3]), 2, Fraction(1, 2)]))
 
 
 @given(scalars, dense_rational, dense_rational)
@@ -798,14 +796,64 @@ def test_cyclotomic_kernel_with_one_scalar_times_rationals(c, p, q):
         assert all(product.terms.values())
 
 
+@given(general, dense_rational, general)
+def test_general_cyclotomic_lists_multiply_by_components(x, r, y):
+    with pytest.MonkeyPatch.context() as mp:
+        rational_splits_only(mp)
+        for a, b in ((x, r), (r, x), (x, y)):
+            product = packed(a, b)
+            assert product == schoolbook(a, b) == a * b
+            assert all(product.terms.values())
+        assert RatFunc(x * y, r * y) == RatFunc(x, r)
+
+
+@given(general, dense_rational.filter(lambda d: not d.is_monomial()))
+def test_general_cyclotomic_lists_divide_by_components(p, d):
+    # a monomial added to one z-component leaves that component, and so
+    # the whole dividend, outside d's multiples
+    num = schoolbook(p, d)
+    with pytest.MonkeyPatch.context() as mp:
+        rational_splits_only(mp)
+        assert quotients(num, d) == [p, p]
+        assert quotients(num + lp({max(num.terms) + 1: z4}), d) == \
+            [NonDivisible, NonDivisible]
+
+
+def test_component_products_keep_integral_components_as_ints():
+    # the z^4 components multiply as content 1/4 times ints, so some come
+    # out as integral Fractions; they are read back as ints, as
+    # Cyclotomic's own arithmetic stores them
+    x = dense([Fraction(k, 2) * z4 + Fraction(1, 2) for k in range(1, 13)])
+    y = dense([Fraction(k, 2) for k in range(1, 13)])
+    product = packed(x, y)
+    assert product == schoolbook(x, y)
+    components = [v for c in product.terms.values() for v in c.coeffs]
+    assert {type(v) for v in components} == {int, Fraction}
+    assert all(v.denominator != 1 for v in components if type(v) is Fraction)
+
+
+def test_rational_lists_never_take_the_component_route(monkeypatch):
+    monkeypatch.setattr(laurent, "_components", refuse)
+    monkeypatch.setattr(laurent, "_from_components", refuse)
+    one = Cyclotomic([1])
+    for kind in ([5, -3, 7], [Fraction(1, 3), 2, Fraction(-5, 7)],
+                 [one * 3, Cyclotomic([Fraction(1, 2)]), -7]):
+        p = dense([kind[i % 3] * (i + 1) for i in range(30)])
+        q = dense([kind[i % 3] * (2 * i - 19) for i in range(30)])
+        product = packed(p, q)
+        assert product == schoolbook(p, q)
+        assert quotients(product, q) == [p, p]
+
+
 def test_scalar_multiples_divide_on_the_kernel(monkeypatch):
     c = q_fourth_root(3).inverse() ** 5
     p = dense([Fraction(k, 3) for k in range(1, 20)])
     q = dense([k - 7 for k in range(12)])
     num = schoolbook(p * c, q)
+    # a non-rational divisor takes the schoolbook
+    assert divide_exact(num, q * c) == p
     monkeypatch.setattr(laurent, "_long_divide", refuse)
     assert divide_exact(num, q) == p * c
-    assert divide_exact(num, q * c) == p
 
 
 # ---------- the exponent lattice: operands t^lo * A(t^g) ----------

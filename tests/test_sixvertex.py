@@ -248,6 +248,20 @@ def test_state_sum_reads_the_rows_bottom_up(monkeypatch):
     assert {n for n, _ in wrong()} == {2, 3, 4, 5}
 
 
+def test_grid_is_computed_only_where_it_is_read(monkeypatch):
+    # constructing parameters computes no grid; z_brute reads it once,
+    # in _state_sum, and hands it on to _z_quotient
+    calls = []
+    monkeypatch.setattr(sixvertex, "lcm",
+                        lambda *ds: calls.append(ds) or lcm(*ds))
+    p = SpectralParams([Fraction(5, 2), 3, 7], [0, Fraction(-1, 3), -4])
+    p.drop(0, 0).swap_x(0, 1).swap_y(0, 1)
+    assert not calls
+    z = z_brute(p)
+    assert len(calls) == 1 and p.grid == 6
+    assert z == z_brute(SpectralParams(p.xs, p.ys))
+
+
 def test_packed_sweep_bound_is_reached_by_all_ones_weights(monkeypatch):
     # every weight the constant 1: each of the A(n) states weighs 1, so
     # the L1 sweep's bound is A(n) and so is the sum's one coefficient
