@@ -20,7 +20,8 @@ determinants:
   n through one exact image (below);
 
 * the shifted matrices M_{i,j} = (x^2-4x)/(s^g + 2 - x + s^(-g)) with
-  g = f_i - f_j' over an epsilon-multiplier grid, including the symmetric
+  g = f_i - f_j' over an epsilon-multiplier grid, in the formal variable
+  x at a nonzero rational s, with int coefficients, including the symmetric
   grids (f reversed = -f) whose M commutes with the antidiagonal
   permutation and splits into two blocks.
 
@@ -54,8 +55,6 @@ from fractions import Fraction
 from .brackets import BracketProduct, qdiff, qdiff_product
 from .laurent import LaurentPoly, RatFunc, diff_product
 from .matrices import RingMatrix, det_exact
-
-FORMAL = None
 
 
 # ---------- reciprocal-difference (Cauchy-type) determinant ----------
@@ -196,39 +195,32 @@ class EpsilonGrid:
         return self.row_f[i] - self.col_f[j]
 
 
-def general_x_matrix(grid, x=FORMAL, s=FORMAL):
-    """M_{i,j} = (x^2-4x) / (s^g + 2 - x + s^(-g)), g = grid.g(i,j).
+def general_x_matrix(grid, s):
+    """M_{i,j} = (x^2-4x) / (s^g + 2 - x + s^(-g)), g = grid.g(i,j), with
+    x formal at a nonzero rational s = p/r.
 
-    Either x or s, or neither, may be left formal; the entries are
-    Laurent polynomials in the one formal variable, so both formal is a
-    ValueError.  Each distinct g gives one entry, built once and shared by
-    its (i, j).
+    With k = |g| and c = (pr)^k, s^g + s^(-g) = (p^(2k) + r^(2k)) / c, so
+    the entry is c(x^2-4x) / (p^(2k) + r^(2k) + 2c - cx), whose numerator
+    and denominator have int coefficients.  Each distinct g gives one
+    entry, built once and shared by its (i, j).
     """
-    if x is FORMAL and s is FORMAL:
-        raise ValueError("x and s cannot both be formal: the entries have "
-                         "one variable")
-    if s is FORMAL:
-        def spow(g):
-            return LaurentPoly.var_power(g)
-    else:
-        s = Fraction(s)
-
-        def spow(g):
-            if g.denominator != 1:
-                raise ValueError("rational s requires integer grid exponents")
-            return s ** g
-    x = LaurentPoly.var_power(1) if x is FORMAL else Fraction(x)
+    s = Fraction(s)
+    if not s:
+        raise ValueError("s must be nonzero")
+    p, r = s.numerator, s.denominator
+    x = LaurentPoly.var_power(1)
     num = x * x - 4 * x
     entries = {}
 
     def entry(i, j):
         g = grid.g(i, j)
         if g not in entries:
-            den = spow(g) + spow(-g) + 2 - x
-            if not den:
-                raise ValueError(f"zero denominator at entry ({i},{j})")
-            entries[g] = (num / den if isinstance(den, Fraction)
-                          else RatFunc(num, den))
+            if g.denominator != 1:
+                raise ValueError("rational s requires integer grid exponents")
+            k = abs(g.numerator)
+            c = (p * r) ** k
+            entries[g] = RatFunc(c * num,
+                                 p ** (2 * k) + r ** (2 * k) + 2 * c - c * x)
         return entries[g]
 
     return RingMatrix.from_fn(grid.n, grid.n, entry)

@@ -56,30 +56,29 @@ word, whose pad bytes extend the sign of the slot's top byte (a pad byte
 that does not is a coefficient out of range, and packing raises
 OverflowError); wider slots convert one at a time.
 
-Q(zeta_24) coefficients reach the kernel by their z-components.  An
-operand with a coefficient that is not rational is p = sum_j z^j p_j
-over the power basis of Q(zeta_24), each p_j a LaurentPoly with rational
-coefficients (_components).  Held as the components of a Cyclotomic, the
-p_j multiply by Cyclotomic's own convolution and fold, so each component
-product is an ordinary rational product, packed when that pays, and the
-coefficients are read back from the components (_from_components).  This
-route is chosen from the coefficient types, never because a split failed,
-so no rational list enters it and it recurses at most once.
+Q(zeta_24) coefficients reach the kernel by their z-components in a
+product.  An operand with a coefficient that is not rational is
+p = sum_j z^j p_j over the power basis of Q(zeta_24), each p_j a
+LaurentPoly with rational coefficients (_components).  Held as the
+components of a Cyclotomic, the p_j multiply by Cyclotomic's own
+convolution and fold, so each component product is an ordinary rational
+product, packed when that pays, and the coefficients are read back from
+the components (_from_components).  This route is chosen from the
+coefficient types, never because a split failed, so no rational list
+enters it and it recurses at most once.  An exact divide does not take
+it.
 
-Exact divide.  A divisor with a coefficient that is not rational takes the
-schoolbook long division.  A rational divisor d divides a dividend
-sum_j z^j a_j exactly when it divides every a_j, the quotient's
-components being the a_j / d, so such a dividend is divided one
-z-component at a time.  For rational lists the contents divide apart, and
-the dividend and divisor become integer vectors a and d, d primitive.
-If d divides a over Q, the quotient is in Z[t] by Gauss's lemma, so
-P_B(a) = P_B(d) * P_B(a/d) for every B, and a nonzero remainder of P_B(a) by
-P_B(d) (nonzero, since its slots are in range) proves NonDivisible.  A zero
-remainder is only evidence: the quotient is unpacked and multiplied back
-with a width proved as above, and must give a.  B is tried once, from the
-dividend's and divisor's bit lengths, not from any bound on the quotient's;
-when the quotient overflows its slots or fails to multiply back, the
-schoolbook long division decides.
+Exact divide.  A dividend or divisor with a coefficient that is not
+rational takes the schoolbook long division.  For rational lists the
+contents divide apart, and the dividend and divisor become integer vectors
+a and d, d primitive.  If d divides a over Q, the quotient is in Z[t] by
+Gauss's lemma, so P_B(a) = P_B(d) * P_B(a/d) for every B, and a nonzero
+remainder of P_B(a) by P_B(d) (nonzero, since its slots are in range)
+proves NonDivisible.  A zero remainder is only evidence: the quotient is
+unpacked and multiplied back with a width proved as above, and must give a.
+B is tried once, from the dividend's and divisor's bit lengths, not from
+any bound on the quotient's; when the quotient overflows its slots or fails
+to multiply back, the schoolbook long division decides.
 
 Exponent lattice.  The dense lists hold only the lattice lo + g*Z that the
 operands' exponents occupy: g is the gcd of the offsets k - lo over the
@@ -457,10 +456,7 @@ def divide_exact(num, den):
     if len(a) < len(b):
         raise NonDivisible("quotient support would be empty")
     if (_worth_packing((len(a) - len(b) + 1) * len(den.terms), len(a) + len(b))
-            and not _irrational(den)):
-        if _irrational(num):
-            parts = [p and divide_exact(p, den) for p in _components(num).coeffs]
-            return _from_components(parts, num.scale)
+            and not _irrational(num, den)):
         (ca, ia), (cb, ib) = _split(a), _split(b)
         q = _divide_ints(ia, ib)
         if q:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from asmice.brackets import qdiff
+from asmice.chain import RATIO_EXPONENTS, tau_poly
 from asmice.dets import (EpsilonGrid, antidiagonal_block_det, cauchy_det_closed,
                          cauchy_matrix, general_x_matrix, kronecker_exponent,
                          s_det_closed, s_det_closed_bivariate, s_det_product,
@@ -148,22 +149,23 @@ def test_bivariate_identity_at_rational_points():
                        for p in points)
 
 def test_variation_relates_to_general_x_matrix():
-    # (-1/3) M(x=3)_{ij} equals t^(i+j+1) times the plus-one ratio
-    # (u^m + 1)/(u^(3m) + 1), m = i+j+1, built here independently
+    # at x = 3 the general-x entry M_{ij} = (x^2-4x)/tau(m) is -3/tau(m),
+    # and 1/tau(m), m = i+j+1, equals t^m times the plus-one ratio
+    # (u^m + 1)/(u^(3m) + 1), built here independently
     def plus_ratio(m):
         return RatFunc(LaurentPoly.var_power(m) + 1,
                        LaurentPoly.var_power(3 * m) + 1)
 
     for n in (2, 3):
-        m = general_x_matrix(EpsilonGrid.standard(n), x=3)
+        m = RingMatrix.from_fn(n, n,
+                               lambda i, j: RatFunc(1, tau_poly(i + j + 1, 3)))
         sp = RingMatrix.from_fn(n, n, lambda i, j: plus_ratio(i + j + 1))
         for i in range(n):
             for j in range(n):
                 shift = RatFunc(LaurentPoly.var_power(i + j + 1))
-                assert m[i, j] * Fraction(-1, 3) == sp[i, j] * shift
-        lhs = det_exact(m) * (Fraction(-1, 3) ** n)
+                assert m[i, j] == sp[i, j] * shift
         rhs = det_exact(sp) * RatFunc(LaurentPoly.var_power(n * n))
-        assert lhs == rhs
+        assert det_exact(m) == rhs
 
 
 # ---------- deformation grids ----------
@@ -182,42 +184,25 @@ def test_symmetric_grid():
         EpsilonGrid.symmetric([1, 2, 3])      # not antisymmetric
 
 
-# ---------- the general-x matrix ----------
+# ---------- the tau entries at x = 1 and x = 2 ----------
 
 def test_x_one_entries():
-    m = general_x_matrix(EpsilonGrid.standard(2), x=1)
-    for i in range(2):
-        for j in range(2):
-            k = i + j + 1
-            want = RatFunc(LaurentPoly.const(-3),
-                           lp({2 * k: 1, 0: 1, -2 * k: 1}))
-            assert m[i, j] == want
+    # 1/tau(m) = (-1/3) M_{ij} at x = 1, m = i+j+1, is d(m)/d(3m)
+    a, b = RATIO_EXPONENTS[1]
+    for m in range(1, 10):
+        assert tau_poly(m, 1) == lp({2 * m: 1, 0: 1, -2 * m: 1})
+        assert RatFunc(1, tau_poly(m, 1)) == RatFunc(qdiff(a * m),
+                                                     qdiff(b * m))
 
 
 def test_x_two_entries_match_ratio_matrix():
-    n = 3
-    m = general_x_matrix(EpsilonGrid.standard(n), x=2)
-    s = s_matrix(n, 2, 4)
-    for i in range(n):
-        for j in range(n):
-            assert m[i, j] * Fraction(-1, 4) == s[i, j]
-
-
-def test_x_zero_gives_zero_matrix():
-    m = general_x_matrix(EpsilonGrid.standard(2), x=0)
-    assert all(m[i, j].is_zero for i in range(2) for j in range(2))
-
-
-def test_all_parameter_modes_agree_at_sample_points():
-    grid = EpsilonGrid.standard(2)
-    m_x1 = general_x_matrix(grid, x=1)             # s formal
-    m_s2 = general_x_matrix(grid, s=2)             # x formal
-    m_num = general_x_matrix(grid, x=1, s=4)       # both numeric
-    for i in range(2):
-        for j in range(2):
-            assert m_x1[i, j].eval_units(Fraction(2)) == m_num[i, j]
-            assert m_s2[i, j].eval_units(Fraction(1)) == \
-                general_x_matrix(grid, x=1, s=2)[i, j]
+    # 1/tau(m) = (-1/4) M_{ij} at x = 2 is the ratio matrix's entry
+    a, b = RATIO_EXPONENTS[2]
+    s = s_matrix(5, a, b)
+    for m in range(1, 10):
+        assert RatFunc(1, tau_poly(m, 2)) == RatFunc(qdiff(a * m),
+                                                     qdiff(b * m))
+        assert RatFunc(1, tau_poly(m, 2)) == s[(m - 1) // 2, m // 2]
 
 
 # ---------- each distinct entry built once ----------
@@ -255,38 +240,49 @@ def test_ratio_matrix_entries_are_built_once_per_sum():
         assert_shared(matrix, lambda i, j: i + j)
 
 
-def general_x_entry(grid, i, j, x, s):
-    """Entry (i, j) of general_x_matrix built on its own."""
-    g = grid.g(i, j)
-    if s is None:
-        sg, sm = LaurentPoly.var_power(g), LaurentPoly.var_power(-g)
-    else:
-        sg, sm = Fraction(s) ** g, Fraction(s) ** -g
-    x = LaurentPoly.var_power(1) if x is None else Fraction(x)
-    den = sg + sm + 2 - x
-    num = x * x - 4 * x
-    return num / den if isinstance(den, Fraction) else RatFunc(num, den)
+def general_x_entry(g, s):
+    """(x^2-4x) / (s^g + s^(-g) + 2 - x) built on its own, its constant
+    a Fraction."""
+    x = LaurentPoly.var_power(1)
+    return RatFunc(x * x - 4 * x, Fraction(s) ** g + Fraction(s) ** -g + 2 - x)
+
+
+def refuse_fraction_polys(monkeypatch):
+    """Make every LaurentPoly built raise on a Fraction coefficient."""
+    init, clean = LaurentPoly.__init__, LaurentPoly._clean.__func__
+
+    def checked(p):
+        assert Fraction not in set(map(type, p.terms.values())), p
+        return p
+
+    def checked_init(self, scale, terms):
+        init(self, scale, terms)
+        checked(self)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", checked_init)
+    monkeypatch.setattr(LaurentPoly, "_clean", classmethod(
+        lambda cls, scale, terms: checked(clean(cls, scale, terms))))
 
 
 def test_general_x_entries_are_built_once_per_difference():
-    grid = EpsilonGrid.symmetric([-3, -1, 1, 3])
-    for x, s in ((None, Fraction(7, 5)), (3, None),
-                 (Fraction(1, 2), Fraction(7, 5))):
-        m = general_x_matrix(grid, x=x, s=s)
-        for i in range(grid.n):
-            for j in range(grid.n):
-                assert same_entry(m[i, j], general_x_entry(grid, i, j, x, s))
-        assert_shared(m, grid.g)
-
-
-def test_general_x_zero_denominator_names_its_first_entry():
-    # g = f_i - f'_j vanishes first at (1, 1) and again at (2, 2); at
-    # x = 4 exactly those entries have the denominator 4 - x = 0
-    grid = EpsilonGrid((1, 2, 3), (0, 2, 3))
-    for s in (None, Fraction(7, 5)):
-        with pytest.raises(ValueError,
-                           match=r"^zero denominator at entry \(1,1\)$"):
-            general_x_matrix(grid, x=4, s=s)
+    # int coefficients, whatever the sign and the denominator of s, and
+    # no Fraction on the way to them
+    for s in (Fraction(7, 5), Fraction(-7, 5), 2, Fraction(1, 3),
+              Fraction(-11, 13)):
+        for f in ((0,), (-1, 1), (-2, 0, 2), (-3, -1, 1, 3),
+                  (-4, -2, 0, 2, 4)):
+            grid = EpsilonGrid.symmetric(f)
+            with pytest.MonkeyPatch.context() as mp:
+                refuse_fraction_polys(mp)
+                m = general_x_matrix(grid, s=s)
+            for i in range(grid.n):
+                for j in range(grid.n):
+                    e = m[i, j]
+                    assert e == general_x_entry(grid.g(i, j), s), (s, f)
+                    assert {type(c) for p in (e.num, e.den)
+                            for c in p.terms.values()} == {int}
+                    assert e.eval_units(0) == 0         # x = 0
+            assert_shared(m, grid.g)
 
 
 # ---------- antidiagonal block splitting ----------
@@ -319,8 +315,8 @@ def test_split_factorizes_symmetric_instances():
      "row and column grids must have equal length"),
     (lambda: general_x_matrix(EpsilonGrid([Fraction(1, 2)], [0]), s=2),
      "rational s requires integer grid exponents"),
-    (lambda: general_x_matrix(EpsilonGrid.standard(2)),
-     "x and s cannot both be formal: the entries have one variable"),
+    (lambda: general_x_matrix(EpsilonGrid.standard(2), s=0),
+     "s must be nonzero"),
     (lambda: antidiagonal_block_det(RingMatrix([[1, 2]])),
      "matrix must be square"),
 ])
@@ -331,4 +327,4 @@ def test_refusals_name_their_cause(refused, cause):
 
 def test_split_requires_flip_symmetry():
     with pytest.raises(ValueError):
-        antidiagonal_block_det(general_x_matrix(EpsilonGrid.standard(2), x=1))
+        antidiagonal_block_det(general_x_matrix(EpsilonGrid.standard(2), s=2))

@@ -807,16 +807,26 @@ def test_general_cyclotomic_lists_multiply_by_components(x, r, y):
         assert RatFunc(x * y, r * y) == RatFunc(x, r)
 
 
-@given(general, dense_rational.filter(lambda d: not d.is_monomial()))
-def test_general_cyclotomic_lists_divide_by_components(p, d):
-    # a monomial added to one z-component leaves that component, and so
-    # the whole dividend, outside d's multiples
-    num = schoolbook(p, d)
+def schoolbook_quotients(p, q):
+    """(lattice, full-grid) outcomes of p / q with packing forced and the
+    z-components refused: None when the divide takes them."""
     with pytest.MonkeyPatch.context() as mp:
-        rational_splits_only(mp)
-        assert quotients(num, d) == [p, p]
-        assert quotients(num + lp({max(num.terms) + 1: z4}), d) == \
-            [NonDivisible, NonDivisible]
+        mp.setattr(laurent, "_worth_packing", lambda pairs, slots: True)
+        mp.setattr(laurent, "_components", refuse)
+        mp.setattr(laurent, "_from_components", refuse)
+        by_lattice = lattice_quotient(p, q)
+    return [by_lattice, long_quotient(p, q)]
+
+
+@given(general, dense_rational.filter(lambda d: not d.is_monomial()))
+def test_general_cyclotomic_lists_divide_on_the_schoolbook(p, d):
+    # a dividend outside Q takes the long division, never its
+    # z-components; a monomial added to one z-component leaves that
+    # component, and so the whole dividend, outside d's multiples
+    num = schoolbook(p, d)
+    assert schoolbook_quotients(num, d) == [p, p]
+    assert schoolbook_quotients(num + lp({max(num.terms) + 1: z4}), d) == \
+        [NonDivisible, NonDivisible]
 
 
 def test_component_products_keep_integral_components_as_ints():
@@ -850,10 +860,13 @@ def test_scalar_multiples_divide_on_the_kernel(monkeypatch):
     p = dense([Fraction(k, 3) for k in range(1, 20)])
     q = dense([k - 7 for k in range(12)])
     num = schoolbook(p * c, q)
-    # a non-rational divisor takes the schoolbook
+    # a non-rational divisor or dividend takes the schoolbook
+    monkeypatch.setattr(laurent, "_components", refuse)
     assert divide_exact(num, q * c) == p
-    monkeypatch.setattr(laurent, "_long_divide", refuse)
     assert divide_exact(num, q) == p * c
+    # a rational multiple, c^6 = -1 held as a Cyclotomic, takes the kernel
+    monkeypatch.setattr(laurent, "_long_divide", refuse)
+    assert divide_exact(schoolbook(p * c ** 6, q), q) == -p
 
 
 # ---------- the exponent lattice: operands t^lo * A(t^g) ----------

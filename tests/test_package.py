@@ -262,15 +262,58 @@ def _unset_options(defined, calling):
                        for count, keys, receiver in calls.get(name, ()))}
 
 
+def package_sources():
+    """{module stem: source} of the package's modules."""
+    return {path.stem: path.read_text()
+            for path in sorted((ROOT / "src" / "asmice").glob("*.py"))}
+
+
 def test_every_option_is_set_by_some_call():
     # an option that no call in the package, its tests or its benchmark
     # sets is surface with no caller
-    defined = {path.stem: ast.parse(path.read_text())
-               for path in sorted((ROOT / "src" / "asmice").glob("*.py"))}
+    defined = {stem: ast.parse(text)
+               for stem, text in package_sources().items()}
     calling = [ast.parse(path.read_text())
                for part in ("src", "tests", "perfbench")
                for path in sorted((ROOT / part).rglob("*.py"))]
     assert _unset_options(defined, calling) == set()
+
+
+#: options that no call outside the tests sets, each with its reason
+TEST_ONLY_OPTIONS = {
+    ("chain", "ik_eps_ratfunc", "grid"):
+        "the tests check the chain identities on non-standard grids",
+    ("chain", "z_half_eps_brute", "grid"):
+        "the tests check the chain identities on non-standard grids",
+    ("cli", "main", "argv"): "the tests' entry point",
+}
+
+
+def _options_without_outside_caller(sources):
+    """_unset_options for the package modules given as {stem: source},
+    called from themselves and the benchmark only."""
+    defined = {stem: ast.parse(text) for stem, text in sources.items()}
+    calling = [*defined.values(),
+               *(ast.parse(path.read_text())
+                 for path in sorted((ROOT / "perfbench").rglob("*.py")))]
+    return _unset_options(defined, calling)
+
+
+def test_every_option_has_a_caller_outside_the_tests():
+    # an option that only the tests set is surface for the tests alone,
+    # unless it is listed with its reason
+    assert _options_without_outside_caller(package_sources()) \
+        == set(TEST_ONLY_OPTIONS)
+
+
+def test_the_outside_caller_scan_sees_a_planted_orphan():
+    sources = package_sources()
+    signature = "def general_x_matrix(grid, s):"
+    assert signature in sources["dets"]
+    sources["dets"] = sources["dets"].replace(
+        signature, "def general_x_matrix(grid, s, x=None):")
+    assert _options_without_outside_caller(sources) \
+        == {*TEST_ONLY_OPTIONS, ("dets", "general_x_matrix", "x")}
 
 
 def test_the_option_scan_sees_an_orphan():
